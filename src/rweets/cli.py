@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import DOMAINS, load_dataset, save_dataset, synth_corpus
+from .corpus import DOMAINS, RWEET, load_dataset, save_dataset, synth_corpus
 from .digest import atomic_write_text, combine_digests
 from .errors import (
     FormatError,
@@ -41,7 +41,7 @@ from .preprocess import (
     run_pipeline,
     save_clean,
 )
-from .rules import match_tweet, rule_classify
+from .rules import N_PATTERNS, match_tweet, rule_classify
 
 
 class UsageError(Exception):
@@ -318,8 +318,11 @@ def cmd_rules(args) -> int:
             text = record.get("text")
             if not isinstance(text, str):
                 raise ValidationError(f"{args.input}: line {lineno}: missing 'text'")
-            record["rule_label"] = rule_classify(text)
-            record["rule_bits"] = [int(bit) for bit in match_tweet(text)]
+            # a tweet no pattern matches has all bits zero: evaluate it once
+            label = rule_classify(text)
+            bits = match_tweet(text) if label == RWEET else (False,) * N_PATTERNS
+            record["rule_label"] = label
+            record["rule_bits"] = [int(bit) for bit in bits]
             lines_out.append(json.dumps(record, ensure_ascii=False))
     atomic_write_text(args.output, "".join(l + "\n" for l in lines_out))
     print(f"classified {len(lines_out)} tweets -> {args.output}")

@@ -184,49 +184,66 @@ def run_series(
     cache: FeatureCache | None = None,
 ) -> list[CategorizedTweet]:
     """Predict stage-1 labels for every cleaned tweet, then stage-2 labels
-    for the predicted rweets. Output order follows the cleaned corpus."""
+    for the predicted rweets. Output order follows the cleaned corpus.
+
+    Stage-2 rows are chosen by position in the cleaned corpus (ids are
+    unique, so this is the same as choosing them by id). The 18 rules run at
+    most once per cleaned tweet per call: building stage 1 evaluates them
+    for every cleaned row and building stage 2 reuses those bits for its
+    rows; when stage 1 is a cache hit, stage 2 evaluates only its own rows,
+    and a full cache hit evaluates none.
+    """
     clean, _ = run_pipeline(dataset, staged.pipeline_config)
     texts = dataset.texts_by_id()
-
+    ids = clean.ids()
+    config = staged.feature_config
     counts_only = getattr(staged.identifier, "input_kind", "weighted") == "counts"
+    all_rules = None  # the rule block of every cleaned row, once evaluated
 
-    def featurize(stage_tag: str, corpus: CleanCorpus, vocab: Vocabulary) -> FeatureMatrix:
+    def rules_for(rows):
+        nonlocal all_rules
+        if all_rules is not None:
+            return all_rules[rows]
+        block = rule_block_for_ids([ids[i] for i in rows], texts)
+        if len(rows) == len(ids):
+            all_rules = block
+        return block
+
+    def featurize(stage_tag: str, rows, vocab: Vocabulary) -> FeatureMatrix:
+        corpus = CleanCorpus(tuple(clean.tweets[i] for i in rows), clean.config_digest)
         # the key covers exactly the rows being featurized, so stage 2 stays
         # sound even though its row set depends on stage-1 predictions
-        key = combine_digests(
-            staged.feature_config.digest, vocab.digest, corpus.content_digest(), stage_tag
-        )
-        builder = lambda: featurize_corpus(
-            corpus, staged.feature_config, texts, vocabulary=vocab, counts_only=counts_only
-        )
+        key = combine_digests(config.digest, vocab.digest, corpus.content_digest(), stage_tag)
+
+        def builder():
+            return featurize_tokens(
+                corpus.token_lists(),
+                corpus.ids(),
+                config,
+                vocab=vocab,
+                rule_block=rules_for(rows) if config.append_rules else None,
+                counts_only=counts_only,
+            )
+
         if cache is None:
             return builder()
-        return cache.get_or_build(key, staged.feature_config, builder)
+        return cache.get_or_build(key, config, builder)
 
-    fm1 = featurize("stage1", clean, staged.identifier_vocab)
+    fm1 = featurize("stage1", range(len(ids)), staged.identifier_vocab)
     stage1 = staged.identifier.predict(fm1.matrix)
 
-    kept_ids = {clean.ids()[i] for i, label in enumerate(stage1) if label == RWEET}
-    filtered = CleanCorpus(
-        tuple(tw for tw in clean if tw.id in kept_ids), clean.config_digest
-    )
-    stage2_by_id: dict[str, str] = {}
-    if len(filtered):
-        fm2 = featurize("stage2", filtered, staged.categorizer_vocab)
-        stage2 = staged.categorizer.predict(fm2.matrix)
-        stage2_by_id = dict(zip(filtered.ids(), stage2))
+    keep = [i for i, label in enumerate(stage1) if label == RWEET]
+    stage2_by_row: dict[int, str] = {}
+    if keep:
+        fm2 = featurize("stage2", keep, staged.categorizer_vocab)
+        stage2_by_row = dict(zip(keep, staged.categorizer.predict(fm2.matrix)))
 
-    output = []
-    for tweet_id, label in zip(clean.ids(), stage1):
-        output.append(
-            CategorizedTweet(
-                id=tweet_id,
-                text=texts[tweet_id],
-                stage1=label,
-                stage2=stage2_by_id.get(tweet_id),
-            )
+    return [
+        CategorizedTweet(
+            id=tweet_id, text=texts[tweet_id], stage1=label, stage2=stage2_by_row.get(i)
         )
-    return output
+        for i, (tweet_id, label) in enumerate(zip(ids, stage1))
+    ]
 
 
 def save_series_output(results, path) -> None:

@@ -42,18 +42,30 @@ class SparseMatrix:
             raise ValidationError("malformed row pointer array")
         if self.indptr[-1] != len(self.indices) or len(self.indices) != len(self.data):
             raise ValidationError("index and value arrays disagree with row pointers")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValidationError("row pointers must be nondecreasing")
+        falls = np.flatnonzero(np.diff(self.indptr) < 0)
+        if len(falls):
+            raise ValidationError(f"row pointers must be nondecreasing (row {falls[0]})")
         if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.cols):
             raise ValidationError("column index out of range")
-        for r in range(self.rows):
-            row_cols = self.indices[self.indptr[r] : self.indptr[r + 1]]
-            if len(row_cols) > 1 and np.any(np.diff(row_cols) <= 0):
-                raise ValidationError(f"row {r} has unsorted or duplicate column indices")
+        # a column step that crosses into the next row may fall; inside a row
+        # every step must rise
+        rises = np.diff(self.indices) > 0
+        starts = self.indptr[1:-1]
+        rises[starts[(starts > 0) & (starts < len(self.indices))] - 1] = True
+        bad = np.flatnonzero(~rises)
+        if len(bad):
+            raise ValidationError(
+                f"row {self._row_of(bad[0] + 1)} has unsorted or duplicate column indices"
+            )
         if len(self.data) and not np.all(np.isfinite(self.data)):
             raise ValidationError("matrix values must be finite")
-        if np.any(self.data == 0.0):
-            raise ValidationError("stored values must be nonzero")
+        zeros = np.flatnonzero(self.data == 0.0)
+        if len(zeros):
+            raise ValidationError(f"stored values must be nonzero (row {self._row_of(zeros[0])})")
+
+    def _row_of(self, k) -> int:
+        """The row that holds stored entry k."""
+        return int(np.searchsorted(self.indptr, k, side="right")) - 1
 
     # --- constructors -------------------------------------------------------
 
@@ -61,35 +73,45 @@ class SparseMatrix:
     def from_triplets(cls, rows: int, cols: int, triplets) -> "SparseMatrix":
         """Build from (row, col, value) triples in any order. Zero values are
         dropped; duplicate coordinates are an error."""
-        kept = [(r, c, v) for r, c, v in triplets if v != 0.0]
-        kept.sort(key=lambda t: (t[0], t[1]))
-        seen_prev = None
-        for r, c, _v in kept:
-            if not (0 <= r < rows) or not (0 <= c < cols):
-                raise ValidationError(f"triplet ({r},{c}) outside {rows}x{cols} matrix")
-            if (r, c) == seen_prev:
-                raise ValidationError(f"duplicate entry at ({r},{c})")
-            seen_prev = (r, c)
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        for r, _c, _v in kept:
-            indptr[r + 1] += 1
-        np.cumsum(indptr, out=indptr)
-        indices = np.fromiter((c for _r, c, _v in kept), dtype=np.int64, count=len(kept))
-        data = np.fromiter((v for _r, _c, v in kept), dtype=np.float64, count=len(kept))
-        return cls(rows, cols, indptr, indices, data)
+        triplets = list(triplets)
+        r, c, v = (
+            np.fromiter((t[k] for t in triplets), dtype=np.float64, count=len(triplets))
+            for k in range(3)
+        )
+        if np.any(r % 1) or np.any(c % 1):
+            raise ValidationError("triplet coordinates must be integers")
+        return cls._from_coordinates(rows, cols, r.astype(np.int64), c.astype(np.int64), v)
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
         array = np.asarray(array, dtype=np.float64)
         if array.ndim != 2:
             raise ValidationError("from_dense expects a 2-D array")
-        triplets = [
-            (r, c, array[r, c])
-            for r in range(array.shape[0])
-            for c in range(array.shape[1])
-            if array[r, c] != 0.0
-        ]
-        return cls.from_triplets(array.shape[0], array.shape[1], triplets)
+        r, c = np.nonzero(array)
+        return cls._from_coordinates(array.shape[0], array.shape[1], r, c, array[r, c])
+
+    @classmethod
+    def _from_coordinates(cls, rows: int, cols: int, r, c, v) -> "SparseMatrix":
+        """from_triplets over parallel int64 coordinate and float64 value
+        arrays."""
+        if rows < 0 or cols < 0:
+            raise ValidationError("matrix dimensions must be nonnegative")
+        kept = v != 0.0
+        r, c, v = r[kept], c[kept], v[kept]
+        order = np.lexsort((c, r))
+        r, c, v = r[order], c[order], v[order]
+        outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+        repeated = np.zeros(len(r), dtype=bool)
+        repeated[1:] = (r[1:] == r[:-1]) & (c[1:] == c[:-1])
+        bad = np.flatnonzero(outside | repeated)
+        if len(bad):
+            k = bad[0]
+            if outside[k]:
+                raise ValidationError(f"triplet ({r[k]},{c[k]}) outside {rows}x{cols} matrix")
+            raise ValidationError(f"duplicate entry at ({r[k]},{c[k]})")
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(r, minlength=rows), out=indptr[1:])
+        return cls(rows, cols, indptr, c, v)
 
     # --- inspection ---------------------------------------------------------
 
@@ -182,26 +204,23 @@ class SparseMatrix:
                 f"column block must have {self.rows} rows, got shape {block.shape}"
             )
         extra = block.shape[1]
-        indptr = [0]
-        indices = []
-        data = []
-        for r in range(self.rows):
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            row_cols = list(self.indices[lo:hi])
-            row_vals = list(self.data[lo:hi])
-            for j in range(extra):
-                if block[r, j] != 0.0:
-                    row_cols.append(self.cols + j)
-                    row_vals.append(block[r, j])
-            indices.extend(row_cols)
-            data.extend(row_vals)
-            indptr.append(len(indices))
+        block_rows, block_cols = np.nonzero(block)
+        # each row keeps its own entries, then its block entries: a stable
+        # sort on the row alone leaves both runs in column order
+        order = np.argsort(
+            np.concatenate([self._nnz_rows(), block_rows]), kind="stable"
+        )
+        indptr = np.zeros(self.rows + 1, dtype=np.int64)
+        np.cumsum(
+            np.diff(self.indptr) + np.bincount(block_rows, minlength=self.rows),
+            out=indptr[1:],
+        )
         return SparseMatrix(
             self.rows,
             self.cols + extra,
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(data),
+            indptr,
+            np.concatenate([self.indices, block_cols + self.cols])[order],
+            np.concatenate([self.data, block[block_rows, block_cols]])[order],
         )
 
     # --- linear algebra -----------------------------------------------------

@@ -113,6 +113,39 @@ class TestRules:
         assert len(records[0]["rule_bits"]) == 18
         assert records[0]["rule_bits"][7] == 1
 
+    def test_each_text_costs_one_rule_pass(self, tmp_path, monkeypatch):
+        import re
+
+        from rweets.corpus import BINARY, synth_corpus
+        from rweets.rules import PATTERN_SOURCES, RulePattern
+
+        evals = []
+        matches = RulePattern.matches
+
+        def counted(self, text):
+            evals.append(self.id)
+            return matches(self, text)
+
+        monkeypatch.setattr(RulePattern, "matches", counted)
+        oracle = [re.compile(source, re.IGNORECASE) for source in PATTERN_SOURCES]
+        texts = ["calm morning by the bay", "Where can I donate clothes"]
+        texts += [tw.text for tw in synth_corpus(17, 40, BINARY)]
+        costs = []
+        for n, text in enumerate(texts):
+            source, out = tmp_path / f"in{n}.jsonl", tmp_path / f"out{n}.jsonl"
+            source.write_text(json.dumps({"id": str(n), "text": text}) + "\n")
+            evals.clear()
+            assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
+            bits = json.loads(out.read_text())["rule_bits"]
+            assert bits == [int(p.search(text) is not None) for p in oracle]
+            # rule_classify stops at the first match; only a match then
+            # costs a second, full pass for the bits
+            expected = bits.index(1) + 1 + 18 if any(bits) else 18
+            assert len(evals) == expected
+            costs.append(len(evals))
+        assert costs[:2] == [18, 8 + 18]
+        assert 18 in costs[2:] and max(costs) > 18  # synth covers both kinds
+
     def test_action_defaults_to_classify(self, tmp_path):
         source = tmp_path / "in.jsonl"
         source.write_text(json.dumps({"id": "1", "text": "need shelter?"}) + "\n")

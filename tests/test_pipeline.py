@@ -2,7 +2,8 @@ import pytest
 
 from rweets.corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet, synth_corpus
 from rweets.errors import StaleCacheError, ValidationError
-from rweets.features import FeatureConfig, combo, featurize_tokens
+from rweets.digest import combine_digests
+from rweets.features import FeatureConfig, combo, featurize_tokens, save_matrix
 from rweets.pipeline import (
     CategorizedTweet,
     FeatureCache,
@@ -14,7 +15,7 @@ from rweets.pipeline import (
     save_staged,
     train_staged,
 )
-from rweets.preprocess import run_pipeline
+from rweets.preprocess import CleanCorpus, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,76 @@ class TestRunSeries:
         second = run_series(probe, staged_model, warm)
         assert warm.built == 0 and warm.misses == 0 and warm.hits == 2
         assert first == second
+
+    def count_rule_evals(self, monkeypatch):
+        """Record the text of every match_tweet call the series path makes."""
+        from rweets import rules
+
+        seen = []
+        match_tweet = rules.match_tweet
+
+        def counted(text):
+            seen.append(text)
+            return match_tweet(text)
+
+        monkeypatch.setattr(rules, "match_tweet", counted)
+        return seen
+
+    def test_rules_run_once_per_cleaned_row(self, staged_model, tmp_path, monkeypatch):
+        probe = synth_corpus(46, 90, BINARY)
+        clean, _ = run_pipeline(probe, staged_model.pipeline_config)
+        seen = self.count_rule_evals(monkeypatch)
+        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        assert any(r.stage1 == RWEET for r in cold)
+        texts = probe.texts_by_id()
+        assert seen == [texts[i] for i in clean.ids()]
+        seen.clear()
+        assert run_series(probe, staged_model, FeatureCache(tmp_path / "cache")) == cold
+        assert seen == []
+        assert run_series(probe, staged_model) == cold
+        assert len(seen) == len(clean)
+
+    def stage2_reference(self, staged, probe, results):
+        """Stage-2 features built from scratch on the id-filtered corpus,
+        with the key run_series files them under."""
+        clean, _ = run_pipeline(probe, staged.pipeline_config)
+        kept = {r.id for r in results if r.stage1 == RWEET}
+        filtered = CleanCorpus(tuple(tw for tw in clean if tw.id in kept), clean.config_digest)
+        fm = featurize_corpus(
+            filtered, staged.feature_config, probe, vocabulary=staged.categorizer_vocab
+        )
+        key = combine_digests(
+            staged.feature_config.digest,
+            staged.categorizer_vocab.digest,
+            filtered.content_digest(),
+            "stage2",
+        )
+        return fm, key, len(filtered)
+
+    def test_stage2_artifact_matches_filtered_corpus(self, staged_model, tmp_path):
+        probe = synth_corpus(46, 90, BINARY)
+        cache = FeatureCache(tmp_path / "cache")
+        results = run_series(probe, staged_model, cache)
+        fm, key, _ = self.stage2_reference(staged_model, probe, results)
+        save_matrix(fm, tmp_path / "reference.spmat")
+        for suffix in ("", ".vocab", ".rowids"):
+            cached = cache.path_for(key).with_suffix(".spmat" + suffix)
+            reference = tmp_path / f"reference.spmat{suffix}"
+            assert cached.read_bytes() == reference.read_bytes()
+
+    def test_stage2_miss_after_stage1_hit(self, staged_model, tmp_path, monkeypatch):
+        probe = synth_corpus(46, 90, BINARY)
+        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        _fm, key, n_stage2 = self.stage2_reference(staged_model, probe, cold)
+        assert 0 < n_stage2 < len(cold)
+        stage2_path = FeatureCache(tmp_path / "cache").path_for(key)
+        stage2_path.unlink()
+        seen = self.count_rule_evals(monkeypatch)
+        cache = FeatureCache(tmp_path / "cache")
+        assert run_series(probe, staged_model, cache) == cold
+        assert (cache.hits, cache.misses, cache.built) == (1, 1, 1)
+        assert len(seen) == n_stage2  # stage 2 evaluates its own rows only
+        assert stage2_path.exists()
 
     def test_all_not_rweet_identifier_yields_no_stage2(self, staged_model):
         from dataclasses import replace

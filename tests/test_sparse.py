@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from scipy import sparse as scipy_sparse
+
 from rweets.errors import ValidationError
 from rweets.sparse import SparseMatrix
 
@@ -32,6 +34,37 @@ class TestConstruction:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             SparseMatrix.from_triplets(1, 2, [(0, 0, float("nan"))])
+
+    def test_raw_rejects_unsorted_row(self):
+        # row 0 is fine; row 2 (after empty row 1) has its columns out of order
+        with pytest.raises(ValidationError, match="row 2 has unsorted"):
+            SparseMatrix(4, 3, [0, 2, 2, 4, 5], [0, 2, 2, 1, 0], [1.0] * 5)
+
+    def test_raw_rejects_repeated_column(self):
+        with pytest.raises(ValidationError, match="row 1 has unsorted or duplicate"):
+            SparseMatrix(2, 3, [0, 1, 3], [2, 1, 1], [1.0] * 3)
+
+    def test_raw_allows_falling_column_across_rows(self):
+        m = SparseMatrix(3, 3, [0, 2, 2, 4], [1, 2, 0, 1], [1.0] * 4)
+        np.testing.assert_array_equal(m.to_dense(), [[0, 1, 1], [0, 0, 0], [1, 1, 0]])
+
+    def test_raw_rejects_stored_zero(self):
+        with pytest.raises(ValidationError, match=r"stored values must be nonzero \(row 2\)"):
+            SparseMatrix(3, 2, [0, 1, 1, 3], [0, 0, 1], [1.0, 2.0, 0.0])
+
+    def test_raw_rejects_decreasing_indptr(self):
+        with pytest.raises(ValidationError, match=r"nondecreasing \(row 1\)"):
+            SparseMatrix(3, 2, [0, 2, 1, 2], [0, 1], [1.0, 2.0])
+
+    def test_empty_triplets(self):
+        m = SparseMatrix.from_triplets(3, 2, [])
+        assert m.nnz == 0 and list(m.indptr) == [0, 0, 0, 0]
+        with pytest.raises(ValidationError, match="nonnegative"):
+            SparseMatrix.from_triplets(-2, 2, [])
+
+    def test_non_integer_coordinates_rejected(self):
+        with pytest.raises(ValidationError, match="integers"):
+            SparseMatrix.from_triplets(2, 2, [(0.5, 1, 1.0)])
 
     def test_dense_round_trip(self):
         rng = np.random.default_rng(5)
@@ -97,3 +130,70 @@ class TestMatmul:
         m = SparseMatrix.from_dense([[1.0, 2.0]])
         with pytest.raises(ValidationError):
             m.matmul_dense(np.zeros((3, 2)))
+
+
+class TestAgainstScipy:
+    """from_triplets and append_dense_columns against scipy.sparse, used
+    here only as an independent oracle."""
+
+    @staticmethod
+    def scipy_csr(dense):
+        csr = scipy_sparse.csr_matrix(dense)
+        csr.eliminate_zeros()
+        csr.sort_indices()
+        return csr
+
+    @staticmethod
+    def assert_same(m, csr):
+        assert (m.rows, m.cols) == csr.shape
+        np.testing.assert_array_equal(m.indptr, csr.indptr)
+        np.testing.assert_array_equal(m.indices, csr.indices)
+        np.testing.assert_array_equal(m.data, csr.data)
+
+    def random_triplets(self, rng):
+        rows, cols = int(rng.integers(0, 9)), int(rng.integers(1, 9))
+        dense = random_dense(rng, rows, cols, density=float(rng.uniform(0.0, 0.8)))
+        dense[rng.random(rows) < 0.3] = 0.0  # whole empty rows
+        triplets = [(r, c, dense[r, c]) for r, c in zip(*np.nonzero(dense))]
+        # explicit zeros, which must be dropped, then any order
+        triplets += [(int(rng.integers(rows)), int(rng.integers(cols)), 0.0)
+                     for _ in range(int(rng.integers(0, 4)) if rows else 0)]
+        order = rng.permutation(len(triplets))
+        return rows, cols, dense, [triplets[i] for i in order]
+
+    def test_from_triplets(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            rows, cols, dense, triplets = self.random_triplets(rng)
+            self.assert_same(SparseMatrix.from_triplets(rows, cols, triplets),
+                             self.scipy_csr(dense))
+
+    def test_from_triplets_rejects_duplicates_and_out_of_range(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(200):
+            rows, cols, _dense, triplets = self.random_triplets(rng)
+            nonzero = [t for t in triplets if t[2] != 0.0]
+            if not nonzero:
+                continue
+            r, c, _v = nonzero[int(rng.integers(len(nonzero)))]
+            with pytest.raises(ValidationError, match=f"duplicate entry at \\({r},{c}\\)"):
+                SparseMatrix.from_triplets(rows, cols, triplets + [(r, c, 1.5)])
+            bad = [(rows, c, 1.0), (r, cols, 1.0), (-1, c, 1.0), (r, -1, 1.0)]
+            for triplet in bad:
+                with pytest.raises(ValidationError, match="outside"):
+                    SparseMatrix.from_triplets(rows, cols, triplets + [triplet])
+            # an out-of-range zero is dropped before the range check
+            SparseMatrix.from_triplets(rows, cols, triplets + [(rows, cols, 0.0)])
+            checked += 1
+        assert checked > 100
+
+    def test_append_dense_columns(self):
+        rng = np.random.default_rng(99)
+        for _ in range(300):
+            rows, cols, dense, triplets = self.random_triplets(rng)
+            m = SparseMatrix.from_triplets(rows, cols, triplets)
+            block = random_dense(rng, rows, int(rng.integers(0, 5)),
+                                 density=float(rng.uniform(0.0, 1.0)))
+            expected = self.scipy_csr(np.hstack([dense, block]))
+            self.assert_same(m.append_dense_columns(block), expected)
