@@ -142,7 +142,6 @@ def _train_config(args) -> TrainConfig:
         l2_penalty=args.l2_penalty if args.l2_penalty is not None else 1e-4,
         max_epochs=args.max_epochs if args.max_epochs is not None else 500,
         tol=args.tol if args.tol is not None else 1e-6,
-        seed=args.seed if args.seed is not None else 0,
     )
 
 

@@ -33,7 +33,6 @@ class TrainConfig:
     l2_penalty: float = 1e-4
     max_epochs: int = 500
     tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -142,52 +141,6 @@ class LogisticRegression(BaseEstimator):
     def predict(self, X: SparseMatrix) -> list[str]:
         probs = self.predict_proba(X)
         return [self.classes_[i] for i in np.argmax(probs, axis=1)]
-
-
-def zero_model(classes, n_cols: int) -> LogisticRegression:
-    """An untrained model with all-zero parameters: predicts uniform
-    probabilities and, by the tie rule, the first class."""
-    model = LogisticRegression()
-    model.classes_ = tuple(classes)
-    model.weights_ = np.zeros((len(model.classes_), n_cols))
-    model.bias_ = np.zeros(len(model.classes_))
-    model.loss_history_ = []
-    return model
-
-
-def gradient_check(
-    X: SparseMatrix, y, classes=None, l2: float = 1e-4, h: float = 1e-5, seed: int = 0
-) -> float:
-    """Max relative error between analytic and central finite-difference
-    gradients at a random weight point. Small instances only: cost is two
-    loss evaluations per parameter."""
-    classes = _resolve_classes(y, classes)
-    Y = _one_hot(y, classes)
-    rng = np.random.default_rng(seed)
-    W = rng.normal(scale=0.5, size=(len(classes), X.cols))
-    b = rng.normal(scale=0.5, size=len(classes))
-    _, grad_w, grad_b = _loss_and_grads(X, Y, W, b, l2)
-
-    def loss_at(W_try, b_try):
-        return _loss_and_grads(X, Y, W_try, b_try, l2)[0]
-
-    worst = 0.0
-    for i in range(W.shape[0]):
-        for j in range(W.shape[1]):
-            W_hi, W_lo = W.copy(), W.copy()
-            W_hi[i, j] += h
-            W_lo[i, j] -= h
-            numeric = (loss_at(W_hi, b) - loss_at(W_lo, b)) / (2 * h)
-            denom = max(1e-8, abs(numeric) + abs(grad_w[i, j]))
-            worst = max(worst, abs(numeric - grad_w[i, j]) / denom)
-    for i in range(len(b)):
-        b_hi, b_lo = b.copy(), b.copy()
-        b_hi[i] += h
-        b_lo[i] -= h
-        numeric = (loss_at(W, b_hi) - loss_at(W, b_lo)) / (2 * h)
-        denom = max(1e-8, abs(numeric) + abs(grad_b[i]))
-        worst = max(worst, abs(numeric - grad_b[i]) / denom)
-    return worst
 
 
 class MultinomialNaiveBayes(BaseEstimator):

@@ -113,25 +113,6 @@ class CategorizedTweet:
             )
 
 
-def filter_rweets(fm: FeatureMatrix, stage1_labels) -> tuple[FeatureMatrix, list[int]]:
-    """Drop rows predicted not_rweet. Returns the reduced matrix (row ids
-    preserved in order) and the removed row indices, ascending."""
-    stage1_labels = list(stage1_labels)
-    if len(stage1_labels) != fm.matrix.rows:
-        raise ValidationError(
-            f"{len(stage1_labels)} stage-1 labels for {fm.matrix.rows} rows"
-        )
-    keep = [i for i, label in enumerate(stage1_labels) if label == RWEET]
-    removed = [i for i, label in enumerate(stage1_labels) if label != RWEET]
-    reduced = FeatureMatrix(
-        matrix=fm.matrix.take_rows(keep),
-        vocab=fm.vocab,
-        config=fm.config,
-        row_ids=tuple(fm.row_ids[i] for i in keep),
-    )
-    return reduced, removed
-
-
 def train_staged(
     d1: Dataset,
     d2: Dataset,

@@ -3,6 +3,10 @@ entries, plus the small set of operations the classifiers need.
 
 Entries are kept row-major with strictly increasing column indices inside
 each row; duplicate coordinates are rejected, zeros are dropped.
+
+Every reduction (products, row norms, group sums) accumulates each output
+element's terms in stored-entry order, starting from 0.0, through
+`np.bincount`: bit-identical to summing the entries one by one in a loop.
 """
 
 from dataclasses import dataclass
@@ -132,8 +136,8 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        out_flat = out.reshape(-1)
-        np.add.at(out_flat, self._nnz_rows() * self.cols + self.indices, self.data)
+        # coordinates are unique by invariant, so each entry is written once
+        out.reshape(-1)[self._nnz_rows() * self.cols + self.indices] = self.data
         return out
 
     def _nnz_rows(self) -> np.ndarray:
@@ -160,9 +164,7 @@ class SparseMatrix:
     # --- transforms ---------------------------------------------------------
 
     def row_norms(self) -> np.ndarray:
-        norms = np.zeros(self.rows)
-        np.add.at(norms, self._nnz_rows(), self.data * self.data)
-        return np.sqrt(norms)
+        return np.sqrt(np.bincount(self._nnz_rows(), self.data * self.data, minlength=self.rows))
 
     def scale_rows(self, factors) -> "SparseMatrix":
         factors = np.asarray(factors, dtype=np.float64)
@@ -177,23 +179,6 @@ class SparseMatrix:
             raise ValidationError("one scale factor per column required")
         data = self.data * factors[self.indices]
         return SparseMatrix(self.rows, self.cols, self.indptr.copy(), self.indices.copy(), data)
-
-    def take_rows(self, row_indices) -> "SparseMatrix":
-        """New matrix holding the given rows, in the given order."""
-        row_indices = list(row_indices)
-        indptr = [0]
-        indices = []
-        data = []
-        for r in row_indices:
-            if not 0 <= r < self.rows:
-                raise ValidationError(f"row {r} out of range")
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            indices.append(self.indices[lo:hi])
-            data.append(self.data[lo:hi])
-            indptr.append(indptr[-1] + (hi - lo))
-        indices = np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64)
-        data = np.concatenate(data) if data else np.zeros(0)
-        return SparseMatrix(len(row_indices), self.cols, np.asarray(indptr), indices, data)
 
     def append_dense_columns(self, block) -> "SparseMatrix":
         """Widen the matrix with a dense column block (row counts must match);
@@ -232,9 +217,12 @@ class SparseMatrix:
             raise ValidationError(
                 f"weight matrix has {weights.shape[0]} rows, expected {self.cols}"
             )
-        out = np.zeros((self.rows, weights.shape[1]))
-        if self.nnz:
-            np.add.at(out, self._nnz_rows(), self.data[:, None] * weights[self.indices])
+        rows = self._nnz_rows()
+        out = np.empty((self.rows, weights.shape[1]))
+        # one contiguous row per output column; for the usual `W.T` argument
+        # this is W itself, no copy
+        for j, column in enumerate(np.ascontiguousarray(weights.T)):
+            out[:, j] = np.bincount(rows, self.data * column[self.indices], minlength=self.rows)
         return out
 
     def t_matmul_dense(self, dense: np.ndarray) -> np.ndarray:
@@ -242,9 +230,10 @@ class SparseMatrix:
         dense = np.asarray(dense, dtype=np.float64)
         if dense.shape[0] != self.rows:
             raise ValidationError(f"matrix has {dense.shape[0]} rows, expected {self.rows}")
-        out = np.zeros((self.cols, dense.shape[1]))
-        if self.nnz:
-            np.add.at(out, self.indices, self.data[:, None] * dense[self._nnz_rows()])
+        rows = self._nnz_rows()
+        out = np.empty((self.cols, dense.shape[1]))
+        for j, column in enumerate(np.ascontiguousarray(dense.T)):
+            out[:, j] = np.bincount(self.indices, self.data * column[rows], minlength=self.cols)
         return out
 
     def sum_rows_by_group(self, groups, n_groups: int) -> np.ndarray:
@@ -252,7 +241,9 @@ class SparseMatrix:
         groups = np.asarray(groups, dtype=np.int64)
         if len(groups) != self.rows:
             raise ValidationError("one group index per row required")
-        out = np.zeros((n_groups, self.cols))
-        if self.nnz:
-            np.add.at(out, (groups[self._nnz_rows()], self.indices), self.data)
-        return out
+        if len(groups) and (groups.min() < 0 or groups.max() >= n_groups):
+            raise ValidationError(f"group indices must lie in [0, {n_groups})")
+        cells = groups[self._nnz_rows()] * self.cols + self.indices
+        sums = np.bincount(cells, self.data, minlength=n_groups * self.cols)
+        # bincount gives int64 zeros when there are no entries to sum
+        return sums.reshape(n_groups, self.cols).astype(np.float64, copy=False)

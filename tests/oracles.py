@@ -2,12 +2,20 @@
 
 Each oracle recomputes expected values through a different code path than
 the implementation under test: dense dictionary counting for tf/tf-idf,
-probability-space enumeration for naive Bayes posteriors, and a tiny
-backtracking matcher (no `re`) for the rule patterns.
+probability-space enumeration for naive Bayes posteriors, a tiny
+backtracking matcher (no `re`) for the rule patterns, and `np.add.at`
+scatters for the sparse reductions. The module also holds the model helpers
+only tests use: an all-zero logistic regression and a finite-difference
+gradient check.
 """
 
 import math
 import string
+
+import numpy as np
+
+from rweets.models import LogisticRegression, _loss_and_grads, _one_hot, _resolve_classes
+from rweets.sparse import SparseMatrix
 
 # --- dense tf / tf-idf -------------------------------------------------------
 
@@ -174,3 +182,97 @@ def regex_search(pattern, text):
     nodes = _parse(pattern)
     text = text.lower()
     return any(_match_here(nodes, 0, text, pos) for pos in range(len(text) + 1))
+
+
+# --- sparse reductions by unbuffered scatter ----------------------------------
+#
+# `np.add.at` adds each stored entry into a zeroed output, one entry at a
+# time in stored order; the sparse kernels must give bit-identical results.
+# Each function has the signature of the SparseMatrix method it checks, so a
+# test can install it in the method's place.
+
+
+def add_at_to_dense(m: SparseMatrix) -> np.ndarray:
+    out = np.zeros((m.rows, m.cols))
+    out_flat = out.reshape(-1)
+    np.add.at(out_flat, m._nnz_rows() * m.cols + m.indices, m.data)
+    return out
+
+
+def add_at_row_norms(m: SparseMatrix) -> np.ndarray:
+    norms = np.zeros(m.rows)
+    np.add.at(norms, m._nnz_rows(), m.data * m.data)
+    return np.sqrt(norms)
+
+
+def add_at_matmul_dense(m: SparseMatrix, weights) -> np.ndarray:
+    weights = np.asarray(weights, dtype=np.float64)
+    out = np.zeros((m.rows, weights.shape[1]))
+    if m.nnz:
+        np.add.at(out, m._nnz_rows(), m.data[:, None] * weights[m.indices])
+    return out
+
+
+def add_at_t_matmul_dense(m: SparseMatrix, dense) -> np.ndarray:
+    dense = np.asarray(dense, dtype=np.float64)
+    out = np.zeros((m.cols, dense.shape[1]))
+    if m.nnz:
+        np.add.at(out, m.indices, m.data[:, None] * dense[m._nnz_rows()])
+    return out
+
+
+def add_at_sum_rows_by_group(m: SparseMatrix, groups, n_groups: int) -> np.ndarray:
+    groups = np.asarray(groups, dtype=np.int64)
+    out = np.zeros((n_groups, m.cols))
+    if m.nnz:
+        np.add.at(out, (groups[m._nnz_rows()], m.indices), m.data)
+    return out
+
+
+# --- model helpers only tests use ---------------------------------------------
+
+
+def zero_model(classes, n_cols: int) -> LogisticRegression:
+    """An untrained model with all-zero parameters: predicts uniform
+    probabilities and, by the tie rule, the first class."""
+    model = LogisticRegression()
+    model.classes_ = tuple(classes)
+    model.weights_ = np.zeros((len(model.classes_), n_cols))
+    model.bias_ = np.zeros(len(model.classes_))
+    model.loss_history_ = []
+    return model
+
+
+def gradient_check(
+    X: SparseMatrix, y, classes=None, l2: float = 1e-4, h: float = 1e-5, seed: int = 0
+) -> float:
+    """Max relative error between analytic and central finite-difference
+    gradients at a random weight point. Small instances only: cost is two
+    loss evaluations per parameter."""
+    classes = _resolve_classes(y, classes)
+    Y = _one_hot(y, classes)
+    rng = np.random.default_rng(seed)
+    W = rng.normal(scale=0.5, size=(len(classes), X.cols))
+    b = rng.normal(scale=0.5, size=len(classes))
+    _, grad_w, grad_b = _loss_and_grads(X, Y, W, b, l2)
+
+    def loss_at(W_try, b_try):
+        return _loss_and_grads(X, Y, W_try, b_try, l2)[0]
+
+    worst = 0.0
+    for i in range(W.shape[0]):
+        for j in range(W.shape[1]):
+            W_hi, W_lo = W.copy(), W.copy()
+            W_hi[i, j] += h
+            W_lo[i, j] -= h
+            numeric = (loss_at(W_hi, b) - loss_at(W_lo, b)) / (2 * h)
+            denom = max(1e-8, abs(numeric) + abs(grad_w[i, j]))
+            worst = max(worst, abs(numeric - grad_w[i, j]) / denom)
+    for i in range(len(b)):
+        b_hi, b_lo = b.copy(), b.copy()
+        b_hi[i] += h
+        b_lo[i] -= h
+        numeric = (loss_at(W, b_hi) - loss_at(W, b_lo)) / (2 * h)
+        denom = max(1e-8, abs(numeric) + abs(grad_b[i]))
+        worst = max(worst, abs(numeric - grad_b[i]) / denom)
+    return worst

@@ -9,7 +9,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from oracles import dense_tf, dense_tfidf, nb_posteriors, regex_search
+from oracles import dense_tf, dense_tfidf, gradient_check, nb_posteriors, regex_search
 from rweets.corpus import BINARY, CATEGORICAL, Dataset, RawTweet, synth_corpus
 from rweets.features import (
     FeatureConfig,
@@ -25,7 +25,6 @@ from rweets.models import (
     LogisticRegression,
     MultinomialNaiveBayes,
     cross_validate,
-    gradient_check,
     stratified_kfold,
 )
 from rweets.pipeline import FeatureCache, featurize_corpus, run_series, train_staged

@@ -4,23 +4,28 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from oracles import nb_posteriors
+from oracles import (
+    add_at_matmul_dense,
+    add_at_t_matmul_dense,
+    gradient_check,
+    nb_posteriors,
+    zero_model,
+)
 from rweets.corpus import BINARY, CATEGORICAL, synth_corpus
 from rweets.errors import NotFittedError, ValidationError
-from rweets.features import FeatureConfig
+from rweets.features import FeatureConfig, combo
 from rweets.models import (
     FoldPlan,
     LogisticRegression,
     MultinomialNaiveBayes,
     TrainConfig,
     cross_validate,
-    gradient_check,
     load_model,
     make_classifier,
     save_model,
     stratified_kfold,
-    zero_model,
 )
+from rweets.pipeline import featurize_corpus
 from rweets.preprocess import run_pipeline
 from rweets.sparse import SparseMatrix
 
@@ -93,6 +98,19 @@ class TestLogisticRegression:
         a = LogisticRegression().fit(X, y)
         b = LogisticRegression().fit(X, y)
         np.testing.assert_array_equal(a.weights_, b.weights_)
+
+    def test_fit_bit_identical_to_add_at_kernels(self, monkeypatch):
+        dataset = synth_corpus(3, 600, BINARY)
+        clean, _ = run_pipeline(dataset)
+        X = featurize_corpus(clean, combo(10), dataset).matrix
+        y = clean.labels()
+        fast = LogisticRegression().fit(X, y, classes=BINARY.labels)
+        monkeypatch.setattr(SparseMatrix, "matmul_dense", add_at_matmul_dense)
+        monkeypatch.setattr(SparseMatrix, "t_matmul_dense", add_at_t_matmul_dense)
+        reference = LogisticRegression().fit(X, y, classes=BINARY.labels)
+        assert np.array_equal(fast.weights_, reference.weights_)
+        assert np.array_equal(fast.bias_, reference.bias_)
+        assert fast.loss_history_ == reference.loss_history_
 
     def test_class_order_follows_argument(self):
         X, y = separable_blobs()

@@ -3,12 +3,11 @@ import pytest
 from rweets.corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet, synth_corpus
 from rweets.errors import StaleCacheError, ValidationError
 from rweets.digest import combine_digests
-from rweets.features import FeatureConfig, combo, featurize_tokens, save_matrix
+from rweets.features import FeatureConfig, combo, save_matrix
 from rweets.pipeline import (
     CategorizedTweet,
     FeatureCache,
     featurize_corpus,
-    filter_rweets,
     load_staged,
     run_series,
     save_series_output,
@@ -24,35 +23,6 @@ def staged_model():
     d2 = synth_corpus(42, 240, CATEGORICAL)
     staged, _reports = train_staged(d1, d2, combo(10))
     return staged
-
-
-class TestFilterRweets:
-    def make_fm(self, n_rows):
-        docs = [["need", "food"]] * n_rows
-        return featurize_tokens(docs, [f"t{i}" for i in range(n_rows)], FeatureConfig())
-
-    def test_mixed(self):
-        fm = self.make_fm(3)
-        reduced, removed = filter_rweets(fm, ["rweet", "not_rweet", "rweet"])
-        assert reduced.matrix.rows == 2
-        assert reduced.row_ids == ("t0", "t2")
-        assert removed == [1]
-
-    def test_all_not_rweet(self):
-        fm = self.make_fm(2)
-        reduced, removed = filter_rweets(fm, ["not_rweet", "not_rweet"])
-        assert reduced.matrix.rows == 0
-        assert removed == [0, 1]
-
-    def test_all_rweet(self):
-        fm = self.make_fm(2)
-        reduced, removed = filter_rweets(fm, ["rweet", "rweet"])
-        assert reduced.matrix.to_dense().tolist() == fm.matrix.to_dense().tolist()
-        assert removed == []
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            filter_rweets(self.make_fm(3), ["rweet"])
 
 
 class TestCategorizedTweet:
@@ -205,7 +175,7 @@ class TestRunSeries:
     def test_all_not_rweet_identifier_yields_no_stage2(self, staged_model):
         from dataclasses import replace
 
-        from rweets.models import zero_model
+        from oracles import zero_model
 
         # a zero-weight identifier predicts the first class (not_rweet) for
         # every row, so stage 2 must never run

@@ -3,6 +3,13 @@ import pytest
 
 from scipy import sparse as scipy_sparse
 
+from oracles import (
+    add_at_matmul_dense,
+    add_at_row_norms,
+    add_at_sum_rows_by_group,
+    add_at_t_matmul_dense,
+    add_at_to_dense,
+)
 from rweets.errors import ValidationError
 from rweets.sparse import SparseMatrix
 
@@ -81,11 +88,6 @@ class TestOps:
         assert list(row.cols) == [0, 2]
         assert list(row.values) == [1.0, 3.0]
 
-    def test_take_rows(self):
-        m = SparseMatrix.from_dense([[1.0, 0], [0, 2.0], [3.0, 0]])
-        taken = m.take_rows([2, 0])
-        np.testing.assert_array_equal(taken.to_dense(), [[3.0, 0], [1.0, 0]])
-
     def test_append_dense_columns(self):
         m = SparseMatrix.from_dense([[1.0, 0], [0, 2.0]])
         wide = m.append_dense_columns([[0.0, 1.0], [1.0, 0.0]])
@@ -112,6 +114,12 @@ class TestOps:
         m = SparseMatrix.from_dense([[1.0, 0], [2.0, 1.0], [0, 5.0]])
         out = m.sum_rows_by_group([0, 1, 0], 2)
         np.testing.assert_array_equal(out, [[1.0, 5.0], [2.0, 1.0]])
+
+    def test_sum_rows_by_group_rejects_out_of_range_group(self):
+        m = SparseMatrix.from_dense([[1.0, 0], [2.0, 1.0]])
+        for groups in ([0, 2], [-1, 0]):
+            with pytest.raises(ValidationError, match="group indices"):
+                m.sum_rows_by_group(groups, 2)
 
 
 class TestMatmul:
@@ -197,3 +205,97 @@ class TestAgainstScipy:
                                  density=float(rng.uniform(0.0, 1.0)))
             expected = self.scipy_csr(np.hstack([dense, block]))
             self.assert_same(m.append_dense_columns(block), expected)
+
+
+def random_sparse(rng):
+    """A seeded random matrix with whole empty rows, entries spanning several
+    orders of magnitude (so summation order shows in the last bits), and
+    now and then no rows or no entries at all."""
+    rows, cols = int(rng.integers(0, 12)), int(rng.integers(1, 12))
+    dense = random_dense(rng, rows, cols, density=float(rng.uniform(0.0, 0.9)))
+    dense *= 10.0 ** rng.integers(-6, 7, size=dense.shape)
+    dense[rng.random(rows) < 0.3] = 0.0
+    return SparseMatrix.from_dense(dense)
+
+
+class TestBitExactReductions:
+    """The bincount kernels against the np.add.at scatter they replaced:
+    equal bit for bit, not merely close."""
+
+    def matrices(self, seed, n=300):
+        rng = np.random.default_rng(seed)
+        fixed = [
+            SparseMatrix.from_triplets(0, 4, []),  # no rows
+            SparseMatrix.from_triplets(5, 3, []),  # all zero
+            SparseMatrix.from_dense([[0.0, 0.0], [1e16, 1.0], [0.0, 0.0]]),
+        ]
+        return rng, fixed + [random_sparse(rng) for _ in range(n)]
+
+    def test_to_dense_and_row_norms(self):
+        _rng, matrices = self.matrices(31)
+        for m in matrices:
+            assert np.array_equal(m.to_dense(), add_at_to_dense(m))
+            assert np.array_equal(m.row_norms(), add_at_row_norms(m))
+
+    def test_products(self):
+        rng, matrices = self.matrices(32)
+        for m in matrices:
+            for k in (1, 2, 6):
+                W = rng.normal(size=(m.cols, k)) * 10.0 ** rng.integers(-6, 7, size=(m.cols, k))
+                D = rng.normal(size=(m.rows, k))
+                assert np.array_equal(m.matmul_dense(W), add_at_matmul_dense(m, W))
+                assert np.array_equal(m.t_matmul_dense(D), add_at_t_matmul_dense(m, D))
+
+    def test_products_on_transposed_views(self):
+        # fit() and predict() pass W.T, a non-contiguous view of the
+        # (k, cols) weights
+        rng, matrices = self.matrices(33)
+        for m in matrices:
+            k = int(rng.integers(1, 7))
+            W = rng.normal(size=(k, m.cols))
+            D = rng.normal(size=(k, m.rows))
+            assert np.array_equal(m.matmul_dense(W.T), add_at_matmul_dense(m, W.T))
+            assert np.array_equal(m.t_matmul_dense(D.T), add_at_t_matmul_dense(m, D.T))
+
+    def test_sum_rows_by_group(self):
+        rng, matrices = self.matrices(34)
+        for m in matrices:
+            for n_groups in (1, 2, 6):
+                groups = rng.integers(0, n_groups, size=m.rows)
+                assert np.array_equal(
+                    m.sum_rows_by_group(groups, n_groups),
+                    add_at_sum_rows_by_group(m, groups, n_groups),
+                )
+
+    def test_results_are_float_arrays_of_the_right_shape(self):
+        for m in (SparseMatrix.from_triplets(0, 4, []), SparseMatrix.from_triplets(5, 3, [])):
+            for out, shape in (
+                (m.matmul_dense(np.ones((m.cols, 2))), (m.rows, 2)),
+                (m.t_matmul_dense(np.ones((m.rows, 2))), (m.cols, 2)),
+                (m.row_norms(), (m.rows,)),
+                (m.sum_rows_by_group(np.zeros(m.rows, dtype=int), 3), (3, m.cols)),
+                (m.to_dense(), (m.rows, m.cols)),
+            ):
+                assert out.dtype == np.float64 and out.shape == shape
+                assert not out.any()
+
+    def test_against_scipy(self):
+        rng, matrices = self.matrices(35, n=100)
+        for m in matrices:
+            csr = scipy_sparse.csr_matrix((m.data, m.indices, m.indptr), shape=(m.rows, m.cols))
+            k = int(rng.integers(1, 7))
+            W = rng.normal(size=(m.cols, k))
+            D = rng.normal(size=(m.rows, k))
+            groups = rng.integers(0, k, size=m.rows)
+            one_hot = scipy_sparse.csr_matrix(
+                (np.ones(m.rows), (groups, np.arange(m.rows))), shape=(k, m.rows)
+            )
+            np.testing.assert_array_equal(m.to_dense(), csr.toarray())
+            np.testing.assert_allclose(m.matmul_dense(W), csr @ W, rtol=1e-12, atol=1e-6)
+            np.testing.assert_allclose(m.t_matmul_dense(D), csr.T @ D, rtol=1e-12, atol=1e-6)
+            np.testing.assert_allclose(
+                m.row_norms(), scipy_sparse.linalg.norm(csr, axis=1), rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                m.sum_rows_by_group(groups, k), (one_hot @ csr).toarray(), rtol=1e-12, atol=1e-6
+            )
