@@ -1,11 +1,32 @@
-"""Rule-based rweet detection: 18 expert-curated sequential patterns
-compiled to regular expressions.
+r"""Rule-based rweet detection: 18 expert-curated sequential patterns.
 
 Rules evaluate the ORIGINAL tweet text, not cleaned tokens; several patterns
 depend on case variants, apostrophes, and question marks that cleaning
 destroys. Matching is case-insensitive. Token order inside a pattern is
 significant: "where can I donate" fires pattern 8, "donate can I where" does
 not.
+
+`PATTERN_SOURCES` is the single definition of the rules. A pattern's bit is
+exactly `re.search(source, text, re.IGNORECASE) is not None`, but a chained
+pattern `A.*B.*C` is not run as one backtracking regex, whose `.*` chains
+take super-linear time on long texts. It is split on `.*` into stages, each
+compiled once, and matched as staged searches:
+
+- one line at a time: `.` does not match "\n", so a chain matches within one
+  line; the text is split on "\n" only ("\r" and other line breaks are
+  ordinary characters to `.`);
+- on a line, each stage is searched from where the previous stage's match
+  ended. Every stage is an alternation of literal phrases with `\b` on one
+  or both sides, and no phrase occurs inside another of its stage except
+  as its suffix, so a stage's leftmost match is also its earliest-ending
+  one, and committing to it loses no match of the whole chain.
+
+Pattern 13 (`\b\w*\s*\b\?`) has no `.*` and stays one search over the whole
+text; each of its attempts starts at a word boundary and scans at most one
+word and the blanks after it. Each stage of a chain scans a line once, and
+patterns that begin with the same stages share those searches within one
+text. So the time is linear in the text length, and texts of any length
+are accepted and never truncated.
 """
 
 import re
@@ -45,22 +66,49 @@ N_PATTERNS = len(PATTERN_SOURCES)
 class RulePattern:
     id: int  # 1-based
     source: str
-    regex: re.Pattern
+    # the source split on ".*", each stage compiled, with the id of the chain
+    # of stages ending there (equal for patterns that begin with that chain)
+    stages: tuple[tuple[int, re.Pattern], ...]
 
     def matches(self, text: str) -> bool:
-        return self.regex.search(text) is not None
+        if len(self.stages) == 1:  # no ".*": search the whole text
+            return self.stages[0][1].search(text) is not None
+        for line, ends in _line_scan(text):
+            end = 0
+            for chain, stage in self.stages:
+                found = ends.get(chain)
+                if found is None:
+                    m = stage.search(line, end)
+                    found = ends[chain] = m.end() if m else -1
+                if found < 0:
+                    break
+                end = found
+            else:
+                return True
+        return False
+
+
+@lru_cache(maxsize=1)
+def _line_scan(text: str) -> list[tuple[str, dict[int, int]]]:
+    """Each line of the text with the earliest end on it of every chain of
+    stages searched so far (-1: no match). Cached for the last text, so the
+    18 `matches` calls on one text share their searches."""
+    return [(line, {}) for line in text.split("\n")]
 
 
 @lru_cache(maxsize=1)
 def compile_patterns() -> tuple[RulePattern, ...]:
     """Compile all 18 patterns once; a failure names the offending id."""
+    chains: dict[tuple[str, ...], int] = {}
     patterns = []
     for i, source in enumerate(PATTERN_SOURCES, start=1):
+        parts = source.split(".*")
+        keys = [chains.setdefault(tuple(parts[: k + 1]), len(chains)) for k in range(len(parts))]
         try:
-            regex = re.compile(source, re.IGNORECASE)
+            stages = tuple(zip(keys, (re.compile(part, re.IGNORECASE) for part in parts)))
         except re.error as exc:
             raise ValidationError(f"rule pattern {i} failed to compile: {exc}") from exc
-        patterns.append(RulePattern(i, source, regex))
+        patterns.append(RulePattern(i, source, stages))
     return tuple(patterns)
 
 

@@ -106,6 +106,13 @@ def test_03_rule_engine_fixture_and_oracle():
             oracle = tuple(regex_search(src, text) for src in PATTERN_SOURCES)
             assert engine == oracle, text
 
+        # 4,000 chars that every "I" / "we" chain starts on and none ends:
+        # a backtracking engine takes about 39 s; the words "I" and "am"
+        # alone match no pattern
+        adversarial = "I am " * 800
+        assert match_tweet(adversarial) == (False,) * 18
+        assert rule_classify(adversarial) == "not_rweet"
+
 
 def test_04_twenty_four_combos():
     with _Budget(4, "24 combos; rule pairs differ by exactly 18 columns", 30.0):

@@ -130,21 +130,21 @@ class TestRules:
         oracle = [re.compile(source, re.IGNORECASE) for source in PATTERN_SOURCES]
         texts = ["calm morning by the bay", "Where can I donate clothes"]
         texts += [tw.text for tw in synth_corpus(17, 40, BINARY)]
-        costs = []
+        labels = []
         for n, text in enumerate(texts):
             source, out = tmp_path / f"in{n}.jsonl", tmp_path / f"out{n}.jsonl"
             source.write_text(json.dumps({"id": str(n), "text": text}) + "\n")
             evals.clear()
             assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
-            bits = json.loads(out.read_text())["rule_bits"]
+            record = json.loads(out.read_text())
+            bits = record["rule_bits"]
             assert bits == [int(p.search(text) is not None) for p in oracle]
-            # rule_classify stops at the first match; only a match then
-            # costs a second, full pass for the bits
-            expected = bits.index(1) + 1 + 18 if any(bits) else 18
-            assert len(evals) == expected
-            costs.append(len(evals))
-        assert costs[:2] == [18, 8 + 18]
-        assert 18 in costs[2:] and max(costs) > 18  # synth covers both kinds
+            # one pass of the 18 patterns gives both the bits and the label
+            assert evals == list(range(1, 19))
+            assert record["rule_label"] == ("rweet" if any(bits) else "not_rweet")
+            labels.append(any(bits))
+        assert labels[:2] == [False, True]
+        assert True in labels[2:] and False in labels[2:]  # synth covers both kinds
 
     def test_action_defaults_to_classify(self, tmp_path):
         source = tmp_path / "in.jsonl"

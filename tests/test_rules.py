@@ -1,4 +1,8 @@
 
+import random
+import re
+import time
+
 from oracles import regex_search
 from rweets.corpus import BINARY, Dataset, RawTweet
 from rweets.rules import (
@@ -9,6 +13,65 @@ from rweets.rules import (
     rule_classify,
     rule_features,
 )
+
+# --- seeded fuzz texts --------------------------------------------------------
+#
+# Words of the patterns themselves, fillers that come close to them (a "can"
+# inside "pelican" has no word boundary before it), and separators that `.`
+# matches ("\r", "\x85", "\u2028") or does not ("\n"). Non-ASCII letters
+# that case-fold to ASCII ones under re.IGNORECASE ("ı" and "İ" match "i",
+# "ſ" matches "s", the Kelvin sign matches "k") are swapped into words.
+
+
+def _alternatives(stage):
+    return stage.replace("\\b", "").replace("\\'", "'").strip("()").split("|")
+
+
+# per chained pattern, the literal phrases each of its stages accepts
+CHAINS = [[_alternatives(stage) for stage in source.split(".*")] for source in PATTERN_SOURCES
+          if ".*" in source]
+PATTERN_WORDS = sorted({w for chain in CHAINS for alts in chain for alt in alts for w in alt.split()})
+FILLERS = ("the", "storm", "a", "ok", "x1", "_", "pelican", "unto", "you're", "canned", "toward")
+SEPARATORS = (" ", " ", " ", " ", "", "\n", "\r", "\r\n", "?", " ? ", "'", ", ", "\t")
+NON_ASCII_SEPARATORS = ("\x85", "\u2028", "\u00a0")
+CASE_FOLDS = {"i": ("ı", "İ"), "s": ("ſ",), "k": ("\u212a",)}
+
+
+def fuzz_text(rng, ascii_only=False):
+    """Random words and separators; half the texts also carry, in order, one
+    phrase for each stage of a random chained pattern."""
+    separators = SEPARATORS if ascii_only else SEPARATORS + NON_ASCII_SEPARATORS
+    words = []
+    for alternatives in rng.choice(CHAINS) if rng.random() < 0.5 else [[]]:
+        for _ in range(rng.randint(0, 3)):
+            words.append(rng.choice(PATTERN_WORDS) if rng.random() < 0.75 else rng.choice(FILLERS))
+        if alternatives:
+            words.append(rng.choice(alternatives))
+    parts = []
+    for word in words:
+        word = rng.choice((word, word, word.upper(), word.title(), word.swapcase()))
+        if not ascii_only and rng.random() < 0.2:
+            word = "".join(rng.choice(CASE_FOLDS.get(ch.lower(), (ch,))) for ch in word)
+        parts += [word, rng.choice(separators)]
+    return "".join(parts[:-1]) if rng.random() < 0.7 else "".join(parts)
+
+
+def re_bits(text):
+    return tuple(re.search(source, text, re.IGNORECASE) is not None for source in PATTERN_SOURCES)
+
+
+def long_text(rng, length):
+    """Subjects and verb phrases that the chained patterns start on, among
+    fillers, with no word that ends a chain: every chain that starts keeps
+    a backtracking `re` busy over the rest of the text."""
+    triggers = ("I am", "we are", "I will be", "we will be", "I are", "we am")
+    fillers = ("the", "storm", "river", "night", "roads", "power", "again", "bridge")
+    words, size = [], 0
+    while size < length:
+        words.append(rng.choice(triggers) if len(words) % 4 == 0 else rng.choice(fillers))
+        size += len(words[-1]) + 1
+    return " ".join(words)[:length].rstrip()
+
 
 # 10 positives with the pattern id (1-based) each is built to trigger,
 # 20 negatives with no pattern hits at all.
@@ -144,3 +207,73 @@ class TestFixtureAgainstOracle:
             engine_bits = match_tweet(text)
             oracle_bits = tuple(regex_search(src, text) for src in PATTERN_SOURCES)
             assert engine_bits == oracle_bits, text
+
+
+class TestStagedSearch:
+    def test_chained_stages_are_literal_alternations(self):
+        # The staged search is exact only for such stages: they cannot match
+        # "\n", and no alternative occurs inside another except as its suffix,
+        # so a stage's leftmost match is its earliest-ending one.
+        literal = r"[A-Za-z' ]+"
+        stage_shape = re.compile(rf"(\\b)?(\(({literal}\|)*{literal}\)|{literal})(\\b)?")
+        for source in PATTERN_SOURCES:
+            stages = source.split(".*")
+            if len(stages) == 1:
+                continue
+            for stage in stages:
+                shape = stage_shape.fullmatch(stage.replace("\\'", "'"))
+                assert shape, (source, stage)
+                alternatives = shape.group(2).strip("()").lower().split("|")
+                for a in alternatives:
+                    for b in alternatives:
+                        assert a == b or b not in a or a.endswith(b), (stage, a, b)
+
+    def test_fuzz_bits_equal_re(self):
+        rng = random.Random(2024)
+        hits = [0] * N_PATTERNS
+        split_by_newline = 0
+        for _ in range(20_000):
+            text = fuzz_text(rng)
+            expected = re_bits(text)
+            assert match_tweet(text) == expected, repr(text)
+            assert rule_classify(text) == ("rweet" if any(expected) else "not_rweet")
+            hits = [h + bit for h, bit in zip(hits, expected)]
+            if "\n" in text:
+                joined = re_bits(text.replace("\n", " "))
+                split_by_newline += sum(j and not e for j, e in zip(joined, expected))
+        # every pattern matches often, and many chains have their stages on
+        # different lines, which must read 0
+        assert min(hits) > 100 and split_by_newline > 4_000, (hits, split_by_newline)
+
+    def test_fuzz_bits_equal_oracle(self):
+        rng = random.Random(2026)
+        for _ in range(300):
+            text = fuzz_text(rng, ascii_only=True)
+            oracle = tuple(regex_search(source, text) for source in PATTERN_SOURCES)
+            assert match_tweet(text) == oracle, repr(text)
+
+    def test_stages_on_different_lines_do_not_match(self):
+        assert match_tweet("I am bringing food")[0]
+        assert not match_tweet("I am\nbringing food")[0]
+        assert not match_tweet("I\nam bringing food")[0]
+        assert match_tweet("I am\rbringing food")[0]
+        assert match_tweet("old news\nI am\u2028bringing food")[0]
+
+    def test_adversarial_lengths_within_budget(self):
+        # a backtracking `re` takes about 39 s on the first text
+        texts = ["I am " * 800, long_text(random.Random(7), 1_000)]
+        assert len(texts[0]) == 4_000 and len(texts[1]) > 990
+        # both match nothing; `re` checks the second in full and the first on
+        # a shorter run of the same two words
+        expected = (False,) * N_PATTERNS
+        assert re_bits("I am " * 20) == re_bits(texts[1]) == expected
+        # each call follows one on the other text, so none finds its text's
+        # searches cached
+        for text in texts:
+            start = time.perf_counter()
+            assert rule_classify(text) == "not_rweet"
+            assert time.perf_counter() - start < 0.5
+        for text in texts:
+            start = time.perf_counter()
+            assert match_tweet(text) == expected
+            assert time.perf_counter() - start < 0.5
