@@ -23,7 +23,7 @@ from .errors import (
 )
 from .features import FeatureConfig, combo, load_matrix, save_matrix
 from .metrics import render_record, render_text
-from .models import TrainConfig, cross_validate, make_classifier
+from .models import LogisticRegression, TrainConfig, cross_validate, make_classifier
 from .pipeline import (
     FeatureCache,
     featurize_corpus,
@@ -64,7 +64,6 @@ _CONFIG_COERCERS = {
     "threshold": float,
     "min_tokens": int,
     "alpha": float,
-    "learning_rate": float,
     "l2_penalty": float,
     "max_epochs": int,
     "tol": float,
@@ -139,7 +138,6 @@ def _domain(args):
 
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
-        learning_rate=args.learning_rate if args.learning_rate is not None else 0.1,
         l2_penalty=args.l2_penalty if args.l2_penalty is not None else 1e-4,
         max_epochs=args.max_epochs if args.max_epochs is not None else 500,
         tol=args.tol if args.tol is not None else 1e-6,
@@ -165,10 +163,11 @@ def _add_feature_flags(parser):
 
 def _add_train_flags(parser):
     parser.add_argument("--clf", choices=("logreg", "nb"), default=None)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     parser.add_argument("--l2-penalty", dest="l2_penalty", type=float, default=None)
-    parser.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--max-epochs", dest="max_epochs", type=int, default=None,
+                        help="logreg iteration cap (default 500)")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="logreg stops once max |gradient| <= tol (default 1e-6)")
     parser.add_argument("--alpha", type=float, default=None,
                         help="naive Bayes smoothing (default 1.0)")
 
@@ -342,6 +341,14 @@ def cmd_train(args) -> int:
         alpha=args.alpha if args.alpha is not None else 1.0,
     )
     save_staged(staged, args.out)
+    if args.verbose:
+        for stage, clf in (("identifier", staged.identifier), ("categorizer", staged.categorizer)):
+            if isinstance(clf, LogisticRegression):
+                print(
+                    f"{stage}: {clf.n_iter_} iterations, loss {clf.loss_history_[-1]:.6g}, "
+                    f"max |grad| {clf.grad_norm_:.3g}, {clf.stop_reason_}",
+                    file=sys.stderr,
+                )
     print(f"identifier trained on {r1.output_count} cleaned tweets")
     print(f"categorizer trained on {r2.output_count} cleaned tweets")
     print(f"staged model written to {args.out}")

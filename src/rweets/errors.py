@@ -22,8 +22,10 @@ class NotFittedError(RweetsError, ValueError):
 
 
 class TrainingDivergedError(RweetsError):
-    """Training produced a non-finite loss."""
+    """Training found no step with a finite, lower loss."""
 
-    def __init__(self, epoch: int, message: str | None = None):
-        self.epoch = epoch
-        super().__init__(message or f"loss became non-finite at epoch {epoch}")
+    def __init__(self, iteration: int, message: str | None = None):
+        self.iteration = iteration
+        super().__init__(
+            message or f"loss was non-finite at every trial step of iteration {iteration}"
+        )

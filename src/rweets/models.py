@@ -1,15 +1,20 @@
 """From-scratch classifiers over sparse rows, stratified k-fold plans, and
 the cross-validation harness.
 
-LogisticRegression is multinomial (softmax) with full-batch gradient descent
-from zero-initialized weights, L2 penalty on weights (not bias), and a loss
-convergence stop. MultinomialNaiveBayes is the count-based multinomial model
-with Laplace smoothing; it must be fed raw term counts, never tf-idf or
-normalized rows. Everything here is deterministic given its inputs and seed;
-ties always resolve to the lowest class index.
+LogisticRegression is multinomial (softmax) with an L2 penalty on weights
+(not bias), fitted by L-BFGS (Liu & Nocedal 1989; Nocedal & Wright,
+Numerical Optimization, Alg. 7.4/7.5) from zero-initialized parameters: the
+two-loop recursion over the last 10 correction pairs gives the direction,
+and a backtracking Armijo line search the step. The fit stops when the
+largest absolute gradient entry is at most `tol` (converged) or after
+`max_epochs` iterations. MultinomialNaiveBayes is the count-based
+multinomial model with Laplace smoothing; it must be fed raw term counts,
+never tf-idf or normalized rows. Everything here is deterministic given its
+inputs and seed; ties always resolve to the lowest class index.
 """
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +34,11 @@ from .sparse import SparseMatrix
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.1
     l2_penalty: float = 1e-4
     max_epochs: int = 500
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
         if self.l2_penalty < 0:
             raise ValidationError("l2_penalty must be nonnegative")
         if self.max_epochs < 1:
@@ -59,12 +61,9 @@ def _resolve_classes(y, classes) -> list[str]:
     return classes
 
 
-def _one_hot(y, classes) -> np.ndarray:
+def _label_indices(y, classes) -> np.ndarray:
     index = {c: i for i, c in enumerate(classes)}
-    out = np.zeros((len(y), len(classes)))
-    for r, label in enumerate(y):
-        out[r, index[label]] = 1.0
-    return out
+    return np.fromiter((index[label] for label in y), dtype=np.int64, count=len(y))
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -73,32 +72,65 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _loss_and_grads(X: SparseMatrix, Y: np.ndarray, W: np.ndarray, b: np.ndarray, l2: float):
-    """Cross-entropy plus (l2/2)||W||^2 and its analytic gradients.
+def _loss_and_grads(X: SparseMatrix, labels: np.ndarray, W: np.ndarray, b: np.ndarray, l2: float):
+    """Cross-entropy plus (l2/2)||W||^2 and its analytic gradients, for
+    integer class indices `labels`.
 
-    Overflow is allowed to propagate as inf: fit() checks the loss and
-    reports divergence with the failing epoch.
+    Overflow is allowed to propagate as inf or nan: the line search treats
+    a non-finite loss as a failed step.
     """
     n = X.rows
+    rows = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         probs = _softmax(X.matmul_dense(W.T) + b)
         eps = 1e-300  # guards log(0) for confidently wrong predictions
-        nll = -np.sum(Y * np.log(probs + eps)) / n
+        nll = -np.sum(np.log(probs[rows, labels] + eps)) / n
         loss = nll + 0.5 * l2 * float(np.sum(W * W))
-        delta = (probs - Y) / n
+        delta = probs
+        delta[rows, labels] -= 1.0
+        delta /= n
         grad_w = X.t_matmul_dense(delta).T + l2 * W
         grad_b = delta.sum(axis=0)
     return loss, grad_w, grad_b
 
 
+_MEMORY = 10  # L-BFGS correction pairs kept
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
+_MAX_HALVINGS = 50  # trial steps per line search: 1, 1/2, ..., 2**-49
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """-H grad by the two-loop recursion over (s, y, 1/s.y) pairs, oldest
+    first, with H0 = (s.y / y.y) I from the newest pair (I when empty)."""
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
 class LogisticRegression(BaseEstimator):
-    """Softmax regression trained by full-batch gradient descent."""
+    """Softmax regression fitted by L-BFGS to a gradient-norm tolerance.
+
+    `tol` bounds the largest absolute entry of the gradient at the returned
+    parameters; `max_epochs` caps the number of L-BFGS iterations. After
+    fit, `stop_reason_` is "converged" or "max_iter", `n_iter_` counts the
+    iterations, `grad_norm_` is the final max-norm of the gradient, and
+    `loss_history_` holds the loss at the starting point and after each
+    iteration (non-increasing).
+    """
 
     name = "logreg"
     input_kind = "weighted"
 
-    def __init__(self, learning_rate=0.1, l2_penalty=1e-4, max_epochs=500, tol=1e-6):
-        self.learning_rate = learning_rate
+    def __init__(self, l2_penalty=1e-4, max_epochs=500, tol=1e-6):
         self.l2_penalty = l2_penalty
         self.max_epochs = max_epochs
         self.tol = tol
@@ -106,25 +138,53 @@ class LogisticRegression(BaseEstimator):
     def fit(self, X: SparseMatrix, y, classes=None) -> "LogisticRegression":
         check_equal_length("X rows", range(X.rows), "y", y)
         classes = _resolve_classes(y, classes)
-        Y = _one_hot(y, classes)
-        W = np.zeros((len(classes), X.cols))
-        b = np.zeros(len(classes))
-        losses = []
-        previous = None
-        for epoch in range(self.max_epochs):
-            loss, grad_w, grad_b = _loss_and_grads(X, Y, W, b, self.l2_penalty)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            losses.append(loss)
-            W -= self.learning_rate * grad_w
-            b -= self.learning_rate * grad_b
-            if previous is not None and abs(previous - loss) < self.tol:
+        labels = _label_indices(y, classes)
+        split = len(classes) * X.cols
+
+        def objective(w):
+            W = w[:split].reshape(len(classes), X.cols)
+            loss, grad_w, grad_b = _loss_and_grads(X, labels, W, w[split:], self.l2_penalty)
+            return loss, np.concatenate((grad_w.ravel(), grad_b))
+
+        w = np.zeros(split + len(classes))
+        loss, grad = objective(w)
+        losses = [loss]
+        pairs = deque(maxlen=_MEMORY)
+        n_iter, stop_reason = 0, "max_iter"
+        while True:
+            grad_norm = float(np.max(np.abs(grad)))
+            if grad_norm <= self.tol:
+                stop_reason = "converged"
                 break
-            previous = loss
+            if n_iter >= self.max_epochs:
+                break
+            direction = _lbfgs_direction(grad, pairs)
+            with np.errstate(over="ignore"):  # -inf fails every trial step below
+                slope = float(grad @ direction)
+            step = 1.0
+            for _ in range(_MAX_HALVINGS):
+                trial = w + step * direction
+                trial_loss, trial_grad = objective(trial)
+                # False for a nan or inf loss, which therefore halves the step too
+                if trial_loss <= loss + _ARMIJO_C * step * slope:
+                    break
+                step *= 0.5
+            else:
+                raise TrainingDivergedError(n_iter)
+            s, y_diff = trial - w, trial_grad - grad
+            curvature = float(s @ y_diff)
+            if curvature > np.finfo(float).eps * float(y_diff @ y_diff):
+                pairs.append((s, y_diff, 1.0 / curvature))
+            w, loss, grad = trial, trial_loss, trial_grad
+            losses.append(loss)
+            n_iter += 1
         self.classes_ = tuple(classes)
-        self.weights_ = W
-        self.bias_ = b
+        self.weights_ = w[:split].reshape(len(classes), X.cols)
+        self.bias_ = w[split:]
         self.loss_history_ = losses
+        self.n_iter_ = n_iter
+        self.grad_norm_ = grad_norm
+        self.stop_reason_ = stop_reason
         return self
 
     def decision_function(self, X: SparseMatrix) -> np.ndarray:
@@ -159,8 +219,7 @@ class MultinomialNaiveBayes(BaseEstimator):
         if X.nnz and X.data.min() < 0:
             raise ValidationError("count matrix must be nonnegative")
         classes = _resolve_classes(y, classes)
-        index = {c: i for i, c in enumerate(classes)}
-        groups = np.fromiter((index[label] for label in y), dtype=np.int64, count=len(y))
+        groups = _label_indices(y, classes)
         class_counts = np.bincount(groups, minlength=len(classes)).astype(np.float64)
         if np.any(class_counts == 0):
             missing = [c for c, n in zip(classes, class_counts) if n == 0]
@@ -206,7 +265,6 @@ def make_classifier(name: str, train_config: TrainConfig | None = None, alpha: f
     if name == "logreg":
         cfg = train_config or TrainConfig()
         return LogisticRegression(
-            learning_rate=cfg.learning_rate,
             l2_penalty=cfg.l2_penalty,
             max_epochs=cfg.max_epochs,
             tol=cfg.tol,
@@ -334,7 +392,7 @@ def cross_validate(
 
 # --- persistence ------------------------------------------------------------
 
-_MODEL_MAGIC = "MODEL v1"
+_MODEL_VERSION = "v2"
 
 
 def _format_floats(values) -> str:
@@ -351,8 +409,7 @@ def save_model(model, path) -> None:
             f"weights\t{model.classes_[i]}\t" + _format_floats(model.weights_[i])
             for i in range(len(model.classes_))
         ]
-        param_lines.append(f"hyper\t{model.learning_rate!r}\t{model.l2_penalty!r}"
-                           f"\t{model.max_epochs}\t{model.tol!r}")
+        param_lines.append(f"hyper\t{model.l2_penalty!r}\t{model.max_epochs}\t{model.tol!r}")
     elif isinstance(model, MultinomialNaiveBayes):
         kind, cols = "nb", model.feature_log_prob_.shape[1]
         param_lines = [
@@ -366,7 +423,7 @@ def save_model(model, path) -> None:
     else:
         raise ValidationError(f"cannot persist model of type {type(model).__name__}")
     lines = [
-        f"{_MODEL_MAGIC} {kind} {len(model.classes_)} {cols}",
+        f"MODEL {_MODEL_VERSION} {kind} {len(model.classes_)} {cols}",
         "classes\t" + "\t".join(model.classes_),
         *param_lines,
     ]
@@ -377,8 +434,13 @@ def load_model(path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         fields = header.split(" ")
-        if len(fields) != 5 or " ".join(fields[:2]) != _MODEL_MAGIC:
+        if len(fields) != 5 or fields[0] != "MODEL":
             raise FormatError(f"{path}: bad model header")
+        if fields[1] != _MODEL_VERSION:
+            raise FormatError(
+                f"{path}: model format MODEL {fields[1]} is not readable; this version "
+                f"reads MODEL {_MODEL_VERSION} (retrain the model)"
+            )
         kind = fields[2]
         try:
             n_classes, cols = int(fields[3]), int(fields[4])
@@ -395,10 +457,9 @@ def load_model(path):
         if kind == "logreg":
             hyper = sections["hyper"][0]
             model = LogisticRegression(
-                learning_rate=float(hyper[0]),
-                l2_penalty=float(hyper[1]),
-                max_epochs=int(hyper[2]),
-                tol=float(hyper[3]),
+                l2_penalty=float(hyper[0]),
+                max_epochs=int(hyper[1]),
+                tol=float(hyper[2]),
             )
             model.classes_ = classes
             model.bias_ = np.array([float(v) for v in sections["bias"][0][0].split(" ")])

@@ -4,9 +4,10 @@ Each oracle recomputes expected values through a different code path than
 the implementation under test: dense dictionary counting for tf/tf-idf,
 probability-space enumeration for naive Bayes posteriors, a tiny
 backtracking matcher (no `re`) for the rule patterns, and `np.add.at`
-scatters for the sparse reductions. The module also holds the model helpers
-only tests use: an all-zero logistic regression and a finite-difference
-gradient check.
+scatters for the sparse reductions, and scipy's L-BFGS-B on a dense
+one-hot form of the logistic regression objective. The module also holds
+the model helpers only tests use: an all-zero logistic regression and a
+finite-difference gradient check.
 """
 
 import math
@@ -14,7 +15,7 @@ import string
 
 import numpy as np
 
-from rweets.models import LogisticRegression, _loss_and_grads, _one_hot, _resolve_classes
+from rweets.models import LogisticRegression, _label_indices, _loss_and_grads, _resolve_classes
 from rweets.sparse import SparseMatrix
 
 # --- dense tf / tf-idf -------------------------------------------------------
@@ -250,14 +251,14 @@ def gradient_check(
     gradients at a random weight point. Small instances only: cost is two
     loss evaluations per parameter."""
     classes = _resolve_classes(y, classes)
-    Y = _one_hot(y, classes)
+    labels = _label_indices(y, classes)
     rng = np.random.default_rng(seed)
     W = rng.normal(scale=0.5, size=(len(classes), X.cols))
     b = rng.normal(scale=0.5, size=len(classes))
-    _, grad_w, grad_b = _loss_and_grads(X, Y, W, b, l2)
+    _, grad_w, grad_b = _loss_and_grads(X, labels, W, b, l2)
 
     def loss_at(W_try, b_try):
-        return _loss_and_grads(X, Y, W_try, b_try, l2)[0]
+        return _loss_and_grads(X, labels, W_try, b_try, l2)[0]
 
     worst = 0.0
     for i in range(W.shape[0]):
@@ -276,3 +277,31 @@ def gradient_check(
         denom = max(1e-8, abs(numeric) + abs(grad_b[i]))
         worst = max(worst, abs(numeric - grad_b[i]) / denom)
     return worst
+
+
+def scipy_logreg_optimum(X: SparseMatrix, y, classes, l2: float) -> float:
+    """Minimum of mean softmax cross-entropy plus (l2/2)||W||^2 (bias not
+    penalized), found by scipy's L-BFGS-B on a dense one-hot formulation
+    with its own gradient, started from zero like LogisticRegression."""
+    from scipy.optimize import minimize
+    from scipy.special import logsumexp
+
+    dense = X.to_dense()
+    n, d = dense.shape
+    k = len(classes)
+    Y = np.array([[1.0 if label == c else 0.0 for c in classes] for label in y])
+
+    def objective(theta):
+        W, b = theta[: k * d].reshape(k, d), theta[k * d :]
+        scores = dense @ W.T + b
+        log_probs = scores - logsumexp(scores, axis=1, keepdims=True)
+        loss = -np.sum(Y * log_probs) / n + 0.5 * l2 * np.sum(W * W)
+        residual = (np.exp(log_probs) - Y) / n
+        grad = np.concatenate(((residual.T @ dense + l2 * W).ravel(), residual.sum(axis=0)))
+        return loss, grad
+
+    result = minimize(
+        objective, np.zeros(k * d + k), jac=True, method="L-BFGS-B",
+        options={"maxiter": 10_000, "gtol": 1e-10, "ftol": 1e-15},
+    )
+    return float(result.fun)

@@ -186,7 +186,7 @@ def test_07_gradient_check_and_loss_descent():
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         X = SparseMatrix.from_dense(points / norms)
         y = ["a"] * 6 + ["b"] * 6
-        clf = LogisticRegression(learning_rate=1e-2, max_epochs=300).fit(X, y)
+        clf = LogisticRegression(max_epochs=300).fit(X, y)
         assert np.all(np.diff(clf.loss_history_) <= 1e-12)
 
 

@@ -226,6 +226,41 @@ class TestSeries:
         assert out.exists()
 
 
+class TestTrain:
+    def train(self, workspace, *flags, verbose=False):
+        return run([*(["--verbose"] if verbose else []), "train",
+                    "--binary", str(workspace / "d1.jsonl"),
+                    "--categories", str(workspace / "d2.jsonl"),
+                    "--combo", "10", "--out", str(workspace / "staged"), *flags])
+
+    def test_verbose_says_why_each_fit_stopped(self, workspace, capsys):
+        assert self.train(workspace) == 0
+        quiet_out, quiet_err = capsys.readouterr()
+        assert quiet_err == ""
+        assert quiet_out.splitlines()[-1] == f"staged model written to {workspace / 'staged'}"
+        assert self.train(workspace, verbose=True) == 0
+        out, err = capsys.readouterr()
+        assert out == quiet_out
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["identifier", "categorizer"]
+        for line in lines:
+            assert " iterations, loss " in line and ", max |grad| " in line
+            assert line.endswith(", converged")
+
+    def test_learning_rate_flag_removed(self, workspace):
+        assert self.train(workspace, "--learning-rate", "0.1") == 1
+        assert self.train(workspace, "--max-epochs", "3", "--tol", "1e-3") == 0
+
+    def test_old_model_version_exit_3(self, workspace, tmp_path, capsys):
+        assert self.train(workspace) == 0
+        model = workspace / "staged" / "identifier.model"
+        model.write_text(model.read_text().replace("MODEL v2", "MODEL v1", 1))
+        assert run(["series", "--model", str(workspace / "staged"),
+                    "--input", str(workspace / "d1.jsonl"),
+                    "--output", str(tmp_path / "o.jsonl")]) == 3
+        assert "MODEL v1" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_no_command(self):
         assert run([]) == 1
