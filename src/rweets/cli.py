@@ -73,7 +73,20 @@ _CONFIG_COERCERS = {
 }
 
 
-def _load_config_file(path) -> dict:
+def _long_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Config-file keys: every long flag of parser and of its subcommands,
+    written with underscores."""
+    keys = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                keys |= _long_flags(subparser)
+        keys.update(opt[2:].replace("-", "_") for opt in action.option_strings
+                    if opt.startswith("--"))
+    return keys
+
+
+def _load_config_file(path, known_keys: set[str]) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -84,6 +97,8 @@ def _load_config_file(path) -> dict:
                 raise ValidationError(f"{path}: line {lineno}: expected key=value")
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
+            if key not in known_keys:
+                raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
             coerce = _CONFIG_COERCERS.get(key, str)
             try:
                 values[key] = coerce(raw.strip())
@@ -92,10 +107,11 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
         return
-    for key, value in _load_config_file(args.config).items():
+    # keys of other subcommands are legal: one preset file serves them all
+    for key, value in _load_config_file(args.config, _long_flags(parser)).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
@@ -448,7 +464,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("no command given (see --help)")
-        _apply_config(args)
+        _apply_config(args, parser)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

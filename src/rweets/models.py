@@ -6,8 +6,10 @@ LogisticRegression is multinomial (softmax) with an L2 penalty on weights
 Numerical Optimization, Alg. 7.4/7.5) from zero-initialized parameters: the
 two-loop recursion over the last 10 correction pairs gives the direction,
 and a backtracking Armijo line search the step. The fit stops when the
-largest absolute gradient entry is at most `tol` (converged) or after
-`max_epochs` iterations. MultinomialNaiveBayes is the count-based
+largest absolute gradient entry is at most `tol` (converged), when the
+step the line search accepts no longer lowers the loss (no_progress: a `tol`
+below the gradient's rounding error is never met), or after `max_epochs`
+iterations (max_iter). MultinomialNaiveBayes is the count-based
 multinomial model with Laplace smoothing; it must be fed raw term counts,
 never tf-idf or normalized rows. Everything here is deterministic given its
 inputs and seed; ties always resolve to the lowest class index.
@@ -121,10 +123,11 @@ class LogisticRegression(BaseEstimator):
 
     `tol` bounds the largest absolute entry of the gradient at the returned
     parameters; `max_epochs` caps the number of L-BFGS iterations. After
-    fit, `stop_reason_` is "converged" or "max_iter", `n_iter_` counts the
-    iterations, `grad_norm_` is the final max-norm of the gradient, and
-    `loss_history_` holds the loss at the starting point and after each
-    iteration (non-increasing).
+    fit, `stop_reason_` is "converged", "no_progress" (an iteration whose
+    accepted step would not lower the loss; that step is not taken) or
+    "max_iter", `n_iter_` counts the iterations, `grad_norm_` is the final
+    max-norm of the gradient, and `loss_history_` holds the loss at the
+    starting point and after each iteration (decreasing).
     """
 
     name = "logreg"
@@ -171,6 +174,10 @@ class LogisticRegression(BaseEstimator):
                 step *= 0.5
             else:
                 raise TrainingDivergedError(n_iter)
+            if trial_loss >= loss:
+                # at the rounding error of the loss, no step lowers it any further
+                stop_reason = "no_progress"
+                break
             s, y_diff = trial - w, trial_grad - grad
             curvature = float(s @ y_diff)
             if curvature > np.finfo(float).eps * float(y_diff @ y_diff):

@@ -12,12 +12,21 @@ re-running the pipeline over already-clean text changes nothing. That is why
 the language filter scores words against the full bundled English lexicon
 (stopwords plus base words) rather than the stopword list alone; cleaned
 tweets are stopword-free and would otherwise never survive a second pass.
+
+`run_pipeline` is a fast path with the per-op runner's results. It compiles
+the op list into steps once per call, and each step carries the tweet's word
+count forward, so no op counts words twice. The lemma and English-evidence
+memos are created per call and die with it. Substitutions whose pattern
+needs a substring the text lacks are skipped. The corpus and the report
+(removals and token deltas, in order) equal those of the per-op reference
+in `tests/oracles.py`.
 """
 
 import json
 import re
-import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import lexicon
@@ -58,7 +67,7 @@ PUNCT_FIRST_OPS = (
 
 _TEXT_ONLY_OPS = {"strip_non_ascii", "is_english"}
 _TOKEN_ONLY_OPS = {"remove_stopwords", "drop_if_short", "lemmatize"}
-_EITHER_OPS = {"lowercase", "generalize_tags", "remove_punctuation", "spell_correct"}
+_EITHER_OPS = {"lowercase", "generalize_tags", "remove_punctuation"}
 _KNOWN_OPS = _TEXT_ONLY_OPS | _TOKEN_ONLY_OPS | _EITHER_OPS | {"tokenize", "dedupe"}
 
 
@@ -180,33 +189,50 @@ _EDGE_TRIM_RE = re.compile(r"^[^a-z']+|[^a-z']+$")
 
 def _map_around_placeholders(text: str, fn) -> str:
     """Apply fn to the segments between placeholder occurrences."""
+    if "_" not in text:  # every placeholder holds "_": the split would keep one segment
+        return fn(text)
     parts = _PLACEHOLDER_SPLIT.split(text)
     return "".join(part if part in PLACEHOLDERS else fn(part) for part in parts)
+
+
+class _Memo(dict):
+    """word -> fn(word), computed on the first lookup of each word."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, word):
+        value = self[word] = self.fn(word)
+        return value
 
 
 def strip_non_ascii(text: str) -> str:
     return text.encode("ascii", errors="ignore").decode("ascii")
 
 
+def _is_evidence(word: str) -> bool:
+    """A placeholder, or a lexicon word once lowercased and edge-trimmed."""
+    if word in PLACEHOLDERS:
+        return True
+    trimmed = _EDGE_TRIM_RE.sub("", word.lower())
+    return bool(trimmed) and trimmed in lexicon.english_evidence()
+
+
+def _english(words: list[str], threshold: float, evidence: _Memo) -> bool:
+    if not words:
+        return False
+    hits = sum(map(evidence.__getitem__, words))
+    if len(words) < 3:
+        return hits >= 1
+    return hits / len(words) >= threshold
+
+
 def is_english(text: str, threshold: float = 0.15) -> bool:
     """Heuristic language check: the fraction of words found in the bundled
     English lexicon must reach the threshold (very short texts pass with a
     single hit). Deterministic and dependency-free."""
-    words = text.split()
-    if not words:
-        return False
-    evidence = lexicon.english_evidence()
-    hits = 0
-    for word in words:
-        if word in PLACEHOLDERS:
-            hits += 1
-            continue
-        trimmed = _EDGE_TRIM_RE.sub("", word.lower())
-        if trimmed and trimmed in evidence:
-            hits += 1
-    if len(words) < 3:
-        return hits >= 1
-    return hits / len(words) >= threshold
+    return _english(text.split(), threshold, _Memo(_is_evidence))
 
 
 def lowercase(text: str) -> str:
@@ -214,17 +240,25 @@ def lowercase(text: str) -> str:
 
 
 def generalize_tags(text: str) -> str:
+    # Each substring test is a necessary condition of the patterns it guards,
+    # so a skipped substitution is one that could not have matched.
     text = _NUM_RE.sub("_NUM_", text)
-    text = _RT_RE.sub("_RT_", text)
-    text = _MENT_RE.sub("_MENT_", text)
-    text = _URL_RE.sub("_URL_", text)
-    text = _WWW_RE.sub("_URL_", text)
+    if "@" in text:
+        text = _RT_RE.sub("_RT_", text)
+        text = _MENT_RE.sub("_MENT_", text)
+    if "//" in text:
+        text = _URL_RE.sub("_URL_", text)
+    if "www." in text:
+        text = _WWW_RE.sub("_URL_", text)
     return text
 
 
+def _punctuation_free_words(text: str) -> list[str]:
+    return _map_around_placeholders(text, partial(_NOT_ALLOWED_RE.sub, " ")).split()
+
+
 def remove_punctuation(text: str) -> str:
-    cleaned = _map_around_placeholders(text, lambda seg: _NOT_ALLOWED_RE.sub(" ", seg))
-    return " ".join(cleaned.split())
+    return " ".join(_punctuation_free_words(text))
 
 
 def tokenize(text: str) -> list[str]:
@@ -298,9 +332,89 @@ def dedupe(tweets: list[CleanTweet]) -> list[CleanTweet]:
 
 # --- pipeline runner --------------------------------------------------------
 
+# Ops that never change the word count and report no token delta.
+_UNREPORTED_OPS = ("is_english", "tokenize")
 
-def _word_count(state) -> int:
-    return len(state) if isinstance(state, list) else len(state.split())
+
+def _compile(config: PipelineConfig) -> list[tuple[str, Callable]]:
+    """The per-tweet ops of config, in order, as (op, step) pairs.
+
+    A step maps (state, word count) to the pair after the op, or to None when
+    the op drops the tweet. The state is the text up to `tokenize` and the
+    token list after it; text ops after `tokenize` run on the joined tokens
+    and are split again. The memos live in the steps, so they last one call.
+    """
+    lemmas = _Memo(_lemma)
+    evidence = _Memo(_is_evidence)
+    threshold, min_tokens = config.english_threshold, config.min_tokens
+
+    def strip_step(text, count):
+        if text.isascii():
+            return text, count
+        text = strip_non_ascii(text)
+        return text, len(text.split())
+
+    def english_step(text, count):
+        return (text, count) if _english(text.split(), threshold, evidence) else None
+
+    def lowercase_step(text, count):
+        lowered = lowercase(text)
+        # ASCII case mapping changes letters only, never a word boundary
+        return lowered, count if text.isascii() else len(lowered.split())
+
+    def tags_step(text, count):
+        tagged = generalize_tags(text)
+        return tagged, count if tagged == text else len(tagged.split())
+
+    def punctuation_step(text, count):
+        words = _punctuation_free_words(text)
+        return " ".join(words), len(words)
+
+    def tokenize_step(text, count):
+        return tokenize(text), count
+
+    def on_tokens(text_op):
+        def step(tokens, count):
+            words = text_op(" ".join(tokens)).split()
+            return words, len(words)
+
+        return step
+
+    def stopwords_step(tokens, count):
+        kept = remove_stopwords(tokens)
+        return kept, len(kept)
+
+    def short_step(tokens, count):
+        kept = drop_if_short(tokens, min_tokens)
+        return None if kept is None else (kept, count)
+
+    def lemmatize_step(tokens, count):
+        return list(map(lemmas.__getitem__, tokens)), count
+
+    table = {
+        "strip_non_ascii": strip_step,
+        "is_english": english_step,
+        "lowercase": lowercase_step,
+        "generalize_tags": tags_step,
+        "remove_punctuation": punctuation_step,
+        "tokenize": tokenize_step,
+    }
+    token_table = {
+        "lowercase": on_tokens(lowercase),
+        "generalize_tags": on_tokens(generalize_tags),
+        "remove_punctuation": on_tokens(remove_punctuation),
+        "remove_stopwords": stopwords_step,
+        "drop_if_short": short_step,
+        "lemmatize": lemmatize_step,
+    }
+    steps = []
+    for op in config.ops:
+        if op == "dedupe":
+            continue
+        steps.append((op, table[op]))
+        if op == "tokenize":
+            table = token_table
+    return steps
 
 
 def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
@@ -310,47 +424,38 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
     removed tweet: len(dataset) == len(corpus) + report.total_removed.
     """
     config = config or PipelineConfig()
-    if "spell_correct" in config.ops:
-        warnings.warn("spell_correct is not implemented and will be skipped", stacklevel=2)
+    steps = _compile(config)
 
     filter_stages = ("is_english", "drop_if_short", "dedupe")
     removed: dict[str, int] = {op: 0 for op in config.ops if op in filter_stages}
-    deltas: dict[str, int] = {}
+    totals = [0] * len(steps)
     survivors: list[CleanTweet] = []
 
     for tweet in dataset:
-        state: str | list[str] = tweet.text
-        dropped = False
-        for op in config.ops:
-            if op in ("dedupe", "spell_correct"):
-                continue
-            before = _word_count(state)
-            if op == "is_english":
-                if not is_english(state, config.english_threshold):
-                    removed[op] += 1
-                    dropped = True
-                    break
-                continue
-            if op == "tokenize":
-                state = tokenize(state)
-                continue
-            if op == "drop_if_short":
-                kept = drop_if_short(state, config.min_tokens)
-                if kept is None:
-                    removed[op] += 1
-                    dropped = True
-                    break
-                state = kept
+        state = tweet.text
+        count = len(state.split())
+        for i, (op, step) in enumerate(steps):
+            result = step(state, count)
+            if result is None:
+                removed[op] += 1
+                break
+            state, after = result
+            totals[i] += after - count
+            count = after
+        else:
+            # tokenize is a required op, so the state is a token list here
+            if count:
+                survivors.append(CleanTweet(tweet.id, tuple(state), tweet.label))
             else:
-                state = _apply(op, state)
-            deltas[op] = deltas.get(op, 0) + (_word_count(state) - before)
-        if dropped:
-            continue
-        tokens = tuple(state) if isinstance(state, list) else tuple(state.split())
-        if not tokens:
-            removed["empty"] = removed.get("empty", 0) + 1
-            continue
-        survivors.append(CleanTweet(tweet.id, tokens, tweet.label))
+                removed["empty"] = removed.get("empty", 0) + 1
+
+    # An op reports a delta once some tweet has come through it.
+    deltas: dict[str, int] = {}
+    reached = len(dataset)
+    for (op, _), total in zip(steps, totals):
+        reached -= removed.get(op, 0)
+        if reached and op not in _UNREPORTED_OPS:
+            deltas[op] = total
 
     if "dedupe" in config.ops:
         before_dedupe = len(survivors)
@@ -365,29 +470,6 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
         token_deltas=deltas,
     )
     return corpus, report
-
-
-_TEXT_FNS = {
-    "strip_non_ascii": strip_non_ascii,
-    "lowercase": lowercase,
-    "generalize_tags": generalize_tags,
-    "remove_punctuation": remove_punctuation,
-}
-
-_TOKEN_FNS = {
-    "remove_stopwords": remove_stopwords,
-    "lemmatize": lemmatize,
-}
-
-
-def _apply(op: str, state):
-    """Dispatch an op, adapting text ops to token state by join/split."""
-    if op in _TOKEN_FNS:
-        return _TOKEN_FNS[op](state)
-    fn = _TEXT_FNS[op]
-    if isinstance(state, list):
-        return fn(" ".join(state)).split()
-    return fn(state)
 
 
 # --- persistence ------------------------------------------------------------

@@ -4,8 +4,10 @@ Each oracle recomputes expected values through a different code path than
 the implementation under test: dense dictionary counting for tf/tf-idf,
 probability-space enumeration for naive Bayes posteriors, a tiny
 backtracking matcher (no `re`) for the rule patterns, and `np.add.at`
-scatters for the sparse reductions, and scipy's L-BFGS-B on a dense
-one-hot form of the logistic regression objective. The module also holds
+scatters for the sparse reductions, scipy's L-BFGS-B on a dense
+one-hot form of the logistic regression objective, and the per-op cleaning
+runner (word counts by `split()` around every op, no memos, no pre-checks)
+for the compiled one in `rweets.preprocess`. The module also holds
 the model helpers only tests use: an all-zero logistic regression and a
 finite-difference gradient check.
 """
@@ -15,7 +17,29 @@ import string
 
 import numpy as np
 
+from rweets import lexicon
 from rweets.models import LogisticRegression, _label_indices, _loss_and_grads, _resolve_classes
+from rweets.preprocess import (
+    _EDGE_TRIM_RE,
+    _MENT_RE,
+    _NOT_ALLOWED_RE,
+    _NUM_RE,
+    _PLACEHOLDER_SPLIT,
+    _RT_RE,
+    _URL_RE,
+    _WWW_RE,
+    PLACEHOLDERS,
+    CleanCorpus,
+    CleanTweet,
+    PipelineConfig,
+    PreprocessReport,
+    dedupe,
+    drop_if_short,
+    lemmatize,
+    remove_stopwords,
+    strip_non_ascii,
+    tokenize,
+)
 from rweets.sparse import SparseMatrix
 
 # --- dense tf / tf-idf -------------------------------------------------------
@@ -305,3 +329,135 @@ def scipy_logreg_optimum(X: SparseMatrix, y, classes, l2: float) -> float:
         options={"maxiter": 10_000, "gtol": 1e-10, "ftol": 1e-15},
     )
     return float(result.fun)
+
+
+# --- per-op cleaning runner ----------------------------------------------------
+# The text ops as they were before the fast path: no pre-checks, so a guard
+# that skips a pattern which could have matched shows up as a difference.
+
+
+def _map_around_placeholders(text: str, fn) -> str:
+    parts = _PLACEHOLDER_SPLIT.split(text)
+    return "".join(part if part in PLACEHOLDERS else fn(part) for part in parts)
+
+
+def _is_english(text: str, threshold: float = 0.15) -> bool:
+    words = text.split()
+    if not words:
+        return False
+    evidence = lexicon.english_evidence()
+    hits = 0
+    for word in words:
+        if word in PLACEHOLDERS:
+            hits += 1
+            continue
+        trimmed = _EDGE_TRIM_RE.sub("", word.lower())
+        if trimmed and trimmed in evidence:
+            hits += 1
+    if len(words) < 3:
+        return hits >= 1
+    return hits / len(words) >= threshold
+
+
+def _lowercase(text: str) -> str:
+    return _map_around_placeholders(text, str.lower)
+
+
+def _generalize_tags(text: str) -> str:
+    text = _NUM_RE.sub("_NUM_", text)
+    text = _RT_RE.sub("_RT_", text)
+    text = _MENT_RE.sub("_MENT_", text)
+    text = _URL_RE.sub("_URL_", text)
+    text = _WWW_RE.sub("_URL_", text)
+    return text
+
+
+def _remove_punctuation(text: str) -> str:
+    cleaned = _map_around_placeholders(text, lambda seg: _NOT_ALLOWED_RE.sub(" ", seg))
+    return " ".join(cleaned.split())
+
+
+def _word_count(state) -> int:
+    return len(state) if isinstance(state, list) else len(state.split())
+
+
+_TEXT_FNS = {
+    "strip_non_ascii": strip_non_ascii,
+    "lowercase": _lowercase,
+    "generalize_tags": _generalize_tags,
+    "remove_punctuation": _remove_punctuation,
+}
+
+_TOKEN_FNS = {
+    "remove_stopwords": remove_stopwords,
+    "lemmatize": lemmatize,
+}
+
+
+def _apply(op: str, state):
+    """Dispatch an op, adapting text ops to token state by join/split."""
+    if op in _TOKEN_FNS:
+        return _TOKEN_FNS[op](state)
+    fn = _TEXT_FNS[op]
+    if isinstance(state, list):
+        return fn(" ".join(state)).split()
+    return fn(state)
+
+
+def reference_clean(dataset, config: PipelineConfig | None = None):
+    """`run_pipeline` as a per-op dispatch loop that counts words before and
+    after every op; returns (CleanCorpus, PreprocessReport)."""
+    config = config or PipelineConfig()
+
+    filter_stages = ("is_english", "drop_if_short", "dedupe")
+    removed: dict[str, int] = {op: 0 for op in config.ops if op in filter_stages}
+    deltas: dict[str, int] = {}
+    survivors: list[CleanTweet] = []
+
+    for tweet in dataset:
+        state: str | list[str] = tweet.text
+        dropped = False
+        for op in config.ops:
+            if op == "dedupe":
+                continue
+            before = _word_count(state)
+            if op == "is_english":
+                if not _is_english(state, config.english_threshold):
+                    removed[op] += 1
+                    dropped = True
+                    break
+                continue
+            if op == "tokenize":
+                state = tokenize(state)
+                continue
+            if op == "drop_if_short":
+                kept = drop_if_short(state, config.min_tokens)
+                if kept is None:
+                    removed[op] += 1
+                    dropped = True
+                    break
+                state = kept
+            else:
+                state = _apply(op, state)
+            deltas[op] = deltas.get(op, 0) + (_word_count(state) - before)
+        if dropped:
+            continue
+        tokens = tuple(state) if isinstance(state, list) else tuple(state.split())
+        if not tokens:
+            removed["empty"] = removed.get("empty", 0) + 1
+            continue
+        survivors.append(CleanTweet(tweet.id, tokens, tweet.label))
+
+    if "dedupe" in config.ops:
+        before_dedupe = len(survivors)
+        survivors = dedupe(survivors)
+        removed["dedupe"] = before_dedupe - len(survivors)
+
+    corpus = CleanCorpus(tuple(survivors), config.digest)
+    report = PreprocessReport(
+        input_count=len(dataset),
+        output_count=len(corpus),
+        removed_by_stage=removed,
+        token_deltas=deltas,
+    )
+    return corpus, report

@@ -287,3 +287,20 @@ class TestUsage:
         direct = tmp_path / "direct.jsonl"
         assert run(["--seed", "6", "synth", "--size", "30", "--out", str(direct)]) == 0
         assert out.read_bytes() == direct.read_bytes()
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        # a config written for an older version: the learning_rate knob is gone
+        config = tmp_path / "old.cfg"
+        config.write_text("seed=5\nlearning_rate=0.1\n")
+        out = tmp_path / "s.jsonl"
+        assert run(["--config", str(config), "synth", "--size", "30", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "old.cfg" in err and "line 2" in err and "learning_rate" in err
+        assert not out.exists()
+
+    def test_config_keys_of_other_subcommands_allowed(self, tmp_path):
+        # one preset file serves every subcommand; synth has no --folds or --combo
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=5\nfolds=3\ncombo=10\nmin-tokens=2\n")
+        out = tmp_path / "s.jsonl"
+        assert run(["--config", str(config), "synth", "--size", "30", "--out", str(out)]) == 0

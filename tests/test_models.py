@@ -195,6 +195,18 @@ class TestLBFGS:
         assert len(clf.loss_history_) == 4
         assert clf.grad_norm_ > clf.tol
 
+    def test_tol_below_rounding_ends_without_progress(self):
+        # ||grad||_inf stalls near 1e-11 here, so tol=0 is never met; the fit
+        # must end once a step cannot lower the loss, not run to the cap
+        X, y = self.combo10(synth_corpus(3, 600, BINARY))
+        reference = LogisticRegression(tol=1e-6).fit(X, y, classes=BINARY.labels)
+        clf = LogisticRegression(tol=0.0).fit(X, y, classes=BINARY.labels)
+        assert clf.stop_reason_ == "no_progress"
+        assert clf.n_iter_ <= 100
+        assert clf.n_iter_ == len(clf.loss_history_) - 1
+        assert np.all(np.diff(clf.loss_history_) < 0)
+        assert clf.loss_history_[-1] <= reference.loss_history_[-1]
+
 
 class TestGradientCheck:
     def make_instance(self, seed):

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from oracles import reference_clean
 
 from rweets import lexicon, preprocess
 from rweets.corpus import BINARY, CATEGORICAL, Dataset, RawTweet, synth_corpus
@@ -205,13 +208,10 @@ class TestPipelineConfig:
         assert PipelineConfig().digest != PipelineConfig(english_threshold=0.2).digest
         assert PipelineConfig().digest != PipelineConfig(ops=PUNCT_FIRST_OPS).digest
 
-    def test_spell_correct_accepted_with_warning(self):
+    def test_unknown_op_rejected(self):
         ops = tuple(op for op in DEFAULT_OPS if op != "dedupe") + ("spell_correct", "dedupe")
-        cfg = PipelineConfig(ops=ops)
-        d = make_dataset(["we need food and water now"])
-        with pytest.warns(UserWarning, match="spell_correct"):
-            corpus, _ = run_pipeline(d, cfg)
-        assert len(corpus) == 1
+        with pytest.raises(ValidationError, match="spell_correct"):
+            PipelineConfig(ops=ops)
 
 
 class TestRunPipeline:
@@ -321,3 +321,104 @@ class TestCleanPersistence:
         save_clean(corpus, a)
         save_clean(corpus, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# Valid orders beyond the two named ones: text ops after tokenize; no
+# strip_non_ascii or is_english (and no drop_if_short or dedupe, so tweets
+# cleaned to nothing reach the "empty" count); the language filter late.
+OTHER_ORDERS = (
+    ("strip_non_ascii", "is_english", "remove_punctuation", "tokenize", "lowercase",
+     "generalize_tags", "remove_stopwords", "drop_if_short", "lemmatize", "dedupe"),
+    ("generalize_tags", "lowercase", "tokenize", "remove_stopwords", "lemmatize"),
+    ("lowercase", "strip_non_ascii", "generalize_tags", "is_english", "tokenize",
+     "remove_punctuation", "drop_if_short", "remove_stopwords", "lemmatize", "dedupe"),
+)
+
+_FUZZ_PIECES = (
+    "_NUM_", "_RT_", "_MENT_", "_URL_", "_num_", "_NUM", "a_b", "__", "help", "HELP",
+    "Need", "FOOD", "water", "the", "is", "going", "went", "families", "supplies",
+    "don't", "#Sandy", "café", "Ünïcödé", "需要", "ı", "İ", "ſ", "\xa0", "\u2003",
+    "\u3000", "\t", "\n", "@bob", "@ Ann_1", "rt @x:", "RT @Y:", "@", "a@b",
+    "http://x.co/ab1", "https : //y.org", "x//y", "//", "www.example123.com",
+    "WWW.EXAMPLE.COM", "www", "12", "1,200.5", "3.", "٣٤", "!!", "...", ",", ":",
+    "'", "",
+)
+
+
+def fuzz_texts(seed: int, n: int) -> list[str]:
+    rng = random.Random(seed)
+    texts = ["", " ", "\xa0\u3000 \t", "_NUM_ help", "help_NUM_", "HELP _URL_ us"]
+    for _ in range(n - len(texts)):
+        pieces = rng.choices(_FUZZ_PIECES, k=rng.randint(1, 9))
+        texts.append("".join(p + rng.choice((" ", " ", "", "\xa0")) for p in pieces))
+    return texts
+
+
+def assert_same_as_reference(dataset, config):
+    corpus, report = run_pipeline(dataset, config)
+    ref_corpus, ref_report = reference_clean(dataset, config)
+    assert corpus == ref_corpus
+    assert report == ref_report
+    # cmd_preprocess prints both maps in order
+    assert list(report.removed_by_stage.items()) == list(ref_report.removed_by_stage.items())
+    assert list(report.token_deltas.items()) == list(ref_report.token_deltas.items())
+
+
+class TestAgainstReference:
+    """The compiled runner against the per-op reference in tests/oracles.py."""
+
+    @pytest.mark.parametrize("ops", [DEFAULT_OPS, PUNCT_FIRST_OPS], ids=["default", "punct"])
+    @pytest.mark.parametrize("domain", [BINARY, CATEGORICAL], ids=["binary", "categorical"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_synth(self, seed, domain, ops):
+        assert_same_as_reference(synth_corpus(seed, 300, domain), PipelineConfig(ops=ops))
+
+    @pytest.mark.parametrize("ops", OTHER_ORDERS, ids=["late-text-ops", "bare", "late-filter"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_other_orders(self, seed, ops):
+        assert_same_as_reference(synth_corpus(seed, 300, BINARY), PipelineConfig(ops=ops))
+
+    @pytest.mark.parametrize(
+        "ops", (DEFAULT_OPS, PUNCT_FIRST_OPS) + OTHER_ORDERS,
+        ids=["default", "punct", "late-text-ops", "bare", "late-filter"],
+    )
+    def test_fuzz(self, ops):
+        dataset = make_dataset(fuzz_texts(7, 3000))
+        assert_same_as_reference(dataset, PipelineConfig(ops=ops))
+        strict = PipelineConfig(ops=ops, english_threshold=0.6, min_tokens=3)
+        assert_same_as_reference(dataset, strict)
+
+    @pytest.mark.parametrize("ops", [DEFAULT_OPS, PUNCT_FIRST_OPS], ids=["default", "punct"])
+    def test_ops_no_tweet_comes_through_report_no_delta(self, ops):
+        # all dropped at is_english (only strip_non_ascii comes before it),
+        # then all dropped at drop_if_short
+        spanish = make_dataset(["necesitamos ayuda urgente", "hay gente atrapada"])
+        assert_same_as_reference(spanish, PipelineConfig(ops=ops))
+        assert run_pipeline(spanish, PipelineConfig(ops=ops))[1].token_deltas == {"strip_non_ascii": 0}
+        short = make_dataset(["help", "the flood", "water!!"])
+        assert_same_as_reference(short, PipelineConfig(ops=ops))
+        deltas = run_pipeline(short, PipelineConfig(ops=ops))[1].token_deltas
+        assert "drop_if_short" not in deltas and "lemmatize" not in deltas
+
+    def test_fuzz_reaches_every_pattern(self):
+        # the fuzz is only a check of the pre-checks if each guarded pattern fires
+        texts = fuzz_texts(7, 3000)
+        lowered = [t.lower() for t in texts]
+        for pattern in (preprocess._RT_RE, preprocess._MENT_RE, preprocess._URL_RE,
+                        preprocess._WWW_RE):
+            assert sum(bool(pattern.search(t)) for t in lowered) > 50, pattern
+        assert sum(bool(preprocess._PLACEHOLDER_SPLIT.search(t)) for t in texts) > 50
+
+    def test_memos_last_one_call(self, monkeypatch):
+        # a memo that outlived its call would serve lemmas and language
+        # evidence from the lexicon of an earlier call
+        dataset = make_dataset(fuzz_texts(11, 500) + ["we need food supplies now"] * 3)
+        assert_same_as_reference(dataset, PipelineConfig())
+        exceptions = dict(lexicon.lemma_exceptions(), supplies="stock", need="want")
+        evidence = lexicon.english_evidence() - {"need", "food", "help", "water"}
+        monkeypatch.setattr(lexicon, "lemma_exceptions", lambda: exceptions)
+        monkeypatch.setattr(lexicon, "english_evidence", lambda: evidence)
+        corpus, _ = run_pipeline(dataset, PipelineConfig())
+        assert ("we", "want", "food", "stock") in corpus.token_lists()
+        assert_same_as_reference(dataset, PipelineConfig())
+        assert_same_as_reference(dataset, PipelineConfig(ops=PUNCT_FIRST_OPS))
