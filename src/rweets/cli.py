@@ -12,15 +12,20 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import DOMAINS, NOT_RWEET, RWEET, load_dataset, save_dataset, synth_corpus
-from .digest import atomic_write_text, combine_digests
-from .errors import (
-    FormatError,
-    RweetsError,
-    StaleCacheError,
-    TrainingDivergedError,
-    ValidationError,
+from .corpus import (
+    BINARY,
+    CATEGORICAL,
+    DOMAINS,
+    NOT_RWEET,
+    RWEET,
+    Dataset,
+    RawTweet,
+    load_dataset,
+    save_dataset,
+    synth_corpus,
 )
+from .digest import atomic_write_text, combine_digests
+from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from .features import FeatureConfig, combo, load_matrix, save_matrix
 from .metrics import render_record, render_text
 from .models import LogisticRegression, TrainConfig, cross_validate, make_classifier
@@ -54,39 +59,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_CONFIG_COERCERS = {
-    "seed": int,
-    "cache_dir": str,
-    "combo": int,
-    "folds": int,
-    "clf": str,
-    "order": str,
-    "threshold": float,
-    "min_tokens": int,
-    "alpha": float,
-    "l2_penalty": float,
-    "max_epochs": int,
-    "tol": float,
-    "vectorizer": str,
-    "ngrams": str,
-    "domain": str,
-}
-
-
-def _long_flags(parser: argparse.ArgumentParser) -> set[str]:
-    """Config-file keys: every long flag of parser and of its subcommands,
-    written with underscores."""
-    keys = set()
+def _long_flags(parser: argparse.ArgumentParser) -> dict:
+    """Config-file keys, each with its flag's type: every long flag of parser
+    and of its subcommands, written with underscores."""
+    keys = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for subparser in action.choices.values():
-                keys |= _long_flags(subparser)
-        keys.update(opt[2:].replace("-", "_") for opt in action.option_strings
-                    if opt.startswith("--"))
+                keys.update(_long_flags(subparser))
+        keys.update((opt[2:].replace("-", "_"), action.type or str)
+                    for opt in action.option_strings if opt.startswith("--"))
     return keys
 
 
-def _load_config_file(path, known_keys: set[str]) -> dict:
+def _load_config_file(path, known_keys: dict) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -99,9 +85,8 @@ def _load_config_file(path, known_keys: set[str]) -> dict:
             key = key.strip().replace("-", "_")
             if key not in known_keys:
                 raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
-            coerce = _CONFIG_COERCERS.get(key, str)
             try:
-                values[key] = coerce(raw.strip())
+                values[key] = known_keys[key](raw.strip())
             except ValueError:
                 raise ValidationError(f"{path}: line {lineno}: bad value for {key}") from None
     return values
@@ -153,11 +138,9 @@ def _domain(args):
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        l2_penalty=args.l2_penalty if args.l2_penalty is not None else 1e-4,
-        max_epochs=args.max_epochs if args.max_epochs is not None else 500,
-        tol=args.tol if args.tol is not None else 1e-6,
-    )
+    """TrainConfig from the flags given; the rest keep the config's defaults."""
+    given = {k: getattr(args, k) for k in ("l2_penalty", "max_epochs", "tol")}
+    return TrainConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _add_pipeline_flags(parser):
@@ -255,9 +238,9 @@ def build_parser() -> _Parser:
 # --- commands ----------------------------------------------------------------
 
 
-def _load_texts(path) -> dict[str, str]:
-    """id -> text map from a JSONL file, ignoring labels and extra fields."""
-    texts = {}
+def _records(path, fields):
+    """(line number, record) for each nonblank line of a JSONL file; every
+    record must be an object whose `fields` hold strings."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -266,11 +249,21 @@ def _load_texts(path) -> dict[str, str]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc.msg}")
-            if not isinstance(record.get("id"), str) or not isinstance(record.get("text"), str):
-                raise ValidationError(f"{path}: line {lineno}: needs 'id' and 'text'")
-            if record["id"] in texts:
-                raise ValidationError(f"{path}: line {lineno}: duplicate tweet id {record['id']!r}")
-            texts[record["id"]] = record["text"]
+            if not isinstance(record, dict) or not all(
+                isinstance(record.get(f), str) for f in fields
+            ):
+                wanted = " and ".join(map(repr, fields))
+                raise ValidationError(f"{path}: line {lineno}: needs {wanted}")
+            yield lineno, record
+
+
+def _load_texts(path) -> dict[str, str]:
+    """id -> text map from a JSONL file, ignoring labels and extra fields."""
+    texts = {}
+    for lineno, record in _records(path, ("id", "text")):
+        if record["id"] in texts:
+            raise ValidationError(f"{path}: line {lineno}: duplicate tweet id {record['id']!r}")
+        texts[record["id"]] = record["text"]
     return texts
 
 
@@ -294,18 +287,17 @@ def cmd_featurize(args) -> int:
     feature_config = _feature_config(args)
     corpus = load_clean(args.clean, pipeline_config)
     # the artifact digest covers the feature config AND the cleaned input
-    # (which itself folds in the pipeline and stopword-list digests), so any
+    # (which itself folds in the pipeline digest, lexicon included), so any
     # upstream change invalidates this matrix
     artifact_digest = combine_digests(feature_config.digest, corpus.content_digest())
     out = Path(args.out)
-    if out.exists():
-        try:
-            load_matrix(out, feature_config, digest=artifact_digest)
-        except (FormatError, StaleCacheError, FileNotFoundError):
-            pass  # stale or damaged product: rebuild below
-        else:
-            print(f"cache hit: {out} is current for digest {artifact_digest}")
-            return 0
+    try:
+        load_matrix(out, feature_config, digest=artifact_digest)
+    except (FormatError, StaleCacheError, FileNotFoundError):
+        pass  # missing, stale or damaged product: rebuild below
+    else:
+        print(f"cache hit: {out} is current for digest {artifact_digest}")
+        return 0
     raw = None
     if feature_config.append_rules:
         if args.raw is None:
@@ -322,40 +314,31 @@ def cmd_featurize(args) -> int:
 
 def cmd_rules(args) -> int:
     lines_out = []
-    with open(args.input, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{args.input}: line {lineno}: {exc.msg}")
-            text = record.get("text")
-            if not isinstance(text, str):
-                raise ValidationError(f"{args.input}: line {lineno}: missing 'text'")
-            bits = match_tweet(text)
-            record["rule_label"] = RWEET if any(bits) else NOT_RWEET
-            record["rule_bits"] = [int(bit) for bit in bits]
-            lines_out.append(json.dumps(record, ensure_ascii=False))
+    for _, record in _records(args.input, ("text",)):
+        bits = match_tweet(record["text"])
+        record["rule_label"] = RWEET if any(bits) else NOT_RWEET
+        record["rule_bits"] = [int(bit) for bit in bits]
+        lines_out.append(json.dumps(record, ensure_ascii=False))
     atomic_write_text(args.output, "".join(l + "\n" for l in lines_out))
     print(f"classified {len(lines_out)} tweets -> {args.output}")
     return 0
 
 
-def cmd_train(args) -> int:
-    from .corpus import BINARY, CATEGORICAL
-
-    d1 = load_dataset(args.binary, BINARY)
-    d2 = load_dataset(args.categories, CATEGORICAL)
-    staged, (r1, r2) = train_staged(
-        d1,
-        d2,
+def _train(args):
+    """train_staged on --binary and --categories under the flags' configs."""
+    return train_staged(
+        load_dataset(args.binary, BINARY),
+        load_dataset(args.categories, CATEGORICAL),
         _feature_config(args),
         train_config=_train_config(args),
         pipeline_config=_pipeline_config(args),
         classifier=args.clf or "logreg",
         alpha=args.alpha if args.alpha is not None else 1.0,
     )
+
+
+def cmd_train(args) -> int:
+    staged, (r1, r2) = _train(args)
     save_staged(staged, args.out)
     if args.verbose:
         for stage, clf in (("identifier", staged.identifier), ("categorizer", staged.categorizer)):
@@ -397,24 +380,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_series(args) -> int:
-    from .corpus import BINARY, CATEGORICAL
-
     if args.model:
         staged = load_staged(args.model)
+    elif args.binary and args.categories:
+        staged, _ = _train(args)
     else:
-        if not (args.binary and args.categories):
-            raise UsageError("series needs --model or both --binary and --categories")
-        d1 = load_dataset(args.binary, BINARY)
-        d2 = load_dataset(args.categories, CATEGORICAL)
-        staged, _ = train_staged(
-            d1,
-            d2,
-            _feature_config(args),
-            train_config=_train_config(args),
-            pipeline_config=_pipeline_config(args),
-            classifier=args.clf or "logreg",
-            alpha=args.alpha if args.alpha is not None else 1.0,
-        )
+        raise UsageError("series needs --model or both --binary and --categories")
     if args.resubstitution:
         if not args.binary:
             raise UsageError("--resubstitution needs --binary (it predicts that data back)")
@@ -424,8 +395,6 @@ def cmd_series(args) -> int:
     else:
         raise UsageError("series needs --input (or --resubstitution)")
     # input labels, if any, are ignored: the series only needs id and text
-    from .corpus import Dataset, RawTweet
-
     texts = _load_texts(input_path)
     dataset = Dataset(BINARY, tuple(RawTweet(i, t) for i, t in texts.items()))
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
@@ -469,18 +438,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except StaleCacheError as exc:
         print(f"stale cache: {exc}", file=sys.stderr)
         return 4
-    except (ValidationError, FormatError, TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
     except RweetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

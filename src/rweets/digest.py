@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 DIGEST_LEN = 16
@@ -30,16 +31,24 @@ def combine_digests(*digests: str) -> str:
     return digest_text("|".join(digests))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write-then-rename so concurrent readers never see a partial file."""
+@contextmanager
+def atomic_open(path):
+    """A binary file that replaces `path` only when the block completes, so
+    concurrent readers never see a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write UTF-8 text with LF line endings through `atomic_open`."""
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))

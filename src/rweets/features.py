@@ -12,14 +12,15 @@ the n-gram block so the bits remain on the same unit scale as normalized
 rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .base import BaseEstimator, check_is_fitted
-from .digest import atomic_write_text, digest_json
-from .errors import FormatError, StaleCacheError, ValidationError
+from .digest import digest_json
+from .errors import FormatError, ValidationError
 from .rules import N_PATTERNS
 from .sparse import SparseMatrix, SparseRow
 
@@ -55,17 +56,7 @@ class FeatureConfig:
 
     @property
     def digest(self) -> str:
-        return digest_json(
-            {
-                "kind": "features",
-                "vectorizer": self.vectorizer,
-                "ngram_range": list(self.ngram_range),
-                "append_rules": self.append_rules,
-                "min_df": self.min_df,
-                "max_df": self.max_df,
-                "l2_normalize": self.l2_normalize,
-            }
-        )
+        return digest_json({"kind": "features", **asdict(self)})
 
 
 def enumerate_combos() -> tuple[FeatureConfig, ...]:
@@ -208,6 +199,12 @@ def l2_normalize_rows(matrix: SparseMatrix) -> SparseMatrix:
     return matrix.scale_rows(factors)
 
 
+def _weighted(docs, vocab: Vocabulary, use_idf: bool, l2: bool) -> SparseMatrix:
+    """tf or tf-idf rows, L2-normalized when `l2` is set."""
+    matrix = (vectorize_tfidf if use_idf else vectorize_tf)(docs, vocab)
+    return l2_normalize_rows(matrix) if l2 else matrix
+
+
 def cosine_similarity(a: SparseRow, b: SparseRow) -> float:
     """dot(a, b) / (|a| |b|); zero when either row is empty."""
     if a.dim != b.dim:
@@ -254,19 +251,10 @@ def append_rule_features(fm: FeatureMatrix, rule_block: np.ndarray) -> FeatureMa
         )
     if fm.config.append_rules:
         raise ValidationError("rule features were already appended")
-    new_config = FeatureConfig(
-        vectorizer=fm.config.vectorizer,
-        ngram_range=fm.config.ngram_range,
-        append_rules=True,
-        min_df=fm.config.min_df,
-        max_df=fm.config.max_df,
-        l2_normalize=fm.config.l2_normalize,
-    )
-    return FeatureMatrix(
+    return replace(
+        fm,
         matrix=fm.matrix.append_dense_columns(rule_block),
-        vocab=fm.vocab,
-        config=new_config,
-        row_ids=fm.row_ids,
+        config=replace(fm.config, append_rules=True),
     )
 
 
@@ -295,23 +283,9 @@ def featurize_tokens(
         raise ValidationError(
             f"vocabulary range {vocab.ngram_range} differs from config {config.ngram_range}"
         )
-    if counts_only:
-        matrix = vectorize_tf(docs, vocab)
-    else:
-        if config.vectorizer == TFIDF:
-            matrix = vectorize_tfidf(docs, vocab)
-        else:
-            matrix = vectorize_tf(docs, vocab)
-        if config.l2_normalize:
-            matrix = l2_normalize_rows(matrix)
-    base_config = FeatureConfig(
-        vectorizer=config.vectorizer,
-        ngram_range=config.ngram_range,
-        append_rules=False,
-        min_df=config.min_df,
-        max_df=config.max_df,
-        l2_normalize=config.l2_normalize,
-    )
+    use_idf, l2 = config.vectorizer == TFIDF, config.l2_normalize
+    matrix = _weighted(docs, vocab, use_idf and not counts_only, l2 and not counts_only)
+    base_config = replace(config, append_rules=False)
     fm = FeatureMatrix(matrix=matrix, vocab=vocab, config=base_config, row_ids=ids)
     if config.append_rules:
         if rule_block is None:
@@ -341,13 +315,7 @@ class NgramVectorizer(BaseEstimator):
 
     def transform(self, docs) -> SparseMatrix:
         check_is_fitted(self, "vocabulary_")
-        if self.use_idf:
-            matrix = vectorize_tfidf(docs, self.vocabulary_)
-        else:
-            matrix = vectorize_tf(docs, self.vocabulary_)
-        if self.l2_normalize:
-            matrix = l2_normalize_rows(matrix)
-        return matrix
+        return _weighted(docs, self.vocabulary_, self.use_idf, self.l2_normalize)
 
     def transform_counts(self, docs) -> SparseMatrix:
         """Raw counts against the fitted vocabulary, ignoring idf and
@@ -361,84 +329,67 @@ class NgramVectorizer(BaseEstimator):
 
 # --- persistence ------------------------------------------------------------
 
-_SPMAT_MAGIC = "SPMAT v1"
+
+def _vocab_fields(vocab: Vocabulary) -> tuple[dict, dict]:
+    """The header meta and the arrays that store a vocabulary."""
+    arrays = {"terms": vocab.terms}
+    if vocab.doc_freqs is not None:
+        arrays["doc_freqs"] = np.asarray(vocab.doc_freqs, dtype=np.int64)
+    return {"n_docs": vocab.n_docs, "ngram_range": vocab.ngram_range}, arrays
+
+
+def _vocab_from(meta: dict, arrays: dict) -> Vocabulary:
+    freqs = arrays.get("doc_freqs")
+    return Vocabulary(
+        terms=arrays["terms"],
+        ngram_range=tuple(meta["ngram_range"]),
+        doc_freqs=None if freqs is None else tuple(freqs.tolist()),
+        n_docs=meta["n_docs"],
+    )
+
+
+def save_vocab(vocab: Vocabulary, path) -> None:
+    meta, arrays = _vocab_fields(vocab)
+    artifact.save(path, "vocab", vocab.digest, meta, **arrays)
+
+
+def load_vocab(path) -> Vocabulary:
+    """Load a vocabulary artifact; its header digest must be its own."""
+    header, arrays = artifact.load(path, "vocab")
+    try:
+        vocab = _vocab_from(header["meta"], arrays)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{Path(path).name}: incomplete vocabulary ({exc!r})") from None
+    if vocab.digest != header["digest"]:
+        raise FormatError(f"{Path(path).name}: vocabulary content disagrees with its digest")
+    return vocab
 
 
 def save_matrix(fm: FeatureMatrix, path, digest: str | None = None) -> None:
-    """Write the matrix file plus .vocab and .rowids companions.
+    """Write the matrix, its vocabulary and its row ids as one artifact.
 
     The header digest defaults to the feature-config digest; callers that
     key artifacts on more than the configuration (e.g. input content) pass
     the wider digest explicitly.
     """
-    path = Path(path)
     m = fm.matrix
-    lines = [f"{_SPMAT_MAGIC} {m.rows} {m.cols} {m.nnz} {digest or fm.config.digest}"]
-    for r, c, v in fm.matrix.iter_triplets():
-        lines.append(f"{r} {c} {v!r}")
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
-    vocab_lines = [f"{i}\t{term}" for i, term in enumerate(fm.vocab.terms)]
-    atomic_write_text(path.with_name(path.name + ".vocab"), "".join(l + "\n" for l in vocab_lines))
-    atomic_write_text(path.with_name(path.name + ".rowids"), "".join(i + "\n" for i in fm.row_ids))
+    meta, arrays = _vocab_fields(fm.vocab)
+    meta.update(rows=m.rows, cols=m.cols)
+    artifact.save(path, "matrix", digest or fm.config.digest, meta, indptr=m.indptr,
+                  indices=m.indices, data=m.data, row_ids=fm.row_ids, **arrays)
 
 
 def load_matrix(path, config: FeatureConfig, digest: str | None = None) -> FeatureMatrix:
     """Load a persisted feature matrix; the header digest must match the
     expected one (the feature-config digest unless overridden) or the
     artifact is considered stale."""
-    path = Path(path)
-    expected = digest or config.digest
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        fields = header.split(" ")
-        if len(fields) != 6 or " ".join(fields[:2]) != _SPMAT_MAGIC:
-            raise FormatError(f"{path.name}: bad matrix header")
-        try:
-            rows, cols, nnz = int(fields[2]), int(fields[3]), int(fields[4])
-        except ValueError:
-            raise FormatError(f"{path.name}: non-numeric matrix header fields") from None
-        found = fields[5]
-        if found != expected:
-            raise StaleCacheError(
-                f"{path.name}: matrix was built under digest {found}, "
-                f"expected {expected}"
-            )
-        triplets = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path.name}: line {lineno}: expected 'row col value'")
-            try:
-                triplets.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError:
-                raise FormatError(f"{path.name}: line {lineno}: bad triplet") from None
-    if len(triplets) != nnz:
-        raise FormatError(f"{path.name}: header promises {nnz} entries, found {len(triplets)}")
-    matrix = SparseMatrix.from_triplets(rows, cols, triplets)
-
-    vocab_path = path.with_name(path.name + ".vocab")
-    terms = []
-    with open(vocab_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            index_text, term = line.split("\t")
-            if int(index_text) != len(terms):
-                raise FormatError(f"{vocab_path.name}: vocabulary indices out of order")
-            terms.append(term)
-    n_vocab = cols - (N_PATTERNS if config.append_rules else 0)
-    if len(terms) != n_vocab:
-        raise FormatError(
-            f"{vocab_path.name}: {len(terms)} terms but matrix implies {n_vocab}"
+    header, arrays = artifact.load(path, "matrix", digest or config.digest)
+    meta = header["meta"]
+    try:
+        matrix = SparseMatrix(
+            meta["rows"], meta["cols"], arrays["indptr"], arrays["indices"], arrays["data"]
         )
-    vocab = Vocabulary(terms=tuple(terms), ngram_range=config.ngram_range)
-
-    rowid_path = path.with_name(path.name + ".rowids")
-    with open(rowid_path, encoding="utf-8") as fh:
-        row_ids = tuple(line.rstrip("\n") for line in fh if line.strip())
-    if len(row_ids) != rows:
-        raise FormatError(f"{rowid_path.name}: {len(row_ids)} ids but matrix has {rows} rows")
-    return FeatureMatrix(matrix=matrix, vocab=vocab, config=config, row_ids=row_ids)
+        vocab = _vocab_from(meta, arrays)
+        return FeatureMatrix(matrix=matrix, vocab=vocab, config=config, row_ids=arrays["row_ids"])
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise FormatError(f"{Path(path).name}: inconsistent matrix artifact ({exc})") from None

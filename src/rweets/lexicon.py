@@ -14,8 +14,6 @@ from importlib import resources
 
 from .digest import combine_digests, digest_bytes
 
-STOPWORD_LIST_ID = "english-curated-v1"
-
 PLACEHOLDERS = ("_NUM_", "_RT_", "_MENT_", "_URL_")
 
 

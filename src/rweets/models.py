@@ -17,13 +17,14 @@ inputs and seed; ties always resolve to the lowest class index.
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .base import BaseEstimator, check_equal_length, check_is_fitted
 from .corpus import LabelDomain
-from .digest import atomic_write_text
 from .errors import (
     FormatError,
     TrainingDivergedError,
@@ -270,12 +271,7 @@ def make_classifier(name: str, train_config: TrainConfig | None = None, alpha: f
     if name not in CLASSIFIERS:
         raise ValidationError(f"unknown classifier {name!r}; choose from {sorted(CLASSIFIERS)}")
     if name == "logreg":
-        cfg = train_config or TrainConfig()
-        return LogisticRegression(
-            l2_penalty=cfg.l2_penalty,
-            max_epochs=cfg.max_epochs,
-            tol=cfg.tol,
-        )
+        return LogisticRegression(**asdict(train_config or TrainConfig()))
     return MultinomialNaiveBayes(alpha=alpha)
 
 
@@ -399,98 +395,40 @@ def cross_validate(
 
 # --- persistence ------------------------------------------------------------
 
-_MODEL_VERSION = "v2"
-
-
-def _format_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+# each classifier's fitted parameters: a per-class vector, then a
+# class-by-column table
+_PARAMS = {
+    "logreg": ("bias_", "weights_"),
+    "nb": ("class_log_prior_", "feature_log_prob_"),
+}
 
 
 def save_model(model, path) -> None:
-    """Text format: header, class list, then parameter lines."""
+    """One artifact: class names, hyperparameters and parameter arrays. A
+    model file carries no digest; the staged manifest does."""
     check_is_fitted(model, "classes_")
-    if isinstance(model, LogisticRegression):
-        kind, cols = "logreg", model.weights_.shape[1]
-        param_lines = ["bias\t" + _format_floats(model.bias_)]
-        param_lines += [
-            f"weights\t{model.classes_[i]}\t" + _format_floats(model.weights_[i])
-            for i in range(len(model.classes_))
-        ]
-        param_lines.append(f"hyper\t{model.l2_penalty!r}\t{model.max_epochs}\t{model.tol!r}")
-    elif isinstance(model, MultinomialNaiveBayes):
-        kind, cols = "nb", model.feature_log_prob_.shape[1]
-        param_lines = [
-            f"alpha\t{model.alpha!r}",
-            "log_prior\t" + _format_floats(model.class_log_prior_),
-        ]
-        param_lines += [
-            f"log_likelihood\t{model.classes_[i]}\t" + _format_floats(model.feature_log_prob_[i])
-            for i in range(len(model.classes_))
-        ]
-    else:
+    if type(model) not in CLASSIFIERS.values():
         raise ValidationError(f"cannot persist model of type {type(model).__name__}")
-    lines = [
-        f"MODEL {_MODEL_VERSION} {kind} {len(model.classes_)} {cols}",
-        "classes\t" + "\t".join(model.classes_),
-        *param_lines,
-    ]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    arrays = {k: np.asarray(getattr(model, k), dtype=np.float64) for k in _PARAMS[model.name]}
+    meta = {"model": model.name, "hyper": model.get_params()}
+    artifact.save(path, "model", "", meta, classes_=tuple(model.classes_), **arrays)
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        fields = header.split(" ")
-        if len(fields) != 5 or fields[0] != "MODEL":
-            raise FormatError(f"{path}: bad model header")
-        if fields[1] != _MODEL_VERSION:
-            raise FormatError(
-                f"{path}: model format MODEL {fields[1]} is not readable; this version "
-                f"reads MODEL {_MODEL_VERSION} (retrain the model)"
-            )
-        kind = fields[2]
-        try:
-            n_classes, cols = int(fields[3]), int(fields[4])
-        except ValueError:
-            raise FormatError(f"{path}: non-numeric model header fields") from None
-        sections: dict[str, list[list[str]]] = {}
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            sections.setdefault(parts[0], []).append(parts[1:])
+    header, arrays = artifact.load(path, "model")
+    meta = header["meta"]
+    name = Path(path).name
     try:
-        classes = tuple(sections["classes"][0])
-        if len(classes) != n_classes:
-            raise FormatError(f"{path}: class count disagrees with header")
-        if kind == "logreg":
-            hyper = sections["hyper"][0]
-            model = LogisticRegression(
-                l2_penalty=float(hyper[0]),
-                max_epochs=int(hyper[1]),
-                tol=float(hyper[2]),
-            )
-            model.classes_ = classes
-            model.bias_ = np.array([float(v) for v in sections["bias"][0][0].split(" ")])
-            weights = {row[0]: row[1] for row in sections["weights"]}
-            model.weights_ = np.array(
-                [[float(v) for v in weights[c].split(" ")] for c in classes]
-            )
-            model.loss_history_ = []
-            expected_cols = model.weights_.shape[1]
-        elif kind == "nb":
-            model = MultinomialNaiveBayes(alpha=float(sections["alpha"][0][0]))
-            model.classes_ = classes
-            model.class_log_prior_ = np.array(
-                [float(v) for v in sections["log_prior"][0][0].split(" ")]
-            )
-            likel = {row[0]: row[1] for row in sections["log_likelihood"]}
-            model.feature_log_prob_ = np.array(
-                [[float(v) for v in likel[c].split(" ")] for c in classes]
-            )
-            expected_cols = model.feature_log_prob_.shape[1]
-        else:
-            raise FormatError(f"{path}: unknown model kind {kind!r}")
-    except (KeyError, IndexError, ValueError) as exc:
-        raise FormatError(f"{path}: incomplete model file ({exc})") from exc
-    if expected_cols != cols:
-        raise FormatError(f"{path}: parameter width disagrees with header")
+        model = CLASSIFIERS[meta["model"]](**meta["hyper"])
+        vector, table = (arrays[k] for k in _PARAMS[model.name])
+        model.classes_ = arrays["classes_"]
+        n = len(model.classes_)
+        if vector.shape != (n,) or table.ndim != 2 or table.shape[0] != n:
+            raise FormatError(f"parameter shapes disagree with {n} classes")
+    except (KeyError, TypeError, AttributeError, FormatError) as exc:
+        raise FormatError(f"{name}: incomplete model file ({exc})") from None
+    for key in _PARAMS[model.name]:
+        setattr(model, key, arrays[key])
+    if model.name == "logreg":
+        model.loss_history_ = []
     return model

@@ -9,10 +9,10 @@ train/serve skew inherited from the staged design.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .corpus import BINARY, CATEGORICAL, RWEET, Dataset, LabelDomain
+from .corpus import BINARY, CATEGORICAL, RWEET, Dataset
 from .digest import atomic_write_text, combine_digests
 from .errors import FormatError, StaleCacheError, ValidationError
 from .features import (
@@ -21,7 +21,9 @@ from .features import (
     Vocabulary,
     featurize_tokens,
     load_matrix,
+    load_vocab,
     save_matrix,
+    save_vocab,
 )
 from .models import load_model, make_classifier, save_model
 from .preprocess import CleanCorpus, PipelineConfig, run_pipeline
@@ -72,7 +74,7 @@ class FeatureCache:
         self.built = 0
 
     def path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.spmat"
+        return self.directory / f"{key}.matrix"
 
     def get_or_build(self, key: str, config: FeatureConfig, builder) -> FeatureMatrix:
         path = self.path_for(key)
@@ -95,8 +97,6 @@ class StagedClassifier:
     categorizer_vocab: Vocabulary
     feature_config: FeatureConfig
     pipeline_config: PipelineConfig
-    binary_domain: LabelDomain = BINARY
-    category_domain: LabelDomain = CATEGORICAL
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,8 @@ def train_staged(
 
     identifier, vocab1 = fit_stage(clean1, d1, BINARY)
     categorizer, vocab2 = fit_stage(clean2, d2, CATEGORICAL)
-    staged = StagedClassifier(
-        identifier=identifier,
-        identifier_vocab=vocab1,
-        categorizer=categorizer,
-        categorizer_vocab=vocab2,
-        feature_config=feature_config,
-        pipeline_config=pipeline_config,
-    )
+    staged = StagedClassifier(identifier, vocab1, categorizer, vocab2, feature_config,
+                              pipeline_config)
     return staged, (report1, report2)
 
 
@@ -197,14 +191,9 @@ def run_series(
         key = combine_digests(config.digest, vocab.digest, corpus.content_digest(), stage_tag)
 
         def builder():
-            return featurize_tokens(
-                corpus.token_lists(),
-                corpus.ids(),
-                config,
-                vocab=vocab,
-                rule_block=rules_for(rows) if config.append_rules else None,
-                counts_only=counts_only,
-            )
+            rules = rules_for(rows) if config.append_rules else None
+            return featurize_tokens(corpus.token_lists(), corpus.ids(), config, vocab=vocab,
+                                    rule_block=rules, counts_only=counts_only)
 
         if cache is None:
             return builder()
@@ -239,65 +228,22 @@ def save_series_output(results, path) -> None:
 
 # --- staged-model persistence -----------------------------------------------
 
-_VOCAB_MAGIC = "VOCAB v1"
 
-
-def _save_vocab(vocab: Vocabulary, path) -> None:
-    lo, hi = vocab.ngram_range
-    lines = [f"{_VOCAB_MAGIC} {len(vocab)} {vocab.n_docs} {lo} {hi}"]
-    for i, term in enumerate(vocab.terms):
-        lines.append(f"{i}\t{term}\t{vocab.doc_freqs[i]}")
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-
-def _load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(" ")
-        if len(header) != 6 or " ".join(header[:2]) != _VOCAB_MAGIC:
-            raise FormatError(f"{path}: bad vocabulary header")
-        n_terms, n_docs, lo, hi = (int(x) for x in header[2:])
-        terms, dfs = [], []
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            index_text, term, df = line.split("\t")
-            if int(index_text) != len(terms):
-                raise FormatError(f"{path}: vocabulary indices out of order")
-            terms.append(term)
-            dfs.append(int(df))
-    if len(terms) != n_terms:
-        raise FormatError(f"{path}: expected {n_terms} terms, found {len(terms)}")
-    return Vocabulary(
-        terms=tuple(terms), ngram_range=(lo, hi), doc_freqs=tuple(dfs), n_docs=n_docs
-    )
+_STAGES = ("identifier", "categorizer")
 
 
 def save_staged(staged: StagedClassifier, directory) -> None:
-    """Persist a staged classifier as a directory of model/vocab files plus
-    a JSON manifest carrying the configuration digests."""
+    """Persist a staged classifier as a directory of model/vocab artifacts
+    plus a JSON manifest carrying the configuration digests."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_model(staged.identifier, directory / "identifier.model")
-    save_model(staged.categorizer, directory / "categorizer.model")
-    _save_vocab(staged.identifier_vocab, directory / "identifier.vocab")
-    _save_vocab(staged.categorizer_vocab, directory / "categorizer.vocab")
+    for stage in _STAGES:
+        save_model(getattr(staged, stage), directory / f"{stage}.model")
+        save_vocab(getattr(staged, f"{stage}_vocab"), directory / f"{stage}.vocab")
     manifest = {
-        "feature_config": {
-            "vectorizer": staged.feature_config.vectorizer,
-            "ngram_range": list(staged.feature_config.ngram_range),
-            "append_rules": staged.feature_config.append_rules,
-            "min_df": staged.feature_config.min_df,
-            "max_df": staged.feature_config.max_df,
-            "l2_normalize": staged.feature_config.l2_normalize,
-        },
+        "feature_config": asdict(staged.feature_config),
         "feature_digest": staged.feature_config.digest,
-        "pipeline_config": {
-            "ops": list(staged.pipeline_config.ops),
-            "stopword_list_id": staged.pipeline_config.stopword_list_id,
-            "english_threshold": staged.pipeline_config.english_threshold,
-            "min_tokens": staged.pipeline_config.min_tokens,
-        },
+        "pipeline_config": asdict(staged.pipeline_config),
         "pipeline_digest": staged.pipeline_config.digest,
     }
     atomic_write_text(
@@ -306,37 +252,25 @@ def save_staged(staged: StagedClassifier, directory) -> None:
 
 
 def load_staged(directory) -> StagedClassifier:
+    """Load a staged classifier. The artifacts are read before the manifest,
+    so a directory written in an older format fails on their version."""
     directory = Path(directory)
+    fitted = []
+    for stage in _STAGES:
+        fitted.append(load_model(directory / f"{stage}.model"))
+        fitted.append(load_vocab(directory / f"{stage}.vocab"))
     manifest_path = directory / "staged.json"
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    fc = manifest["feature_config"]
-    feature_config = FeatureConfig(
-        vectorizer=fc["vectorizer"],
-        ngram_range=tuple(fc["ngram_range"]),
-        append_rules=fc["append_rules"],
-        min_df=fc["min_df"],
-        max_df=fc["max_df"],
-        l2_normalize=fc["l2_normalize"],
-    )
+    try:
+        feature_config = FeatureConfig(**manifest["feature_config"])
+        pipeline_config = PipelineConfig(**manifest["pipeline_config"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{manifest_path}: unreadable configuration ({exc})") from None
     if feature_config.digest != manifest["feature_digest"]:
         raise StaleCacheError(f"{manifest_path}: feature config digest mismatch")
-    pc = manifest["pipeline_config"]
-    pipeline_config = PipelineConfig(
-        ops=tuple(pc["ops"]),
-        stopword_list_id=pc["stopword_list_id"],
-        english_threshold=pc["english_threshold"],
-        min_tokens=pc["min_tokens"],
-    )
     if pipeline_config.digest != manifest["pipeline_digest"]:
         raise StaleCacheError(
             f"{manifest_path}: pipeline config digest mismatch (lexicon or config changed)"
         )
-    return StagedClassifier(
-        identifier=load_model(directory / "identifier.model"),
-        identifier_vocab=_load_vocab(directory / "identifier.vocab"),
-        categorizer=load_model(directory / "categorizer.model"),
-        categorizer_vocab=_load_vocab(directory / "categorizer.vocab"),
-        feature_config=feature_config,
-        pipeline_config=pipeline_config,
-    )
+    return StagedClassifier(*fitted, feature_config, pipeline_config)

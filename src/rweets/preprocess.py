@@ -22,17 +22,18 @@ needs a substring the text lacks are skipped. The corpus and the report
 in `tests/oracles.py`.
 """
 
-import json
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
-from . import lexicon
+import numpy as np
+
+from . import artifact, lexicon
 from .corpus import Dataset
-from .digest import atomic_write_text, digest_json, digest_text
-from .errors import FormatError, StaleCacheError, ValidationError
+from .digest import digest_json, digest_text
+from .errors import FormatError, ValidationError
 
 PLACEHOLDERS = lexicon.PLACEHOLDERS
 
@@ -74,7 +75,6 @@ _KNOWN_OPS = _TEXT_ONLY_OPS | _TOKEN_ONLY_OPS | _EITHER_OPS | {"tokenize", "dedu
 @dataclass(frozen=True)
 class PipelineConfig:
     ops: tuple[str, ...] = DEFAULT_OPS
-    stopword_list_id: str = lexicon.STOPWORD_LIST_ID
     english_threshold: float = 0.15
     min_tokens: int = 2
 
@@ -103,16 +103,8 @@ class PipelineConfig:
 
     @property
     def digest(self) -> str:
-        return digest_json(
-            {
-                "kind": "pipeline",
-                "ops": list(self.ops),
-                "stopwords": self.stopword_list_id,
-                "lexicon": lexicon.lexicon_digest(),
-                "threshold": self.english_threshold,
-                "min_tokens": self.min_tokens,
-            }
-        )
+        lexicon_digest = lexicon.lexicon_digest()
+        return digest_json({"kind": "pipeline", "lexicon": lexicon_digest, **asdict(self)})
 
 
 @dataclass(frozen=True)
@@ -474,49 +466,32 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
 
 # --- persistence ------------------------------------------------------------
 
-_CLEAN_MAGIC = "CLEAN v1"
-
 
 def save_clean(corpus: CleanCorpus, path) -> None:
-    lines = [f"{_CLEAN_MAGIC} {corpus.config_digest} {len(corpus)}"]
-    for tw in corpus:
-        record: dict = {"id": tw.id, "tokens": list(tw.tokens)}
-        if tw.label is not None:
-            record["label"] = tw.label
-        lines.append(json.dumps(record, ensure_ascii=False))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    """One artifact: ids, every tweet's tokens end to end with the offset
+    where each tweet's tokens start, and labels ("" for none)."""
+    artifact.save(
+        path,
+        "clean",
+        corpus.config_digest,
+        {},
+        ids=corpus.ids(),
+        tokens=[token for tw in corpus for token in tw.tokens],
+        token_offsets=np.cumsum([0, *(len(tw.tokens) for tw in corpus)], dtype=np.int64),
+        labels=[tw.label or "" for tw in corpus],
+    )
 
 
 def load_clean(path, config: PipelineConfig | None = None) -> CleanCorpus:
     """Load a cleaned corpus; if a config is given, reject files produced
     under a different pipeline digest."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        fields = header.split(" ")
-        if len(fields) != 4 or " ".join(fields[:2]) != _CLEAN_MAGIC:
-            raise FormatError(f"{path.name}: bad clean-corpus header")
-        digest, count_text = fields[2], fields[3]
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise FormatError(f"{path.name}: bad tweet count in header") from None
-        if config is not None and digest != config.digest:
-            raise StaleCacheError(
-                f"{path.name}: clean corpus was built under pipeline digest {digest}, "
-                f"expected {config.digest}"
-            )
-        tweets = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path.name}: line {lineno}: {exc.msg}")
-            tweets.append(
-                CleanTweet(record["id"], tuple(record["tokens"]), record.get("label"))
-            )
-    if len(tweets) != count:
-        raise FormatError(f"{path.name}: header promises {count} tweets, found {len(tweets)}")
-    return CleanCorpus(tuple(tweets), digest)
+    header, arrays = artifact.load(path, "clean", config.digest if config else None)
+    try:
+        ids, labels = arrays["ids"], arrays["labels"]
+        tokens = artifact.split_at(arrays["tokens"], arrays["token_offsets"])
+    except (KeyError, FormatError) as exc:
+        raise FormatError(f"{Path(path).name}: inconsistent clean corpus ({exc})") from None
+    if not len(ids) == len(tokens) == len(labels):
+        raise FormatError(f"{Path(path).name}: ids, token lists and labels differ in number")
+    tweets = (CleanTweet(i, t, label or None) for i, t, label in zip(ids, tokens, labels))
+    return CleanCorpus(tuple(tweets), header["digest"])

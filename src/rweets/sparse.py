@@ -29,15 +29,14 @@ class SparseRow:
 
 
 class SparseMatrix:
-    def __init__(self, rows: int, cols: int, indptr, indices, data, _trusted=False):
+    def __init__(self, rows: int, cols: int, indptr, indices, data):
         self.rows = int(rows)
         self.cols = int(cols)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
         self._row_of_nnz = None
-        if not _trusted:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if self.rows < 0 or self.cols < 0:
@@ -128,11 +127,6 @@ class SparseMatrix:
             raise ValidationError(f"row {r} out of range")
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return SparseRow(self.cols, self.indices[lo:hi], self.data[lo:hi])
-
-    def iter_triplets(self):
-        for r in range(self.rows):
-            for k in range(self.indptr[r], self.indptr[r + 1]):
-                yield r, int(self.indices[k]), float(self.data[k])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))

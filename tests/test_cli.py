@@ -64,6 +64,21 @@ class TestFeaturize:
         assert run(args) == 0
         assert "cache hit" in capsys.readouterr().out
 
+    def test_matrix_cut_after_its_header_is_rebuilt(self, workspace, capsys):
+        clean = workspace / "d1.clean"
+        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
+        matrix = workspace / "m1"
+        args = ["featurize", "--clean", str(clean), "--out", str(matrix), "--combo", "1"]
+        assert run(args) == 0
+        built = matrix.read_bytes()
+        header_end = 4 + int.from_bytes(built[:4], "little")
+        matrix.write_bytes(built[: header_end + 8])
+        capsys.readouterr()
+        assert run(args) == 0
+        out = capsys.readouterr().out
+        assert "cache hit" not in out and "wrote" in out
+        assert matrix.read_bytes() == built
+
     def test_combo_out_of_range_exit_1(self, workspace):
         clean = workspace / "d1.clean"
         run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
@@ -190,6 +205,28 @@ class TestSeries:
         records = [json.loads(l) for l in out1.read_text().splitlines()]
         assert all(("stage2" in r) == (r["stage1"] == "rweet") for r in records)
 
+    def test_cache_round_trips_odd_ids(self, workspace, capsys):
+        staged = workspace / "staged"
+        assert run(["train", "--binary", str(workspace / "d1.jsonl"),
+                    "--categories", str(workspace / "d2.jsonl"),
+                    "--combo", "10", "--out", str(staged)]) == 0
+        odd = ("x\ny{}", "tab\t{}", "nul{}\x00", "\U0001f6a8{}")
+        records = [json.loads(l) for l in (workspace / "d1.jsonl").read_text().splitlines()]
+        source = workspace / "odd.jsonl"
+        source.write_text("".join(
+            json.dumps({"id": odd[i % 4].format(i), "text": r["text"]}) + "\n"
+            for i, r in enumerate(records)))
+        base = ["--cache-dir", str(workspace / "cache"), "--verbose", "series",
+                "--model", str(staged), "--input", str(source)]
+        cold, warm = workspace / "cold.jsonl", workspace / "warm.jsonl"
+        assert run(base + ["--output", str(cold)]) == 0
+        assert "0 hits, 2 misses, 2 built" in capsys.readouterr().out
+        assert run(base + ["--output", str(warm)]) == 0
+        assert "cache: 2 hits, 0 misses, 0 built" in capsys.readouterr().out
+        assert cold.read_bytes() == warm.read_bytes()
+        ids = {json.loads(l)["id"] for l in cold.read_text().splitlines()}
+        assert all(any(c in i for i in ids) for c in ("\n", "\t", "\x00", "\U0001f6a8"))
+
     def test_series_without_model_or_training_data_exit_1(self, tmp_path):
         assert run(["series", "--output", str(tmp_path / "o.jsonl")]) == 1
 
@@ -254,11 +291,11 @@ class TestTrain:
     def test_old_model_version_exit_3(self, workspace, tmp_path, capsys):
         assert self.train(workspace) == 0
         model = workspace / "staged" / "identifier.model"
-        model.write_text(model.read_text().replace("MODEL v2", "MODEL v1", 1))
+        model.write_bytes(model.read_bytes().replace(b'"version":1}', b'"version":0}', 1))
         assert run(["series", "--model", str(workspace / "staged"),
                     "--input", str(workspace / "d1.jsonl"),
                     "--output", str(tmp_path / "o.jsonl")]) == 3
-        assert "MODEL v1" in capsys.readouterr().err
+        assert "artifact version 0" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -332,6 +332,7 @@ class TestPersistence:
         assert loaded.matrix == fm.matrix
         assert loaded.row_ids == fm.row_ids
         assert loaded.vocab.terms == fm.vocab.terms
+        assert loaded.vocab.digest == fm.vocab.digest
 
     def test_stale_config(self, tmp_path):
         fm, _cfg = self.make_fm()
@@ -345,9 +346,9 @@ class TestPersistence:
         fm, cfg = self.make_fm()
         path = tmp_path / "m.spmat"
         save_matrix(fm, path)
-        lines = path.read_text().splitlines()
-        lines[0] = "SPMAT v9 bogus"
-        path.write_text("\n".join(lines) + "\n")
+        data = path.read_bytes()
+        assert b'"magic":"RWEETS-ARTIFACT"' in data
+        path.write_bytes(data.replace(b"RWEETS-ARTIFACT", b"BOGUS-ARTIFACTS", 1))
         with pytest.raises(FormatError):
             load_matrix(path, cfg)
 

@@ -476,10 +476,10 @@ class TestModelPersistence:
         X, y = separable_blobs(seed=2)
         path = tmp_path / "m.model"
         save_model(LogisticRegression().fit(X, y), path)
-        lines = path.read_text().splitlines(keepends=True)
-        assert lines[0].startswith("MODEL v2 logreg ")
-        path.write_text(lines[0].replace("v2", "v1", 1) + "".join(lines[1:]))
-        with pytest.raises(FormatError, match="MODEL v1"):
+        data = path.read_bytes()
+        assert b'"version":1}' in data
+        path.write_bytes(data.replace(b'"version":1}', b'"version":0}', 1))
+        with pytest.raises(FormatError, match="version 0"):
             load_model(path)
 
 

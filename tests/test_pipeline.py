@@ -152,11 +152,9 @@ class TestRunSeries:
         cache = FeatureCache(tmp_path / "cache")
         results = run_series(probe, staged_model, cache)
         fm, key, _ = self.stage2_reference(staged_model, probe, results)
-        save_matrix(fm, tmp_path / "reference.spmat")
-        for suffix in ("", ".vocab", ".rowids"):
-            cached = cache.path_for(key).with_suffix(".spmat" + suffix)
-            reference = tmp_path / f"reference.spmat{suffix}"
-            assert cached.read_bytes() == reference.read_bytes()
+        save_matrix(fm, tmp_path / "reference.matrix")
+        reference = (tmp_path / "reference.matrix").read_bytes()
+        assert cache.path_for(key).read_bytes() == reference
 
     def test_stage2_miss_after_stage1_hit(self, staged_model, tmp_path, monkeypatch):
         probe = synth_corpus(46, 90, BINARY)
@@ -264,6 +262,8 @@ class TestStagedPersistence:
         loaded = load_staged(tmp_path / "staged")
         probe = synth_corpus(47, 60, BINARY)
         assert run_series(probe, loaded) == run_series(probe, staged_model)
+        assert loaded.identifier_vocab.digest == staged_model.identifier_vocab.digest
+        assert loaded.categorizer_vocab.digest == staged_model.categorizer_vocab.digest
 
     def test_manifest_digest_mismatch(self, staged_model, tmp_path):
         save_staged(staged_model, tmp_path / "staged")

@@ -9,6 +9,7 @@ from rweets.errors import FormatError, StaleCacheError, ValidationError
 from rweets.preprocess import (
     DEFAULT_OPS,
     PUNCT_FIRST_OPS,
+    CleanCorpus,
     CleanTweet,
     PipelineConfig,
     dedupe,
@@ -208,6 +209,11 @@ class TestPipelineConfig:
         assert PipelineConfig().digest != PipelineConfig(english_threshold=0.2).digest
         assert PipelineConfig().digest != PipelineConfig(ops=PUNCT_FIRST_OPS).digest
 
+    def test_digest_follows_the_lexicon(self, monkeypatch):
+        before = PipelineConfig().digest
+        monkeypatch.setattr(lexicon, "lexicon_digest", lambda: "0" * 16)
+        assert PipelineConfig().digest != before
+
     def test_unknown_op_rejected(self):
         ops = tuple(op for op in DEFAULT_OPS if op != "dedupe") + ("spell_correct", "dedupe")
         with pytest.raises(ValidationError, match="spell_correct"):
@@ -309,11 +315,24 @@ class TestCleanPersistence:
         path = tmp_path / "c.clean"
         corpus, _ = run_pipeline(synth_corpus(3, 40, BINARY))
         save_clean(corpus, path)
-        body = path.read_text(encoding="utf-8").splitlines()
-        body[0] = "JUNK header line"
-        path.write_text("\n".join(body) + "\n", encoding="utf-8")
+        data = path.read_bytes()
+        assert b'"magic":"RWEETS-ARTIFACT"' in data
+        path.write_bytes(data.replace(b"RWEETS-ARTIFACT", b"JUNK-HEADER-XXX", 1))
         with pytest.raises(FormatError):
             load_clean(path)
+
+    def test_round_trip_odd_ids_and_mixed_labels(self, tmp_path):
+        corpus = CleanCorpus(
+            (
+                CleanTweet("a\nb", ("need", "food"), "rweet"),
+                CleanTweet("c\x00", ("caf\u00e9", "\U0001f6a8"), None),
+                CleanTweet("d\te", ("one",), "not_rweet"),
+            ),
+            "0123456789abcdef",
+        )
+        path = tmp_path / "c.clean"
+        save_clean(corpus, path)
+        assert load_clean(path) == corpus
 
     def test_save_is_deterministic(self, tmp_path):
         corpus, _ = run_pipeline(synth_corpus(3, 60, BINARY))
