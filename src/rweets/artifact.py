@@ -30,6 +30,8 @@ from .errors import FormatError, StaleCacheError
 
 MAGIC = "RWEETS-ARTIFACT"
 VERSION = 1
+# kinds whose layout changed since VERSION; each reads only its own version
+_KIND_VERSIONS = {"clean": 2}  # clean 2: a token table plus int64 codes
 _STRINGS = "utf-8"
 _DTYPES = ("<i8", "<f8", "|u1")
 _TEXT_ERA = (b"SPMA", b"VOCA", b"MODE", b"CLEA")  # SPMAT, VOCAB, MODEL, CLEAN
@@ -51,7 +53,7 @@ def save(path, kind: str, digest: str, meta: dict, **arrays) -> None:
     if any(r.dtype.str not in _DTYPES for r in records):
         raise TypeError(f"artifact arrays must have one of the dtypes {_DTYPES}")
     header = {"arrays": declared, "digest": digest, "kind": kind, "magic": MAGIC,
-              "meta": meta, "version": VERSION}
+              "meta": meta, "version": _KIND_VERSIONS.get(kind, VERSION)}
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
     with atomic_open(path) as fh:
         fh.write(len(raw).to_bytes(4, "little") + raw)
@@ -67,6 +69,10 @@ def load(path, kind: str, expected_digest: str | None = None) -> tuple[dict, dic
     header = _read_header(stream, name)
     if header["kind"] != kind:
         raise FormatError(f"{name}: holds a {header['kind']!r} artifact, expected {kind!r}")
+    version = _KIND_VERSIONS.get(kind, VERSION)
+    if header.get("version") != version:
+        raise FormatError(f"{name}: {kind} artifact version {header.get('version')!r} is not "
+                          f"readable; this version reads {version}; rebuild the file")
     if expected_digest is not None and header["digest"] != expected_digest:
         raise StaleCacheError(
             f"{name}: {kind} was built under digest {header['digest']}, expected {expected_digest}"
@@ -105,9 +111,6 @@ def _read_header(fh, name: str) -> dict:
         ok = False
     if not ok:
         raise FormatError(f"{name}: not a rweets artifact")
-    if header.get("version") != VERSION:
-        raise FormatError(f"{name}: artifact version {header.get('version')!r} is not readable; "
-                          f"this version reads {VERSION}")
     return header
 
 

@@ -20,6 +20,7 @@ from .corpus import (
     RWEET,
     Dataset,
     RawTweet,
+    check_encodable,
     load_dataset,
     save_dataset,
     synth_corpus,
@@ -254,6 +255,7 @@ def _records(path, fields):
             ):
                 wanted = " and ".join(map(repr, fields))
                 raise ValidationError(f"{path}: line {lineno}: needs {wanted}")
+            check_encodable(line, record, f"{path}: line {lineno}")
             yield lineno, record
 
 

@@ -11,6 +11,7 @@ inference inputs; training entry points reject them separately.
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,6 +111,20 @@ class ClassDistribution:
     fractions: dict[str, float] = field(default_factory=dict)
 
 
+# the JSON escape of a UTF-16 surrogate: unless it is half of a pair, it
+# decodes to a lone surrogate, which no UTF-8 output can hold
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def check_encodable(line: str, record, where: str) -> None:
+    """Reject a JSON line whose record holds a lone surrogate."""
+    if _SURROGATE_ESCAPE.search(line):
+        try:
+            json.dumps(record, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{where}: lone surrogate escape (not valid Unicode)") from None
+
+
 def load_dataset(path, domain: LabelDomain) -> Dataset:
     """Load a JSONL dataset, validating labels against the domain.
 
@@ -129,6 +144,7 @@ def load_dataset(path, domain: LabelDomain) -> Dataset:
                 raise ValidationError(f"{path.name}: line {lineno}: malformed JSON ({exc.msg})")
             if not isinstance(record, dict):
                 raise ValidationError(f"{path.name}: line {lineno}: record is not an object")
+            check_encodable(line, record, f"{path.name}: line {lineno}")
             tweet_id = record.get("id")
             text = record.get("text")
             if not isinstance(tweet_id, str) or not tweet_id:

@@ -8,7 +8,7 @@ the mean of per-class F1 scores. Undefined 0/0 cells evaluate to 0.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -152,47 +152,12 @@ def render_text(report: MetricsReport) -> str:
 
 def report_to_record(report: MetricsReport) -> dict:
     """Machine-readable form with fixed keys; floats kept at full precision."""
-    return {
-        "accuracy": report.accuracy,
-        "p_micro": report.p_micro,
-        "r_micro": report.r_micro,
-        "f1_micro": report.f1_micro,
-        "p_macro": report.p_macro,
-        "r_macro": report.r_macro,
-        "f1_macro": report.f1_macro,
-        "per_class": [
-            {
-                "label": pc.label,
-                "precision": pc.precision,
-                "recall": pc.recall,
-                "f1": pc.f1,
-                "support": pc.support,
-            }
-            for pc in report.per_class
-        ],
-    }
+    return asdict(report)
 
 
 def report_from_record(record: dict) -> MetricsReport:
-    return MetricsReport(
-        accuracy=record["accuracy"],
-        p_micro=record["p_micro"],
-        r_micro=record["r_micro"],
-        f1_micro=record["f1_micro"],
-        p_macro=record["p_macro"],
-        r_macro=record["r_macro"],
-        f1_macro=record["f1_macro"],
-        per_class=tuple(
-            PerClassMetrics(
-                label=pc["label"],
-                precision=pc["precision"],
-                recall=pc["recall"],
-                f1=pc["f1"],
-                support=pc["support"],
-            )
-            for pc in record["per_class"]
-        ),
-    )
+    per_class = tuple(PerClassMetrics(**pc) for pc in record["per_class"])
+    return MetricsReport(**{**record, "per_class": per_class})
 
 
 def render_record(report: MetricsReport) -> str:

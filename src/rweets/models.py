@@ -30,8 +30,9 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .features import FeatureConfig, featurize_tokens
+from .features import FeatureConfig, count_ngrams, featurize_tokens
 from .metrics import MetricsReport, compute_report
+from .rules import rule_block_for_ids
 from .sparse import SparseMatrix
 
 
@@ -332,22 +333,22 @@ def cross_validate(
     seed: int,
     raw_texts=None,
 ) -> CVResult:
-    """Stratified k-fold evaluation. The vocabulary is rebuilt on each
-    training split; held-out predictions are pooled into one report.
+    """Stratified k-fold evaluation. The corpus's n-grams are counted once;
+    each training split's vocabulary comes from its rows of those counts,
+    exactly as if it were rebuilt from the split's token lists. Held-out
+    predictions are pooled into one report.
 
     `make_clf` is a zero-argument factory so every fold trains a fresh
     model. `raw_texts` (id -> original text) is required when the feature
     configuration appends rule features, which evaluate original tweets.
     """
-    from .rules import rule_block_for_ids
-
     labels = corpus.labels()
     if any(label is None for label in labels):
         raise ValidationError("cross-validation requires a fully labeled corpus")
     if config.append_rules and raw_texts is None:
         raise ValidationError("rule features need the original texts (raw_texts)")
 
-    docs = corpus.token_lists()
+    counts = count_ngrams(corpus.token_lists(), config.ngram_range)
     ids = corpus.ids()
     rule_block = rule_block_for_ids(ids, raw_texts) if config.append_rules else None
 
@@ -360,23 +361,13 @@ def cross_validate(
         clf = make_clf()
         counts_only = getattr(clf, "input_kind", "weighted") == "counts"
 
-        def split(indices):
+        def featurize(indices, vocab=None):
             block = rule_block[indices, :] if rule_block is not None else None
-            return [docs[i] for i in indices], tuple(ids[i] for i in indices), block
+            return featurize_tokens(counts.take(indices), tuple(ids[i] for i in indices), config,
+                                    vocab=vocab, rule_block=block, counts_only=counts_only)
 
-        train_docs, train_ids, train_rules = split(train_idx)
-        test_docs, test_ids, test_rules = split(test_idx)
-        train_fm = featurize_tokens(
-            train_docs, train_ids, config, rule_block=train_rules, counts_only=counts_only
-        )
-        test_fm = featurize_tokens(
-            test_docs,
-            test_ids,
-            config,
-            vocab=train_fm.vocab,
-            rule_block=test_rules,
-            counts_only=counts_only,
-        )
+        train_fm = featurize(train_idx)
+        test_fm = featurize(test_idx, train_fm.vocab)
         clf.fit(train_fm.matrix, [labels[i] for i in train_idx], classes=domain.labels)
         fold_pred = clf.predict(test_fm.matrix)
         for i, pred in zip(test_idx, fold_pred):

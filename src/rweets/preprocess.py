@@ -468,15 +468,19 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
 
 
 def save_clean(corpus: CleanCorpus, path) -> None:
-    """One artifact: ids, every tweet's tokens end to end with the offset
-    where each tweet's tokens start, and labels ("" for none)."""
+    """One artifact: ids, each distinct token once in first-appearance order,
+    one code into that table per token with every tweet's codes end to end,
+    the offset where each tweet's codes start, and labels ("" for none)."""
+    table: dict[str, int] = {}
+    codes = [table.setdefault(token, len(table)) for tw in corpus for token in tw.tokens]
     artifact.save(
         path,
         "clean",
         corpus.config_digest,
         {},
         ids=corpus.ids(),
-        tokens=[token for tw in corpus for token in tw.tokens],
+        tokens=tuple(table),
+        codes=np.array(codes, dtype=np.int64),
         token_offsets=np.cumsum([0, *(len(tw.tokens) for tw in corpus)], dtype=np.int64),
         labels=[tw.label or "" for tw in corpus],
     )
@@ -487,8 +491,11 @@ def load_clean(path, config: PipelineConfig | None = None) -> CleanCorpus:
     under a different pipeline digest."""
     header, arrays = artifact.load(path, "clean", config.digest if config else None)
     try:
-        ids, labels = arrays["ids"], arrays["labels"]
-        tokens = artifact.split_at(arrays["tokens"], arrays["token_offsets"])
+        ids, labels, table, codes = (arrays[k] for k in ("ids", "labels", "tokens", "codes"))
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(table):
+            raise FormatError("token code outside the token table")
+        words = tuple(table[c] for c in codes.tolist())
+        tokens = artifact.split_at(words, arrays["token_offsets"])
     except (KeyError, FormatError) as exc:
         raise FormatError(f"{Path(path).name}: inconsistent clean corpus ({exc})") from None
     if not len(ids) == len(tokens) == len(labels):

@@ -83,7 +83,7 @@ class SparseMatrix:
         )
         if np.any(r % 1) or np.any(c % 1):
             raise ValidationError("triplet coordinates must be integers")
-        return cls._from_coordinates(rows, cols, r.astype(np.int64), c.astype(np.int64), v)
+        return cls.from_coordinates(rows, cols, r.astype(np.int64), c.astype(np.int64), v)
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
@@ -91,10 +91,10 @@ class SparseMatrix:
         if array.ndim != 2:
             raise ValidationError("from_dense expects a 2-D array")
         r, c = np.nonzero(array)
-        return cls._from_coordinates(array.shape[0], array.shape[1], r, c, array[r, c])
+        return cls.from_coordinates(array.shape[0], array.shape[1], r, c, array[r, c])
 
     @classmethod
-    def _from_coordinates(cls, rows: int, cols: int, r, c, v) -> "SparseMatrix":
+    def from_coordinates(cls, rows: int, cols: int, r, c, v) -> "SparseMatrix":
         """from_triplets over parallel int64 coordinate and float64 value
         arrays."""
         if rows < 0 or cols < 0:

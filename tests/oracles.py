@@ -2,6 +2,9 @@
 
 Each oracle recomputes expected values through a different code path than
 the implementation under test: dense dictionary counting for tf/tf-idf,
+the string-per-occurrence vocabulary and tf builders (every n-gram joined
+and looked up where it occurs) for the counted-once path of
+`rweets.features`,
 probability-space enumeration for naive Bayes posteriors, a tiny
 backtracking matcher (no `re`) for the rule patterns, and `np.add.at`
 scatters for the sparse reductions, scipy's L-BFGS-B on a dense
@@ -18,6 +21,13 @@ import string
 import numpy as np
 
 from rweets import lexicon
+from rweets.errors import ValidationError
+from rweets.features import (
+    TFIDF,
+    Vocabulary,
+    idf_vector,
+    l2_normalize_rows,
+)
 from rweets.models import LogisticRegression, _label_indices, _loss_and_grads, _resolve_classes
 from rweets.preprocess import (
     _EDGE_TRIM_RE,
@@ -85,6 +95,82 @@ def dense_l2_normalize(matrix):
         norm = math.sqrt(sum(v * v for v in row))
         out.append([v / norm for v in row] if norm > 0 else list(row))
     return out
+
+
+# --- string-per-occurrence vocabulary and tf ----------------------------------
+
+
+def extract_ngrams(tokens, n: int) -> list[str]:
+    """Space-joined contiguous windows of length n, in reading order."""
+    if n < 1:
+        raise ValidationError("n must be at least 1")
+    tokens = list(tokens)
+    return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def _range_ngrams(tokens, lo, hi):
+    for n in range(lo, hi + 1):
+        yield from extract_ngrams(tokens, n)
+
+
+def reference_build_vocabulary(docs, ngram_range, min_df=1, max_df=1.0) -> Vocabulary:
+    """Scan token lists, assign columns in first-appearance order, and drop
+    terms whose document frequency falls outside [min_df, max_df * N]."""
+    lo, hi = ngram_range
+    docs = list(docs)
+    order: dict[str, int] = {}
+    dfs: dict[str, int] = {}
+    for tokens in docs:
+        seen = set()
+        for term in _range_ngrams(tokens, lo, hi):
+            if term not in order:
+                order[term] = len(order)
+            if term not in seen:
+                seen.add(term)
+                dfs[term] = dfs.get(term, 0) + 1
+    n_docs = len(docs)
+    df_cap = max_df * n_docs
+    terms = [t for t in order if min_df <= dfs[t] <= df_cap]
+    if not terms:
+        raise ValidationError("vocabulary is empty after document-frequency filtering")
+    return Vocabulary(
+        terms=tuple(terms),
+        ngram_range=(lo, hi),
+        doc_freqs=tuple(dfs[t] for t in terms),
+        n_docs=n_docs,
+    )
+
+
+def reference_vectorize_tf(docs, vocab: Vocabulary) -> SparseMatrix:
+    """Raw term counts; terms outside the vocabulary are ignored."""
+    docs = list(docs)
+    lo, hi = vocab.ngram_range
+    triplets = []
+    for r, tokens in enumerate(docs):
+        counts: dict[int, int] = {}
+        for term in _range_ngrams(tokens, lo, hi):
+            col = vocab.index.get(term)
+            if col is not None:
+                counts[col] = counts.get(col, 0) + 1
+        triplets.extend((r, col, float(n)) for col, n in counts.items())
+    return SparseMatrix.from_triplets(len(docs), len(vocab), triplets)
+
+
+def reference_featurize(docs, config, vocab=None, rule_block=None, counts_only=False):
+    """(vocabulary, matrix) as `featurize_tokens` builds them, through the
+    string path: vocabulary from `docs` unless given, tf, then idf and L2
+    unless `counts_only`, then the rule block."""
+    if vocab is None:
+        vocab = reference_build_vocabulary(docs, config.ngram_range, config.min_df,
+                                           config.max_df)
+    matrix = reference_vectorize_tf(docs, vocab)
+    if config.vectorizer == TFIDF and not counts_only:
+        matrix = matrix.scale_columns(idf_vector(vocab))
+    if config.l2_normalize and not counts_only:
+        matrix = l2_normalize_rows(matrix)
+    if rule_block is not None:
+        matrix = matrix.append_dense_columns(rule_block)
+    return vocab, matrix
 
 
 # --- naive Bayes posteriors ---------------------------------------------------

@@ -298,6 +298,46 @@ class TestTrain:
         assert "artifact version 0" in capsys.readouterr().err
 
 
+class TestLoneSurrogate:
+    """A JSON escape of half a surrogate pair decodes to text no UTF-8 output
+    can hold; every reader refuses it with the file and line (exit 3)."""
+
+    LINE = '{"id": "b", "text": "help \\ud800 need food at the camp"}\n'
+
+    def write(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"id": "a", "text": "need water now"}) + "\n" + self.LINE)
+        return path
+
+    def test_rules_classify(self, tmp_path, capsys):
+        assert run(["rules", "classify", "--input", str(self.write(tmp_path)),
+                    "--output", str(tmp_path / "o.jsonl")]) == 3
+        assert "bad.jsonl: line 2: lone surrogate" in capsys.readouterr().err
+        # an escaped surrogate pair is one valid character
+        pair = tmp_path / "pair.jsonl"
+        pair.write_text('{"id": "a", "text": "help \\ud83d\\udea8 now"}\n')
+        assert run(["rules", "classify", "--input", str(pair),
+                    "--output", str(tmp_path / "o.jsonl")]) == 0
+        assert json.loads((tmp_path / "o.jsonl").read_text())["text"] == "help \U0001f6a8 now"
+
+    def test_series(self, workspace, tmp_path, capsys):
+        staged = workspace / "staged"
+        assert run(["train", "--binary", str(workspace / "d1.jsonl"),
+                    "--categories", str(workspace / "d2.jsonl"),
+                    "--combo", "10", "--out", str(staged)]) == 0
+        assert run(["series", "--model", str(staged), "--input", str(self.write(tmp_path)),
+                    "--output", str(tmp_path / "o.jsonl")]) == 3
+        assert "bad.jsonl: line 2: lone surrogate" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_evaluate(self, workspace, capsys):
+        source = workspace / "bad.jsonl"
+        source.write_text((workspace / "d1.jsonl").read_text()
+                          + self.LINE.replace('"id": "b"', '"id": "b", "label": "rweet"'))
+        assert run(["evaluate", "--input", str(source), "--combo", "1"]) == 3
+        assert "bad.jsonl: line 121: lone surrogate" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_no_command(self):
         assert run([]) == 1

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_l2_normalize, dense_tf, dense_tfidf
+from oracles import (
+    dense_l2_normalize,
+    dense_tf,
+    dense_tfidf,
+    extract_ngrams,
+    reference_build_vocabulary,
+    reference_featurize,
+    reference_vectorize_tf,
+)
+from rweets.corpus import CATEGORICAL, synth_corpus
 from rweets.errors import FormatError, StaleCacheError, ValidationError
 from rweets.features import (
     NGRAM_RANGES,
@@ -13,9 +22,9 @@ from rweets.features import (
     append_rule_features,
     build_vocabulary,
     combo,
+    count_ngrams,
     cosine_similarity,
     enumerate_combos,
-    extract_ngrams,
     featurize_tokens,
     idf_vector,
     l2_normalize_rows,
@@ -24,6 +33,9 @@ from rweets.features import (
     vectorize_tf,
     vectorize_tfidf,
 )
+from rweets.models import stratified_kfold
+from rweets.preprocess import run_pipeline
+from rweets.rules import rule_block_for_ids
 from rweets.sparse import SparseMatrix
 
 
@@ -287,6 +299,106 @@ class TestRuleAppend:
         ngram_part = dense[0, :2]
         assert np.linalg.norm(ngram_part) == pytest.approx(1.0)
         np.testing.assert_array_equal(dense[0, 2:], np.ones(18))
+
+
+def assert_same_vocab(ours, ref):
+    assert ours.terms == ref.terms
+    assert ours.ngram_range == ref.ngram_range
+    assert ours.doc_freqs == ref.doc_freqs and ours.n_docs == ref.n_docs
+    assert ours.digest == ref.digest
+
+
+def assert_same_matrix(ours, ref):
+    assert (ours.rows, ours.cols) == (ref.rows, ref.cols)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+
+
+class TestCountedOnce:
+    """One count per corpus, then fold vocabularies and matrices by row
+    selection, must equal the string path rebuilt on every fold."""
+
+    @pytest.fixture(scope="class")
+    def cv_corpus(self):
+        dataset = synth_corpus(5, 150, CATEGORICAL)
+        clean, _ = run_pipeline(dataset)
+        return clean, dataset.texts_by_id()
+
+    def test_every_combo_and_fold_matches_string_path(self, cv_corpus):
+        clean, texts = cv_corpus
+        docs, ids = clean.token_lists(), clean.ids()
+        plan = stratified_kfold(clean.labels(), 5, seed=3)
+        all_rules = rule_block_for_ids(ids, texts)
+        for config in enumerate_combos():
+            counts = count_ngrams(docs, config.ngram_range)
+            rules = all_rules if config.append_rules else None
+            for counts_only in (False, True):
+                for fold in range(plan.k):
+                    train, test = plan.train_indices(fold), plan.fold_indices(fold)
+                    block = {k: None if rules is None else rules[rows]
+                             for k, rows in (("train", train), ("test", test))}
+                    fm = featurize_tokens(counts.take(train), [ids[i] for i in train], config,
+                                          rule_block=block["train"], counts_only=counts_only)
+                    vocab, ref = reference_featurize([docs[i] for i in train], config,
+                                                     rule_block=block["train"],
+                                                     counts_only=counts_only)
+                    assert_same_vocab(fm.vocab, vocab)
+                    assert_same_matrix(fm.matrix, ref)
+                    test_fm = featurize_tokens(counts.take(test), [ids[i] for i in test], config,
+                                               vocab=fm.vocab, rule_block=block["test"],
+                                               counts_only=counts_only)
+                    _, test_ref = reference_featurize([docs[i] for i in test], config, vocab,
+                                                      rule_block=block["test"],
+                                                      counts_only=counts_only)
+                    assert_same_matrix(test_fm.matrix, test_ref)
+
+    @pytest.mark.parametrize("ngram_range", NGRAM_RANGES)
+    @pytest.mark.parametrize("min_df,max_df", [(1, 1.0), (2, 1.0), (1, 0.5), (2, 0.7)])
+    def test_random_subsets_match_string_path(self, ngram_range, min_df, max_df):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            docs = random_corpus(rng, max_docs=12)  # includes docs shorter than n
+            counts = count_ngrams(docs, ngram_range)
+            n_rows = int(rng.integers(1, len(docs) + 1))
+            rows = [int(i) for i in rng.permutation(len(docs))[:n_rows]]
+            rows_docs = [docs[i] for i in rows]
+            try:
+                ref = reference_build_vocabulary(rows_docs, ngram_range, min_df, max_df)
+            except ValidationError:
+                with pytest.raises(ValidationError, match="vocabulary is empty"):
+                    build_vocabulary(counts.take(rows), ngram_range, min_df, max_df)
+                continue
+            vocab = build_vocabulary(counts.take(rows), ngram_range, min_df, max_df)
+            assert_same_vocab(vocab, ref)
+            # every doc, the held-out ones' terms included, against that vocabulary
+            assert_same_matrix(vectorize_tf(counts, vocab), reference_vectorize_tf(docs, vocab))
+
+    def test_test_only_terms_are_ignored(self):
+        docs = [["need", "food"], ["need", "water"], ["storm", "surge", "now"]]
+        counts = count_ngrams(docs, (1, 2))
+        vocab = build_vocabulary(counts.take([0, 1]), (1, 2))
+        assert vocab.terms == ("need", "food", "need food", "water", "need water")
+        assert vectorize_tf(counts.take([2]), vocab).nnz == 0
+
+    def test_training_rows_set_the_order(self):
+        # "water" comes first in the corpus, but "food" first among the rows
+        docs = [["water"], ["food", "water"]]
+        vocab = build_vocabulary(count_ngrams(docs, (1, 1)).take([1]), (1, 1))
+        assert vocab.terms == ("food", "water")
+        assert vocab.doc_freqs == (1, 1) and vocab.n_docs == 1
+
+    def test_docs_shorter_than_n(self):
+        counts = count_ngrams([["a"], [], ["a", "b", "c"]], (3, 3))
+        assert counts.terms == ("a b c",) and counts.doc.tolist() == [2]
+        with pytest.raises(ValidationError, match="vocabulary is empty"):
+            build_vocabulary(counts.take([0, 1]), (3, 3))
+
+    def test_counts_of_another_range_are_refused(self):
+        counts = count_ngrams([["a", "b"]], (1, 2))
+        with pytest.raises(ValidationError, match="range"):
+            build_vocabulary(counts, (1, 1))
+        with pytest.raises(ValidationError, match="range"):
+            featurize_tokens(counts, ["t0"], FeatureConfig(ngram_range=(1, 1)))
 
 
 class TestVectorizerEstimator:

@@ -334,6 +334,57 @@ class TestCleanPersistence:
         save_clean(corpus, path)
         assert load_clean(path) == corpus
 
+    def test_round_trip_empty_tweets_and_non_bmp_tokens(self, tmp_path):
+        corpus = CleanCorpus(
+            (
+                CleanTweet("e0", (), None),
+                CleanTweet("a", ("\U0001f6a8", "need", "\U0001f6a8", "caf\u00e9"), "rweet"),
+                CleanTweet("e1", (), "not_rweet"),
+                CleanTweet("b", ("need", "\U00010348"), None),
+                CleanTweet("e2", (), None),
+            ),
+            "0123456789abcdef",
+        )
+        path = tmp_path / "c.clean"
+        save_clean(corpus, path)
+        assert load_clean(path) == corpus
+        empty = CleanCorpus((), "0123456789abcdef")
+        save_clean(empty, path)
+        assert load_clean(path) == empty
+
+    def test_each_distinct_token_stored_once(self, tmp_path):
+        from rweets import artifact
+
+        corpus, _ = run_pipeline(synth_corpus(3, 200, BINARY))
+        path = tmp_path / "c.clean"
+        save_clean(corpus, path)
+        _, arrays = artifact.load(path, "clean")
+        tokens = [t for tw in corpus for t in tw.tokens]
+        assert arrays["tokens"] == tuple(dict.fromkeys(tokens))
+        assert len(arrays["codes"]) == len(tokens) > 2 * len(arrays["tokens"])
+
+    def test_code_outside_table_is_format_error(self, tmp_path):
+        corpus = CleanCorpus((CleanTweet("a", ("need", "food"), None),), "0123456789abcdef")
+        path = tmp_path / "c.clean"
+        save_clean(corpus, path)
+        data = bytearray(path.read_bytes())
+        # codes [0, 1], then token offsets [0, 2]
+        at = data.index(b"".join(n.to_bytes(8, "little") for n in (0, 1, 0, 2))) + 8
+        data[at:at + 8] = (7).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="token code outside"):
+            load_clean(path)
+
+    def test_version_1_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "c.clean"
+        corpus, _ = run_pipeline(synth_corpus(3, 40, BINARY))
+        save_clean(corpus, path)
+        data = path.read_bytes()
+        assert data.count(b'"version":2}') == 1
+        path.write_bytes(data.replace(b'"version":2}', b'"version":1}'))
+        with pytest.raises(FormatError, match="clean artifact version 1 is not readable"):
+            load_clean(path)
+
     def test_save_is_deterministic(self, tmp_path):
         corpus, _ = run_pipeline(synth_corpus(3, 60, BINARY))
         a, b = tmp_path / "a.clean", tmp_path / "b.clean"
