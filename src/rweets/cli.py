@@ -7,6 +7,7 @@ explicit flags win.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .corpus import (
     save_dataset,
     synth_corpus,
 )
-from .digest import atomic_write_text, combine_digests
+from .digest import atomic_write_text, combine_digests, digest_records
 from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from .features import FeatureConfig, combo, load_matrix, save_matrix
 from .metrics import render_record, render_text
@@ -291,7 +292,16 @@ def cmd_featurize(args) -> int:
     # the artifact digest covers the feature config AND the cleaned input
     # (which itself folds in the pipeline digest, lexicon included), so any
     # upstream change invalidates this matrix
-    artifact_digest = combine_digests(feature_config.digest, corpus.content_digest())
+    key = [feature_config.digest, corpus.content_digest()]
+    raw = None
+    if feature_config.append_rules:
+        if args.raw is None:
+            raise UsageError("rule features need --raw pointing at the original dataset")
+        raw = _load_texts(args.raw)
+        # the rule columns come from the raw texts of the corpus rows; an id
+        # missing from --raw fails the build, so no artifact has such a key
+        key.append(digest_records((i, raw[i]) for i in corpus.ids() if i in raw))
+    artifact_digest = combine_digests(*key)
     out = Path(args.out)
     try:
         load_matrix(out, feature_config, digest=artifact_digest)
@@ -300,11 +310,6 @@ def cmd_featurize(args) -> int:
     else:
         print(f"cache hit: {out} is current for digest {artifact_digest}")
         return 0
-    raw = None
-    if feature_config.append_rules:
-        if args.raw is None:
-            raise UsageError("rule features need --raw pointing at the original dataset")
-        raw = _load_texts(args.raw)
     fm = featurize_corpus(corpus, feature_config, raw)
     save_matrix(fm, out, digest=artifact_digest)
     print(
@@ -429,8 +434,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

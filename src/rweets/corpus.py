@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .digest import atomic_write_text, digest_text
+from .digest import atomic_write_text
 from .errors import ValidationError
 
 
@@ -99,10 +99,6 @@ class Dataset:
         for tw in self.tweets:
             if tw.label is None:
                 raise ValidationError(f"tweet {tw.id!r} is unlabeled; training requires labels")
-
-    def content_digest(self) -> str:
-        parts = [f"{tw.id}\x1f{tw.text}\x1f{tw.label or ''}" for tw in self.tweets]
-        return digest_text("\x1e".join(parts))
 
 
 @dataclass(frozen=True)

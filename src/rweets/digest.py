@@ -31,6 +31,20 @@ def combine_digests(*digests: str) -> str:
     return digest_text("|".join(digests))
 
 
+def digest_records(records) -> str:
+    """Digest of a sequence of string tuples, hashed as they stream past.
+    Each field goes in as its UTF-8 byte length (8 bytes, little-endian)
+    and then its bytes, so two sequences of equal-width tuples share a
+    digest only if they are equal."""
+    h = hashlib.sha256()
+    for record in records:
+        for field in record:
+            data = field.encode("utf-8")
+            h.update(len(data).to_bytes(8, "little"))
+            h.update(data)
+    return h.hexdigest()[:DIGEST_LEN]
+
+
 @contextmanager
 def atomic_open(path):
     """A binary file that replaces `path` only when the block completes, so

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .corpus import BINARY, CATEGORICAL, RWEET, Dataset
-from .digest import atomic_write_text, combine_digests
+from .digest import atomic_write_text, combine_digests, digest_records, digest_text
 from .errors import FormatError, StaleCacheError, ValidationError
 from .features import (
     FeatureConfig,
@@ -161,51 +161,71 @@ def run_series(
     """Predict stage-1 labels for every cleaned tweet, then stage-2 labels
     for the predicted rweets. Output order follows the cleaned corpus.
 
-    Stage-2 rows are chosen by position in the cleaned corpus (ids are
-    unique, so this is the same as choosing them by id). The 18 rules run at
-    most once per cleaned tweet per call: building stage 1 evaluates them
-    for every cleaned row and building stage 2 reuses those bits for its
-    rows; when stage 1 is a cache hit, stage 2 evaluates only its own rows,
-    and a full cache hit evaluates none.
+    The cache is keyed on the input as given, not on what cleaning makes of
+    it. Stage 1's key covers the feature config, the identifier vocabulary,
+    the pipeline config and every input (id, text) in order; stage 2's the
+    feature config, the categorizer vocabulary, the stage-1 key and the
+    positions of its rows among stage 1's. Cleaning runs at most once per
+    call and only when a stage has to be built, so a full hit cleans,
+    evaluates and vectorizes nothing; on a stage-1 hit the output ids are
+    the artifact's row ids. The pipeline digest covers the pipeline config
+    and the lexicon but not the cleaning code, as the feature digest covers
+    the feature config but not the featurization code.
+
+    The 18 rules run at most once per cleaned tweet per call: building
+    stage 1 evaluates them for every cleaned row and building stage 2 reuses
+    those bits for its rows; when stage 1 is a cache hit, stage 2 evaluates
+    only its own rows.
     """
-    clean, _ = run_pipeline(dataset, staged.pipeline_config)
     texts = dataset.texts_by_id()
-    ids = clean.ids()
     config = staged.feature_config
     counts_only = getattr(staged.identifier, "input_kind", "weighted") == "counts"
+    ids = None  # stage 1's row ids: the cleaned corpus's, or a cached artifact's
+    cleaned = None  # the cleaned corpus, once a builder needs it
     all_rules = None  # the rule block of every cleaned row, once evaluated
 
-    def rules_for(rows):
-        nonlocal all_rules
-        if all_rules is not None:
-            return all_rules[rows]
-        block = rule_block_for_ids([ids[i] for i in rows], texts)
-        if len(rows) == len(ids):
-            all_rules = block
-        return block
+    def build(rows, vocab: Vocabulary) -> FeatureMatrix:
+        """Featurize the cleaned rows at positions `rows` (None: every row)."""
+        nonlocal cleaned, all_rules
+        if cleaned is None:
+            cleaned, _ = run_pipeline(dataset, staged.pipeline_config)
+        if ids is not None and cleaned.ids() != tuple(ids):
+            raise StaleCacheError(
+                f"{cache.path_for(key1).name}: rows differ from the cleaned input")
+        tweets = cleaned.tweets if rows is None else [cleaned.tweets[i] for i in rows]
+        row_ids = [tw.id for tw in tweets]
+        rules = None
+        if config.append_rules:
+            rules = rule_block_for_ids(row_ids, texts) if all_rules is None else all_rules[rows]
+            if rows is None:
+                all_rules = rules
+        return featurize_tokens([tw.tokens for tw in tweets], row_ids, config, vocab=vocab,
+                                rule_block=rules, counts_only=counts_only)
 
-    def featurize(stage_tag: str, rows, vocab: Vocabulary) -> FeatureMatrix:
-        corpus = CleanCorpus(tuple(clean.tweets[i] for i in rows), clean.config_digest)
-        # the key covers exactly the rows being featurized, so stage 2 stays
-        # sound even though its row set depends on stage-1 predictions
-        key = combine_digests(config.digest, vocab.digest, corpus.content_digest(), stage_tag)
-
-        def builder():
-            rules = rules_for(rows) if config.append_rules else None
-            return featurize_tokens(corpus.token_lists(), corpus.ids(), config, vocab=vocab,
-                                    rule_block=rules, counts_only=counts_only)
-
+    def featurize(key, rows, vocab: Vocabulary) -> FeatureMatrix:
         if cache is None:
-            return builder()
-        return cache.get_or_build(key, config, builder)
+            return build(rows, vocab)
+        return cache.get_or_build(key, config, lambda: build(rows, vocab))
 
-    fm1 = featurize("stage1", range(len(ids)), staged.identifier_vocab)
+    key1 = None if cache is None else combine_digests(
+        config.digest, staged.identifier_vocab.digest, staged.pipeline_config.digest,
+        digest_records((tw.id, tw.text) for tw in dataset), "stage1")
+    fm1 = featurize(key1, None, staged.identifier_vocab)
+    ids = fm1.row_ids
+    remaining = iter(texts)  # input order; `in` consumes it up to the match
+    if cache is not None and not all(row_id in remaining for row_id in ids):
+        raise FormatError(f"{cache.path_for(key1).name}: row ids are not input ids in input order")
     stage1 = staged.identifier.predict(fm1.matrix)
 
     keep = [i for i, label in enumerate(stage1) if label == RWEET]
     stage2_by_row: dict[int, str] = {}
     if keep:
-        fm2 = featurize("stage2", keep, staged.categorizer_vocab)
+        key2 = None if cache is None else combine_digests(
+            config.digest, staged.categorizer_vocab.digest, key1,
+            digest_text(",".join(map(str, keep))), "stage2")
+        fm2 = featurize(key2, keep, staged.categorizer_vocab)
+        if cache is not None and list(fm2.row_ids) != [ids[i] for i in keep]:
+            raise FormatError(f"{cache.path_for(key2).name}: row ids are not the stage-2 rows")
         stage2_by_row = dict(zip(keep, staged.categorizer.predict(fm2.matrix)))
 
     return [

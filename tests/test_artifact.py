@@ -196,3 +196,18 @@ def test_cold_series_caches_are_byte_identical(tmp_path):
     assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestDigestRecords:
+    def test_length_prefixed_utf8_stream(self):
+        import hashlib
+
+        from rweets.digest import digest_records
+
+        records = [("t1", "café"), ("", "\U0001f6a8 help\n")]
+        stream = b"".join(len(f.encode()).to_bytes(8, "little") + f.encode()
+                          for record in records for f in record)
+        assert digest_records(iter(records)) == hashlib.sha256(stream).hexdigest()[:16]
+        # moving a boundary or a separator-like character changes the digest
+        variants = [[("ab", "c")], [("a", "bc")], [("a\x1fb", "c")], [("a", "b\x1ec")]]
+        assert len({digest_records(v) for v in variants}) == len(variants)

@@ -112,6 +112,27 @@ class TestFeaturize:
         out = capsys.readouterr().out
         assert "cache hit" not in out and "wrote" in out
 
+    def test_rules_key_covers_the_raw_text(self, workspace, capsys):
+        from rweets.preprocess import PipelineConfig, load_clean
+
+        clean = workspace / "d1.clean"
+        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
+        kept = load_clean(clean, PipelineConfig()).ids()[0]
+        records = [json.loads(l) for l in (workspace / "d1.jsonl").read_text().splitlines()]
+        for r in records:
+            if r["id"] == kept:
+                r["text"] += "?"  # a rule feature; cleaning drops it
+        asked = workspace / "asked.jsonl"
+        asked.write_text("".join(json.dumps(r) + "\n" for r in records))
+        args = ["featurize", "--clean", str(clean), "--out", str(workspace / "m7"), "--combo", "7"]
+        assert run(args + ["--raw", str(workspace / "d1.jsonl")]) == 0
+        capsys.readouterr()
+        assert run(args + ["--raw", str(asked)]) == 0
+        out = capsys.readouterr().out
+        assert "cache hit" not in out and "wrote" in out
+        assert run(args + ["--raw", str(asked)]) == 0
+        assert "cache hit" in capsys.readouterr().out
+
 
 class TestRules:
     def test_classify_adds_fields(self, tmp_path):
@@ -226,6 +247,27 @@ class TestSeries:
         assert cold.read_bytes() == warm.read_bytes()
         ids = {json.loads(l)["id"] for l in cold.read_text().splitlines()}
         assert all(any(c in i for i in ids) for c in ("\n", "\t", "\x00", "\U0001f6a8"))
+
+    def test_cached_row_ids_outside_the_input_exit_3(self, workspace, capsys):
+        from dataclasses import replace
+
+        from rweets.features import combo, load_matrix, save_matrix
+
+        staged = workspace / "staged"
+        assert run(["train", "--binary", str(workspace / "d1.jsonl"),
+                    "--categories", str(workspace / "d2.jsonl"),
+                    "--combo", "10", "--out", str(staged)]) == 0
+        base = ["--cache-dir", str(workspace / "cache"), "series", "--model", str(staged),
+                "--input", str(workspace / "d1.jsonl"), "--output", str(workspace / "o.jsonl")]
+        assert run(base) == 0
+        # stage 1 holds every cleaned row, stage 2 only the predicted rweets:
+        # the larger file is stage 1's
+        path = max((workspace / "cache").iterdir(), key=lambda p: p.stat().st_size)
+        fm = load_matrix(path, combo(10))
+        save_matrix(replace(fm, row_ids=("ghost",) + tuple(fm.row_ids[1:])), path)
+        capsys.readouterr()
+        assert run(base) == 3
+        assert "row ids" in capsys.readouterr().err
 
     def test_series_without_model_or_training_data_exit_1(self, tmp_path):
         assert run(["series", "--output", str(tmp_path / "o.jsonl")]) == 1
@@ -374,6 +416,33 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "old.cfg" in err and "line 2" in err and "learning_rate" in err
         assert not out.exists()
+
+    def test_calls_share_no_parsed_values(self, tmp_path, monkeypatch):
+        from rweets import cli
+
+        seen = []
+        for command in ("evaluate", "train"):
+            monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(args) or 0)
+        config = tmp_path / "run.cfg"
+        config.write_text("combo=7\nthreshold=0.3\nclf=nb\nfolds=3\n")
+        assert run(["--config", str(config), "--verbose", "--seed", "2", "evaluate",
+                    "--input", "a.jsonl", "--rules"]) == 0
+        assert run(["train", "--binary", "b.jsonl", "--categories", "c.jsonl",
+                    "--out", "m", "--ngrams", "1,2"]) == 0
+        assert run(["evaluate", "--input", "d.jsonl", "--domain", "categorical"]) == 0
+        first, second, third = (vars(args) for args in seen)
+        assert (first["combo"], first["threshold"], first["clf"], first["folds"]) == (
+            7, 0.3, "nb", 3)
+        assert first["verbose"] and first["seed"] == 2 and first["rules"]
+        assert second["command"] == "train" and "input" not in second and "folds" not in second
+        assert second["ngrams"] == "1,2" and second["binary"] == "b.jsonl"
+        for args in (second, third):
+            assert args["config"] is None and args["seed"] is None and not args["verbose"]
+            assert args["combo"] is None and args["threshold"] is None and args["clf"] is None
+            assert not args["rules"]
+        assert third["folds"] is None and third["domain"] == "categorical"
+        assert third["input"] == "d.jsonl" and third["ngrams"] is None
+        assert cli._parser() is cli._parser()
 
     def test_config_keys_of_other_subcommands_allowed(self, tmp_path):
         # one preset file serves every subcommand; synth has no --folds or --combo

@@ -1,9 +1,9 @@
 import pytest
 
 from rweets.corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet, synth_corpus
-from rweets.errors import StaleCacheError, ValidationError
-from rweets.digest import combine_digests
-from rweets.features import FeatureConfig, combo, save_matrix
+from rweets.errors import FormatError, StaleCacheError, ValidationError
+from rweets.digest import combine_digests, digest_records, digest_text
+from rweets.features import FeatureConfig, combo, load_matrix, save_matrix
 from rweets.pipeline import (
     CategorizedTweet,
     FeatureCache,
@@ -23,6 +23,32 @@ def staged_model():
     d2 = synth_corpus(42, 240, CATEGORICAL)
     staged, _reports = train_staged(d1, d2, combo(10))
     return staged
+
+
+def stage1_key(staged, dataset):
+    """The stage-1 cache key: configs, identifier vocabulary and raw input."""
+    return combine_digests(
+        staged.feature_config.digest,
+        staged.identifier_vocab.digest,
+        staged.pipeline_config.digest,
+        digest_records((tw.id, tw.text) for tw in dataset),
+        "stage1",
+    )
+
+
+def recording_cache(directory):
+    """A FeatureCache that keeps every matrix get_or_build returns."""
+    cache = FeatureCache(directory)
+    cache.returned = []
+    get_or_build = cache.get_or_build
+
+    def recorded(key, config, builder):
+        fm = get_or_build(key, config, builder)
+        cache.returned.append(fm)
+        return fm
+
+    cache.get_or_build = recorded
+    return cache
 
 
 class TestCategorizedTweet:
@@ -139,10 +165,12 @@ class TestRunSeries:
         fm = featurize_corpus(
             filtered, staged.feature_config, probe, vocabulary=staged.categorizer_vocab
         )
+        positions = [i for i, r in enumerate(results) if r.stage1 == RWEET]
         key = combine_digests(
             staged.feature_config.digest,
             staged.categorizer_vocab.digest,
-            filtered.content_digest(),
+            stage1_key(staged, probe),
+            digest_text(",".join(map(str, positions))),
             "stage2",
         )
         return fm, key, len(filtered)
@@ -169,6 +197,108 @@ class TestRunSeries:
         assert (cache.hits, cache.misses, cache.built) == (1, 1, 1)
         assert len(seen) == n_stage2  # stage 2 evaluates its own rows only
         assert stage2_path.exists()
+
+    def count_cleanings(self, monkeypatch):
+        from rweets import pipeline
+
+        calls = []
+        clean = pipeline.run_pipeline
+
+        def counted(*args):
+            calls.append(args)
+            return clean(*args)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", counted)
+        return calls
+
+    def test_warm_call_never_cleans(self, staged_model, tmp_path, monkeypatch):
+        probe = synth_corpus(46, 90, BINARY)
+        calls = self.count_cleanings(monkeypatch)
+        uncached = run_series(probe, staged_model)
+        assert len(calls) == 1
+        calls.clear()
+        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        assert len(calls) == 1
+        calls.clear()
+        warm = FeatureCache(tmp_path / "cache")
+        assert run_series(probe, staged_model, warm) == cold == uncached
+        assert warm.hits == 2 and calls == []
+        _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
+        warm.path_for(key).unlink()
+        stage2_miss = FeatureCache(tmp_path / "cache")
+        assert run_series(probe, staged_model, stage2_miss) == cold
+        assert (stage2_miss.hits, stage2_miss.built) == (1, 1) and len(calls) == 1
+
+    def test_changed_input_or_pipeline_misses(self, staged_model, tmp_path):
+        from dataclasses import replace
+
+        probe = synth_corpus(46, 90, BINARY)
+        run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        first, *rest = probe.tweets
+        variants = [
+            # "!" is punctuation, so cleaning leaves the same tokens
+            (Dataset(BINARY, (replace(first, text=first.text + "!"), *rest)), staged_model),
+            (Dataset(BINARY, (*rest, first)), staged_model),
+            (probe, replace(staged_model, pipeline_config=replace(
+                staged_model.pipeline_config, english_threshold=0.14))),
+        ]
+        for dataset, staged in variants:
+            cache = FeatureCache(tmp_path / "cache")
+            assert run_series(dataset, staged, cache) == run_series(dataset, staged)
+            assert cache.hits == 0 and cache.built == 2
+
+    def test_rule_columns_follow_the_raw_text(self, staged_model, tmp_path):
+        # "?" changes no cleaned token but fires a rule pattern
+        assert staged_model.feature_config.append_rules
+        rest = synth_corpus(46, 40, BINARY).tweets
+        for n, text in enumerate(("where can i donate food", "where can i donate food?")):
+            probe = Dataset(BINARY, (RawTweet("t1", text), *rest))
+            cache = recording_cache(tmp_path / "cache")
+            assert run_series(probe, staged_model, cache)[0].stage1 == RWEET
+            assert cache.built == 2 and cache.hits == 0
+            # an empty cache returns what its builders made
+            fresh = recording_cache(tmp_path / f"fresh{n}")
+            run_series(probe, staged_model, fresh)
+            assert [fm.matrix for fm in cache.returned] == [fm.matrix for fm in fresh.returned]
+
+    def test_stage2_build_checks_the_cached_rows(self, staged_model, tmp_path, monkeypatch):
+        from rweets import pipeline
+
+        probe = synth_corpus(46, 90, BINARY)
+        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
+        FeatureCache(tmp_path / "cache").path_for(key).unlink()
+        clean = pipeline.run_pipeline
+
+        def drops_first_row(*args):  # cleaning that no longer matches the cache
+            corpus, report = clean(*args)
+            return CleanCorpus(corpus.tweets[1:], corpus.config_digest), report
+
+        monkeypatch.setattr(pipeline, "run_pipeline", drops_first_row)
+        with pytest.raises(StaleCacheError, match="rows differ"):
+            run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+
+    def test_damaged_row_ids_are_format_errors(self, staged_model, tmp_path):
+        from dataclasses import replace
+
+        probe = synth_corpus(46, 90, BINARY)
+        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        path = FeatureCache(tmp_path / "cache").path_for(stage1_key(staged_model, probe))
+        built = load_matrix(path, staged_model.feature_config)
+        ids = list(built.row_ids)
+        ghost = ["ghost"] + ids[1:]
+        swapped = [ids[1], ids[0]] + ids[2:]
+        for row_ids in (ghost, swapped):
+            save_matrix(replace(built, row_ids=tuple(row_ids)), path)
+            with pytest.raises(FormatError, match="row ids"):
+                run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        save_matrix(built, path)
+        _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
+        stage2 = FeatureCache(tmp_path / "cache").path_for(key)
+        fm2 = load_matrix(stage2, staged_model.feature_config)
+        save_matrix(replace(fm2, row_ids=tuple(reversed(fm2.row_ids))), stage2)
+        with pytest.raises(FormatError, match="row ids"):
+            run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
 
     def test_all_not_rweet_identifier_yields_no_stage2(self, staged_model):
         from dataclasses import replace
