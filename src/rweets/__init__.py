@@ -16,7 +16,6 @@ from .corpus import (  # noqa: E402,F401
     Dataset,
     LabelDomain,
     RawTweet,
-    dataset_stats,
     load_dataset,
     save_dataset,
     synth_corpus,

@@ -8,7 +8,6 @@ explicit flags win.
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from .corpus import (
     RWEET,
     Dataset,
     RawTweet,
-    check_encodable,
     load_dataset,
     save_dataset,
     synth_corpus,
@@ -29,6 +27,7 @@ from .corpus import (
 from .digest import atomic_write_text, combine_digests, digest_records
 from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from .features import FeatureConfig, combo, load_matrix, save_matrix
+from .jsonl import read_records, write_records
 from .metrics import render_record, render_text
 from .models import LogisticRegression, TrainConfig, cross_validate, make_classifier
 from .pipeline import (
@@ -240,36 +239,6 @@ def build_parser() -> _Parser:
 # --- commands ----------------------------------------------------------------
 
 
-def _records(path, fields):
-    """(line number, record) for each nonblank line of a JSONL file; every
-    record must be an object whose `fields` hold strings."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc.msg}")
-            if not isinstance(record, dict) or not all(
-                isinstance(record.get(f), str) for f in fields
-            ):
-                wanted = " and ".join(map(repr, fields))
-                raise ValidationError(f"{path}: line {lineno}: needs {wanted}")
-            check_encodable(line, record, f"{path}: line {lineno}")
-            yield lineno, record
-
-
-def _load_texts(path) -> dict[str, str]:
-    """id -> text map from a JSONL file, ignoring labels and extra fields."""
-    texts = {}
-    for lineno, record in _records(path, ("id", "text")):
-        if record["id"] in texts:
-            raise ValidationError(f"{path}: line {lineno}: duplicate tweet id {record['id']!r}")
-        texts[record["id"]] = record["text"]
-    return texts
-
-
 def cmd_preprocess(args) -> int:
     config = _pipeline_config(args)
     dataset = load_dataset(args.input, _domain(args))
@@ -297,7 +266,7 @@ def cmd_featurize(args) -> int:
     if feature_config.append_rules:
         if args.raw is None:
             raise UsageError("rule features need --raw pointing at the original dataset")
-        raw = _load_texts(args.raw)
+        raw = {record["id"]: record["text"] for record in read_records(args.raw)}
         # the rule columns come from the raw texts of the corpus rows; an id
         # missing from --raw fails the build, so no artifact has such a key
         key.append(digest_records((i, raw[i]) for i in corpus.ids() if i in raw))
@@ -320,14 +289,15 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    lines_out = []
-    for _, record in _records(args.input, ("text",)):
-        bits = match_tweet(record["text"])
-        record["rule_label"] = RWEET if any(bits) else NOT_RWEET
-        record["rule_bits"] = [int(bit) for bit in bits]
-        lines_out.append(json.dumps(record, ensure_ascii=False))
-    atomic_write_text(args.output, "".join(l + "\n" for l in lines_out))
-    print(f"classified {len(lines_out)} tweets -> {args.output}")
+    def classified():
+        for record in read_records(args.input, ("text",)):
+            bits = match_tweet(record["text"])
+            record["rule_label"] = RWEET if any(bits) else NOT_RWEET
+            record["rule_bits"] = [int(bit) for bit in bits]
+            yield record
+
+    count = write_records(args.output, classified())
+    print(f"classified {count} tweets -> {args.output}")
     return 0
 
 
@@ -402,8 +372,7 @@ def cmd_series(args) -> int:
     else:
         raise UsageError("series needs --input (or --resubstitution)")
     # input labels, if any, are ignored: the series only needs id and text
-    texts = _load_texts(input_path)
-    dataset = Dataset(BINARY, tuple(RawTweet(i, t) for i, t in texts.items()))
+    dataset = Dataset(BINARY, tuple(RawTweet(r["id"], r["text"]) for r in read_records(input_path)))
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
     results = run_series(dataset, staged, cache)
     save_series_output(results, args.output)

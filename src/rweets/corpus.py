@@ -1,22 +1,16 @@
-"""Labeled tweet datasets: JSONL loading, persistence, class statistics, and
-a deterministic synthetic-corpus generator for desk-scale experiments.
-
-Dataset records are line-delimited JSON objects:
-
-    {"id": "...", "text": "...", "label": "..."}   (label optional)
+"""Labeled tweet datasets: JSONL loading and persistence (records
+`{"id", "text", "label"?}`, read and written by `rweets.jsonl`), and a
+deterministic synthetic-corpus generator for desk-scale experiments.
 
 Unlabeled tweets are accepted at load time so the same loader serves
 inference inputs; training entry points reject them separately.
 """
 
-import json
 import random
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from .digest import atomic_write_text
 from .errors import ValidationError
+from .jsonl import read_records, write_records
 
 
 @dataclass(frozen=True)
@@ -89,9 +83,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.tweets)
 
-    def labels(self) -> list[str | None]:
-        return [tw.label for tw in self.tweets]
-
     def texts_by_id(self) -> dict[str, str]:
         return {tw.id: tw.text for tw in self.tweets}
 
@@ -101,83 +92,24 @@ class Dataset:
                 raise ValidationError(f"tweet {tw.id!r} is unlabeled; training requires labels")
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    counts: dict[str, int] = field(default_factory=dict)
-    fractions: dict[str, float] = field(default_factory=dict)
-
-
-# the JSON escape of a UTF-16 surrogate: unless it is half of a pair, it
-# decodes to a lone surrogate, which no UTF-8 output can hold
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-
-
-def check_encodable(line: str, record, where: str) -> None:
-    """Reject a JSON line whose record holds a lone surrogate."""
-    if _SURROGATE_ESCAPE.search(line):
-        try:
-            json.dumps(record, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValidationError(f"{where}: lone surrogate escape (not valid Unicode)") from None
-
-
 def load_dataset(path, domain: LabelDomain) -> Dataset:
-    """Load a JSONL dataset, validating labels against the domain.
+    """Load a JSONL dataset (see `rweets.jsonl`), validating labels against
+    the domain.
 
-    Raises ValidationError naming the offending line for malformed records,
-    unknown labels, and duplicate ids. FileNotFoundError propagates.
+    Raises ValidationError naming the file and line of the first malformed
+    record, unknown label or duplicate id. FileNotFoundError propagates.
     """
-    path = Path(path)
-    tweets = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path.name}: line {lineno}: malformed JSON ({exc.msg})")
-            if not isinstance(record, dict):
-                raise ValidationError(f"{path.name}: line {lineno}: record is not an object")
-            check_encodable(line, record, f"{path.name}: line {lineno}")
-            tweet_id = record.get("id")
-            text = record.get("text")
-            if not isinstance(tweet_id, str) or not tweet_id:
-                raise ValidationError(f"{path.name}: line {lineno}: missing or empty 'id'")
-            if not isinstance(text, str):
-                raise ValidationError(f"{path.name}: line {lineno}: missing 'text'")
-            label = record.get("label")
-            if label is not None and not isinstance(label, str):
-                raise ValidationError(f"{path.name}: line {lineno}: 'label' must be a string")
-            if label is not None and label not in domain:
-                raise ValidationError(
-                    f"{path.name}: line {lineno}: unknown label {label!r} "
-                    f"for domain {domain.name!r}"
-                )
-            tweets.append(RawTweet(tweet_id, text, label))
-    return Dataset(domain, tuple(tweets))
+    records = read_records(path, domain=domain)
+    return Dataset(domain, tuple(
+        RawTweet(record["id"], record["text"], record.get("label")) for record in records))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    lines = []
-    for tw in dataset:
-        record = {"id": tw.id, "text": tw.text}
-        if tw.label is not None:
-            record["label"] = tw.label
-        lines.append(json.dumps(record, ensure_ascii=False))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-
-def dataset_stats(dataset: Dataset) -> ClassDistribution:
-    """Counts and fractions over labeled tweets; empty for unlabeled data."""
-    counts: dict[str, int] = {}
-    for tw in dataset:
-        if tw.label is not None:
-            counts[tw.label] = counts.get(tw.label, 0) + 1
-    total = sum(counts.values())
-    fractions = {label: n / total for label, n in counts.items()} if total else {}
-    return ClassDistribution(counts, fractions)
+    write_records(path, (
+        {"id": tw.id, "text": tw.text} if tw.label is None
+        else {"id": tw.id, "text": tw.text, "label": tw.label}
+        for tw in dataset
+    ))
 
 
 # --- synthetic corpus -------------------------------------------------------

@@ -25,6 +25,7 @@ from .features import (
     save_matrix,
     save_vocab,
 )
+from .jsonl import write_records
 from .models import load_model, make_classifier, save_model
 from .preprocess import CleanCorpus, PipelineConfig, run_pipeline
 from .rules import rule_block_for_ids
@@ -63,7 +64,8 @@ class FeatureCache:
     get_or_build loads the artifact when the key exists (a hit) and
     otherwise invokes the builder and persists its result. `built` counts
     actual featurization runs, so tests can assert warm reruns recompute
-    nothing.
+    nothing. The key is also the artifact's header digest, so a file copied
+    or renamed under another key is refused as stale, not loaded as a hit.
     """
 
     def __init__(self, directory):
@@ -79,13 +81,13 @@ class FeatureCache:
     def get_or_build(self, key: str, config: FeatureConfig, builder) -> FeatureMatrix:
         path = self.path_for(key)
         if path.exists():
-            fm = load_matrix(path, config)
+            fm = load_matrix(path, config, digest=key)
             self.hits += 1
             return fm
         self.misses += 1
         fm = builder()
         self.built += 1
-        save_matrix(fm, path)
+        save_matrix(fm, path, digest=key)
         return fm
 
 
@@ -237,13 +239,9 @@ def run_series(
 
 
 def save_series_output(results, path) -> None:
-    lines = []
-    for item in results:
-        record = {"id": item.id, "text": item.text, "stage1": item.stage1}
-        if item.stage2 is not None:
-            record["stage2"] = item.stage2
-        lines.append(json.dumps(record, ensure_ascii=False))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_records(path, ({"id": r.id, "text": r.text, "stage1": r.stage1} if r.stage2 is None
+                         else {"id": r.id, "text": r.text, "stage1": r.stage1, "stage2": r.stage2}
+                         for r in results))
 
 
 # --- staged-model persistence -----------------------------------------------

@@ -10,13 +10,17 @@ backtracking matcher (no `re`) for the rule patterns, and `np.add.at`
 scatters for the sparse reductions, scipy's L-BFGS-B on a dense
 one-hot form of the logistic regression objective, and the per-op cleaning
 runner (word counts by `split()` around every op, no memos, no pre-checks)
-for the compiled one in `rweets.preprocess`. The module also holds
-the model helpers only tests use: an all-zero logistic regression and a
-finite-difference gradient check.
+for the compiled one in `rweets.preprocess`, and a line-at-a-time JSONL
+reader (one `json.loads` per line as file iteration yields it) for the
+chunk-decoding reader of `rweets.jsonl`. The module also holds the helpers
+only tests use: an all-zero logistic regression, a finite-difference
+gradient check and dataset class statistics.
 """
 
+import json
 import math
 import string
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -547,3 +551,63 @@ def reference_clean(dataset, config: PipelineConfig | None = None):
         token_deltas=deltas,
     )
     return corpus, report
+
+
+# --- JSONL reading and dataset statistics --------------------------------------
+
+
+def reference_read_records(path, fields=("id", "text"), domain=None) -> list[dict]:
+    """`rweets.jsonl.read_records` as a loop over the lines of the text-mode
+    file, each decoded on its own and checked in turn; every record is
+    re-encoded to find lone surrogates."""
+    records, ids = [], set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{where}: malformed JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise ValidationError(f"{where}: record is not an object")
+            try:
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(
+                    f"{where}: lone surrogate escape (not valid Unicode)") from None
+            for name in fields:
+                value = record.get(name)
+                if name == "id" and not (isinstance(value, str) and value):
+                    raise ValidationError(f"{where}: 'id' must be a nonempty string")
+                if not isinstance(value, str):
+                    raise ValidationError(f"{where}: {name!r} must be a string")
+            label = record.get("label")
+            if domain is not None and label is not None and label not in domain:
+                raise ValidationError(
+                    f"{where}: unknown label {label!r} for domain {domain.name!r}")
+            if "id" in fields:
+                if record["id"] in ids:
+                    raise ValidationError(f"{where}: duplicate tweet id {record['id']!r}")
+                ids.add(record["id"])
+            records.append(record)
+    return records
+
+
+@dataclass(frozen=True)
+class ClassDistribution:
+    counts: dict[str, int] = field(default_factory=dict)
+    fractions: dict[str, float] = field(default_factory=dict)
+
+
+def dataset_stats(dataset) -> ClassDistribution:
+    """Counts and fractions over labeled tweets; empty for unlabeled data."""
+    counts: dict[str, int] = {}
+    for tw in dataset:
+        if tw.label is not None:
+            counts[tw.label] = counts.get(tw.label, 0) + 1
+    total = sum(counts.values())
+    fractions = {label: n / total for label, n in counts.items()} if total else {}
+    return ClassDistribution(counts, fractions)

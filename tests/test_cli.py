@@ -263,8 +263,9 @@ class TestSeries:
         # stage 1 holds every cleaned row, stage 2 only the predicted rweets:
         # the larger file is stage 1's
         path = max((workspace / "cache").iterdir(), key=lambda p: p.stat().st_size)
-        fm = load_matrix(path, combo(10))
-        save_matrix(replace(fm, row_ids=("ghost",) + tuple(fm.row_ids[1:])), path)
+        fm = load_matrix(path, combo(10), digest=path.stem)
+        save_matrix(replace(fm, row_ids=("ghost",) + tuple(fm.row_ids[1:])), path,
+                    digest=path.stem)
         capsys.readouterr()
         assert run(base) == 3
         assert "row ids" in capsys.readouterr().err

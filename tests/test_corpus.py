@@ -4,13 +4,13 @@ import re
 import pytest
 
 from rweets import corpus
+from oracles import dataset_stats
 from rweets.corpus import (
     BINARY,
     CATEGORICAL,
     Dataset,
     LabelDomain,
     RawTweet,
-    dataset_stats,
     load_dataset,
     save_dataset,
     synth_corpus,

@@ -180,7 +180,7 @@ class TestRunSeries:
         cache = FeatureCache(tmp_path / "cache")
         results = run_series(probe, staged_model, cache)
         fm, key, _ = self.stage2_reference(staged_model, probe, results)
-        save_matrix(fm, tmp_path / "reference.matrix")
+        save_matrix(fm, tmp_path / "reference.matrix", digest=key)
         reference = (tmp_path / "reference.matrix").read_bytes()
         assert cache.path_for(key).read_bytes() == reference
 
@@ -283,22 +283,39 @@ class TestRunSeries:
 
         probe = synth_corpus(46, 90, BINARY)
         cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
-        path = FeatureCache(tmp_path / "cache").path_for(stage1_key(staged_model, probe))
-        built = load_matrix(path, staged_model.feature_config)
+        key1 = stage1_key(staged_model, probe)
+        path = FeatureCache(tmp_path / "cache").path_for(key1)
+        built = load_matrix(path, staged_model.feature_config, digest=key1)
         ids = list(built.row_ids)
         ghost = ["ghost"] + ids[1:]
         swapped = [ids[1], ids[0]] + ids[2:]
         for row_ids in (ghost, swapped):
-            save_matrix(replace(built, row_ids=tuple(row_ids)), path)
+            save_matrix(replace(built, row_ids=tuple(row_ids)), path, digest=key1)
             with pytest.raises(FormatError, match="row ids"):
                 run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
-        save_matrix(built, path)
+        save_matrix(built, path, digest=key1)
         _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
         stage2 = FeatureCache(tmp_path / "cache").path_for(key)
-        fm2 = load_matrix(stage2, staged_model.feature_config)
-        save_matrix(replace(fm2, row_ids=tuple(reversed(fm2.row_ids))), stage2)
+        fm2 = load_matrix(stage2, staged_model.feature_config, digest=key)
+        save_matrix(replace(fm2, row_ids=tuple(reversed(fm2.row_ids))), stage2, digest=key)
         with pytest.raises(FormatError, match="row ids"):
             run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+
+    def test_matrix_copied_under_another_key_is_stale(self, staged_model, tmp_path):
+        import shutil
+        from dataclasses import replace
+
+        probe = synth_corpus(46, 90, BINARY)
+        run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        # same ids and cleaned tokens ("!" is punctuation), so only the key
+        # tells the two inputs' matrices apart
+        first, *rest = probe.tweets
+        variant = Dataset(BINARY, (replace(first, text=first.text + "!"), *rest))
+        cache = FeatureCache(tmp_path / "cache")
+        shutil.copy(cache.path_for(stage1_key(staged_model, probe)),
+                    cache.path_for(stage1_key(staged_model, variant)))
+        with pytest.raises(StaleCacheError):
+            run_series(variant, staged_model, cache)
 
     def test_all_not_rweet_identifier_yields_no_stage2(self, staged_model):
         from dataclasses import replace
