@@ -1,5 +1,7 @@
-"""One binary container for every persisted artifact (clean corpora, feature
-matrices, vocabularies, models).
+"""One binary container for every persisted artifact, of three kinds:
+`clean` (a cleaned corpus), `matrix` (a feature matrix with its vocabulary)
+and `staged` (both classifiers of a staged model with their vocabularies and
+configurations).
 
 Layout: a 4-byte little-endian header length, a sorted-key JSON header
 (magic, kind, version, digest, `meta`, and each array's [name, dtype,

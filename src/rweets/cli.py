@@ -27,7 +27,7 @@ from .corpus import (
 from .digest import atomic_write_text, combine_digests, digest_records
 from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from .features import FeatureConfig, combo, load_matrix, save_matrix
-from .jsonl import read_records, write_records
+from .jsonl import read_records, text_lines, write_records
 from .metrics import render_record, render_text
 from .models import LogisticRegression, TrainConfig, cross_validate, make_classifier
 from .pipeline import (
@@ -75,21 +75,20 @@ def _long_flags(parser: argparse.ArgumentParser) -> dict:
 
 def _load_config_file(path, known_keys: dict) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}: line {lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in known_keys:
-                raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = known_keys[key](raw.strip())
-            except ValueError:
-                raise ValidationError(f"{path}: line {lineno}: bad value for {key}") from None
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}: line {lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in known_keys:
+            raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = known_keys[key](raw.strip())
+        except ValueError:
+            raise ValidationError(f"{path}: line {lineno}: bad value for {key}") from None
     return values
 
 

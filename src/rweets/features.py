@@ -363,12 +363,6 @@ class NgramVectorizer(BaseEstimator):
         check_is_fitted(self, "vocabulary_")
         return _weighted(docs, self.vocabulary_, self.use_idf, self.l2_normalize)
 
-    def transform_counts(self, docs) -> SparseMatrix:
-        """Raw counts against the fitted vocabulary, ignoring idf and
-        normalization flags."""
-        check_is_fitted(self, "vocabulary_")
-        return vectorize_tf(docs, self.vocabulary_)
-
     def fit_transform(self, docs, y=None) -> SparseMatrix:
         counts = count_ngrams(docs, self.ngram_range)
         return self.fit(counts).transform(counts)
@@ -393,23 +387,6 @@ def _vocab_from(meta: dict, arrays: dict) -> Vocabulary:
         doc_freqs=None if freqs is None else tuple(freqs.tolist()),
         n_docs=meta["n_docs"],
     )
-
-
-def save_vocab(vocab: Vocabulary, path) -> None:
-    meta, arrays = _vocab_fields(vocab)
-    artifact.save(path, "vocab", vocab.digest, meta, **arrays)
-
-
-def load_vocab(path) -> Vocabulary:
-    """Load a vocabulary artifact; its header digest must be its own."""
-    header, arrays = artifact.load(path, "vocab")
-    try:
-        vocab = _vocab_from(header["meta"], arrays)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise FormatError(f"{Path(path).name}: incomplete vocabulary ({exc!r})") from None
-    if vocab.digest != header["digest"]:
-        raise FormatError(f"{Path(path).name}: vocabulary content disagrees with its digest")
-    return vocab
 
 
 def save_matrix(fm: FeatureMatrix, path, digest: str | None = None) -> None:

@@ -1,6 +1,7 @@
 """JSON Lines files, one object per line: the package's one reader and one
 writer. Files are read in text mode (CRLF and lone CR end lines too) and
 split on "\n" only; blank and whitespace-only lines are skipped but counted.
+Bytes that are not UTF-8 make their line a bad line.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from .errors import ValidationError
 # decodes to a lone surrogate, which no UTF-8 output can hold
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what surrogateescape reads a bad byte as
 _ITEM_BOUNDARY = re.compile(r"\}[ \t]*,[ \t]*\{")
 _ENCODER = json.JSONEncoder(ensure_ascii=False)  # as json.dumps(..., ensure_ascii=False)
 _CHUNK = 1024  # lines per decode: a consumer that streams holds one chunk's records
@@ -28,11 +30,28 @@ def read_records(path, fields=("id", "text"), domain=None):
     ids: set = set()
     with open(path, encoding="utf-8") as fh:
         for start in itertools.count(1, _CHUNK):
-            lines = list(itertools.islice(fh, _CHUNK))
+            try:
+                lines = list(itertools.islice(fh, _CHUNK))
+            except UnicodeDecodeError:  # the rest, checked line by line up to the bad one
+                yield from _read_line_by_line(path, text_lines(path, start), start, ids, fields,
+                                              domain)
+                return
             if not lines:
                 return
             yield from (_decode_chunk(lines, ids, fields, domain)
                         or _read_line_by_line(path, lines, start, ids, fields, domain))
+
+
+def text_lines(path, start: int = 1):
+    """Yield the lines of a UTF-8 text file from line `start` on, split as
+    `read_records` splits them; a line holding bytes that are not UTF-8 is a
+    ValidationError naming the file and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if _ESCAPED_BYTE.search(line):
+                raise ValidationError(f"{path}: line {lineno}: bytes that are not UTF-8")
+            if lineno >= start:
+                yield line
 
 
 def _decode_chunk(lines: list, ids: set, fields, domain) -> list[dict] | None:

@@ -155,11 +155,6 @@ def report_to_record(report: MetricsReport) -> dict:
     return asdict(report)
 
 
-def report_from_record(record: dict) -> MetricsReport:
-    per_class = tuple(PerClassMetrics(**pc) for pc in record["per_class"])
-    return MetricsReport(**{**record, "per_class": per_class})
-
-
 def render_record(report: MetricsReport) -> str:
     """Deterministic JSON serialization of the machine record."""
     return json.dumps(report_to_record(report), sort_keys=True, separators=(",", ":")) + "\n"

@@ -18,11 +18,9 @@ inputs and seed; ties always resolve to the lowest class index.
 import random
 from collections import deque
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import artifact
 from .base import BaseEstimator, check_equal_length, check_is_fitted
 from .corpus import LabelDomain
 from .errors import (
@@ -394,32 +392,26 @@ _PARAMS = {
 }
 
 
-def save_model(model, path) -> None:
-    """One artifact: class names, hyperparameters and parameter arrays. A
-    model file carries no digest; the staged manifest does."""
+def _model_fields(model) -> tuple[dict, dict]:
+    """The header meta (classifier name, hyperparameters) and the arrays
+    (class names, parameters) that store a fitted classifier."""
     check_is_fitted(model, "classes_")
     if type(model) not in CLASSIFIERS.values():
         raise ValidationError(f"cannot persist model of type {type(model).__name__}")
-    arrays = {k: np.asarray(getattr(model, k), dtype=np.float64) for k in _PARAMS[model.name]}
-    meta = {"model": model.name, "hyper": model.get_params()}
-    artifact.save(path, "model", "", meta, classes_=tuple(model.classes_), **arrays)
+    arrays = {"classes_": tuple(model.classes_)}
+    arrays.update((k, np.asarray(getattr(model, k), dtype=np.float64)) for k in _PARAMS[model.name])
+    return {"model": model.name, "hyper": model.get_params()}, arrays
 
 
-def load_model(path):
-    header, arrays = artifact.load(path, "model")
-    meta = header["meta"]
-    name = Path(path).name
-    try:
-        model = CLASSIFIERS[meta["model"]](**meta["hyper"])
-        vector, table = (arrays[k] for k in _PARAMS[model.name])
-        model.classes_ = arrays["classes_"]
-        n = len(model.classes_)
-        if vector.shape != (n,) or table.ndim != 2 or table.shape[0] != n:
-            raise FormatError(f"parameter shapes disagree with {n} classes")
-    except (KeyError, TypeError, AttributeError, FormatError) as exc:
-        raise FormatError(f"{name}: incomplete model file ({exc})") from None
-    for key in _PARAMS[model.name]:
-        setattr(model, key, arrays[key])
+def _model_from(meta: dict, arrays: dict):
+    model = CLASSIFIERS[meta["model"]](**meta["hyper"])
+    vector, table = (arrays[k] for k in _PARAMS[model.name])
+    model.classes_ = arrays["classes_"]
+    n = len(model.classes_)
+    if n < 2 or vector.shape != (n,) or table.ndim != 2 or table.shape[0] != n:
+        raise FormatError(f"parameter shapes disagree with {n} classes")
+    for key, value in zip(_PARAMS[model.name], (vector, table)):
+        setattr(model, key, value)
     if model.name == "logreg":
         model.loss_history_ = []
     return model

@@ -8,25 +8,25 @@ gold rweets but sees stage-1 PREDICTED rweets at inference, an intentional
 train/serve skew inherited from the staged design.
 """
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
+from . import artifact
 from .corpus import BINARY, CATEGORICAL, RWEET, Dataset
-from .digest import atomic_write_text, combine_digests, digest_records, digest_text
+from .digest import combine_digests, digest_records, digest_text
 from .errors import FormatError, StaleCacheError, ValidationError
 from .features import (
     FeatureConfig,
     FeatureMatrix,
     Vocabulary,
+    _vocab_fields,
+    _vocab_from,
     featurize_tokens,
     load_matrix,
-    load_vocab,
     save_matrix,
-    save_vocab,
 )
 from .jsonl import write_records
-from .models import load_model, make_classifier, save_model
+from .models import _model_fields, _model_from, make_classifier
 from .preprocess import CleanCorpus, PipelineConfig, run_pipeline
 from .rules import rule_block_for_ids
 
@@ -248,47 +248,60 @@ def save_series_output(results, path) -> None:
 
 
 _STAGES = ("identifier", "categorizer")
+STAGED_FILE = "staged.model"
+# the model and vocabulary files of the layout train wrote before one file held
+# the staged model (a JSON manifest was the fifth)
+_FIVE_FILE_LAYOUT = tuple(f"{stage}.{kind}" for stage in _STAGES for kind in ("model", "vocab"))
 
 
 def save_staged(staged: StagedClassifier, directory) -> None:
-    """Persist a staged classifier as a directory of model/vocab artifacts
-    plus a JSON manifest carrying the configuration digests."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write the staged classifier as one `staged` artifact in `directory`:
+    both configurations, their combined digest in the header, and per stage
+    the classifier and the vocabulary with its own digest, each array named
+    `<stage>.<array>`."""
+    meta = {"feature_config": vars(staged.feature_config),
+            "pipeline_config": vars(staged.pipeline_config)}
+    arrays = {}
     for stage in _STAGES:
-        save_model(getattr(staged, stage), directory / f"{stage}.model")
-        save_vocab(getattr(staged, f"{stage}_vocab"), directory / f"{stage}.vocab")
-    manifest = {
-        "feature_config": asdict(staged.feature_config),
-        "feature_digest": staged.feature_config.digest,
-        "pipeline_config": asdict(staged.pipeline_config),
-        "pipeline_digest": staged.pipeline_config.digest,
-    }
-    atomic_write_text(
-        directory / "staged.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+        vocab = getattr(staged, f"{stage}_vocab")
+        model_meta, model_arrays = _model_fields(getattr(staged, stage))
+        vocab_meta, vocab_arrays = _vocab_fields(vocab)
+        meta[stage] = {**model_meta, **vocab_meta, "vocab_digest": vocab.digest}
+        arrays.update((f"{stage}.{k}", v) for k, v in {**model_arrays, **vocab_arrays}.items())
+    digest = combine_digests(staged.feature_config.digest, staged.pipeline_config.digest)
+    artifact.save(Path(directory) / STAGED_FILE, "staged", digest, meta, **arrays)
 
 
 def load_staged(directory) -> StagedClassifier:
-    """Load a staged classifier. The artifacts are read before the manifest,
-    so a directory written in an older format fails on their version."""
-    directory = Path(directory)
-    fitted = []
-    for stage in _STAGES:
-        fitted.append(load_model(directory / f"{stage}.model"))
-        fitted.append(load_vocab(directory / f"{stage}.vocab"))
-    manifest_path = directory / "staged.json"
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """Read the staged classifier `save_staged` wrote into `directory`. A
+    damaged file, a vocabulary that disagrees with its digest or a directory
+    in the five-file layout is a FormatError; configurations whose digests
+    (the pipeline's covers the lexicon) differ from the header's are stale."""
+    path = Path(directory) / STAGED_FILE
+    for old in (Path(directory) / name for name in _FIVE_FILE_LAYOUT):
+        if old.exists() and not path.exists():
+            try:
+                artifact.load(old, "staged")
+            except FormatError as exc:
+                raise FormatError(
+                    f"{directory}: holds the five-file staged layout (a .model and a .vocab file "
+                    f"per stage and a JSON manifest), which is no longer read; re-run train "
+                    f"({exc})") from None
+    header, arrays = artifact.load(path, "staged")
     try:
-        feature_config = FeatureConfig(**manifest["feature_config"])
-        pipeline_config = PipelineConfig(**manifest["pipeline_config"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{manifest_path}: unreadable configuration ({exc})") from None
-    if feature_config.digest != manifest["feature_digest"]:
-        raise StaleCacheError(f"{manifest_path}: feature config digest mismatch")
-    if pipeline_config.digest != manifest["pipeline_digest"]:
-        raise StaleCacheError(
-            f"{manifest_path}: pipeline config digest mismatch (lexicon or config changed)"
-        )
-    return StagedClassifier(*fitted, feature_config, pipeline_config)
+        meta = header["meta"]
+        configs = FeatureConfig(**meta["feature_config"]), PipelineConfig(**meta["pipeline_config"])
+        fitted = []
+        for stage in _STAGES:
+            prefix = f"{stage}."
+            own = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+            vocab = _vocab_from(meta[stage], own)
+            if vocab.digest != meta[stage]["vocab_digest"]:
+                raise FormatError(f"{stage} vocabulary disagrees with its digest")
+            fitted += [_model_from(meta[stage], own), vocab]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:  # FormatError too
+        raise FormatError(f"{path.name}: damaged staged model ({exc})") from None
+    if combine_digests(configs[0].digest, configs[1].digest) != header["digest"]:
+        raise StaleCacheError(f"{path.name}: feature or pipeline config digest mismatch "
+                              "(lexicon or config changed)")
+    return StagedClassifier(*fitted, *configs)

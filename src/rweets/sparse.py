@@ -73,19 +73,6 @@ class SparseMatrix:
     # --- constructors -------------------------------------------------------
 
     @classmethod
-    def from_triplets(cls, rows: int, cols: int, triplets) -> "SparseMatrix":
-        """Build from (row, col, value) triples in any order. Zero values are
-        dropped; duplicate coordinates are an error."""
-        triplets = list(triplets)
-        r, c, v = (
-            np.fromiter((t[k] for t in triplets), dtype=np.float64, count=len(triplets))
-            for k in range(3)
-        )
-        if np.any(r % 1) or np.any(c % 1):
-            raise ValidationError("triplet coordinates must be integers")
-        return cls.from_coordinates(rows, cols, r.astype(np.int64), c.astype(np.int64), v)
-
-    @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
         array = np.asarray(array, dtype=np.float64)
         if array.ndim != 2:
@@ -95,8 +82,9 @@ class SparseMatrix:
 
     @classmethod
     def from_coordinates(cls, rows: int, cols: int, r, c, v) -> "SparseMatrix":
-        """from_triplets over parallel int64 coordinate and float64 value
-        arrays."""
+        """Build from parallel int64 row and column and float64 value arrays,
+        in any order. Zero values are dropped; duplicate coordinates are an
+        error."""
         if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
         kept = v != 0.0
@@ -110,7 +98,7 @@ class SparseMatrix:
         if len(bad):
             k = bad[0]
             if outside[k]:
-                raise ValidationError(f"triplet ({r[k]},{c[k]}) outside {rows}x{cols} matrix")
+                raise ValidationError(f"entry ({r[k]},{c[k]}) outside {rows}x{cols} matrix")
             raise ValidationError(f"duplicate entry at ({r[k]},{c[k]})")
         indptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(r, minlength=rows), out=indptr[1:])

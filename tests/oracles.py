@@ -13,12 +13,15 @@ runner (word counts by `split()` around every op, no memos, no pre-checks)
 for the compiled one in `rweets.preprocess`, and a line-at-a-time JSONL
 reader (one `json.loads` per line as file iteration yields it) for the
 chunk-decoding reader of `rweets.jsonl`. The module also holds the helpers
-only tests use: an all-zero logistic regression, a finite-difference
-gradient check and dataset class statistics.
+only tests use: a (row, col, value) matrix builder, an all-zero logistic
+regression, a finite-difference gradient check, an artifact header
+rewriter, a metrics report read back from its record and dataset class
+statistics.
 """
 
 import json
 import math
+import re
 import string
 from dataclasses import dataclass, field
 
@@ -32,6 +35,7 @@ from rweets.features import (
     idf_vector,
     l2_normalize_rows,
 )
+from rweets.metrics import MetricsReport, PerClassMetrics
 from rweets.models import LogisticRegression, _label_indices, _loss_and_grads, _resolve_classes
 from rweets.preprocess import (
     _EDGE_TRIM_RE,
@@ -57,6 +61,20 @@ from rweets.preprocess import (
 from rweets.sparse import SparseMatrix
 
 # --- dense tf / tf-idf -------------------------------------------------------
+
+
+def from_triplets(rows: int, cols: int, triplets) -> SparseMatrix:
+    """A matrix built from (row, col, value) triples in any order, through
+    `SparseMatrix.from_coordinates`: zero values are dropped, duplicate
+    coordinates are an error."""
+    triplets = list(triplets)
+    r, c, v = (
+        np.fromiter((t[k] for t in triplets), dtype=np.float64, count=len(triplets))
+        for k in range(3)
+    )
+    if np.any(r % 1) or np.any(c % 1):
+        raise ValidationError("triplet coordinates must be integers")
+    return SparseMatrix.from_coordinates(rows, cols, r.astype(np.int64), c.astype(np.int64), v)
 
 
 def dense_tf(docs, vocab_terms, lo, hi):
@@ -157,7 +175,7 @@ def reference_vectorize_tf(docs, vocab: Vocabulary) -> SparseMatrix:
             if col is not None:
                 counts[col] = counts.get(col, 0) + 1
         triplets.extend((r, col, float(n)) for col, n in counts.items())
-    return SparseMatrix.from_triplets(len(docs), len(vocab), triplets)
+    return from_triplets(len(docs), len(vocab), triplets)
 
 
 def reference_featurize(docs, config, vocab=None, rule_block=None, counts_only=False):
@@ -557,16 +575,20 @@ def reference_clean(dataset, config: PipelineConfig | None = None):
 
 
 def reference_read_records(path, fields=("id", "text"), domain=None) -> list[dict]:
-    """`rweets.jsonl.read_records` as a loop over the lines of the text-mode
-    file, each decoded on its own and checked in turn; every record is
-    re-encoded to find lone surrogates."""
+    """`rweets.jsonl.read_records` as a loop over the file's byte lines (split
+    at CRLF, CR and LF, as text mode splits them), each UTF-8 decoded and
+    JSON decoded on its own and checked in turn; every record is re-encoded
+    to find lone surrogates."""
     records, ids = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(re.split(rb"\r\n|\r|\n", fh.read()), start=1):
+            where = f"{path}: line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValidationError(f"{where}: bytes that are not UTF-8") from None
             if not line.strip():
                 continue
-            where = f"{path}: line {lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -594,6 +616,21 @@ def reference_read_records(path, fields=("id", "text"), domain=None) -> list[dic
                 ids.add(record["id"])
             records.append(record)
     return records
+
+
+def with_header(data: bytes, change) -> bytes:
+    """`rweets.artifact` file bytes whose JSON header went through `change`."""
+    size = int.from_bytes(data[:4], "little")
+    header = json.loads(data[4:4 + size])
+    change(header)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return len(raw).to_bytes(4, "little") + raw + data[4 + size:]
+
+
+def report_from_record(record: dict) -> MetricsReport:
+    """The report a `render_record` line was written from."""
+    per_class = tuple(PerClassMetrics(**pc) for pc in record["per_class"])
+    return MetricsReport(**{**record, "per_class": per_class})
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from oracles import with_header
 from rweets import artifact
 from rweets.cli import main as run
 from rweets.errors import FormatError, StaleCacheError
 from rweets.features import FeatureConfig, load_matrix
+from rweets.pipeline import STAGED_FILE
 
 ODD = ("", "need\x00", "a\nb", "tab\there", "café", "\U0001f6a8 help")
 
@@ -25,6 +27,29 @@ def raw_artifact(declared, *records, kind="test"):
                          "magic": artifact.MAGIC, "meta": {},
                          "version": artifact.VERSION}).encode()
     return len(header).to_bytes(4, "little") + header + b"".join(records)
+
+
+def drop_categorizer_key(header):
+    del header["meta"]["categorizer"]["model"]
+
+
+def edit_a_term(data: bytes) -> bytes:
+    """The staged file with the identifier's first term upper-cased in place."""
+    size = int.from_bytes(data[:4], "little")
+    offset = 4 + size
+    for name, dtype, shape in json.loads(data[4:offset])["arrays"]:
+        if dtype != "utf-8":
+            offset += np.dtype(dtype).itemsize * int(np.prod(shape))
+            continue
+        count, nbytes = shape
+        ends = np.frombuffer(data[offset:offset + 8 * (count + 1)], dtype="<i8")
+        offset += 8 * (count + 1)
+        if name == "identifier.terms":
+            first = data[offset:offset + int(ends[1])]
+            assert first.isascii() and first.upper() != first
+            return data[:offset] + first.upper() + data[offset + len(first):]
+        offset += nbytes
+    raise AssertionError("no identifier terms")
 
 
 class TestRoundTrip:
@@ -161,12 +186,24 @@ class TestTextEraFiles:
         return tmp_path
 
     @pytest.mark.parametrize("name,text,version", [
+        # a directory of the text era: one file of the five-file layout
         ("identifier.model", "MODEL v2 logreg 2 3\nclasses\tnot_rweet\trweet\n", "MODEL v2"),
         ("identifier.model", "MODEL v1 logreg 2 3\nclasses\tnot_rweet\trweet\n", "MODEL v1"),
         ("categorizer.vocab", "VOCAB v1 1 4 1 1\n0\tfood\t2\n", "VOCAB v1"),
+        # the staged file, damaged
+        pytest.param(STAGED_FILE, lambda data: data[:-5], "truncated", id="truncated"),
+        pytest.param(STAGED_FILE, lambda data: with_header(data, drop_categorizer_key),
+                     "damaged staged model ('model')", id="meta-without-a-stage-key"),
+        pytest.param(STAGED_FILE, edit_a_term, "vocabulary disagrees with its digest",
+                     id="vocab-term-edited"),
     ])
     def test_series_model_exit_3(self, staged, capsys, name, text, version):
-        (staged / "staged" / name).write_text(text)
+        path = staged / "staged" / STAGED_FILE
+        if callable(text):
+            path.write_bytes(text(path.read_bytes()))
+        else:
+            path.unlink()
+            (staged / "staged" / name).write_text(text)
         capsys.readouterr()
         assert run(["series", "--model", str(staged / "staged"),
                     "--input", str(staged / "d1.jsonl"),

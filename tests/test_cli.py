@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from oracles import with_header
+from rweets import artifact
 from rweets.cli import main
+from rweets.pipeline import STAGED_FILE
 
 
 def run(args):
@@ -331,14 +334,39 @@ class TestTrain:
         assert self.train(workspace, "--learning-rate", "0.1") == 1
         assert self.train(workspace, "--max-epochs", "3", "--tol", "1e-3") == 0
 
+    def series(self, workspace, tmp_path):
+        return run(["series", "--model", str(workspace / "staged"),
+                    "--input", str(workspace / "d1.jsonl"), "--output", str(tmp_path / "o.jsonl")])
+
     def test_old_model_version_exit_3(self, workspace, tmp_path, capsys):
         assert self.train(workspace) == 0
-        model = workspace / "staged" / "identifier.model"
+        model = workspace / "staged" / STAGED_FILE
         model.write_bytes(model.read_bytes().replace(b'"version":1}', b'"version":0}', 1))
-        assert run(["series", "--model", str(workspace / "staged"),
-                    "--input", str(workspace / "d1.jsonl"),
-                    "--output", str(tmp_path / "o.jsonl")]) == 3
+        assert self.series(workspace, tmp_path) == 3
         assert "artifact version 0" in capsys.readouterr().err
+
+    def test_five_file_directory_exit_3(self, workspace, tmp_path, capsys):
+        staged = workspace / "staged"
+        for stage in ("identifier", "categorizer"):
+            artifact.save(staged / f"{stage}.model", "model", "", {"model": "logreg"},
+                          classes_=("not_rweet", "rweet"))
+            artifact.save(staged / f"{stage}.vocab", "vocab", "0" * 16, {"n_docs": 1},
+                          terms=("food",))
+        (staged / "staged.json").write_text("{broken")
+        assert self.series(workspace, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "five-file staged layout" in err and "re-run train" in err
+
+    @pytest.mark.parametrize("change", [
+        lambda header: header["meta"]["feature_config"].update(min_df=2),
+        lambda header: header.update(digest="0" * 16),
+    ], ids=["config-edited", "digest-rewritten"])
+    def test_rewritten_config_digest_exit_4(self, workspace, tmp_path, capsys, change):
+        assert self.train(workspace) == 0
+        model = workspace / "staged" / STAGED_FILE
+        model.write_bytes(with_header(model.read_bytes(), change))
+        assert self.series(workspace, tmp_path) == 4
+        assert "config digest mismatch" in capsys.readouterr().err
 
 
 class TestLoneSurrogate:
@@ -379,6 +407,27 @@ class TestLoneSurrogate:
                           + self.LINE.replace('"id": "b"', '"id": "b", "label": "rweet"'))
         assert run(["evaluate", "--input", str(source), "--combo", "1"]) == 3
         assert "bad.jsonl: line 121: lone surrogate" in capsys.readouterr().err
+
+
+class TestNotUtf8:
+    """A line holding bytes that are not UTF-8 is a validation error (exit 3)
+    naming the file and line, in a JSONL input and in a config file."""
+
+    def test_rules_classify(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "need water now"}\n'
+                         b'{"id": "b", "text": "help \xff now"}\n')
+        assert run(["rules", "classify", "--input", str(path),
+                    "--output", str(tmp_path / "o.jsonl")]) == 3
+        assert "bad.jsonl: line 2: bytes that are not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_config_file(self, tmp_path, capsys):
+        config = tmp_path / "preset.cfg"
+        config.write_bytes(b"# presets\nthreshold=\xff\n")
+        assert run(["--config", str(config), "synth", "--size", "5",
+                    "--out", str(tmp_path / "d.jsonl")]) == 3
+        assert "preset.cfg: line 2: bytes that are not UTF-8" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -426,7 +426,7 @@ class TestVectorizerEstimator:
         vec = NgramVectorizer(use_idf=True, l2_normalize=True)
         docs = [["food", "food", "water"], ["water"]]
         vec.fit(docs)
-        counts = vec.transform_counts(docs).to_dense()
+        counts = vectorize_tf(docs, vec.vocabulary_).to_dense()
         np.testing.assert_array_equal(counts, [[2.0, 1.0], [0.0, 1.0]])
 
 

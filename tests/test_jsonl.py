@@ -53,6 +53,8 @@ def _bad_lines(rng):
         ['{"id": "x", "text": "lone \\ud800 half"}'], ['{"id": "x", "text": "\\udc00"}'],
         ['{"id": "x", "text": "pair \\ud83d\\udea8 ok"}'],
         ["\ufeff" + a],                                # a byte-order mark inside the file
+        # bytes that are not UTF-8 (written through surrogateescape)
+        [a[:cut] + "\udcff" + a[cut:]], [a[:cut] + "\udce2" + a[cut:]], ["\udcc3"],
         # one line opens a list the next closes, one line holds two items:
         # one decode of the lines as one list's items gets the right count
         ['{"id": "m", "text": "t", "x": [{"y": 1}', '{"z": 2}]}',
@@ -99,10 +101,10 @@ def test_one_decode_matches_the_line_reader(tmp_path, monkeypatch, seed):
     path = tmp_path / "fuzz.jsonl"
     kinds = {"records": 0, "error": 0}
     for _ in range(150):
-        path.write_text(_fuzz_file(rng), encoding="utf-8", newline="")
+        path.write_text(_fuzz_file(rng), encoding="utf-8", errors="surrogateescape", newline="")
         for fields, domain in MODES:
             got = _outcome(read_records, path, fields, domain)
-            assert got == _outcome(reference_read_records, path, fields, domain), path.read_text()
+            assert got == _outcome(reference_read_records, path, fields, domain), path.read_bytes()
             kinds[got[0]] += 1
     assert min(kinds.values()) > 50, kinds  # both outcomes are exercised
 
@@ -119,16 +121,35 @@ def test_one_decode_matches_the_line_reader(tmp_path, monkeypatch, seed):
     ('\ufeff{"id": "a", "text": "x"}\n', "line 1: malformed JSON (Unexpected UTF-8 BOM"),
     ('{"id": "a", "text": "x"}\n{"id": "b", "text": "\\ud800"}\n', "line 2: lone surrogate"),
     ('{"id": "a", "text": "\\ud83d\\udea8"}\n', ["a"]),
+    ('{"id": "a", "text": "x"}\r{"id": "b", "text": "caf\udce9"}\n', "line 2: bytes that are not UTF-8"),
+    ('{"id": "a", "text": "x"\n{"id": "b", "text": "\udcff"}\n', "line 1: malformed JSON"),
 ])
 def test_named_inputs(tmp_path, text, outcome):
     path = tmp_path / "d.jsonl"
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
     kind, got = _outcome(read_records, path, ("id", "text"), None)
     assert (kind, got) == _outcome(reference_read_records, path, ("id", "text"), None)
     if kind == "records":
         assert [record["id"] for record in got] == outcome
     else:
         assert got.startswith(f"{path}: {outcome}")
+
+
+@pytest.mark.parametrize("chunk", [3, 1024])
+def test_bytes_that_are_not_utf8_after_the_first_chunks(tmp_path, monkeypatch, chunk):
+    """The text decoder reads ahead of the chunk being split, so the error can
+    come while earlier lines are unchecked: the first bad line is named."""
+    monkeypatch.setattr(jsonl, "_CHUNK", chunk)
+    lines = [json.dumps({"id": f"t{i}", "text": "need food and water now"}).encode()
+             for i in range(2000)]
+    lines[1499] = lines[1499].replace(b"food", b"f\xffd")
+    path = tmp_path / "d.jsonl"
+    for bad_line in (1500, 1200):
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        kind, got = _outcome(read_records, path, ("id", "text"), None)
+        assert (kind, got) == _outcome(reference_read_records, path, ("id", "text"), None)
+        assert got.startswith(f"{path}: line {bad_line}: ")
+        lines[1199] = b"{"  # an earlier bad line is named first
 
 
 @pytest.mark.parametrize("seed", range(3))

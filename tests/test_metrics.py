@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import report_from_record
 from rweets.corpus import BINARY, CATEGORICAL, LabelDomain
 from rweets.errors import ValidationError
 from rweets.metrics import (
@@ -14,7 +15,6 @@ from rweets.metrics import (
     render_record,
     render_text,
     report_from_confusion,
-    report_from_record,
     report_to_record,
 )
 

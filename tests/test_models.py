@@ -8,27 +8,26 @@ import pytest
 from oracles import (
     add_at_matmul_dense,
     add_at_t_matmul_dense,
+    from_triplets,
     gradient_check,
     nb_posteriors,
     scipy_logreg_optimum,
     zero_model,
 )
 from rweets.corpus import BINARY, CATEGORICAL, Dataset, RawTweet, synth_corpus
-from rweets.errors import NotFittedError, ValidationError
-from rweets.features import FeatureConfig, combo
+from rweets.errors import FormatError, NotFittedError, ValidationError
+from rweets.features import FeatureConfig, Vocabulary, combo
 from rweets.models import (
     FoldPlan,
     LogisticRegression,
     MultinomialNaiveBayes,
     TrainConfig,
     cross_validate,
-    load_model,
     make_classifier,
-    save_model,
     stratified_kfold,
 )
-from rweets.pipeline import featurize_corpus
-from rweets.preprocess import run_pipeline
+from rweets.pipeline import STAGED_FILE, StagedClassifier, featurize_corpus, load_staged, save_staged
+from rweets.preprocess import PipelineConfig, run_pipeline
 from rweets.sparse import SparseMatrix
 
 
@@ -272,7 +271,7 @@ class TestNaiveBayes:
 
     def test_empty_row_prior_argmax(self):
         nb, _ = self.fit_example()
-        empty = SparseMatrix.from_triplets(1, 5, [])
+        empty = from_triplets(1, 5, [])
         assert nb.predict(empty) == ["R"]  # R has the larger prior
 
     def test_posteriors_match_brute_force(self):
@@ -429,13 +428,21 @@ class TestCrossValidate:
             )
 
 
+def saved_as_both_stages(model, directory):
+    """`model` saved as both stages of a staged classifier into `directory`,
+    with a vocabulary of one made-up term per column; the staged file."""
+    n_cols = getattr(model, "weights_", getattr(model, "feature_log_prob_", None)).shape[1]
+    vocab = Vocabulary(terms=tuple(f"t{i}" for i in range(n_cols)), ngram_range=(1, 1))
+    save_staged(StagedClassifier(model, vocab, model, vocab, FeatureConfig(), PipelineConfig()),
+                directory)
+    return directory / STAGED_FILE
+
+
 class TestModelPersistence:
     def test_logreg_round_trip(self, tmp_path):
         X, y = separable_blobs(seed=2)
         clf = LogisticRegression().fit(X, y)
-        path = tmp_path / "m.model"
-        save_model(clf, path)
-        loaded = load_model(path)
+        loaded = load_staged(saved_as_both_stages(clf, tmp_path).parent).identifier
         assert loaded.classes_ == clf.classes_
         np.testing.assert_array_equal(loaded.weights_, clf.weights_)
         np.testing.assert_array_equal(loaded.bias_, clf.bias_)
@@ -447,9 +454,7 @@ class TestModelPersistence:
         nb = MultinomialNaiveBayes(alpha=0.5).fit(
             SparseMatrix.from_dense(rows), ["a", "b", "a"]
         )
-        path = tmp_path / "nb.model"
-        save_model(nb, path)
-        loaded = load_model(path)
+        loaded = load_staged(saved_as_both_stages(nb, tmp_path).parent).categorizer
         np.testing.assert_array_equal(loaded.feature_log_prob_, nb.feature_log_prob_)
         np.testing.assert_array_equal(loaded.class_log_prior_, nb.class_log_prior_)
         assert loaded.alpha == nb.alpha
@@ -457,30 +462,34 @@ class TestModelPersistence:
     def test_deterministic_bytes(self, tmp_path):
         X, y = separable_blobs(seed=4)
         clf = LogisticRegression().fit(X, y)
-        a, b = tmp_path / "a.model", tmp_path / "b.model"
-        save_model(clf, a)
-        save_model(clf, b)
+        a = saved_as_both_stages(clf, tmp_path / "a")
+        b = saved_as_both_stages(clf, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_header(self, tmp_path):
-        from rweets.errors import FormatError
-
-        path = tmp_path / "bad.model"
+        X, y = separable_blobs(seed=2)
+        path = saved_as_both_stages(LogisticRegression().fit(X, y), tmp_path)
         path.write_text("NOT A MODEL\n")
         with pytest.raises(FormatError):
-            load_model(path)
+            load_staged(tmp_path)
 
     def test_old_format_version_rejected(self, tmp_path):
-        from rweets.errors import FormatError
-
         X, y = separable_blobs(seed=2)
-        path = tmp_path / "m.model"
-        save_model(LogisticRegression().fit(X, y), path)
+        path = saved_as_both_stages(LogisticRegression().fit(X, y), tmp_path)
         data = path.read_bytes()
         assert b'"version":1}' in data
         path.write_bytes(data.replace(b'"version":1}', b'"version":0}', 1))
         with pytest.raises(FormatError, match="version 0"):
-            load_model(path)
+            load_staged(tmp_path)
+
+    def test_classes_disagreeing_with_parameters(self, tmp_path):
+        X, y = separable_blobs(seed=2)
+        clf = LogisticRegression().fit(X, y)
+        for classes, rows in ((("a", "b", "c"), 2), (("a",), 1)):  # one class: nothing to predict
+            clf.classes_, clf.weights_, clf.bias_ = classes, clf.weights_[:rows], clf.bias_[:rows]
+            saved_as_both_stages(clf, tmp_path)
+            with pytest.raises(FormatError, match=f"disagree with {len(classes)} classes"):
+                load_staged(tmp_path)
 
 
 class TestMakeClassifier:

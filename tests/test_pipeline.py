@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
+from oracles import with_header
+from rweets import lexicon
 from rweets.corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet, synth_corpus
-from rweets.errors import FormatError, StaleCacheError, ValidationError
+from rweets.errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from rweets.digest import combine_digests, digest_records, digest_text
 from rweets.features import FeatureConfig, combo, load_matrix, save_matrix
 from rweets.pipeline import (
+    STAGED_FILE,
     CategorizedTweet,
     FeatureCache,
     featurize_corpus,
@@ -85,10 +90,10 @@ class TestTrainStaged:
         for name in ("one", "two"):
             staged, _ = train_staged(d1, d2, combo(4))
             save_staged(staged, tmp_path / name)
-        for filename in ("identifier.model", "categorizer.model", "staged.json"):
-            assert (tmp_path / "one" / filename).read_bytes() == (
-                tmp_path / "two" / filename
-            ).read_bytes()
+            assert [p.name for p in (tmp_path / name).iterdir()] == [STAGED_FILE]
+        assert (tmp_path / "one" / STAGED_FILE).read_bytes() == (
+            tmp_path / "two" / STAGED_FILE
+        ).read_bytes()
 
 
 class TestRunSeries:
@@ -412,15 +417,38 @@ class TestStagedPersistence:
         assert loaded.identifier_vocab.digest == staged_model.identifier_vocab.digest
         assert loaded.categorizer_vocab.digest == staged_model.categorizer_vocab.digest
 
-    def test_manifest_digest_mismatch(self, staged_model, tmp_path):
+    def test_manifest_digest_mismatch(self, staged_model, tmp_path, monkeypatch):
         save_staged(staged_model, tmp_path / "staged")
-        manifest = tmp_path / "staged" / "staged.json"
-        text = manifest.read_text().replace(
-            staged_model.feature_config.digest, "0" * 16
-        )
-        manifest.write_text(text)
-        with pytest.raises(StaleCacheError):
+        path = tmp_path / "staged" / STAGED_FILE
+        data = path.read_bytes()
+        path.write_bytes(with_header(data, lambda header: header.update(digest="0" * 16)))
+        with pytest.raises(StaleCacheError, match="config digest mismatch"):
             load_staged(tmp_path / "staged")
+        # the pipeline digest covers the lexicon: a model trained under another
+        # lexicon is stale too
+        path.write_bytes(data)
+        monkeypatch.setattr(lexicon, "lexicon_digest", lambda: "0" * 16)
+        with pytest.raises(StaleCacheError, match="config digest mismatch"):
+            load_staged(tmp_path / "staged")
+
+    def test_flipped_bytes_never_leak_another_error(self, staged_model, tmp_path):
+        save_staged(staged_model, tmp_path / "staged")
+        path = tmp_path / "staged" / STAGED_FILE
+        data = path.read_bytes()
+        size = 4 + int.from_bytes(data[:4], "little")
+        probe = synth_corpus(47, 20, BINARY)
+        rng = random.Random(0)
+        for trial in range(400):
+            flipped = bytearray(data)
+            # half the trials hit the header, where most of the checks are
+            end = size if trial % 2 else len(data)
+            for _ in range(rng.randint(1, 3)):
+                flipped[rng.randrange(end)] = rng.randrange(256)
+            path.write_bytes(bytes(flipped))
+            try:
+                run_series(probe, load_staged(tmp_path / "staged"))
+            except RweetsError:
+                pass
 
 
 class TestSeriesOutput:
