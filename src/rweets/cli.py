@@ -287,12 +287,30 @@ def cmd_featurize(args) -> int:
     return 0
 
 
+# characters of distinct text the `rules classify` memo holds before it empties
+_RULE_MEMO_CHARS = 1 << 21
+
+
 def cmd_rules(args) -> int:
+    # each distinct text is matched once while the memo holds it, and records
+    # with equal bits share one (label, bits) pair; the memo empties past
+    # _RULE_MEMO_CHARS, so memory stays flat on inputs of any size
     def classified():
+        by_text, by_bits, held = {}, {}, 0  # text -> (label, bits), bits -> the same pair
         for record in read_records(args.input, ("text",)):
-            bits = match_tweet(record["text"])
-            record["rule_label"] = RWEET if any(bits) else NOT_RWEET
-            record["rule_bits"] = [int(bit) for bit in bits]
+            text = record["text"]
+            found = by_text.get(text)
+            if found is None:
+                if held > _RULE_MEMO_CHARS:
+                    by_text, by_bits, held = {}, {}, 0
+                bits = match_tweet(text)
+                found = by_bits.get(bits)
+                if found is None:
+                    label = RWEET if any(bits) else NOT_RWEET
+                    found = by_bits[bits] = label, [int(bit) for bit in bits]
+                by_text[text] = found
+                held += len(text)
+            record["rule_label"], record["rule_bits"] = found
             yield record
 
     count = write_records(args.output, classified())

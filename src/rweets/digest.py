@@ -7,7 +7,6 @@ that produced it, so downstream stages can detect stale inputs.
 import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,10 +47,13 @@ def digest_records(records) -> str:
 @contextmanager
 def atomic_open(path):
     """A binary file that replaces `path` only when the block completes, so
-    concurrent readers never see a partial file."""
+    concurrent readers never see a partial file. It gets the mode `open`
+    gives a new file, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    # a fresh random name, created exclusively: no other writer's file
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -247,7 +247,7 @@ def save_series_output(results, path) -> None:
 # --- staged-model persistence -----------------------------------------------
 
 
-_STAGES = ("identifier", "categorizer")
+_STAGES = {"identifier": BINARY, "categorizer": CATEGORICAL}  # stage -> its label domain
 STAGED_FILE = "staged.model"
 # the model and vocabulary files of the layout train wrote before one file held
 # the staged model (a JSON manifest was the fifth)
@@ -274,8 +274,9 @@ def save_staged(staged: StagedClassifier, directory) -> None:
 
 def load_staged(directory) -> StagedClassifier:
     """Read the staged classifier `save_staged` wrote into `directory`. A
-    damaged file, a vocabulary that disagrees with its digest or a directory
-    in the five-file layout is a FormatError; configurations whose digests
+    damaged file, a vocabulary that disagrees with its digest, a stage whose
+    classes are not its domain's labels or a directory in the five-file
+    layout is a FormatError; configurations whose digests
     (the pipeline's covers the lexicon) differ from the header's are stale."""
     path = Path(directory) / STAGED_FILE
     for old in (Path(directory) / name for name in _FIVE_FILE_LAYOUT):
@@ -292,13 +293,17 @@ def load_staged(directory) -> StagedClassifier:
         meta = header["meta"]
         configs = FeatureConfig(**meta["feature_config"]), PipelineConfig(**meta["pipeline_config"])
         fitted = []
-        for stage in _STAGES:
+        for stage, domain in _STAGES.items():
             prefix = f"{stage}."
             own = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
             vocab = _vocab_from(meta[stage], own)
             if vocab.digest != meta[stage]["vocab_digest"]:
                 raise FormatError(f"{stage} vocabulary disagrees with its digest")
-            fitted += [_model_from(meta[stage], own), vocab]
+            model = _model_from(meta[stage], own)
+            if tuple(model.classes_) != domain.labels:
+                raise FormatError(f"{stage} classes {list(model.classes_)} are not the "
+                                  f"{domain.name} labels {list(domain.labels)}")
+            fitted += [model, vocab]
     except (KeyError, TypeError, AttributeError, ValueError) as exc:  # FormatError too
         raise FormatError(f"{path.name}: damaged staged model ({exc})") from None
     if combine_digests(configs[0].digest, configs[1].digest) != header["digest"]:

@@ -7,30 +7,24 @@ significant: "where can I donate" fires pattern 8, "donate can I where" does
 not.
 
 `PATTERN_SOURCES` is the single definition of the rules. A pattern's bit is
-exactly `re.search(source, text, re.IGNORECASE) is not None`, but a chained
-pattern `A.*B.*C` is not run as one backtracking regex, whose `.*` chains
-take super-linear time on long texts. It is split on `.*` into stages, each
-compiled once, and matched as staged searches:
-
-- one line at a time: `.` does not match "\n", so a chain matches within one
-  line; the text is split on "\n" only ("\r" and other line breaks are
-  ordinary characters to `.`);
-- on a line, each stage is searched from where the previous stage's match
-  ended. Every stage is an alternation of literal phrases with `\b` on one
-  or both sides, and no phrase occurs inside another of its stage except
-  as its suffix, so a stage's leftmost match is also its earliest-ending
-  one, and committing to it loses no match of the whole chain.
-
-Pattern 13 (`\b\w*\s*\b\?`) has no `.*` and stays one search over the whole
-text; each of its attempts starts at a word boundary and scans at most one
-word and the blanks after it. Each stage of a chain scans a line once, and
-patterns that begin with the same stages share those searches within one
-text. So the time is linear in the text length, and texts of any length
-are accepted and never truncated.
+exactly `re.search(source, text, re.IGNORECASE) is not None`. As one regex,
+a chained pattern `A.*B.*C` backtracks super-linearly, so the chains are
+split on `.*` into stages and compiled once into a tree, in which patterns
+that begin with the same stages share those nodes. A text is matched by one
+walk of the tree per line (`.` does not match "\n"). A node is searched from
+where its parent's match ended; one that finds nothing skips its subtree.
+Every stage is an alternation of literal phrases with `\b` on one or both
+sides, none inside another of its stage except as its suffix, so a stage's
+leftmost match is its earliest-ending one, and committing to it loses no
+match of the chain. Pattern 13 (`\b\w*\s*\b\?`) has no `.*` and stays one
+search of the whole text, whose attempts each scan one word and the blanks
+after it: the time is linear in the text length, and no text is truncated.
+`rule_features` walks each of its texts once; `rules classify` walks each
+distinct text of its input once.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -66,55 +60,62 @@ N_PATTERNS = len(PATTERN_SOURCES)
 class RulePattern:
     id: int  # 1-based
     source: str
-    # the source split on ".*", each stage compiled, with the id of the chain
-    # of stages ending there (equal for patterns that begin with that chain)
-    stages: tuple[tuple[int, re.Pattern], ...]
+    forests: tuple = field(repr=False, compare=False)  # the stage tree of this pattern alone
 
     def matches(self, text: str) -> bool:
-        if len(self.stages) == 1:  # no ".*": search the whole text
-            return self.stages[0][1].search(text) is not None
-        for line, ends in _line_scan(text):
-            end = 0
-            for chain, stage in self.stages:
-                found = ends.get(chain)
-                if found is None:
-                    m = stage.search(line, end)
-                    found = ends[chain] = m.end() if m else -1
-                if found < 0:
-                    break
-                end = found
-            else:
-                return True
-        return False
+        return _walk(text, *self.forests)[self.id - 1]
 
 
-@lru_cache(maxsize=1)
-def _line_scan(text: str) -> list[tuple[str, dict[int, int]]]:
-    """Each line of the text with the earliest end on it of every chain of
-    stages searched so far (-1: no match). Cached for the last text, so the
-    18 `matches` calls on one text share their searches."""
-    return [(line, {}) for line in text.split("\n")]
+def _forests(indices) -> tuple[list, list]:
+    """The stage tree of the patterns at `indices`: per-line chains and whole-text
+    patterns (no ".*"). A node is (search, indices of patterns ending there, children)."""
+    nodes, roots, whole = {}, [], []
+    for i in indices:
+        parts = PATTERN_SOURCES[i].split(".*")
+        siblings = roots if len(parts) > 1 else whole
+        for k in range(len(parts)):
+            key = (len(parts) == 1, *parts[: k + 1])  # the forest, then the chain
+            if key not in nodes:
+                try:
+                    nodes[key] = (re.compile(parts[k], re.IGNORECASE).search, [], [])
+                except re.error as exc:
+                    raise ValidationError(f"rule pattern {i + 1} failed to compile: {exc}") from exc
+                siblings.append(nodes[key])
+            siblings = nodes[key][2]
+        nodes[key][1].append(i)
+    return roots, whole
 
 
 @lru_cache(maxsize=1)
 def compile_patterns() -> tuple[RulePattern, ...]:
     """Compile all 18 patterns once; a failure names the offending id."""
-    chains: dict[tuple[str, ...], int] = {}
-    patterns = []
-    for i, source in enumerate(PATTERN_SOURCES, start=1):
-        parts = source.split(".*")
-        keys = [chains.setdefault(tuple(parts[: k + 1]), len(chains)) for k in range(len(parts))]
-        try:
-            stages = tuple(zip(keys, (re.compile(part, re.IGNORECASE) for part in parts)))
-        except re.error as exc:
-            raise ValidationError(f"rule pattern {i} failed to compile: {exc}") from exc
-        patterns.append(RulePattern(i, source, stages))
-    return tuple(patterns)
+    return tuple(RulePattern(i + 1, s, _forests([i])) for i, s in enumerate(PATTERN_SOURCES))
+
+
+_TREE = _forests(range(N_PATTERNS))  # all 18, compiled once
+
+
+def _walk_line(nodes, line: str, start: int, bits: list) -> None:
+    for search, ends, children in nodes:
+        m = search(line, start)
+        if m is not None:
+            for i in ends:
+                bits[i] = True
+            if children:
+                _walk_line(children, line, m.end(), bits)
+
+
+def _walk(text: str, roots: list, whole: list) -> tuple[bool, ...]:
+    bits = [False] * N_PATTERNS
+    for line in text.split("\n"):
+        _walk_line(roots, line, 0, bits)
+    _walk_line(whole, text, 0, bits)
+    return tuple(bits)
 
 
 def match_tweet(text: str) -> tuple[bool, ...]:
     """18 match bits for one tweet, indexed by pattern id minus one."""
-    return tuple(p.matches(text) for p in compile_patterns())
+    return _walk(text, *_TREE)
 
 
 def rule_classify(text: str) -> str:
@@ -125,10 +126,8 @@ def rule_classify(text: str) -> str:
 def rule_features(dataset_or_texts) -> np.ndarray:
     """Binary matrix of shape (n_tweets, 18); row i holds match_tweet of
     tweet i. Accepts a Dataset or any iterable of texts."""
-    if isinstance(dataset_or_texts, Dataset):
-        texts = [tw.text for tw in dataset_or_texts]
-    else:
-        texts = list(dataset_or_texts)
+    data = dataset_or_texts
+    texts = [tw.text for tw in data] if isinstance(data, Dataset) else list(data)
     out = np.zeros((len(texts), N_PATTERNS), dtype=np.float64)
     for i, text in enumerate(texts):
         out[i, :] = match_tweet(text)

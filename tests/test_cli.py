@@ -152,20 +152,12 @@ class TestRules:
         assert len(records[0]["rule_bits"]) == 18
         assert records[0]["rule_bits"][7] == 1
 
-    def test_each_text_costs_one_rule_pass(self, tmp_path, monkeypatch):
+    def test_each_text_costs_one_rule_pass(self, tmp_path, rule_walks):
         import re
 
         from rweets.corpus import BINARY, synth_corpus
-        from rweets.rules import PATTERN_SOURCES, RulePattern
+        from rweets.rules import PATTERN_SOURCES
 
-        evals = []
-        matches = RulePattern.matches
-
-        def counted(self, text):
-            evals.append(self.id)
-            return matches(self, text)
-
-        monkeypatch.setattr(RulePattern, "matches", counted)
         oracle = [re.compile(source, re.IGNORECASE) for source in PATTERN_SOURCES]
         texts = ["calm morning by the bay", "Where can I donate clothes"]
         texts += [tw.text for tw in synth_corpus(17, 40, BINARY)]
@@ -173,17 +165,69 @@ class TestRules:
         for n, text in enumerate(texts):
             source, out = tmp_path / f"in{n}.jsonl", tmp_path / f"out{n}.jsonl"
             source.write_text(json.dumps({"id": str(n), "text": text}) + "\n")
-            evals.clear()
+            rule_walks.clear()
             assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
             record = json.loads(out.read_text())
             bits = record["rule_bits"]
             assert bits == [int(p.search(text) is not None) for p in oracle]
-            # one pass of the 18 patterns gives both the bits and the label
-            assert evals == list(range(1, 19))
+            # one walk of the stage tree gives both the bits and the label
+            assert rule_walks == [text]
             assert record["rule_label"] == ("rweet" if any(bits) else "not_rweet")
             labels.append(any(bits))
         assert labels[:2] == [False, True]
         assert True in labels[2:] and False in labels[2:]  # synth covers both kinds
+
+    def test_repeated_texts_under_other_ids(self, tmp_path, rule_walks):
+        import random
+        import re
+
+        from rweets.corpus import BINARY, synth_corpus
+        from rweets.rules import PATTERN_SOURCES
+
+        texts = [tw.text for tw in synth_corpus(18, 60, BINARY)]
+        texts += ["I am\nbringing food", "I am\rbringing food", "need shelter?\nnow", ""]
+        records = [{"id": f"{copy}{n}", "text": text}
+                   for copy in ("a", "b", "c") for n, text in enumerate(texts)]
+        random.Random(5).shuffle(records)
+        source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records))
+        distinct = list(dict.fromkeys(r["text"] for r in records))
+        assert len(distinct) == len(set(texts)) < len(records) // 2
+        for _ in range(2):  # the memo lasts one call
+            rule_walks.clear()
+            assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
+            assert rule_walks == distinct
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+            assert [(r["id"], r["text"]) for r in rows] == [(r["id"], r["text"]) for r in records]
+            labels = set()
+            for row in rows:
+                bits = [int(re.search(s, row["text"], re.IGNORECASE) is not None)
+                        for s in PATTERN_SOURCES]
+                assert row["rule_bits"] == bits, row["id"]
+                assert row["rule_label"] == ("rweet" if any(bits) else "not_rweet"), row["id"]
+                labels.add(row["rule_label"])
+            assert labels == {"rweet", "not_rweet"}
+
+    def test_memo_empties_past_its_bound(self, tmp_path, rule_walks, monkeypatch):
+        import re
+
+        from rweets import cli
+        from rweets.rules import PATTERN_SOURCES
+
+        monkeypatch.setattr(cli, "_RULE_MEMO_CHARS", 20)
+        texts = ["need shelter?", "quiet night here", "I am bringing food", "need shelter?"]
+        source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        source.write_text("".join(json.dumps({"id": str(n), "text": t}) + "\n"
+                                  for n, t in enumerate(texts)))
+        assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
+        # 13 + 16 characters pass the bound: the third text empties the memo,
+        # so the repeat of the first is walked again
+        assert rule_walks == texts
+        for row in (json.loads(line) for line in out.read_text().splitlines()):
+            bits = [int(re.search(s, row["text"], re.IGNORECASE) is not None)
+                    for s in PATTERN_SOURCES]
+            assert row["rule_bits"] == bits
+            assert row["rule_label"] == ("rweet" if any(bits) else "not_rweet")
 
     def test_action_defaults_to_classify(self, tmp_path):
         source = tmp_path / "in.jsonl"
@@ -367,6 +411,32 @@ class TestTrain:
         model.write_bytes(with_header(model.read_bytes(), change))
         assert self.series(workspace, tmp_path) == 4
         assert "config digest mismatch" in capsys.readouterr().err
+
+    def test_stage_classes_must_be_its_domain_labels(self, workspace, tmp_path, capsys):
+        assert self.train(workspace) == 0
+        assert self.series(workspace, tmp_path) == 0
+        model = workspace / "staged" / STAGED_FILE
+        data = model.read_bytes()
+        assert data.count(b"not_rweetrweet") == 1  # the identifier's classes
+        model.write_bytes(data.replace(b"not_rweetrweet", b"not_rweetrweEt"))
+        assert self.series(workspace, tmp_path) == 3
+        assert "identifier classes ['not_rweet', 'rweEt'] are not the binary labels" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_files_take_the_umask(self, workspace, tmp_path, umask, mode):
+        import os
+        import stat
+
+        old = os.umask(umask)
+        try:
+            assert self.train(workspace) == 0
+            assert self.series(workspace, tmp_path) == 0
+        finally:
+            os.umask(old)
+        for path in (workspace / "staged" / STAGED_FILE, tmp_path / "o.jsonl"):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path
+        assert sorted(p.name for p in (workspace / "staged").iterdir()) == [STAGED_FILE]
 
 
 class TestLoneSurrogate:

@@ -428,21 +428,46 @@ class TestCrossValidate:
             )
 
 
-def saved_as_both_stages(model, directory):
-    """`model` saved as both stages of a staged classifier into `directory`,
-    with a vocabulary of one made-up term per column; the staged file."""
-    n_cols = getattr(model, "weights_", getattr(model, "feature_log_prob_", None)).shape[1]
-    vocab = Vocabulary(terms=tuple(f"t{i}" for i in range(n_cols)), ngram_range=(1, 1))
-    save_staged(StagedClassifier(model, vocab, model, vocab, FeatureConfig(), PipelineConfig()),
-                directory)
+def saved_as_stages(identifier, categorizer, directory):
+    """The two models saved as the stages of a staged classifier into
+    `directory`, each with a vocabulary of one made-up term per column; the
+    staged file."""
+    def vocab(model):
+        n_cols = getattr(model, "weights_", getattr(model, "feature_log_prob_", None)).shape[1]
+        return Vocabulary(terms=tuple(f"t{i}" for i in range(n_cols)), ngram_range=(1, 1))
+
+    save_staged(StagedClassifier(identifier, vocab(identifier), categorizer, vocab(categorizer),
+                                 FeatureConfig(), PipelineConfig()), directory)
     return directory / STAGED_FILE
+
+
+def saved_as_both_stages(model, directory):
+    """`model` saved as both stages, for the tests whose file `load_staged`
+    refuses before it compares each stage's classes with its domain's labels."""
+    return saved_as_stages(model, model, directory)
+
+
+def identifier_logreg(seed=2):
+    """A logreg fitted on separable blobs labelled with the binary labels, as
+    the identifier stage is, and its training matrix."""
+    X, y = separable_blobs(seed=seed)
+    y = ["rweet" if label == "pos" else "not_rweet" for label in y]
+    return LogisticRegression().fit(X, y, classes=BINARY.labels), X
+
+
+def categorizer_nb():
+    """A multinomial NB fitted with the six categories as its classes, as the
+    categorizer stage is."""
+    rows = np.array([[1, 2, 0], [0, 1, 3], [2, 0, 1], [4, 0, 0], [0, 0, 2], [1, 1, 1]], dtype=float)
+    return MultinomialNaiveBayes(alpha=0.5).fit(
+        SparseMatrix.from_dense(rows), CATEGORICAL.labels, classes=CATEGORICAL.labels
+    )
 
 
 class TestModelPersistence:
     def test_logreg_round_trip(self, tmp_path):
-        X, y = separable_blobs(seed=2)
-        clf = LogisticRegression().fit(X, y)
-        loaded = load_staged(saved_as_both_stages(clf, tmp_path).parent).identifier
+        clf, X = identifier_logreg()
+        loaded = load_staged(saved_as_stages(clf, categorizer_nb(), tmp_path).parent).identifier
         assert loaded.classes_ == clf.classes_
         np.testing.assert_array_equal(loaded.weights_, clf.weights_)
         np.testing.assert_array_equal(loaded.bias_, clf.bias_)
@@ -450,11 +475,9 @@ class TestModelPersistence:
         assert loaded.predict(X) == clf.predict(X)
 
     def test_nb_round_trip(self, tmp_path):
-        rows = np.array([[1, 2, 0], [0, 1, 3], [2, 0, 1]], dtype=float)
-        nb = MultinomialNaiveBayes(alpha=0.5).fit(
-            SparseMatrix.from_dense(rows), ["a", "b", "a"]
-        )
-        loaded = load_staged(saved_as_both_stages(nb, tmp_path).parent).categorizer
+        nb = categorizer_nb()
+        loaded = load_staged(saved_as_stages(identifier_logreg()[0], nb, tmp_path).parent).categorizer
+        assert loaded.classes_ == nb.classes_ == CATEGORICAL.labels
         np.testing.assert_array_equal(loaded.feature_log_prob_, nb.feature_log_prob_)
         np.testing.assert_array_equal(loaded.class_log_prior_, nb.class_log_prior_)
         assert loaded.alpha == nb.alpha

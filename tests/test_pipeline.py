@@ -133,33 +133,18 @@ class TestRunSeries:
         assert warm.built == 0 and warm.misses == 0 and warm.hits == 2
         assert first == second
 
-    def count_rule_evals(self, monkeypatch):
-        """Record the text of every match_tweet call the series path makes."""
-        from rweets import rules
-
-        seen = []
-        match_tweet = rules.match_tweet
-
-        def counted(text):
-            seen.append(text)
-            return match_tweet(text)
-
-        monkeypatch.setattr(rules, "match_tweet", counted)
-        return seen
-
-    def test_rules_run_once_per_cleaned_row(self, staged_model, tmp_path, monkeypatch):
+    def test_rules_run_once_per_cleaned_row(self, staged_model, tmp_path, rule_walks):
         probe = synth_corpus(46, 90, BINARY)
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
-        seen = self.count_rule_evals(monkeypatch)
         cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
         assert any(r.stage1 == RWEET for r in cold)
         texts = probe.texts_by_id()
-        assert seen == [texts[i] for i in clean.ids()]
-        seen.clear()
+        assert rule_walks == [texts[i] for i in clean.ids()]  # one walk per cleaned row
+        rule_walks.clear()
         assert run_series(probe, staged_model, FeatureCache(tmp_path / "cache")) == cold
-        assert seen == []
+        assert rule_walks == []
         assert run_series(probe, staged_model) == cold
-        assert len(seen) == len(clean)
+        assert rule_walks == [texts[i] for i in clean.ids()]
 
     def stage2_reference(self, staged, probe, results):
         """Stage-2 features built from scratch on the id-filtered corpus,
@@ -189,18 +174,21 @@ class TestRunSeries:
         reference = (tmp_path / "reference.matrix").read_bytes()
         assert cache.path_for(key).read_bytes() == reference
 
-    def test_stage2_miss_after_stage1_hit(self, staged_model, tmp_path, monkeypatch):
+    def test_stage2_miss_after_stage1_hit(self, staged_model, tmp_path, rule_walks):
         probe = synth_corpus(46, 90, BINARY)
         cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
         _fm, key, n_stage2 = self.stage2_reference(staged_model, probe, cold)
         assert 0 < n_stage2 < len(cold)
         stage2_path = FeatureCache(tmp_path / "cache").path_for(key)
         stage2_path.unlink()
-        seen = self.count_rule_evals(monkeypatch)
+        rule_walks.clear()
         cache = FeatureCache(tmp_path / "cache")
         assert run_series(probe, staged_model, cache) == cold
         assert (cache.hits, cache.misses, cache.built) == (1, 1, 1)
-        assert len(seen) == n_stage2  # stage 2 evaluates its own rows only
+        texts = probe.texts_by_id()
+        stage2_texts = [texts[r.id] for r in cold if r.stage1 == RWEET]
+        assert len(stage2_texts) == n_stage2
+        assert rule_walks == stage2_texts  # stage 2 walks its own rows only
         assert stage2_path.exists()
 
     def count_cleanings(self, monkeypatch):

@@ -3,6 +3,7 @@ import random
 import re
 import time
 
+import numpy as np
 from oracles import regex_search
 from rweets.corpus import BINARY, Dataset, RawTweet
 from rweets.rules import (
@@ -186,6 +187,29 @@ class TestRuleFeatures:
         assert row[12] == 1.0
         non_question = [j for j in range(18) if j != 12]
         assert row[non_question].sum() == 0.0
+
+
+class TestBatches:
+    """`rule_features` gives every row of a batch, repeated or multi-line
+    texts among them, the bits `re` gives its text."""
+
+    def test_fuzz_batches_with_repeats_equal_re(self):
+        rng = random.Random(31)
+        repeats = multi_line = 0
+        for _ in range(40):
+            batch = [fuzz_text(rng) for _ in range(30)]
+            batch += ["\n".join(rng.sample(batch, 3)) for _ in range(5)]
+            batch += [rng.choice(batch) for _ in range(20)]
+            rng.shuffle(batch)
+            m = rule_features(batch)
+            assert m.shape == (len(batch), N_PATTERNS) and m.dtype == np.float64
+            for row, text in zip(m, batch):
+                assert tuple(row == 1.0) == re_bits(text), repr(text)
+            assert set(np.unique(m)) <= {0.0, 1.0}
+            repeats += len(batch) - len(set(batch))
+            multi_line += sum("\n" in text for text in batch)
+        assert repeats > 400 and multi_line > 400, (repeats, multi_line)
+        assert rule_features([]).shape == (0, N_PATTERNS)
 
 
 class TestFixtureAgainstOracle:
