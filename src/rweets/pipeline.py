@@ -21,6 +21,7 @@ from .features import (
     Vocabulary,
     _vocab_fields,
     _vocab_from,
+    count_ngrams,
     featurize_tokens,
     load_matrix,
     save_matrix,
@@ -174,21 +175,21 @@ def run_series(
     and the lexicon but not the cleaning code, as the feature digest covers
     the feature config but not the featurization code.
 
-    The 18 rules run at most once per cleaned tweet per call: building
-    stage 1 evaluates them for every cleaned row and building stage 2 reuses
-    those bits for its rows; when stage 1 is a cache hit, stage 2 evaluates
-    only its own rows.
+    N-grams are counted and the 18 rules run at most once per cleaned tweet
+    per call: building stage 1 counts and evaluates every cleaned row, and
+    building stage 2 takes its rows' counts and bits from those; when stage 1
+    is a cache hit, stage 2 counts and evaluates only its own rows.
     """
     texts = dataset.texts_by_id()
     config = staged.feature_config
     counts_only = getattr(staged.identifier, "input_kind", "weighted") == "counts"
     ids = None  # stage 1's row ids: the cleaned corpus's, or a cached artifact's
     cleaned = None  # the cleaned corpus, once a builder needs it
-    all_rules = None  # the rule block of every cleaned row, once evaluated
+    all_counts = all_rules = None  # the n-gram counts and rule block of every cleaned row
 
     def build(rows, vocab: Vocabulary) -> FeatureMatrix:
         """Featurize the cleaned rows at positions `rows` (None: every row)."""
-        nonlocal cleaned, all_rules
+        nonlocal cleaned, all_counts, all_rules
         if cleaned is None:
             cleaned, _ = run_pipeline(dataset, staged.pipeline_config)
         if ids is not None and cleaned.ids() != tuple(ids):
@@ -196,13 +197,16 @@ def run_series(
                 f"{cache.path_for(key1).name}: rows differ from the cleaned input")
         tweets = cleaned.tweets if rows is None else [cleaned.tweets[i] for i in rows]
         row_ids = [tw.id for tw in tweets]
-        rules = None
-        if config.append_rules:
-            rules = rule_block_for_ids(row_ids, texts) if all_rules is None else all_rules[rows]
+        if all_counts is not None:
+            counts, all_counts = all_counts.take(rows), None  # its last use: free it
+            rules = None if all_rules is None else all_rules[rows]
+        else:
+            counts = count_ngrams([tw.tokens for tw in tweets], config.ngram_range)
+            rules = rule_block_for_ids(row_ids, texts) if config.append_rules else None
             if rows is None:
-                all_rules = rules
-        return featurize_tokens([tw.tokens for tw in tweets], row_ids, config, vocab=vocab,
-                                rule_block=rules, counts_only=counts_only)
+                all_counts, all_rules = counts, rules
+        return featurize_tokens(counts, row_ids, config, vocab=vocab, rule_block=rules,
+                                counts_only=counts_only)
 
     def featurize(key, rows, vocab: Vocabulary) -> FeatureMatrix:
         if cache is None:

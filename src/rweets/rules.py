@@ -17,8 +17,10 @@ Every stage is an alternation of literal phrases with `\b` on one or both
 sides, none inside another of its stage except as its suffix, so a stage's
 leftmost match is its earliest-ending one, and committing to it loses no
 match of the chain. Pattern 13 (`\b\w*\s*\b\?`) has no `.*` and stays one
-search of the whole text, whose attempts each scan one word and the blanks
-after it: the time is linear in the text length, and no text is truncated.
+search of the whole text: the time is linear in the text length, and no
+text is truncated. Each stage compiles without IGNORECASE to an equivalent
+regex that starts with one character class, which `re` scans for instead of
+trying every offset (`_scannable`); pattern 13 becomes `\?(?<=\w\?)`.
 `rule_features` walks each of its texts once; `rules classify` walks each
 distinct text of its input once.
 """
@@ -66,6 +68,32 @@ class RulePattern:
         return _walk(text, *self.forests)[self.id - 1]
 
 
+# what re.IGNORECASE matches to an ASCII letter besides its two cases: İ, ı, K (Kelvin), ſ
+_FOLDS = {"i": "\u0130\u0131", "k": "\u212a", "s": "\u017f"}
+_STAGE = re.compile(r"(\\b)?(\()?([A-Za-z][A-Za-z' ]*(?:\|[A-Za-z][A-Za-z' ]*)*)(?(2)\))(\\b)?")
+
+
+def _fold(c: str) -> str:
+    """The characters that `c` matches under re.IGNORECASE."""
+    return c.lower() + c.upper() + _FOLDS.get(c.lower(), "")
+
+
+def _scannable(stage: str) -> str:
+    """`stage` without IGNORECASE, beginning with one character class: each
+    character becomes the class it matches, and a leading `\\b` moves behind
+    the first character, where it reads "no word character before it"."""
+    if stage == r"\b\w*\s*\b\?":  # pattern 13: a word character right before a "?"
+        return r"\?(?<=\w\?)"
+    shape = _STAGE.fullmatch(stage.replace("\\'", "'"))
+    if shape is None:
+        raise ValueError(f"{stage!r} is not an alternation of literal phrases")
+    phrases = shape[3].split("|")
+    firsts = "".join(dict.fromkeys(_fold(p[0]) for p in phrases))
+    rests = "|".join(f"(?<=[{_fold(p[0])}])" + "".join(f"[{_fold(c)}]" for c in p[1:])
+                     for p in phrases)
+    return f"[{firsts}]" + (r"(?<!\w.)" if shape[1] else "") + f"(?:{rests})" + (shape[4] or "")
+
+
 def _forests(indices) -> tuple[list, list]:
     """The stage tree of the patterns at `indices`: per-line chains and whole-text
     patterns (no ".*"). A node is (search, indices of patterns ending there, children)."""
@@ -77,8 +105,8 @@ def _forests(indices) -> tuple[list, list]:
             key = (len(parts) == 1, *parts[: k + 1])  # the forest, then the chain
             if key not in nodes:
                 try:
-                    nodes[key] = (re.compile(parts[k], re.IGNORECASE).search, [], [])
-                except re.error as exc:
+                    nodes[key] = (re.compile(_scannable(parts[k])).search, [], [])
+                except (re.error, ValueError) as exc:
                     raise ValidationError(f"rule pattern {i + 1} failed to compile: {exc}") from exc
                 siblings.append(nodes[key])
             siblings = nodes[key][2]

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from oracles import with_header
@@ -190,6 +191,31 @@ class TestRunSeries:
         assert len(stage2_texts) == n_stage2
         assert rule_walks == stage2_texts  # stage 2 walks its own rows only
         assert stage2_path.exists()
+
+    # tf and tf-idf, each without and with rules, on unigrams plus bigrams;
+    # NB reads raw counts
+    @pytest.mark.parametrize("index,classifier", [(4, "logreg"), (10, "logreg"), (16, "logreg"),
+                                                  (22, "logreg"), (10, "nb")])
+    def test_stage2_counts_taken_from_stage1_equal_a_fresh_count(self, index, classifier,
+                                                                 tmp_path):
+        staged, _ = train_staged(synth_corpus(41, 120, BINARY), synth_corpus(42, 120, CATEGORICAL),
+                                 combo(index), classifier=classifier)
+        probe = synth_corpus(46, 90, BINARY)
+        taken = recording_cache(tmp_path / "cache")  # stage 2 takes stage 1's counts
+        results = run_series(probe, staged, taken)
+        assert 0 < sum(r.stage2 is not None for r in results) < len(results)
+        stage1_path = taken.path_for(stage1_key(staged, probe))
+        for path in (tmp_path / "cache").iterdir():
+            if path != stage1_path:
+                path.unlink()
+        counted = recording_cache(tmp_path / "cache")  # a stage-1 hit: stage 2 counts its rows
+        assert run_series(probe, staged, counted) == results
+        assert (counted.hits, counted.misses, counted.built) == (1, 1, 1)
+        ours, fresh = taken.returned[1], counted.returned[1]
+        assert ours.row_ids == fresh.row_ids
+        assert (ours.matrix.rows, ours.matrix.cols) == (fresh.matrix.rows, fresh.matrix.cols)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours.matrix, name), getattr(fresh.matrix, name)), name
 
     def count_cleanings(self, monkeypatch):
         from rweets import pipeline

@@ -1,11 +1,16 @@
 
+import itertools
 import random
 import re
+import sys
 import time
 
 import numpy as np
+import pytest
 from oracles import regex_search
+from rweets import rules
 from rweets.corpus import BINARY, Dataset, RawTweet
+from rweets.errors import ValidationError
 from rweets.rules import (
     N_PATTERNS,
     PATTERN_SOURCES,
@@ -125,6 +130,62 @@ class TestCompile:
 
     def test_pattern_1_prefix(self):
         assert PATTERN_SOURCES[0].startswith(r"\b(I|we)\b")
+
+    @pytest.mark.parametrize("source", [
+        r"\b(I|we\b.*\b(am|are)\b",  # unbalanced
+        r"\b(I|we)\b.*\b(am|\w+)\b",  # not a literal phrase
+        r"\b(I|we)\b.*\b(am|2nd)\b",  # a phrase that starts with a digit
+        r".*\b(am|are)\b",  # an empty stage
+        r"\b(I|we)\b\s*\b(am|are)\b",  # a stage that is not one alternation
+    ])
+    def test_source_outside_the_stage_shape_names_its_id(self, monkeypatch, source):
+        sources = list(PATTERN_SOURCES)
+        sources[2] = source
+        monkeypatch.setattr(rules, "PATTERN_SOURCES", tuple(sources))
+        with pytest.raises(ValidationError, match="rule pattern 3 failed to compile"):
+            rules._forests(range(N_PATTERNS))
+
+    def test_rewrite_that_fails_to_compile_names_its_id(self, monkeypatch):
+        monkeypatch.setattr(rules, "_FOLDS", {"w": "\\"})  # "[wW\]" leaves its class open
+        with pytest.raises(ValidationError, match="rule pattern 1 failed to compile"):
+            rules._forests(range(N_PATTERNS))
+
+
+@pytest.fixture(scope="module")
+def every_code_point():
+    return "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+class TestScannableStages:
+    """Each stage compiles without IGNORECASE to a regex that begins with one
+    character class; these pin the two facts that make that exact."""
+
+    def test_fold_classes_are_what_ignorecase_matches(self, every_code_point):
+        # the compile's classes come from this interpreter's Unicode tables
+        letters = {c.lower() for source in PATTERN_SOURCES
+                   for c in re.sub(r"\\.", "", source) if c.isascii() and c.isalpha()}
+        assert len(letters) > 20
+        for letter in sorted(letters):
+            folded = re.findall(letter, every_code_point, re.IGNORECASE)
+            assert sorted(folded) == sorted(rules._fold(letter)), letter
+
+    def test_pattern_13_on_every_short_string(self):
+        # a word character right before a "?" matches; nothing else does
+        alphabet = ("a", "é", "İ", "_", "1", " ", "?", "\n")
+        for n in range(6):
+            for chars in itertools.product(alphabet, repeat=n):
+                text = "".join(chars)
+                expected = re.search(PATTERN_SOURCES[12], text, re.IGNORECASE) is not None
+                assert match_tweet(text)[12] == expected, repr(text)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("?", False), ("?help", False), ("help ?", False), ("help\n?", False), ("??", False),
+        ("x_?", True), ("_?", True), ("route 9?", True), ("café?", True), ("help??", True),
+        ("İ?", True), ("where?\n", True),
+    ])
+    def test_pattern_13_named_cases(self, text, expected):
+        assert (re.search(PATTERN_SOURCES[12], text, re.IGNORECASE) is not None) == expected
+        assert match_tweet(text)[12] == expected
 
 
 class TestMatchTweet:
