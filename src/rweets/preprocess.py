@@ -2,30 +2,31 @@
 operations followed by corpus-level duplicate elimination.
 
 The default order generalizes tags (numbers, retweet markers, mentions, URLs)
-BEFORE punctuation removal: the tag patterns need "@", ":" and "//", which
-punctuation removal destroys. The alternative "punct-first" order runs
-punctuation removal ahead of tag generalization and is selectable for
-ablation; under it the tag patterns mostly cannot fire.
+before punctuation removal, which destroys the "@", ":" and "//" that the tag
+patterns need. The "punct-first" order, kept for ablation, swaps the two.
 
-Every per-tweet stage is a pure function, so cleaning is idempotent:
-re-running the pipeline over already-clean text changes nothing. That is why
-the language filter scores words against the full bundled English lexicon
-(stopwords plus base words) rather than the stopword list alone; cleaned
-tweets are stopword-free and would otherwise never survive a second pass.
+Every per-tweet stage is a pure function, so cleaning is idempotent. That is
+why the language filter scores words against the whole bundled English
+lexicon rather than the stopwords alone: cleaned tweets are stopword-free.
 
-`run_pipeline` is a fast path with the per-op runner's results. It compiles
-the op list into steps once per call, and each step carries the tweet's word
-count forward, so no op counts words twice. The lemma and English-evidence
-memos are created per call and die with it. Substitutions whose pattern
-needs a substring the text lacks are skipped. The corpus and the report
-(removals and token deltas, in order) equal those of the per-op reference
-in `tests/oracles.py`.
+`run_pipeline` cleans each distinct word once per call. Five ops act inside
+a whitespace-delimited word and never across one: lowercase, tokenize,
+remove_stopwords, lemmatize, and remove_punctuation, which turns every
+whitespace character into a separator. generalize_tags is word-local on a
+text without "@" or "//", where only the number and www patterns can match,
+and neither matches whitespace; a text that holds "@" or "/" is tagged as a
+whole. Each run of word-local ops is one memo from a word to its tokens and
+each op's change to its word count; a run that must keep the separators
+(lowercase before whole-text tagging) acts on the text. strip_non_ascii, the
+filters and dedupe act on whole tweets. The memos die with the call, and the
+corpus and report equal those of the per-op reference in `tests/oracles.py`.
 """
 
 import re
-from collections.abc import Callable
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +165,9 @@ _PLACEHOLDER_SPLIT = re.compile("(" + "|".join(PLACEHOLDERS) + ")")
 
 # Tag patterns. Replacement order is fixed: numbers, retweet markers,
 # mentions, URLs. They expect lowercased input; the placeholders they emit
-# are uppercase on purpose so later stages can recognize them.
-_NUM_RE = re.compile(r"(?:(?:\d+,?)+(?:\.?\d+)?)")
+# are uppercase on purpose so later stages can recognize them. The number
+# pattern is the source's (?:(?:\d+,?)+(?:\.?\d+)?) without its nested repeat.
+_NUM_RE = re.compile(r"\d+(?:,\d+)*,?(?:\.?\d+)?")
 _RT_RE = re.compile(r"(?:(RT|rt) @ ?[\w_]+:?)")
 _MENT_RE = re.compile(r"(?:@ ?[\w_]+)")
 # The source pattern covers only scheme-prefixed URLs; bare www. hosts appear
@@ -176,7 +178,8 @@ _URL_RE = re.compile(r"http[s]? ?: ?//" + _URL_BODY)
 _WWW_RE = re.compile(r"\bwww\." + _URL_BODY)
 
 _NOT_ALLOWED_RE = re.compile(r"[^a-z0-9_#' ]+")
-_EDGE_TRIM_RE = re.compile(r"^[^a-z']+|[^a-z']+$")
+# A word without its leading and trailing characters outside [a-z'].
+_CORE_RE = re.compile(r"[a-z'](?:.*[a-z'])?", re.DOTALL)
 
 
 def _map_around_placeholders(text: str, fn) -> str:
@@ -200,15 +203,15 @@ class _Memo(dict):
 
 
 def strip_non_ascii(text: str) -> str:
-    return text.encode("ascii", errors="ignore").decode("ascii")
+    return text if text.isascii() else text.encode("ascii", errors="ignore").decode("ascii")
 
 
 def _is_evidence(word: str) -> bool:
     """A placeholder, or a lexicon word once lowercased and edge-trimmed."""
     if word in PLACEHOLDERS:
         return True
-    trimmed = _EDGE_TRIM_RE.sub("", word.lower())
-    return bool(trimmed) and trimmed in lexicon.english_evidence()
+    core = _CORE_RE.search(word.lower())
+    return core is not None and core.group() in lexicon.english_evidence()
 
 
 def _english(words: list[str], threshold: float, evidence: _Memo) -> bool:
@@ -310,103 +313,106 @@ def _validated_strip(word: str, stem: str) -> str:
     return word
 
 
-def dedupe(tweets: list[CleanTweet]) -> list[CleanTweet]:
-    """Collapse tweets with identical token strings, keeping the first."""
-    seen: set[str] = set()
-    kept = []
-    for tw in tweets:
-        key = tw.joined()
-        if key not in seen:
-            seen.add(key)
-            kept.append(tw)
-    return kept
-
-
 # --- pipeline runner --------------------------------------------------------
 
-# Ops that never change the word count and report no token delta.
-_UNREPORTED_OPS = ("is_english", "tokenize")
+# Ops that report no token delta: the first two never change the word count,
+# and dedupe drops whole tweets once the per-tweet ops are done.
+_UNREPORTED_OPS = ("is_english", "tokenize", "dedupe")
+# Before tokenize, a run of word-local ops with neither of these must keep the
+# separators strip_non_ascii and whole-text tags read, so it acts on the text.
+_JOINING_OPS = {"remove_punctuation", "tokenize"}
+_TEXT_OPS = dict(
+    strip_non_ascii=strip_non_ascii, lowercase=lowercase, generalize_tags=generalize_tags)
 
 
-def _compile(config: PipelineConfig) -> list[tuple[str, Callable]]:
-    """The per-tweet ops of config, in order, as (op, step) pairs.
-
-    A step maps (state, word count) to the pair after the op, or to None when
-    the op drops the tweet. The state is the text up to `tokenize` and the
-    token list after it; text ops after `tokenize` run on the joined tokens
-    and are split again. The memos live in the steps, so they last one call.
+def _compile(config: PipelineConfig):
+    """Config's per-tweet ops as routes of (key, step) pairs for texts with
+    and without "@" or "/", the token-delta totals the steps add to, and each
+    run's (ops, word-count changes by word, entering words). A step maps the
+    state (the text, or a word list where no later step reads the exact text)
+    to the next, or to None to drop the tweet. Each maximal run of word-local
+    ops is one step, keyed by its ops, with a memo from a word to its tokens;
+    beneath the runs, each op maps each distinct word once. Memos last a call.
     """
-    lemmas = _Memo(_lemma)
     evidence = _Memo(_is_evidence)
-    threshold, min_tokens = config.english_threshold, config.min_tokens
+    word_memos = {op: _Memo(fn) for op, fn in {
+        "lowercase": lambda w: lowercase(w).split(),
+        "generalize_tags": lambda w: generalize_tags(w).split(),
+        "remove_punctuation": _punctuation_free_words,
+        "tokenize": tokenize,
+        "remove_stopwords": lambda w: remove_stopwords([w]),
+        "lemmatize": lambda w: lemmatize([w]),
+    }.items()}
+    totals, runs = Counter(), []
 
-    def strip_step(text, count):
-        if text.isascii():
-            return text, count
-        text = strip_non_ascii(text)
-        return text, len(text.split())
+    def run_step(ops):
+        # the words entering the run are counted, and each op's changes to
+        # their counts summed once the call is done
+        changes_of, seen = {}, Counter()
+        runs.append((ops, changes_of, seen))
 
-    def english_step(text, count):
-        return (text, count) if _english(text.split(), threshold, evidence) else None
+        def expand(word):
+            words, changes = [word], []
+            for op in ops:
+                after = [t for w in words for t in word_memos[op][w]]
+                changes.append(len(after) - len(words))
+                words = after
+            changes_of[word] = changes
+            return words
 
-    def lowercase_step(text, count):
-        lowered = lowercase(text)
-        # ASCII case mapping changes letters only, never a word boundary
-        return lowered, count if text.isascii() else len(lowered.split())
+        tokens = _Memo(expand)
 
-    def tags_step(text, count):
-        tagged = generalize_tags(text)
-        return tagged, count if tagged == text else len(tagged.split())
-
-    def punctuation_step(text, count):
-        words = _punctuation_free_words(text)
-        return " ".join(words), len(words)
-
-    def tokenize_step(text, count):
-        return tokenize(text), count
-
-    def on_tokens(text_op):
-        def step(tokens, count):
-            words = text_op(" ".join(tokens)).split()
-            return words, len(words)
+        def step(state):
+            words = state.split() if isinstance(state, str) else state
+            seen.update(words)
+            return list(chain.from_iterable(map(tokens.__getitem__, words)))
 
         return step
 
-    def stopwords_step(tokens, count):
-        kept = remove_stopwords(tokens)
-        return kept, len(kept)
+    def text_step(op, to_words):
+        def step(state):
+            text = state if isinstance(state, str) else " ".join(state)
+            new = _TEXT_OPS[op](text)
+            words = new.split() if to_words else None
+            # ASCII case mapping changes letters only, never a word boundary
+            if new != text and not (op == "lowercase" and text.isascii()):
+                totals[op] += len(words or new.split()) - len(text.split())
+            return new if words is None else words
 
-    def short_step(tokens, count):
-        kept = drop_if_short(tokens, min_tokens)
-        return None if kept is None else (kept, count)
+        return step
 
-    def lemmatize_step(tokens, count):
-        return list(map(lemmas.__getitem__, tokens)), count
+    def english_step(to_words):
+        def step(state):
+            words = state.split() if isinstance(state, str) else state
+            if _english(words, config.english_threshold, evidence):
+                return words if to_words else state
 
-    table = {
-        "strip_non_ascii": strip_step,
-        "is_english": english_step,
-        "lowercase": lowercase_step,
-        "generalize_tags": tags_step,
-        "remove_punctuation": punctuation_step,
-        "tokenize": tokenize_step,
-    }
-    token_table = {
-        "lowercase": on_tokens(lowercase),
-        "generalize_tags": on_tokens(generalize_tags),
-        "remove_punctuation": on_tokens(remove_punctuation),
-        "remove_stopwords": stopwords_step,
-        "drop_if_short": short_step,
-        "lemmatize": lemmatize_step,
-    }
-    steps = []
-    for op in config.ops:
-        if op == "dedupe":
-            continue
-        steps.append((op, table[op]))
-        if op == "tokenize":
-            table = token_table
-    return steps
+        return step
+
+    short = partial(drop_if_short, min_tokens=config.min_tokens)
+    makers = {"is_english": english_step, "drop_if_short": lambda _: short}
+    run_steps = _Memo(run_step)
+    # lemmatize maps each token to one, so drop_if_short reads the same count
+    # after it; run first, it joins the run before drop_if_short
+    ops = " ".join(config.ops).replace("drop_if_short lemmatize", "lemmatize drop_if_short")
+    ops = [op for op in ops.split() if op != "dedupe"]
+
+    def route(word_tags: bool):
+        keys, on_tokens = [], False  # (an op or the ops of a run, state is tokens)
+        is_local = lambda op: op in word_memos and (word_tags or op != "generalize_tags")
+        for local, group in groupby(ops, is_local):
+            group = tuple(group)
+            joins = local and (on_tokens or _JOINING_OPS & set(group))
+            keys += [(group, on_tokens)] if joins else [(op, on_tokens) for op in group]
+            on_tokens = on_tokens or "tokenize" in group
+        # a step hands on a word list in token state or when a run reads it next
+        return [
+            (key, run_steps[key] if type(key) is tuple else
+             makers.get(key, partial(text_step, key))(tokens or type(then) is tuple))
+            for (key, tokens), (then, _) in zip(keys, keys[1:] + [((), True)])
+        ]
+
+    return route(True), route(False), totals, runs
 
 
 def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
@@ -416,45 +422,42 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
     removed tweet: len(dataset) == len(corpus) + report.total_removed.
     """
     config = config or PipelineConfig()
-    steps = _compile(config)
+    plain, tagged, totals, runs = _compile(config)
 
-    filter_stages = ("is_english", "drop_if_short", "dedupe")
-    removed: dict[str, int] = {op: 0 for op in config.ops if op in filter_stages}
-    totals = [0] * len(steps)
-    survivors: list[CleanTweet] = []
+    removed = {op: 0 for op in config.ops if op in ("is_english", "drop_if_short", "dedupe")}
+    # by token string under dedupe, keeping the first of each; else by id
+    survivors: dict[str, CleanTweet] = {}
 
     for tweet in dataset:
         state = tweet.text
-        count = len(state.split())
-        for i, (op, step) in enumerate(steps):
-            result = step(state, count)
-            if result is None:
-                removed[op] += 1
+        # no op before generalize_tags makes an "@", or a "//" out of no "/"
+        for key, step in tagged if "@" in state or "/" in state else plain:
+            state = step(state)
+            if state is None:
+                removed[key] += 1
                 break
-            state, after = result
-            totals[i] += after - count
-            count = after
         else:
             # tokenize is a required op, so the state is a token list here
-            if count:
-                survivors.append(CleanTweet(tweet.id, tuple(state), tweet.label))
-            else:
+            if not state:
                 removed["empty"] = removed.get("empty", 0) + 1
+            elif (dup_key := " ".join(state) if "dedupe" in removed else tweet.id) in survivors:
+                removed["dedupe"] += 1
+            else:
+                survivors[dup_key] = CleanTweet(tweet.id, tuple(state), tweet.label)
 
+    for ops, changes_of, seen in runs:
+        for word, n in seen.items():
+            for op, change in zip(ops, changes_of[word]):
+                totals[op] += n * change
     # An op reports a delta once some tweet has come through it.
     deltas: dict[str, int] = {}
     reached = len(dataset)
-    for (op, _), total in zip(steps, totals):
+    for op in config.ops:
         reached -= removed.get(op, 0)
         if reached and op not in _UNREPORTED_OPS:
-            deltas[op] = total
+            deltas[op] = totals[op]
 
-    if "dedupe" in config.ops:
-        before_dedupe = len(survivors)
-        survivors = dedupe(survivors)
-        removed["dedupe"] = before_dedupe - len(survivors)
-
-    corpus = CleanCorpus(tuple(survivors), config.digest)
+    corpus = CleanCorpus(tuple(survivors.values()), config.digest)
     report = PreprocessReport(
         input_count=len(dataset),
         output_count=len(corpus),

@@ -10,7 +10,7 @@ backtracking matcher (no `re`) for the rule patterns, and `np.add.at`
 scatters for the sparse reductions, scipy's L-BFGS-B on a dense
 one-hot form of the logistic regression objective, and the per-op cleaning
 runner (word counts by `split()` around every op, no memos, no pre-checks)
-for the compiled one in `rweets.preprocess`, and a line-at-a-time JSONL
+for the word-memo one in `rweets.preprocess`, and a line-at-a-time JSONL
 reader (one `json.loads` per line as file iteration yields it) for the
 chunk-decoding reader of `rweets.jsonl`. The module also holds the helpers
 only tests use: a (row, col, value) matrix builder, an all-zero logistic
@@ -38,10 +38,8 @@ from rweets.features import (
 from rweets.metrics import MetricsReport, PerClassMetrics
 from rweets.models import LogisticRegression, _label_indices, _loss_and_grads, _resolve_classes
 from rweets.preprocess import (
-    _EDGE_TRIM_RE,
     _MENT_RE,
     _NOT_ALLOWED_RE,
-    _NUM_RE,
     _PLACEHOLDER_SPLIT,
     _RT_RE,
     _URL_RE,
@@ -51,7 +49,6 @@ from rweets.preprocess import (
     CleanTweet,
     PipelineConfig,
     PreprocessReport,
-    dedupe,
     drop_if_short,
     lemmatize,
     remove_stopwords,
@@ -443,6 +440,13 @@ def scipy_logreg_optimum(X: SparseMatrix, y, classes, l2: float) -> float:
 # The text ops as they were before the fast path: no pre-checks, so a guard
 # that skips a pattern which could have matched shows up as a difference.
 
+# The number pattern as the paper's source writes it; `rweets.preprocess`
+# compiles an equivalent one without the nested repeat, which `re` runs faster.
+SOURCE_NUM_RE = re.compile(r"(?:(?:\d+,?)+(?:\.?\d+)?)")
+# The language filter trims a lowercased word's leading and trailing
+# characters outside [a-z'] before the lexicon lookup.
+_EDGE_TRIM_RE = re.compile(r"^[^a-z']+|[^a-z']+$")
+
 
 def _map_around_placeholders(text: str, fn) -> str:
     parts = _PLACEHOLDER_SPLIT.split(text)
@@ -472,7 +476,7 @@ def _lowercase(text: str) -> str:
 
 
 def _generalize_tags(text: str) -> str:
-    text = _NUM_RE.sub("_NUM_", text)
+    text = SOURCE_NUM_RE.sub("_NUM_", text)
     text = _RT_RE.sub("_RT_", text)
     text = _MENT_RE.sub("_MENT_", text)
     text = _URL_RE.sub("_URL_", text)
@@ -510,6 +514,18 @@ def _apply(op: str, state):
     if isinstance(state, list):
         return fn(" ".join(state)).split()
     return fn(state)
+
+
+def dedupe(tweets: list[CleanTweet]) -> list[CleanTweet]:
+    """Collapse tweets with identical token strings, keeping the first."""
+    seen: set[str] = set()
+    kept = []
+    for tw in tweets:
+        key = tw.joined()
+        if key not in seen:
+            seen.add(key)
+            kept.append(tw)
+    return kept
 
 
 def reference_clean(dataset, config: PipelineConfig | None = None):

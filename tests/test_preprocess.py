@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import reference_clean
+from oracles import SOURCE_NUM_RE, dedupe, reference_clean
 
 from rweets import lexicon, preprocess
 from rweets.corpus import BINARY, CATEGORICAL, Dataset, RawTweet, synth_corpus
@@ -12,7 +12,6 @@ from rweets.preprocess import (
     CleanCorpus,
     CleanTweet,
     PipelineConfig,
-    dedupe,
     drop_if_short,
     generalize_tags,
     is_english,
@@ -412,6 +411,11 @@ _FUZZ_PIECES = (
     "http://x.co/ab1", "https : //y.org", "x//y", "//", "www.example123.com",
     "WWW.EXAMPLE.COM", "www", "12", "1,200.5", "3.", "٣٤", "!!", "...", ",", ":",
     "'", "",
+    # the word/text split: ASCII separators that str.split splits on, tags
+    # next to words or across a space (one whose "//" strip_non_ascii makes),
+    # and letters whose lowercase is longer (for orders without strip_non_ascii)
+    "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "rt @12ab:", "x_NUM_y",
+    "xwww.a1.com", "http : //a.b", "http : /é/a.b", "@ bob", "ǅ",
 )
 
 
@@ -458,6 +462,25 @@ class TestAgainstReference:
         strict = PipelineConfig(ops=ops, english_threshold=0.6, min_tokens=3)
         assert_same_as_reference(dataset, strict)
 
+    def test_random_orders(self):
+        # the runner groups ops into runs by their order, so any valid order
+        # must clean as the reference does
+        rng = random.Random(5)
+        synth = [tw.text for tw in synth_corpus(5, 100, BINARY)]
+        dataset = make_dataset(fuzz_texts(5, 400) + synth)
+        ops = sorted(preprocess._KNOWN_OPS - {"tokenize", "dedupe"})
+        checked = 0
+        while checked < 200:
+            order = rng.sample(ops, rng.randint(0, len(ops)))
+            order.insert(rng.randint(0, len(order)), "tokenize")
+            try:
+                config = PipelineConfig(order + ["dedupe"] * rng.randint(0, 1),
+                                        rng.choice([0.0, 0.15, 0.6]), rng.randint(1, 3))
+            except ValidationError:
+                continue
+            assert_same_as_reference(dataset, config)
+            checked += 1
+
     @pytest.mark.parametrize("ops", [DEFAULT_OPS, PUNCT_FIRST_OPS], ids=["default", "punct"])
     def test_ops_no_tweet_comes_through_report_no_delta(self, ops):
         # all dropped at is_english (only strip_non_ascii comes before it),
@@ -478,17 +501,46 @@ class TestAgainstReference:
                         preprocess._WWW_RE):
             assert sum(bool(pattern.search(t)) for t in lowered) > 50, pattern
         assert sum(bool(preprocess._PLACEHOLDER_SPLIT.search(t)) for t in texts) > 50
+        # and each route of the runner: texts tagged whole and word by word
+        assert sum("@" in t or "//" in t for t in texts) > 50
+        assert sum("@" not in t and "/" not in t for t in texts) > 50
+
+    def test_number_pattern_matches_the_source_pattern(self):
+        rng = random.Random(3)
+        for _ in range(20000):
+            text = "".join(rng.choices("0123456789,.,. a٣", k=rng.randint(0, 12)))
+            assert preprocess._NUM_RE.sub("_NUM_", text) == SOURCE_NUM_RE.sub("_NUM_", text), text
 
     def test_memos_last_one_call(self, monkeypatch):
-        # a memo that outlived its call would serve lemmas and language
-        # evidence from the lexicon of an earlier call
-        dataset = make_dataset(fuzz_texts(11, 500) + ["we need food supplies now"] * 3)
+        # a memo that outlived its call would serve tokens, lemmas and
+        # language evidence from the lexicon of an earlier call
+        dataset = make_dataset(
+            fuzz_texts(11, 500) + ["we need food supplies now"] * 3 + ["they are rescuing cats"]
+        )
         assert_same_as_reference(dataset, PipelineConfig())
         exceptions = dict(lexicon.lemma_exceptions(), supplies="stock", need="want")
         evidence = lexicon.english_evidence() - {"need", "food", "help", "water"}
+        stopwords = lexicon.stopwords() | {"food"}
+        base_words = lexicon.base_words() - {"rescue"}
         monkeypatch.setattr(lexicon, "lemma_exceptions", lambda: exceptions)
         monkeypatch.setattr(lexicon, "english_evidence", lambda: evidence)
+        monkeypatch.setattr(lexicon, "stopwords", lambda: stopwords)
+        monkeypatch.setattr(lexicon, "base_words", lambda: base_words)
         corpus, _ = run_pipeline(dataset, PipelineConfig())
-        assert ("we", "want", "food", "stock") in corpus.token_lists()
+        assert ("we", "want", "stock") in corpus.token_lists()
+        assert ("they", "rescuing", "cat") in corpus.token_lists()
         assert_same_as_reference(dataset, PipelineConfig())
         assert_same_as_reference(dataset, PipelineConfig(ops=PUNCT_FIRST_OPS))
+
+    def test_each_word_op_runs_once_per_distinct_word(self, monkeypatch):
+        calls = {"_punctuation_free_words": [], "_lemma": []}
+        for name, seen in calls.items():
+            counted = lambda w, fn=getattr(preprocess, name), seen=seen: seen.append(w) or fn(w)
+            monkeypatch.setattr(preprocess, name, counted)
+        synth = [tw.text for tw in synth_corpus(1, 300, BINARY)]
+        dataset = make_dataset(fuzz_texts(13, 1000) + synth)
+        for ops in (DEFAULT_OPS, PUNCT_FIRST_OPS):
+            run_pipeline(dataset, PipelineConfig(ops=ops))
+            for name, seen in calls.items():
+                assert seen and len(seen) == len(set(seen)), name
+                seen.clear()
