@@ -18,8 +18,6 @@ from .corpus import (
     DOMAINS,
     NOT_RWEET,
     RWEET,
-    Dataset,
-    RawTweet,
     load_dataset,
     save_dataset,
     synth_corpus,
@@ -389,9 +387,9 @@ def cmd_series(args) -> int:
     else:
         raise UsageError("series needs --input (or --resubstitution)")
     # input labels, if any, are ignored: the series only needs id and text
-    dataset = Dataset(BINARY, tuple(RawTweet(r["id"], r["text"]) for r in read_records(input_path)))
+    texts = {r["id"]: r["text"] for r in read_records(input_path)}
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
-    results = run_series(dataset, staged, cache)
+    results = run_series(texts, staged, cache)
     save_series_output(results, args.output)
     n_rweets = sum(1 for r in results if r.stage1 == "rweet")
     print(f"{len(results)} tweets classified; {n_rweets} rweets categorized")

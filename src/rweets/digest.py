@@ -7,10 +7,14 @@ that produced it, so downstream stages can detect stale inputs.
 import hashlib
 import json
 import os
+import struct
 from contextlib import contextmanager
+from itertools import chain, islice
 from pathlib import Path
 
 DIGEST_LEN = 16
+_LENGTH = struct.Struct("<Q").pack  # a field's byte length, 8 bytes little-endian
+_FIELDS_PER_UPDATE = 2048  # fields hashed per update: memory stays flat
 
 
 def digest_bytes(data: bytes) -> str:
@@ -36,11 +40,11 @@ def digest_records(records) -> str:
     and then its bytes, so two sequences of equal-width tuples share a
     digest only if they are equal."""
     h = hashlib.sha256()
-    for record in records:
-        for field in record:
-            data = field.encode("utf-8")
-            h.update(len(data).to_bytes(8, "little"))
-            h.update(data)
+    fields = chain.from_iterable(records)
+    while data := list(map(str.encode, islice(fields, _FIELDS_PER_UPDATE))):
+        stream = data * 2  # each field's length, then its bytes
+        stream[::2], stream[1::2] = map(_LENGTH, map(len, data)), data
+        h.update(b"".join(stream))
     return h.hexdigest()[:DIGEST_LEN]
 
 

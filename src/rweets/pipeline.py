@@ -9,11 +9,12 @@ train/serve skew inherited from the staged design.
 """
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import artifact
-from .corpus import BINARY, CATEGORICAL, RWEET, Dataset
-from .digest import combine_digests, digest_records, digest_text
+from .corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet
+from .digest import atomic_write_text, combine_digests, digest_records, digest_text
 from .errors import FormatError, StaleCacheError, ValidationError
 from .features import (
     FeatureConfig,
@@ -26,7 +27,6 @@ from .features import (
     load_matrix,
     save_matrix,
 )
-from .jsonl import write_records
 from .models import _model_fields, _model_from, make_classifier
 from .preprocess import CleanCorpus, PipelineConfig, run_pipeline
 from .rules import rule_block_for_ids
@@ -157,12 +157,13 @@ def train_staged(
 
 
 def run_series(
-    dataset: Dataset,
+    texts: dict[str, str],
     staged: StagedClassifier,
     cache: FeatureCache | None = None,
 ) -> list[CategorizedTweet]:
-    """Predict stage-1 labels for every cleaned tweet, then stage-2 labels
-    for the predicted rweets. Output order follows the cleaned corpus.
+    """Predict stage-1 labels for every cleaned tweet of `texts` (id -> text,
+    in input order), then stage-2 labels for the predicted rweets. Output
+    order follows the cleaned corpus.
 
     The cache is keyed on the input as given, not on what cleaning makes of
     it. Stage 1's key covers the feature config, the identifier vocabulary,
@@ -180,7 +181,6 @@ def run_series(
     building stage 2 takes its rows' counts and bits from those; when stage 1
     is a cache hit, stage 2 counts and evaluates only its own rows.
     """
-    texts = dataset.texts_by_id()
     config = staged.feature_config
     counts_only = getattr(staged.identifier, "input_kind", "weighted") == "counts"
     ids = None  # stage 1's row ids: the cleaned corpus's, or a cached artifact's
@@ -191,6 +191,7 @@ def run_series(
         """Featurize the cleaned rows at positions `rows` (None: every row)."""
         nonlocal cleaned, all_counts, all_rules
         if cleaned is None:
+            dataset = Dataset(BINARY, tuple(RawTweet(*item) for item in texts.items()))
             cleaned, _ = run_pipeline(dataset, staged.pipeline_config)
         if ids is not None and cleaned.ids() != tuple(ids):
             raise StaleCacheError(
@@ -215,7 +216,7 @@ def run_series(
 
     key1 = None if cache is None else combine_digests(
         config.digest, staged.identifier_vocab.digest, staged.pipeline_config.digest,
-        digest_records((tw.id, tw.text) for tw in dataset), "stage1")
+        digest_records(texts.items()), "stage1")
     fm1 = featurize(key1, None, staged.identifier_vocab)
     ids = fm1.row_ids
     remaining = iter(texts)  # input order; `in` consumes it up to the match
@@ -243,9 +244,12 @@ def run_series(
 
 
 def save_series_output(results, path) -> None:
-    write_records(path, ({"id": r.id, "text": r.text, "stage1": r.stage1} if r.stage2 is None
-                         else {"id": r.id, "text": r.text, "stage1": r.stage1, "stage2": r.stage2}
-                         for r in results))
+    """Write each result as the line `json.dumps(record, ensure_ascii=False)`
+    of its record, encoding the strings with the encoder that call uses."""
+    quote = encode_basestring
+    atomic_write_text(path, "".join(
+        f'{{"id": {quote(r.id)}, "text": {quote(r.text)}, "stage1": {quote(r.stage1)}'
+        + ("}\n" if r.stage2 is None else f', "stage2": {quote(r.stage2)}}}\n') for r in results))
 
 
 # --- staged-model persistence -----------------------------------------------

@@ -167,9 +167,11 @@ _PLACEHOLDER_SPLIT = re.compile("(" + "|".join(PLACEHOLDERS) + ")")
 # mentions, URLs. They expect lowercased input; the placeholders they emit
 # are uppercase on purpose so later stages can recognize them. The number
 # pattern is the source's (?:(?:\d+,?)+(?:\.?\d+)?) without its nested repeat.
-_NUM_RE = re.compile(r"\d+(?:,\d+)*,?(?:\.?\d+)?")
-_RT_RE = re.compile(r"(?:(RT|rt) @ ?[\w_]+:?)")
-_MENT_RE = re.compile(r"(?:@ ?[\w_]+)")
+_TAG_SOURCES = (r"\d+(?:,\d+)*,?(?:\.?\d+)?", r"(?:(RT|rt) @ ?[\w_]+:?)", r"(?:@ ?[\w_]+)")
+_NUM_RE, _RT_RE, _MENT_RE = _NUM_RT_MENT = tuple(map(re.compile, _TAG_SOURCES))
+# On an ASCII text these match what the patterns above match, and `re` can
+# scan ahead for [0-9] where it cannot for \d.
+_ASCII_NUM_RT_MENT = tuple(re.compile(p.replace(r"\d", "[0-9]"), re.ASCII) for p in _TAG_SOURCES)
 # The source pattern covers only scheme-prefixed URLs; bare www. hosts appear
 # in real tweets (and in the documented cleaning example), so they are
 # generalized as well.
@@ -237,10 +239,11 @@ def lowercase(text: str) -> str:
 def generalize_tags(text: str) -> str:
     # Each substring test is a necessary condition of the patterns it guards,
     # so a skipped substitution is one that could not have matched.
-    text = _NUM_RE.sub("_NUM_", text)
+    num, rt, ment = _ASCII_NUM_RT_MENT if text.isascii() else _NUM_RT_MENT
+    text = num.sub("_NUM_", text)
     if "@" in text:
-        text = _RT_RE.sub("_RT_", text)
-        text = _MENT_RE.sub("_MENT_", text)
+        text = rt.sub("_RT_", text)
+        text = ment.sub("_MENT_", text)
     if "//" in text:
         text = _URL_RE.sub("_URL_", text)
     if "www." in text:
@@ -374,8 +377,12 @@ def _compile(config: PipelineConfig):
             text = state if isinstance(state, str) else " ".join(state)
             new = _TEXT_OPS[op](text)
             words = new.split() if to_words else None
-            # ASCII case mapping changes letters only, never a word boundary
-            if new != text and not (op == "lowercase" and text.isascii()):
+            # ASCII case mapping changes letters only, never a word boundary;
+            # each space a tag match removes joins two words (a match's only
+            # whitespace is single spaces between non-space characters)
+            if op == "generalize_tags":
+                totals[op] += new.count(" ") - text.count(" ")
+            elif new != text and not (op == "lowercase" and text.isascii()):
                 totals[op] += len(words or new.split()) - len(text.split())
             return new if words is None else words
 

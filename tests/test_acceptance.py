@@ -253,7 +253,7 @@ def test_10_end_to_end_staged_pipeline(tmp_path):
         staged, _reports = train_staged(d1, d2, config)
         probe = synth_corpus(1003, 200, BINARY)
         cold = FeatureCache(tmp_path / "cache")
-        first = run_series(probe, staged, cold)
+        first = run_series(probe.texts_by_id(), staged, cold)
         assert cold.built == 2
 
         cleaned_probe, _ = run_pipeline(probe, staged.pipeline_config)
@@ -265,6 +265,6 @@ def test_10_end_to_end_staged_pipeline(tmp_path):
         assert all(r.id in probe_ids for r in first)
 
         warm = FeatureCache(tmp_path / "cache")
-        second = run_series(probe, staged, warm)
+        second = run_series(probe.texts_by_id(), staged, warm)
         assert warm.built == 0 and warm.misses == 0 and warm.hits == 2
         assert first == second

@@ -248,3 +248,21 @@ class TestDigestRecords:
         # moving a boundary or a separator-like character changes the digest
         variants = [[("ab", "c")], [("a", "bc")], [("a\x1fb", "c")], [("a", "b\x1ec")]]
         assert len({digest_records(v) for v in variants}) == len(variants)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_fuzz_against_the_byte_stream(self, width):
+        import hashlib
+
+        from rweets.digest import digest_records
+
+        # empty, one- to four-byte UTF-8 and non-BMP fields; the record counts
+        # put the 2,048-field update boundaries inside and between records
+        rng = random.Random(width)
+        alphabet = ["", "a", "\x00", "\n", "é", "ß", "需", "\u2028", "\U0001f6a8", "\U00010348"]
+        for n in (0, 1, 682, 683, 1024, 1025, 2048, 3001):
+            records = [tuple("".join(rng.choices(alphabet, k=rng.randint(0, 6)))
+                             for _ in range(width)) for _ in range(n)]
+            stream = b"".join(len(f.encode()).to_bytes(8, "little") + f.encode()
+                              for record in records for f in record)
+            expected = hashlib.sha256(stream).hexdigest()[:16]
+            assert digest_records(iter(records)) == digest_records(records) == expected, n

@@ -101,7 +101,7 @@ class TestRunSeries:
     def test_conservation(self, staged_model):
         probe = synth_corpus(43, 120, BINARY)
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
-        results = run_series(probe, staged_model)
+        results = run_series(probe.texts_by_id(), staged_model)
         assert len(results) == len(clean)
         n_rweet = sum(1 for r in results if r.stage1 == RWEET)
         n_stage2 = sum(1 for r in results if r.stage2 is not None)
@@ -110,7 +110,7 @@ class TestRunSeries:
 
     def test_alignment(self, staged_model):
         probe = synth_corpus(44, 80, BINARY)
-        results = run_series(probe, staged_model)
+        results = run_series(probe.texts_by_id(), staged_model)
         texts = probe.texts_by_id()
         ids = [r.id for r in results]
         assert len(ids) == len(set(ids))
@@ -119,7 +119,7 @@ class TestRunSeries:
 
     def test_near_perfect_on_easy_data(self, staged_model):
         probe = synth_corpus(45, 150, BINARY)
-        results = run_series(probe, staged_model)
+        results = run_series(probe.texts_by_id(), staged_model)
         gold = {t.id: t.label for t in probe}
         acc = sum(1 for r in results if gold[r.id] == r.stage1) / len(results)
         assert acc >= 0.95
@@ -127,24 +127,24 @@ class TestRunSeries:
     def test_warm_cache_skips_featurization(self, staged_model, tmp_path):
         probe = synth_corpus(46, 90, BINARY)
         cold = FeatureCache(tmp_path / "cache")
-        first = run_series(probe, staged_model, cold)
+        first = run_series(probe.texts_by_id(), staged_model, cold)
         assert cold.built == 2 and cold.hits == 0
         warm = FeatureCache(tmp_path / "cache")
-        second = run_series(probe, staged_model, warm)
+        second = run_series(probe.texts_by_id(), staged_model, warm)
         assert warm.built == 0 and warm.misses == 0 and warm.hits == 2
         assert first == second
 
     def test_rules_run_once_per_cleaned_row(self, staged_model, tmp_path, rule_walks):
         probe = synth_corpus(46, 90, BINARY)
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
-        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
-        assert any(r.stage1 == RWEET for r in cold)
         texts = probe.texts_by_id()
+        cold = run_series(texts, staged_model, FeatureCache(tmp_path / "cache"))
+        assert any(r.stage1 == RWEET for r in cold)
         assert rule_walks == [texts[i] for i in clean.ids()]  # one walk per cleaned row
         rule_walks.clear()
-        assert run_series(probe, staged_model, FeatureCache(tmp_path / "cache")) == cold
+        assert run_series(texts, staged_model, FeatureCache(tmp_path / "cache")) == cold
         assert rule_walks == []
-        assert run_series(probe, staged_model) == cold
+        assert run_series(texts, staged_model) == cold
         assert rule_walks == [texts[i] for i in clean.ids()]
 
     def stage2_reference(self, staged, probe, results):
@@ -166,10 +166,26 @@ class TestRunSeries:
         )
         return fm, key, len(filtered)
 
+    def test_cache_filled_under_the_dataset_key_is_all_hits(self, staged_model, tmp_path):
+        # stage1_key digests the input as a Dataset's (id, text) pairs, the
+        # key run_series filed matrices under when it took a Dataset
+        probe = synth_corpus(46, 90, BINARY)
+        results = run_series(probe.texts_by_id(), staged_model)
+        clean, _ = run_pipeline(probe, staged_model.pipeline_config)
+        cache = FeatureCache(tmp_path / "cache")
+        key1 = stage1_key(staged_model, probe)
+        fm1 = featurize_corpus(clean, staged_model.feature_config, probe,
+                               vocabulary=staged_model.identifier_vocab)
+        save_matrix(fm1, cache.path_for(key1), digest=key1)
+        fm2, key2, _ = self.stage2_reference(staged_model, probe, results)
+        save_matrix(fm2, cache.path_for(key2), digest=key2)
+        assert run_series(probe.texts_by_id(), staged_model, cache) == results
+        assert (cache.hits, cache.misses, cache.built) == (2, 0, 0)
+
     def test_stage2_artifact_matches_filtered_corpus(self, staged_model, tmp_path):
         probe = synth_corpus(46, 90, BINARY)
         cache = FeatureCache(tmp_path / "cache")
-        results = run_series(probe, staged_model, cache)
+        results = run_series(probe.texts_by_id(), staged_model, cache)
         fm, key, _ = self.stage2_reference(staged_model, probe, results)
         save_matrix(fm, tmp_path / "reference.matrix", digest=key)
         reference = (tmp_path / "reference.matrix").read_bytes()
@@ -177,14 +193,14 @@ class TestRunSeries:
 
     def test_stage2_miss_after_stage1_hit(self, staged_model, tmp_path, rule_walks):
         probe = synth_corpus(46, 90, BINARY)
-        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        cold = run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         _fm, key, n_stage2 = self.stage2_reference(staged_model, probe, cold)
         assert 0 < n_stage2 < len(cold)
         stage2_path = FeatureCache(tmp_path / "cache").path_for(key)
         stage2_path.unlink()
         rule_walks.clear()
         cache = FeatureCache(tmp_path / "cache")
-        assert run_series(probe, staged_model, cache) == cold
+        assert run_series(probe.texts_by_id(), staged_model, cache) == cold
         assert (cache.hits, cache.misses, cache.built) == (1, 1, 1)
         texts = probe.texts_by_id()
         stage2_texts = [texts[r.id] for r in cold if r.stage1 == RWEET]
@@ -202,14 +218,14 @@ class TestRunSeries:
                                  combo(index), classifier=classifier)
         probe = synth_corpus(46, 90, BINARY)
         taken = recording_cache(tmp_path / "cache")  # stage 2 takes stage 1's counts
-        results = run_series(probe, staged, taken)
+        results = run_series(probe.texts_by_id(), staged, taken)
         assert 0 < sum(r.stage2 is not None for r in results) < len(results)
         stage1_path = taken.path_for(stage1_key(staged, probe))
         for path in (tmp_path / "cache").iterdir():
             if path != stage1_path:
                 path.unlink()
         counted = recording_cache(tmp_path / "cache")  # a stage-1 hit: stage 2 counts its rows
-        assert run_series(probe, staged, counted) == results
+        assert run_series(probe.texts_by_id(), staged, counted) == results
         assert (counted.hits, counted.misses, counted.built) == (1, 1, 1)
         ours, fresh = taken.returned[1], counted.returned[1]
         assert ours.row_ids == fresh.row_ids
@@ -233,26 +249,26 @@ class TestRunSeries:
     def test_warm_call_never_cleans(self, staged_model, tmp_path, monkeypatch):
         probe = synth_corpus(46, 90, BINARY)
         calls = self.count_cleanings(monkeypatch)
-        uncached = run_series(probe, staged_model)
+        uncached = run_series(probe.texts_by_id(), staged_model)
         assert len(calls) == 1
         calls.clear()
-        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        cold = run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         assert len(calls) == 1
         calls.clear()
         warm = FeatureCache(tmp_path / "cache")
-        assert run_series(probe, staged_model, warm) == cold == uncached
+        assert run_series(probe.texts_by_id(), staged_model, warm) == cold == uncached
         assert warm.hits == 2 and calls == []
         _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
         warm.path_for(key).unlink()
         stage2_miss = FeatureCache(tmp_path / "cache")
-        assert run_series(probe, staged_model, stage2_miss) == cold
+        assert run_series(probe.texts_by_id(), staged_model, stage2_miss) == cold
         assert (stage2_miss.hits, stage2_miss.built) == (1, 1) and len(calls) == 1
 
     def test_changed_input_or_pipeline_misses(self, staged_model, tmp_path):
         from dataclasses import replace
 
         probe = synth_corpus(46, 90, BINARY)
-        run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         first, *rest = probe.tweets
         variants = [
             # "!" is punctuation, so cleaning leaves the same tokens
@@ -263,7 +279,8 @@ class TestRunSeries:
         ]
         for dataset, staged in variants:
             cache = FeatureCache(tmp_path / "cache")
-            assert run_series(dataset, staged, cache) == run_series(dataset, staged)
+            texts = dataset.texts_by_id()
+            assert run_series(texts, staged, cache) == run_series(texts, staged)
             assert cache.hits == 0 and cache.built == 2
 
     def test_rule_columns_follow_the_raw_text(self, staged_model, tmp_path):
@@ -273,18 +290,18 @@ class TestRunSeries:
         for n, text in enumerate(("where can i donate food", "where can i donate food?")):
             probe = Dataset(BINARY, (RawTweet("t1", text), *rest))
             cache = recording_cache(tmp_path / "cache")
-            assert run_series(probe, staged_model, cache)[0].stage1 == RWEET
+            assert run_series(probe.texts_by_id(), staged_model, cache)[0].stage1 == RWEET
             assert cache.built == 2 and cache.hits == 0
             # an empty cache returns what its builders made
             fresh = recording_cache(tmp_path / f"fresh{n}")
-            run_series(probe, staged_model, fresh)
+            run_series(probe.texts_by_id(), staged_model, fresh)
             assert [fm.matrix for fm in cache.returned] == [fm.matrix for fm in fresh.returned]
 
     def test_stage2_build_checks_the_cached_rows(self, staged_model, tmp_path, monkeypatch):
         from rweets import pipeline
 
         probe = synth_corpus(46, 90, BINARY)
-        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        cold = run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
         FeatureCache(tmp_path / "cache").path_for(key).unlink()
         clean = pipeline.run_pipeline
@@ -295,13 +312,13 @@ class TestRunSeries:
 
         monkeypatch.setattr(pipeline, "run_pipeline", drops_first_row)
         with pytest.raises(StaleCacheError, match="rows differ"):
-            run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+            run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
 
     def test_damaged_row_ids_are_format_errors(self, staged_model, tmp_path):
         from dataclasses import replace
 
         probe = synth_corpus(46, 90, BINARY)
-        cold = run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        cold = run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         key1 = stage1_key(staged_model, probe)
         path = FeatureCache(tmp_path / "cache").path_for(key1)
         built = load_matrix(path, staged_model.feature_config, digest=key1)
@@ -311,21 +328,21 @@ class TestRunSeries:
         for row_ids in (ghost, swapped):
             save_matrix(replace(built, row_ids=tuple(row_ids)), path, digest=key1)
             with pytest.raises(FormatError, match="row ids"):
-                run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+                run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         save_matrix(built, path, digest=key1)
         _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
         stage2 = FeatureCache(tmp_path / "cache").path_for(key)
         fm2 = load_matrix(stage2, staged_model.feature_config, digest=key)
         save_matrix(replace(fm2, row_ids=tuple(reversed(fm2.row_ids))), stage2, digest=key)
         with pytest.raises(FormatError, match="row ids"):
-            run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+            run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
 
     def test_matrix_copied_under_another_key_is_stale(self, staged_model, tmp_path):
         import shutil
         from dataclasses import replace
 
         probe = synth_corpus(46, 90, BINARY)
-        run_series(probe, staged_model, FeatureCache(tmp_path / "cache"))
+        run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         # same ids and cleaned tokens ("!" is punctuation), so only the key
         # tells the two inputs' matrices apart
         first, *rest = probe.tweets
@@ -334,7 +351,7 @@ class TestRunSeries:
         shutil.copy(cache.path_for(stage1_key(staged_model, probe)),
                     cache.path_for(stage1_key(staged_model, variant)))
         with pytest.raises(StaleCacheError):
-            run_series(variant, staged_model, cache)
+            run_series(variant.texts_by_id(), staged_model, cache)
 
     def test_all_not_rweet_identifier_yields_no_stage2(self, staged_model):
         from dataclasses import replace
@@ -346,7 +363,7 @@ class TestRunSeries:
         cols = len(staged_model.identifier_vocab) + 18
         neutered = replace(staged_model, identifier=zero_model(BINARY.labels, cols))
         probe = synth_corpus(49, 60, BINARY)
-        results = run_series(probe, neutered)
+        results = run_series(probe.texts_by_id(), neutered)
         assert results and all(r.stage1 == "not_rweet" for r in results)
         assert all(r.stage2 is None for r in results)
 
@@ -358,7 +375,7 @@ class TestRunSeries:
                 RawTweet("e2", "se necesita comida y agua"),
             ),
         )
-        assert run_series(probe, staged_model) == []
+        assert run_series(probe.texts_by_id(), staged_model) == []
 
 
 def keyword_toy_sets():
@@ -412,7 +429,7 @@ class TestPerfectStagedToy:
     def test_every_gold_rweet_carries_its_gold_category(self):
         d1, d2, probe, gold = keyword_toy_sets()
         staged, _ = train_staged(d1, d2, combo(4))  # tf, uni+bi, no rules
-        results = run_series(probe, staged)
+        results = run_series(probe.texts_by_id(), staged)
         assert len(results) == len(probe)
         for r in results:
             if gold[r.id] is None:
@@ -427,7 +444,8 @@ class TestStagedPersistence:
         save_staged(staged_model, tmp_path / "staged")
         loaded = load_staged(tmp_path / "staged")
         probe = synth_corpus(47, 60, BINARY)
-        assert run_series(probe, loaded) == run_series(probe, staged_model)
+        texts = probe.texts_by_id()
+        assert run_series(texts, loaded) == run_series(texts, staged_model)
         assert loaded.identifier_vocab.digest == staged_model.identifier_vocab.digest
         assert loaded.categorizer_vocab.digest == staged_model.categorizer_vocab.digest
 
@@ -460,7 +478,7 @@ class TestStagedPersistence:
                 flipped[rng.randrange(end)] = rng.randrange(256)
             path.write_bytes(bytes(flipped))
             try:
-                run_series(probe, load_staged(tmp_path / "staged"))
+                run_series(probe.texts_by_id(), load_staged(tmp_path / "staged"))
             except RweetsError:
                 pass
 
@@ -470,7 +488,7 @@ class TestSeriesOutput:
         import json
 
         probe = synth_corpus(48, 50, BINARY)
-        results = run_series(probe, staged_model)
+        results = run_series(probe.texts_by_id(), staged_model)
         path = tmp_path / "out.jsonl"
         save_series_output(results, path)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -479,6 +497,23 @@ class TestSeriesOutput:
             assert set(record) <= {"id", "text", "stage1", "stage2"}
             assert record["stage1"] in ("rweet", "not_rweet")
             assert ("stage2" in record) == (record["stage1"] == "rweet")
+
+    def test_lines_are_json_dumps_of_the_records(self, tmp_path):
+        import json
+
+        # quotes, backslashes, control characters, DEL, the Unicode line and
+        # paragraph separators, non-BMP and non-ASCII characters, and nothing
+        strings = ['say "hi"', "back\\slash\\", "\x00\x01\x1f\t\n\r\x0b\x0c\x08", "del\x7f",
+                   "\u2028\u2029", "\U0001f6a8 help \U00010348", "café 需要 İ", "\u00a0\ufeff",
+                   ""]
+        results = [CategorizedTweet(f"{s}#{n}", s, RWEET, "food") if n % 2 else
+                   CategorizedTweet(f"{s}#{n}", s, "not_rweet")
+                   for n, s in enumerate(strings + strings[::-1])]
+        save_series_output(results, tmp_path / "out.jsonl")
+        records = [{"id": r.id, "text": r.text, "stage1": r.stage1,
+                    **({} if r.stage2 is None else {"stage2": r.stage2})} for r in results]
+        expected = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+        assert (tmp_path / "out.jsonl").read_bytes() == expected.encode("utf-8")
 
 
 class TestFeaturizeCorpus:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from oracles import SOURCE_NUM_RE, dedupe, reference_clean
+from oracles import _generalize_tags as oracle_generalize_tags
 
 from rweets import lexicon, preprocess
 from rweets.corpus import BINARY, CATEGORICAL, Dataset, RawTweet, synth_corpus
@@ -510,6 +511,24 @@ class TestAgainstReference:
         for _ in range(20000):
             text = "".join(rng.choices("0123456789,.,. a٣", k=rng.randint(0, 12)))
             assert preprocess._NUM_RE.sub("_NUM_", text) == SOURCE_NUM_RE.sub("_NUM_", text), text
+
+    def test_ascii_tag_patterns_match_the_unicode_ones(self):
+        # generalize_tags tags an ASCII text with the ASCII patterns; "٣" is a
+        # digit to \d and "_" a word character, so non-ASCII texts must keep
+        # the Unicode ones
+        rng = random.Random(4)
+        pieces = ("٣", "_", "@ x", "rt @x:", "http : //", "@", "rt", "12", "1,0", ".9", "345678",
+                  ",", ":", "a", "é", "x.co", "www.", " ", "  ", "\t")
+        texts = ["".join(rng.choices(pieces, k=rng.randint(0, 9))) for _ in range(5000)]
+        assert sum(t.isascii() for t in texts) > 1000 and sum("٣" in t for t in texts) > 500
+        for text in texts:
+            assert generalize_tags(text) == oracle_generalize_tags(text), text
+            if text.isascii():
+                for ascii_re, unicode_re in zip(preprocess._ASCII_NUM_RT_MENT,
+                                                preprocess._NUM_RT_MENT):
+                    assert ascii_re.sub("_X_", text) == unicode_re.sub("_X_", text), text
+        assert_same_as_reference(make_dataset(texts), PipelineConfig())
+        assert_same_as_reference(make_dataset(texts), PipelineConfig(ops=PUNCT_FIRST_OPS))
 
     def test_memos_last_one_call(self, monkeypatch):
         # a memo that outlived its call would serve tokens, lemmas and
