@@ -25,7 +25,7 @@ from .corpus import (
 from .digest import atomic_write_text, combine_digests, digest_records
 from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from .features import FeatureConfig, combo, load_matrix, save_matrix
-from .jsonl import read_records, text_lines, write_records
+from .jsonl import encode_line, read_records, text_lines
 from .metrics import render_record, render_text
 from .models import LogisticRegression, TrainConfig, cross_validate, make_classifier
 from .pipeline import (
@@ -290,29 +290,28 @@ _RULE_MEMO_CHARS = 1 << 21
 
 
 def cmd_rules(args) -> int:
-    # each distinct text is matched once while the memo holds it, and records
-    # with equal bits share one (label, bits) pair; the memo empties past
-    # _RULE_MEMO_CHARS, so memory stays flat on inputs of any size
-    def classified():
-        by_text, by_bits, held = {}, {}, 0  # text -> (label, bits), bits -> the same pair
-        for record in read_records(args.input, ("text",)):
-            text = record["text"]
-            found = by_text.get(text)
-            if found is None:
-                if held > _RULE_MEMO_CHARS:
-                    by_text, by_bits, held = {}, {}, 0
-                bits = match_tweet(text)
-                found = by_bits.get(bits)
-                if found is None:
-                    label = RWEET if any(bits) else NOT_RWEET
-                    found = by_bits[bits] = label, [int(bit) for bit in bits]
-                by_text[text] = found
-                held += len(text)
-            record["rule_label"], record["rule_bits"] = found
-            yield record
-
-    count = write_records(args.output, classified())
-    print(f"classified {count} tweets -> {args.output}")
+    # a distinct text is matched, and a distinct bit row encoded, once while
+    # the memo holds it; it empties past _RULE_MEMO_CHARS, so memory stays flat
+    by_text, by_bits, held, lines = {}, {}, 0, []  # text -> (fields, tail), bits -> the same
+    for record in read_records(args.input, ("text",)):
+        text = record["text"]
+        found = by_text.get(text)
+        if found is None:
+            if held > _RULE_MEMO_CHARS:
+                by_text, by_bits, held = {}, {}, 0
+            bits = match_tweet(text)
+            if bits not in by_bits:
+                fields = {"rule_label": RWEET if any(bits) else NOT_RWEET,
+                          "rule_bits": [int(bit) for bit in bits]}
+                by_bits[bits] = fields, ", " + encode_line(fields)[1:-1]
+            found = by_text[text] = by_bits[bits]
+            held += len(text)
+        if clash := "rule_label" in record or "rule_bits" in record:  # its keys keep their places
+            record.update(found[0])
+        lines.append(encode_line(record, "" if clash else found[1]) + "\n")
+    del by_text, by_bits  # the memo's texts are not held while the output is joined
+    atomic_write_text(args.output, "".join(lines))
+    print(f"classified {len(lines)} tweets -> {args.output}")
     return 0
 
 

@@ -1,12 +1,13 @@
-"""JSON Lines files, one object per line: the package's one reader and one
-writer. Files are read in text mode (CRLF and lone CR end lines too) and
-split on "\n" only; blank and whitespace-only lines are skipped but counted.
-Bytes that are not UTF-8 make their line a bad line.
+"""JSON Lines files, one object per line: the package's one reader, line
+encoder and record writer. Files are read in text mode (CRLF and lone CR end
+lines too) and split on "\n" only; blank and whitespace-only lines are skipped
+but counted. Bytes that are not UTF-8 make their line a bad line.
 """
 
 import itertools
 import json
 import re
+from json.encoder import encode_basestring
 
 from .digest import atomic_write_text
 from .errors import ValidationError
@@ -108,10 +109,20 @@ def _read_line_by_line(path, lines, start: int, ids: set, fields, domain) -> lis
     return records
 
 
+def encode_line(record: dict, tail: str = "") -> str:
+    """`json.dumps(record, ensure_ascii=False)` with `tail`, members encoded as
+    `, "key": value` each, before its closing brace."""
+    try:  # encode_basestring, that call's string encoder, raises on a key that is not a str
+        body = ", ".join([f"{encode_basestring(key)}: {_ENCODER.encode(value)}"
+                          for key, value in record.items()])
+    except TypeError:  # the call turns such a key into a string (a bad value raises again)
+        body = _ENCODER.encode(record)[1:-1]
+    return "{" + (body + tail if body else tail[2:]) + "}"
+
+
 def write_records(path, records) -> int:
-    """Write each record of an iterable as the line
-    `json.dumps(record, ensure_ascii=False)`, replacing `path` atomically;
-    returns the number of records."""
-    lines = [_ENCODER.encode(record) + "\n" for record in records]
+    """Write each record of an iterable as the line `encode_line(record)`,
+    replacing `path` atomically; returns the number of records."""
+    lines = [encode_line(record) + "\n" for record in records]
     atomic_write_text(path, "".join(lines))
     return len(lines)

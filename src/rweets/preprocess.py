@@ -360,7 +360,8 @@ def _compile(config: PipelineConfig):
                 after = [t for w in words for t in word_memos[op][w]]
                 changes.append(len(after) - len(words))
                 words = after
-            changes_of[word] = changes
+            if any(changes):  # a word no op changed adds nothing to the totals
+                changes_of[word] = changes
             return words
 
         tokens = _Memo(expand)
@@ -453,9 +454,8 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
                 survivors[dup_key] = CleanTweet(tweet.id, tuple(state), tweet.label)
 
     for ops, changes_of, seen in runs:
-        for word, n in seen.items():
-            for op, change in zip(ops, changes_of[word]):
-                totals[op] += n * change
+        for word, changes in changes_of.items():
+            totals.update({op: seen[word] * change for op, change in zip(ops, changes)})
     # An op reports a delta once some tweet has come through it.
     deltas: dict[str, int] = {}
     reached = len(dataset)

@@ -229,6 +229,105 @@ class TestRules:
             assert row["rule_bits"] == bits
             assert row["rule_label"] == ("rweet" if any(bits) else "not_rweet")
 
+    # hand-written input lines: ids that are not strings, null or missing,
+    # text first, rule_label/rule_bits already present (each keeps its place),
+    # nested values, Infinity and NaN, and strings the output must escape or
+    # keep: quotes, backslashes, control characters, DEL, U+2028/U+2029 and
+    # non-BMP characters
+    ODD_LINES = (
+        '{"id": 7, "text": "we need water"}',
+        '{"id": null, "text": "calm night"}',
+        '{"id": 2.5e3, "text": "where can I donate?", "label": "rweet"}',
+        '{"id": ["a", 1], "text": "I am bringing food"}',
+        '{"text": "no id here, please help"}',
+        '{"text": "text first", "id": "t1", "zz": {"nested": [1, {"x": null}]}}',
+        '{"rule_label": "stale", "id": "r1", "text": "need shelter?"}',
+        '{"id": "r2", "rule_bits": [9], "text": "quiet day", "after": true}',
+        '{"rule_bits": null, "text": "we need food", "rule_label": 0}',
+        '{"id": "inf", "text": "need help", "score": Infinity, "low": -Infinity, "nan": NaN}',
+        '{"id": "big", "text": "x", "n": 123456789012345678901234567890, "f": -0.0}',
+        '{"id": "esc\\"q\\\\b", "text": "say \\"help\\" C:\\\\relief\\u0000\\u001f\\t\\r\\n\\u007f"}',
+        '{"id": "ls", "text": "donate money\\u2028to the fund\\u2029please help"}',
+        '{"id": "astral", "text": "\U0001f6a8 we need medical supplies \\ud83c\\udfe5 help"}',
+        '{"id": "caf\u00e9", "text": "caf\u00e9 owners need volunteers \u9700\u8981", "k": "\u00e9"}',
+        '{"id": "empty", "text": ""}',
+        '{"id": 7, "text": "we need water"}',
+    )
+
+    @staticmethod
+    def _expected_lines(lines):
+        import re
+
+        from rweets.rules import PATTERN_SOURCES
+
+        out = []
+        for line in lines:
+            record = json.loads(line)
+            bits = [int(re.search(s, record["text"], re.IGNORECASE) is not None)
+                    for s in PATTERN_SOURCES]
+            label = "rweet" if any(bits) else "not_rweet"
+            out.append(json.dumps({**record, "rule_label": label, "rule_bits": bits},
+                                  ensure_ascii=False))
+        return out
+
+    def test_output_lines_are_json_dumps_of_the_records(self, tmp_path):
+        from rweets.corpus import BINARY, synth_corpus
+
+        lines = [json.dumps({"id": tw.id, "text": tw.text}) for tw in synth_corpus(19, 80, BINARY)]
+        lines[3:3] = self.ODD_LINES
+        lines += self.ODD_LINES[::-1]
+        source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
+        got = out.read_bytes().decode("utf-8").split("\n")  # U+2028 ends no line
+        assert got.pop() == ""
+        assert got == self._expected_lines(lines)
+        # a key already present keeps its place
+        assert got[3 + 6].startswith('{"rule_label": "rweet", "id": "r1", "text": ')
+        assert got[3 + 7].startswith('{"id": "r2", "rule_bits": [0, ')
+        assert got[3 + 8].startswith('{"rule_bits": [0, ')
+        assert '"text": "we need food", "rule_label": "not_rweet"}' in got[3 + 8]
+        assert {"rweet", "not_rweet"} <= {json.loads(line)["rule_label"] for line in got}
+
+    def test_small_memo_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        """Past the memo's bound the bit rows' encoded tails are dropped with
+        the text memo and encoded again; the output bytes do not change."""
+        from rweets import cli
+
+        tails = []  # the bit row of each tail encode_line is asked for
+        encode = cli.encode_line
+
+        def counted(record, tail=""):
+            if "text" not in record:
+                tails.append(tuple(record["rule_bits"]))
+            return encode(record, tail)
+
+        monkeypatch.setattr(cli, "encode_line", counted)
+        texts = ["need shelter?", "quiet night here", "I am bringing food", "need shelter?"]
+        lines = [json.dumps({"id": str(n), "text": t}) for n, t in enumerate(texts)]
+        lines += self.ODD_LINES
+        source = tmp_path / "in.jsonl"
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outputs = []
+        for bound in (1 << 21, 20, 0):
+            monkeypatch.setattr(cli, "_RULE_MEMO_CHARS", bound)
+            tails.clear()
+            out = tmp_path / f"out{bound}.jsonl"
+            assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+            if bound == 20:
+                # 13 + 16 characters pass the bound, so the third text empties
+                # both memos: the fourth text's bit row, the first's, is
+                # encoded again
+                assert len(set(tails[:3])) == 3 and tails[3] == tails[0]
+            elif bound:  # each bit row is encoded once
+                assert len(tails) == len(set(tails))
+            else:  # the memos empty before almost every text
+                assert len(tails) > len(lines) - 3
+        assert outputs[0] == outputs[1] == outputs[2]
+        got = outputs[0].decode("utf-8").split("\n")
+        assert got[:-1] == self._expected_lines(lines)
+
     def test_action_defaults_to_classify(self, tmp_path):
         source = tmp_path / "in.jsonl"
         source.write_text(json.dumps({"id": "1", "text": "need shelter?"}) + "\n")

@@ -7,7 +7,7 @@ from oracles import reference_read_records
 from rweets.corpus import BINARY
 from rweets.errors import ValidationError
 from rweets import jsonl
-from rweets.jsonl import read_records, write_records
+from rweets.jsonl import encode_line, read_records, write_records
 
 # texts that stress the one-decode reader: quotes, backslashes, the item
 # boundary "}, {" (and "], ["), raw U+2028 / U+0085 (line
@@ -163,3 +163,91 @@ def test_writer_bytes_are_json_dumps_lines(tmp_path, seed):
         assert write_records(path, iter(records) if n % 2 else records) == len(records)
         expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+class _Str(str):
+    """A str subclass: json encodes it as the string it holds."""
+
+    def __repr__(self):
+        return "_Str(...)"
+
+
+# strings the line encoder must escape or keep: quotes, backslashes, control
+# characters, DEL, U+2028/U+2029, non-ASCII and non-BMP characters
+ODD_STRINGS = ("", "plain", 'say "help"', "back\\slash", "nul\x00 bell\x07 esc\x1b us\x1f",
+               "tab\tcr\rlf\n", "del\x7f", "line\u2028para\u2029", "next\x85line",
+               "caf\u00e9 \u6771\u4eac", "sos \U0001f6a8", "\U0001f600 \U00010348")
+ODD_NUMBERS = (0, -1, 10**300, -(2**1000), 0.0, -0.0, 1e300, -1e-300, 2.5,
+               float("nan"), float("inf"), float("-inf"), True, False, None)
+ODD_KEYS = (1, -7, 2**70, 1.5, -0.0, float("inf"), True, False, None)
+
+
+def _value(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.35:
+        text = rng.choice(ODD_STRINGS)
+        return _Str(text) if rng.random() < 0.2 else text
+    if roll < 0.7 or depth > 2:
+        return rng.choice(ODD_NUMBERS)
+    if roll < 0.85:
+        return [_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return _object(rng, depth + 1)
+
+
+def _key(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(ODD_KEYS)
+    text = rng.choice(ODD_STRINGS + ("id", "text", "label"))
+    return _Str(text) if roll < 0.15 else text
+
+
+def _object(rng, depth=0):
+    return {_key(rng): _value(rng, depth) for _ in range(rng.randrange(5))}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_line_encoder_is_json_dumps(tmp_path, seed):
+    """encode_line(record, tail) and write_records' lines are the
+    json.dumps(..., ensure_ascii=False) of the record with the tail's members."""
+    rng = random.Random(seed)
+    kinds = {"str keys": 0, "other keys": 0, "empty": 0, "tail": 0}
+    records = []
+    for _ in range(400):
+        record = _object(rng)
+        extra = {f"tail {key}": value for key, value in _object(rng).items()}
+        tail = ", " + json.dumps(extra, ensure_ascii=False)[1:-1] if extra else ""
+        expected = json.dumps({**record, **extra}, ensure_ascii=False)
+        assert encode_line(record, tail) == expected, (record, tail)
+        assert encode_line(record) == json.dumps(record, ensure_ascii=False), record
+        records.append(record)
+        kinds["empty"] += not record
+        kinds["str keys"] += bool(record) and all(isinstance(key, str) for key in record)
+        kinds["other keys"] += not all(isinstance(key, str) for key in record)
+        kinds["tail"] += bool(tail)
+    assert min(kinds.values()) > 20, kinds
+    path = tmp_path / "out.jsonl"
+    assert write_records(path, iter(records)) == len(records)
+    expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("record", [
+    {}, {"a": 1}, {1: "a"}, {None: None, "x": [{}]}, {"k": {2: [float("nan")]}},
+    {_Str("k\u2028"): _Str("v\x7f")}, {"\U0001f6a8": "\U0001f6a8"},
+])
+@pytest.mark.parametrize("extra", [{}, {"rule_label": "rweet", "rule_bits": [0, 1]}])
+def test_line_encoder_named_records(record, extra):
+    tail = ", " + json.dumps(extra)[1:-1] if extra else ""
+    assert encode_line(record, tail) == json.dumps({**record, **extra}, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("record, error", [
+    ({"a": {1, 2}}, TypeError), ({(1, 2): "a"}, TypeError), ({"a": object()}, TypeError),
+])
+def test_line_encoder_fails_as_json_dumps(record, error):
+    with pytest.raises(error) as expected:
+        json.dumps(record, ensure_ascii=False)
+    with pytest.raises(error) as got:
+        encode_line(record, ', "x": 1')
+    assert str(got.value) == str(expected.value)
