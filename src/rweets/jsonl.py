@@ -112,10 +112,10 @@ def _read_line_by_line(path, lines, start: int, ids: set, fields, domain) -> lis
 def encode_line(record: dict, tail: str = "") -> str:
     """`json.dumps(record, ensure_ascii=False)` with `tail`, members encoded as
     `, "key": value` each, before its closing brace."""
-    try:  # encode_basestring, that call's string encoder, raises on a key that is not a str
-        body = ", ".join([f"{encode_basestring(key)}: {_ENCODER.encode(value)}"
+    try:  # encode_basestring, that call's string encoder, raises on anything not a str
+        body = ", ".join([f"{encode_basestring(key)}: {encode_basestring(value)}"
                           for key, value in record.items()])
-    except TypeError:  # the call turns such a key into a string (a bad value raises again)
+    except TypeError:  # a key or value that is not a str: one encoder for the whole record
         body = _ENCODER.encode(record)[1:-1]
     return "{" + (body + tail if body else tail[2:]) + "}"
 

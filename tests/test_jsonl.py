@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -211,7 +212,7 @@ def test_line_encoder_is_json_dumps(tmp_path, seed):
     """encode_line(record, tail) and write_records' lines are the
     json.dumps(..., ensure_ascii=False) of the record with the tail's members."""
     rng = random.Random(seed)
-    kinds = {"str keys": 0, "other keys": 0, "empty": 0, "tail": 0}
+    kinds = {"str only": 0, "str keys": 0, "other keys": 0, "empty": 0, "tail": 0}
     records = []
     for _ in range(400):
         record = _object(rng)
@@ -222,6 +223,8 @@ def test_line_encoder_is_json_dumps(tmp_path, seed):
         assert encode_line(record) == json.dumps(record, ensure_ascii=False), record
         records.append(record)
         kinds["empty"] += not record
+        kinds["str only"] += bool(record) and all(isinstance(item, str)
+                                                  for item in itertools.chain(*record.items()))
         kinds["str keys"] += bool(record) and all(isinstance(key, str) for key in record)
         kinds["other keys"] += not all(isinstance(key, str) for key in record)
         kinds["tail"] += bool(tail)
@@ -240,6 +243,26 @@ def test_line_encoder_is_json_dumps(tmp_path, seed):
 def test_line_encoder_named_records(record, extra):
     tail = ", " + json.dumps(extra)[1:-1] if extra else ""
     assert encode_line(record, tail) == json.dumps({**record, **extra}, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("record, encodes", [
+    ({}, 0), ({"id": "1", "text": "a"}, 0), ({"id": 1, "text": "a"}, 1),
+    ({"text": "a", "n": 2, "ok": True, "user": {"id": 3}, "tags": ["x"], 4: None}, 1),
+])
+def test_line_encoder_builds_at_most_one_encoder(monkeypatch, record, encodes):
+    """A record of string keys and values goes through the string encoder
+    alone; any other record through one encoder call, however many of its
+    members are not strings."""
+    calls = []
+
+    class Counted:
+        def encode(self, o):
+            calls.append(o)
+            return json.dumps(o, ensure_ascii=False)
+
+    monkeypatch.setattr(jsonl, "_ENCODER", Counted())
+    assert encode_line(record, ', "x": 1') == json.dumps({**record, "x": 1}, ensure_ascii=False)
+    assert len(calls) == encodes
 
 
 @pytest.mark.parametrize("record, error", [
