@@ -10,24 +10,29 @@ not.
 exactly `re.search(source, text, re.IGNORECASE) is not None`. As one regex,
 a chained pattern `A.*B.*C` backtracks super-linearly, so the chains are
 split on `.*` into stages and compiled once into a tree, in which patterns
-that begin with the same stages share those nodes. A text is matched by one
-walk of the tree per line (`.` does not match "\n"). A node is searched from
-where its parent's match ended; one that finds nothing skips its subtree.
-Every stage is an alternation of literal phrases with `\b` on one or both
-sides, none inside another of its stage except as its suffix, so a stage's
-leftmost match is its earliest-ending one, and committing to it loses no
-match of the chain. Pattern 13 (`\b\w*\s*\b\?`) has no `.*` and stays one
-search of the whole text: the time is linear in the text length, and no
-text is truncated. Each stage compiles without IGNORECASE to an equivalent
-regex that starts with one character class, which `re` scans for instead of
-trying every offset (`_scannable`); pattern 13 becomes `\?(?<=\w\?)`.
-`rule_features` walks each of its texts once; `rules classify` walks each
-distinct text of its input once.
+that begin with the same stages share those nodes. A chain matches within
+one line (`.` does not match "\n"). Every stage is an alternation of literal
+phrases with `\b` on one or both sides, none inside another of its stage
+except as its suffix: no two match at one position, and committing to a
+stage's leftmost match loses no match of the chain. Pattern 13 matches
+exactly where a word character stands right before a "?": `\?(?<=\w\?)`.
+
+Texts are matched in batches, folded once (`_folded`): a folded character
+keeps its length and `\w`-ness, and is an ASCII letter, "'", space, "?" or
+"\n" exactly when IGNORECASE matches it to that character. So each phrase
+compiles lowercase, a leading `\b` moved behind it as `(?<!\w.{n})`, and
+`re` scans for its literal characters. Each phrase of a root stage is found
+by one scan of the batch's joined lines, keeping each line's leftmost match;
+each child stage is searched only on the lines its parent matched, from the
+parent's end to the line's end. Every step is linear in the text length.
+`rules classify` matches the new texts of each chunk it reads as one batch.
 """
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,56 +67,50 @@ N_PATTERNS = len(PATTERN_SOURCES)
 class RulePattern:
     id: int  # 1-based
     source: str
-    forests: tuple = field(repr=False, compare=False)  # the stage tree of this pattern alone
+    forests: list = field(repr=False, compare=False)  # the stage tree of this pattern alone
 
     def matches(self, text: str) -> bool:
-        return _walk(text, *self.forests)[self.id - 1]
+        return self.id - 1 in _match([text], self.forests)
 
 
-# what re.IGNORECASE matches to an ASCII letter besides its two cases: İ, ı, K (Kelvin), ſ
-_FOLDS = {"i": "\u0130\u0131", "k": "\u212a", "s": "\u017f"}
 _STAGE = re.compile(r"(\\b)?(\()?([A-Za-z][A-Za-z' ]*(?:\|[A-Za-z][A-Za-z' ]*)*)(?(2)\))(\\b)?")
+_BATCH = 1024  # texts per batch of rule_features
 
 
-def _fold(c: str) -> str:
-    """The characters that `c` matches under re.IGNORECASE."""
-    return c.lower() + c.upper() + _FOLDS.get(c.lower(), "")
-
-
-def _scannable(stage: str) -> str:
-    """`stage` without IGNORECASE, beginning with one character class: each
-    character becomes the class it matches, and a leading `\\b` moves behind
-    the first character, where it reads "no word character before it"."""
+def _scannable(stage: str) -> list[tuple[str, str]]:
+    """Each phrase of `stage` over folded text, with its regex: lowercase,
+    beginning with the phrase, and a leading `\\b` moved behind the phrase,
+    where it reads "no word character before it"."""
     if stage == r"\b\w*\s*\b\?":  # pattern 13: a word character right before a "?"
-        return r"\?(?<=\w\?)"
+        return [("?", r"\?(?<=\w\?)")]
     shape = _STAGE.fullmatch(stage.replace("\\'", "'"))
     if shape is None:
         raise ValueError(f"{stage!r} is not an alternation of literal phrases")
-    phrases = shape[3].split("|")
-    firsts = "".join(dict.fromkeys(_fold(p[0]) for p in phrases))
-    rests = "|".join(f"(?<=[{_fold(p[0])}])" + "".join(f"[{_fold(c)}]" for c in p[1:])
-                     for p in phrases)
-    return f"[{firsts}]" + (r"(?<!\w.)" if shape[1] else "") + f"(?:{rests})" + (shape[4] or "")
+    return [(p, p + (rf"(?<!\w.{{{len(p)}}})" if shape[1] else "") + (shape[4] or ""))
+            for p in shape[3].lower().split("|")]
 
 
-def _forests(indices) -> tuple[list, list]:
-    """The stage tree of the patterns at `indices`: per-line chains and whole-text
-    patterns (no ".*"). A node is (search, indices of patterns ending there, children)."""
-    nodes, roots, whole = {}, [], []
+def _forests(indices) -> list:
+    """The stage tree of the patterns at `indices`: (finder, indices of the
+    patterns ending there, children) per node; a root's finder is one
+    finditer per phrase, a child's one search for any phrase."""
+    nodes, roots = {}, []
     for i in indices:
         parts = PATTERN_SOURCES[i].split(".*")
-        siblings = roots if len(parts) > 1 else whole
+        siblings = roots
         for k in range(len(parts)):
-            key = (len(parts) == 1, *parts[: k + 1])  # the forest, then the chain
+            key = tuple(parts[: k + 1])
             if key not in nodes:
                 try:
-                    nodes[key] = (re.compile(_scannable(parts[k])).search, [], [])
+                    phrases = _scannable(parts[k])
+                    nodes[key] = ([(p, re.compile(r).finditer) for p, r in phrases] if k == 0
+                                  else re.compile("|".join(r for _, r in phrases)).search, [], [])
                 except (re.error, ValueError) as exc:
                     raise ValidationError(f"rule pattern {i + 1} failed to compile: {exc}") from exc
                 siblings.append(nodes[key])
             siblings = nodes[key][2]
         nodes[key][1].append(i)
-    return roots, whole
+    return roots
 
 
 @lru_cache(maxsize=1)
@@ -120,30 +119,43 @@ def compile_patterns() -> tuple[RulePattern, ...]:
     return tuple(RulePattern(i + 1, s, _forests([i])) for i, s in enumerate(PATTERN_SOURCES))
 
 
-_TREE = _forests(range(N_PATTERNS))  # all 18, compiled once
+_ROOTS = _forests(range(N_PATTERNS))  # all 18, compiled once
 
 
-def _walk_line(nodes, line: str, start: int, bits: list) -> None:
-    for search, ends, children in nodes:
-        m = search(line, start)
-        if m is not None:
-            for i in ends:
-                bits[i] = True
-            if children:
-                _walk_line(children, line, m.end(), bits)
+def _reached(node, folded: str, end: int, stop: int, row: int, hits: dict) -> None:
+    """Record the patterns ending at `node`; search its children from `end` to `stop`."""
+    for i in node[1]:
+        hits.setdefault(i, []).append(row)
+    for child in node[2]:
+        if m := child[0](folded, end, stop):
+            _reached(child, folded, m.end(), stop, row, hits)
 
 
-def _walk(text: str, roots: list, whole: list) -> tuple[bool, ...]:
-    bits = [False] * N_PATTERNS
-    for line in text.split("\n"):
-        _walk_line(roots, line, 0, bits)
-    _walk_line(whole, text, 0, bits)
-    return tuple(bits)
+def _folded(texts: list) -> str:
+    """`texts` joined by "\\n", every line ending in one: İ, ı and ſ become i,
+    i and s, then `str.lower()` runs (which maps the Kelvin sign to k)."""
+    return "\n".join([*texts, ""]).replace("İ", "i").replace("ı", "i").replace("ſ", "s").lower()
+
+
+def _match(texts: list, roots: list) -> dict[int, list[int]]:
+    """Pattern index -> the positions in `texts` of its texts, one entry per matching line."""
+    folded, hits = _folded(texts), {}
+    starts = list(accumulate([len(text) + 1 for text in texts], initial=0))
+    for root in roots:
+        found = [m.span() for p, finditer in root[0] if p in folded for m in finditer(folded)]
+        found.sort()
+        stop = -1  # where the line of the last match kept ends
+        for start, end in found:
+            if start > stop:  # the leftmost match of its line
+                stop = folded.find("\n", end)
+                _reached(root, folded, end, stop, bisect_right(starts, start) - 1, hits)
+    return hits
 
 
 def match_tweet(text: str) -> tuple[bool, ...]:
     """18 match bits for one tweet, indexed by pattern id minus one."""
-    return _walk(text, *_TREE)
+    hits = _match([text], _ROOTS)
+    return tuple(i in hits for i in range(N_PATTERNS))
 
 
 def rule_classify(text: str) -> str:
@@ -157,8 +169,9 @@ def rule_features(dataset_or_texts) -> np.ndarray:
     data = dataset_or_texts
     texts = [tw.text for tw in data] if isinstance(data, Dataset) else list(data)
     out = np.zeros((len(texts), N_PATTERNS), dtype=np.float64)
-    for i, text in enumerate(texts):
-        out[i, :] = match_tweet(text)
+    for lo in range(0, len(texts), _BATCH):
+        for i, rows in _match(texts[lo:lo + _BATCH], _ROOTS).items():
+            out[lo:lo + _BATCH][rows, i] = 1.0  # through a view of the batch's rows
     return out
 
 

@@ -9,15 +9,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture()
 def rule_walks(monkeypatch):
-    """The text of every walk of the rule engine's stage tree, in order."""
+    """Every text the rule engine matches, in order."""
     from rweets import rules
 
     walked = []
-    walk = rules._walk
+    match = rules._match
 
-    def counted(text, *forests):
-        walked.append(text)
-        return walk(text, *forests)
+    def counted(texts, roots):
+        walked.extend(texts)
+        return match(texts, roots)
 
-    monkeypatch.setattr(rules, "_walk", counted)
+    monkeypatch.setattr(rules, "_match", counted)
     return walked

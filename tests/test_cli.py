@@ -229,6 +229,23 @@ class TestRules:
             assert row["rule_bits"] == bits
             assert row["rule_label"] == ("rweet" if any(bits) else "not_rweet")
 
+    def test_bad_line_after_a_written_chunk_leaves_no_file(self, tmp_path, capsys):
+        from rweets import cli
+
+        good = cli._RULE_CHUNK + 5  # one chunk is written before the bad line is read
+        source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        source.write_text("".join(json.dumps({"id": str(n), "text": "need shelter?"}) + "\n"
+                                  for n in range(good)) + '{"id": "bad",\n')
+        for before in (None, "old output\n"):
+            if before is not None:
+                out.write_text(before)
+            assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 3
+            assert f"in.jsonl: line {good + 1}: malformed JSON" in capsys.readouterr().err
+            # no temp file is left, and an earlier output is kept whole
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                ["in.jsonl"] + (["out.jsonl"] if before else []))
+            assert before is None or out.read_text() == before
+
     # hand-written input lines: ids that are not strings, null or missing,
     # text first, rule_label/rule_bits already present (each keeps its place),
     # nested values, Infinity and NaN, and strings the output must escape or

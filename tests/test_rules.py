@@ -146,7 +146,10 @@ class TestCompile:
             rules._forests(range(N_PATTERNS))
 
     def test_rewrite_that_fails_to_compile_names_its_id(self, monkeypatch):
-        monkeypatch.setattr(rules, "_FOLDS", {"w": "\\"})  # "[wW\]" leaves its class open
+        scannable = rules._scannable
+        # a trailing backslash escapes nothing
+        monkeypatch.setattr(rules, "_scannable",
+                            lambda stage: [(p, regex + "\\") for p, regex in scannable(stage)])
         with pytest.raises(ValidationError, match="rule pattern 1 failed to compile"):
             rules._forests(range(N_PATTERNS))
 
@@ -157,17 +160,27 @@ def every_code_point():
 
 
 class TestScannableStages:
-    """Each stage compiles without IGNORECASE to a regex that begins with one
-    character class; these pin the two facts that make that exact."""
+    """Each stage compiles lowercase, without IGNORECASE, to regexes over
+    folded text that begin with literal characters; these pin the two facts
+    that make that exact."""
 
-    def test_fold_classes_are_what_ignorecase_matches(self, every_code_point):
-        # the compile's classes come from this interpreter's Unicode tables
-        letters = {c.lower() for source in PATTERN_SOURCES
-                   for c in re.sub(r"\\.", "", source) if c.isascii() and c.isalpha()}
-        assert len(letters) > 20
-        for letter in sorted(letters):
-            folded = re.findall(letter, every_code_point, re.IGNORECASE)
-            assert sorted(folded) == sorted(rules._fold(letter)), letter
+    def test_folding_is_what_ignorecase_matches(self, every_code_point):
+        # the fold comes from this interpreter's Unicode tables
+        folded = rules._folded([every_code_point])
+        assert folded[-1] == "\n"
+        folded = folded[:-1]
+        # no character folds to nothing, so each folds to exactly one
+        assert len(folded) == len(every_code_point)
+        word = re.compile(r"\w")
+        assert ([m.start() for m in word.finditer(folded)]
+                == [m.start() for m in word.finditer(every_code_point)])
+        phrase_chars = {c.lower() for source in PATTERN_SOURCES
+                        for c in re.sub(r"\\.", "", source) if c.isascii() and c.isalpha()}
+        assert len(phrase_chars) > 20
+        for char in sorted(phrase_chars | {"'", " ", "?", "\n"}):
+            expected = [m.start() for m in re.finditer(re.escape(char), every_code_point,
+                                                       re.IGNORECASE)]
+            assert [m.start() for m in re.finditer(re.escape(char), folded)] == expected, char
 
     def test_pattern_13_on_every_short_string(self):
         # a word character right before a "?" matches; nothing else does
@@ -271,6 +284,14 @@ class TestBatches:
             multi_line += sum("\n" in text for text in batch)
         assert repeats > 400 and multi_line > 400, (repeats, multi_line)
         assert rule_features([]).shape == (0, N_PATTERNS)
+
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    def test_batch_boundaries_keep_rows_in_order(self, monkeypatch, size):
+        monkeypatch.setattr(rules, "_BATCH", size)
+        rng = random.Random(size)
+        texts = [fuzz_text(rng) for _ in range(2_100)]
+        m = rule_features(texts)
+        assert [tuple(row == 1.0) for row in m] == [re_bits(text) for text in texts]
 
 
 class TestFixtureAgainstOracle:
