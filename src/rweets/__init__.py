@@ -31,10 +31,8 @@ from .errors import (  # noqa: E402,F401
 from .features import (  # noqa: E402,F401
     FeatureConfig,
     FeatureMatrix,
-    NgramVectorizer,
     Vocabulary,
     combo,
-    cosine_similarity,
     enumerate_combos,
 )
 from .metrics import MetricsReport, compute_report  # noqa: E402,F401

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that
+raise them."""
 
 
 class RweetsError(Exception):
@@ -29,3 +30,15 @@ class TrainingDivergedError(RweetsError):
         super().__init__(
             message or f"loss was non-finite at every trial step of iteration {iteration}"
         )
+
+
+def check_is_fitted(estimator, attribute: str) -> None:
+    if not hasattr(estimator, attribute):
+        raise NotFittedError(
+            f"{type(estimator).__name__} is not fitted; call fit() before this method"
+        )
+
+
+def check_equal_length(name_a: str, a, name_b: str, b) -> None:
+    if len(a) != len(b):
+        raise ValidationError(f"{name_a} has length {len(a)} but {name_b} has length {len(b)}")

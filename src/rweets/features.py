@@ -26,11 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import artifact
-from .base import BaseEstimator, check_is_fitted
 from .digest import digest_json
 from .errors import FormatError, ValidationError
 from .rules import N_PATTERNS
-from .sparse import SparseMatrix, SparseRow
+from .sparse import SparseMatrix
 
 NGRAM_RANGES = ((1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (1, 3))
 TF = "tf"
@@ -244,24 +243,6 @@ def l2_normalize_rows(matrix: SparseMatrix) -> SparseMatrix:
     return matrix.scale_rows(factors)
 
 
-def _weighted(docs, vocab: Vocabulary, use_idf: bool, l2: bool) -> SparseMatrix:
-    """tf or tf-idf rows, L2-normalized when `l2` is set."""
-    matrix = (vectorize_tfidf if use_idf else vectorize_tf)(docs, vocab)
-    return l2_normalize_rows(matrix) if l2 else matrix
-
-
-def cosine_similarity(a: SparseRow, b: SparseRow) -> float:
-    """dot(a, b) / (|a| |b|); zero when either row is empty."""
-    if a.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    norm_a, norm_b = a.norm(), b.norm()
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    values_b = dict(zip(b.cols.tolist(), b.values.tolist()))
-    dot = sum(v * values_b.get(c, 0.0) for c, v in zip(a.cols.tolist(), a.values.tolist()))
-    return dot / (norm_a * norm_b)
-
-
 # --- feature matrices -------------------------------------------------------
 
 
@@ -282,25 +263,6 @@ class FeatureMatrix:
             raise ValidationError(
                 f"matrix has {self.matrix.rows} rows but {len(self.row_ids)} row ids"
             )
-
-
-def append_rule_features(fm: FeatureMatrix, rule_block: np.ndarray) -> FeatureMatrix:
-    """Widen an n-gram matrix with the 18 binary rule columns. The block is
-    appended unscaled after any normalization already applied."""
-    rule_block = np.asarray(rule_block, dtype=np.float64)
-    if rule_block.ndim != 2 or rule_block.shape[1] != N_PATTERNS:
-        raise ValidationError(f"rule block must be (rows, {N_PATTERNS})")
-    if rule_block.shape[0] != fm.matrix.rows:
-        raise ValidationError(
-            f"rule block has {rule_block.shape[0]} rows, matrix has {fm.matrix.rows}"
-        )
-    if fm.config.append_rules:
-        raise ValidationError("rule features were already appended")
-    return replace(
-        fm,
-        matrix=fm.matrix.append_dense_columns(rule_block),
-        config=replace(fm.config, append_rules=True),
-    )
 
 
 def featurize_tokens(
@@ -329,43 +291,21 @@ def featurize_tokens(
         raise ValidationError(
             f"vocabulary range {vocab.ngram_range} differs from config {config.ngram_range}"
         )
-    use_idf, l2 = config.vectorizer == TFIDF, config.l2_normalize
-    matrix = _weighted(docs, vocab, use_idf and not counts_only, l2 and not counts_only)
-    base_config = replace(config, append_rules=False)
-    fm = FeatureMatrix(matrix=matrix, vocab=vocab, config=base_config, row_ids=ids)
+    use_idf = config.vectorizer == TFIDF and not counts_only
+    matrix = (vectorize_tfidf if use_idf else vectorize_tf)(docs, vocab)
+    if config.l2_normalize and not counts_only:
+        matrix = l2_normalize_rows(matrix)
     if config.append_rules:
+        # the 18 binary rule columns go after normalization, unscaled
         if rule_block is None:
             raise ValidationError("config appends rule features but no rule block was given")
-        fm = append_rule_features(fm, rule_block)
-    return fm
-
-
-class NgramVectorizer(BaseEstimator):
-    """Estimator wrapper over the functional vectorization path.
-
-    fit() learns the vocabulary (and document frequencies) from token lists;
-    transform() maps token lists into that column space, applying idf and
-    normalization per the constructor flags.
-    """
-
-    def __init__(self, ngram_range=(1, 1), use_idf=False, min_df=1, max_df=1.0, l2_normalize=True):
-        self.ngram_range = tuple(ngram_range)
-        self.use_idf = use_idf
-        self.min_df = min_df
-        self.max_df = max_df
-        self.l2_normalize = l2_normalize
-
-    def fit(self, docs, y=None) -> "NgramVectorizer":
-        self.vocabulary_ = build_vocabulary(docs, self.ngram_range, self.min_df, self.max_df)
-        return self
-
-    def transform(self, docs) -> SparseMatrix:
-        check_is_fitted(self, "vocabulary_")
-        return _weighted(docs, self.vocabulary_, self.use_idf, self.l2_normalize)
-
-    def fit_transform(self, docs, y=None) -> SparseMatrix:
-        counts = count_ngrams(docs, self.ngram_range)
-        return self.fit(counts).transform(counts)
+        rule_block = np.asarray(rule_block, dtype=np.float64)
+        if rule_block.shape != (matrix.rows, N_PATTERNS):
+            raise ValidationError(
+                f"rule block has shape {rule_block.shape}, expected ({matrix.rows}, {N_PATTERNS})"
+            )
+        matrix = matrix.append_dense_columns(rule_block)
+    return FeatureMatrix(matrix=matrix, vocab=vocab, config=config, row_ids=ids)
 
 
 # --- persistence ------------------------------------------------------------

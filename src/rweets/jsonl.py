@@ -9,7 +9,7 @@ import json
 import re
 from json.encoder import encode_basestring
 
-from .digest import atomic_write_text
+from .digest import atomic_open
 from .errors import ValidationError
 
 # the JSON escape of a UTF-16 surrogate: unless it is half of a pair, it
@@ -19,7 +19,7 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what surrogateescape reads a bad byte as
 _ITEM_BOUNDARY = re.compile(r"\}[ \t]*,[ \t]*\{")
 _ENCODER = json.JSONEncoder(ensure_ascii=False)  # as json.dumps(..., ensure_ascii=False)
-_CHUNK = 1024  # lines per decode: a consumer that streams holds one chunk's records
+_CHUNK = 1024  # lines per decode or write: a consumer that streams holds one chunk's records
 
 
 def read_records(path, fields=("id", "text"), domain=None):
@@ -122,7 +122,11 @@ def encode_line(record: dict, tail: str = "") -> str:
 
 def write_records(path, records) -> int:
     """Write each record of an iterable as the line `encode_line(record)`,
-    replacing `path` atomically; returns the number of records."""
-    lines = [encode_line(record) + "\n" for record in records]
-    atomic_write_text(path, "".join(lines))
-    return len(lines)
+    one chunk of lines at a time, replacing `path` atomically; returns the
+    number of records. A record that cannot be encoded leaves no file."""
+    records, count = iter(records), 0
+    with atomic_open(path) as fh:
+        while chunk := list(itertools.islice(records, _CHUNK)):
+            fh.write("".join([encode_line(record) + "\n" for record in chunk]).encode("utf-8"))
+            count += len(chunk)
+    return count

@@ -12,9 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .base import check_equal_length
 from .corpus import LabelDomain
-from .errors import ValidationError
+from .errors import ValidationError, check_equal_length
 
 
 def _safe_div(num: float, den: float) -> float:

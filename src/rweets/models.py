@@ -17,16 +17,17 @@ inputs and seed; ties always resolve to the lowest class index.
 
 import random
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .base import BaseEstimator, check_equal_length, check_is_fitted
 from .corpus import LabelDomain
 from .errors import (
     FormatError,
     TrainingDivergedError,
     ValidationError,
+    check_equal_length,
+    check_is_fitted,
 )
 from .features import FeatureConfig, count_ngrams, featurize_tokens
 from .metrics import MetricsReport, compute_report
@@ -118,7 +119,7 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-class LogisticRegression(BaseEstimator):
+class LogisticRegression:
     """Softmax regression fitted by L-BFGS to a gradient-norm tolerance.
 
     `tol` bounds the largest absolute entry of the gradient at the returned
@@ -210,7 +211,7 @@ class LogisticRegression(BaseEstimator):
         return [self.classes_[i] for i in np.argmax(probs, axis=1)]
 
 
-class MultinomialNaiveBayes(BaseEstimator):
+class MultinomialNaiveBayes:
     """Multinomial naive Bayes with Laplace smoothing over raw term counts."""
 
     name = "nb"
@@ -248,12 +249,6 @@ class MultinomialNaiveBayes(BaseEstimator):
                 f"{self.feature_log_prob_.shape[1]}"
             )
         return X.matmul_dense(self.feature_log_prob_.T) + self.class_log_prior_
-
-    def predict_log_proba(self, X: SparseMatrix) -> np.ndarray:
-        joint = self.predict_log_joint(X)
-        log_norm = joint.max(axis=1, keepdims=True)
-        log_norm = log_norm + np.log(np.exp(joint - log_norm).sum(axis=1, keepdims=True))
-        return joint - log_norm
 
     def predict(self, X: SparseMatrix) -> list[str]:
         joint = self.predict_log_joint(X)
@@ -390,6 +385,11 @@ _PARAMS = {
     "logreg": ("bias_", "weights_"),
     "nb": ("class_log_prior_", "feature_log_prob_"),
 }
+# each classifier's hyperparameters: its constructor's keyword arguments
+_HYPER = {
+    "logreg": tuple(f.name for f in fields(TrainConfig)),
+    "nb": ("alpha",),
+}
 
 
 def _model_fields(model) -> tuple[dict, dict]:
@@ -400,7 +400,8 @@ def _model_fields(model) -> tuple[dict, dict]:
         raise ValidationError(f"cannot persist model of type {type(model).__name__}")
     arrays = {"classes_": tuple(model.classes_)}
     arrays.update((k, np.asarray(getattr(model, k), dtype=np.float64)) for k in _PARAMS[model.name])
-    return {"model": model.name, "hyper": model.get_params()}, arrays
+    hyper = {k: getattr(model, k) for k in _HYPER[model.name]}
+    return {"model": model.name, "hyper": hyper}, arrays
 
 
 def _model_from(meta: dict, arrays: dict):

@@ -150,14 +150,6 @@ class PreprocessReport:
     removed_by_stage: dict[str, int] = field(default_factory=dict)
     token_deltas: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def duplicates_removed(self) -> int:
-        return self.removed_by_stage.get("dedupe", 0)
-
-    @property
-    def total_removed(self) -> int:
-        return sum(self.removed_by_stage.values())
-
 
 # --- per-tweet operations ---------------------------------------------------
 
@@ -427,7 +419,7 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
     """Clean every tweet through the configured op sequence.
 
     Returns (CleanCorpus, PreprocessReport). The report accounts for every
-    removed tweet: len(dataset) == len(corpus) + report.total_removed.
+    removed tweet: len(dataset) == len(corpus) + sum(report.removed_by_stage.values()).
     """
     config = config or PipelineConfig()
     plain, tagged, totals, runs = _compile(config)

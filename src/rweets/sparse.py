@@ -9,23 +9,9 @@ element's terms in stored-entry order, starting from 0.0, through
 `np.bincount`: bit-identical to summing the entries one by one in a loop.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class SparseRow:
-    """A single matrix row: parallel column/value arrays plus its width."""
-
-    dim: int
-    cols: np.ndarray
-    values: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values * self.values)))
 
 
 class SparseMatrix:
@@ -73,14 +59,6 @@ class SparseMatrix:
     # --- constructors -------------------------------------------------------
 
     @classmethod
-    def from_dense(cls, array) -> "SparseMatrix":
-        array = np.asarray(array, dtype=np.float64)
-        if array.ndim != 2:
-            raise ValidationError("from_dense expects a 2-D array")
-        r, c = np.nonzero(array)
-        return cls.from_coordinates(array.shape[0], array.shape[1], r, c, array[r, c])
-
-    @classmethod
     def from_coordinates(cls, rows: int, cols: int, r, c, v) -> "SparseMatrix":
         """Build from parallel int64 row and column and float64 value arrays,
         in any order. Zero values are dropped; duplicate coordinates are an
@@ -109,18 +87,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return len(self.data)
-
-    def row(self, r: int) -> SparseRow:
-        if not 0 <= r < self.rows:
-            raise ValidationError(f"row {r} out of range")
-        lo, hi = self.indptr[r], self.indptr[r + 1]
-        return SparseRow(self.cols, self.indices[lo:hi], self.data[lo:hi])
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        # coordinates are unique by invariant, so each entry is written once
-        out.reshape(-1)[self._nnz_rows() * self.cols + self.indices] = self.data
-        return out
 
     def _nnz_rows(self) -> np.ndarray:
         if self._row_of_nnz is None:

@@ -16,7 +16,8 @@ chunk-decoding reader of `rweets.jsonl`. The module also holds the helpers
 only tests use: a (row, col, value) matrix builder, an all-zero logistic
 regression, a finite-difference gradient check, an artifact header
 rewriter, a metrics report read back from its record and dataset class
-statistics.
+statistics, and the dense forms of a matrix (to and from a 2-D array, and
+the cosine of two rows).
 """
 
 import json
@@ -72,6 +73,22 @@ def from_triplets(rows: int, cols: int, triplets) -> SparseMatrix:
     if np.any(r % 1) or np.any(c % 1):
         raise ValidationError("triplet coordinates must be integers")
     return SparseMatrix.from_coordinates(rows, cols, r.astype(np.int64), c.astype(np.int64), v)
+
+
+def from_dense(array) -> SparseMatrix:
+    """The nonzero entries of a 2-D array as a matrix."""
+    array = np.asarray(array, dtype=np.float64)
+    r, c = np.nonzero(array)
+    return SparseMatrix.from_coordinates(*array.shape, r, c, array[r, c])
+
+
+def cosine(a, b) -> float:
+    """dot(a, b) / (|a| |b|) of two dense vectors; zero when either is all
+    zero."""
+    norm_a, norm_b = math.sqrt(sum(x * x for x in a)), math.sqrt(sum(x * x for x in b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return sum(x * y for x, y in zip(a, b)) / (norm_a * norm_b)
 
 
 def dense_tf(docs, vocab_terms, lo, hi):
@@ -318,11 +335,12 @@ def regex_search(pattern, text):
 #
 # `np.add.at` adds each stored entry into a zeroed output, one entry at a
 # time in stored order; the sparse kernels must give bit-identical results.
-# Each function has the signature of the SparseMatrix method it checks, so a
-# test can install it in the method's place.
+# Each `add_at_` function has the signature of the SparseMatrix method it
+# checks, so a test can install it in the method's place.
 
 
-def add_at_to_dense(m: SparseMatrix) -> np.ndarray:
+def to_dense(m: SparseMatrix) -> np.ndarray:
+    """`m` as a dense array; scipy's `toarray` checks it in test_sparse."""
     out = np.zeros((m.rows, m.cols))
     out_flat = out.reshape(-1)
     np.add.at(out_flat, m._nnz_rows() * m.cols + m.indices, m.data)
@@ -415,7 +433,7 @@ def scipy_logreg_optimum(X: SparseMatrix, y, classes, l2: float) -> float:
     from scipy.optimize import minimize
     from scipy.special import logsumexp
 
-    dense = X.to_dense()
+    dense = to_dense(X)
     n, d = dense.shape
     k = len(classes)
     Y = np.array([[1.0 if label == c else 0.0 for c in classes] for label in y])

@@ -8,14 +8,23 @@ import time
 from dataclasses import asdict
 
 import numpy as np
+from scipy.special import softmax
 
-from oracles import dense_tf, dense_tfidf, gradient_check, nb_posteriors, regex_search
+from oracles import (
+    cosine,
+    dense_tf,
+    dense_tfidf,
+    from_dense,
+    gradient_check,
+    nb_posteriors,
+    regex_search,
+    to_dense,
+)
 from rweets.corpus import BINARY, CATEGORICAL, Dataset, RawTweet, synth_corpus
 from rweets.features import (
     FeatureConfig,
     build_vocabulary,
     combo,
-    cosine_similarity,
     enumerate_combos,
     vectorize_tf,
     vectorize_tfidf,
@@ -30,7 +39,6 @@ from rweets.models import (
 from rweets.pipeline import FeatureCache, featurize_corpus, run_series, train_staged
 from rweets.preprocess import run_pipeline
 from rweets.rules import PATTERN_SOURCES, compile_patterns, match_tweet, rule_classify
-from rweets.sparse import SparseMatrix
 from test_rules import NEGATIVE_FIXTURE, POSITIVE_FIXTURE
 
 
@@ -62,7 +70,7 @@ def test_01_cosine_worked_example():
         for ngram_range, expected in (((1, 2), 0.400), ((1, 3), 0.333)):
             vocab = build_vocabulary(docs, ngram_range)
             matrix = vectorize_tf(docs, vocab)
-            sim = cosine_similarity(matrix.row(0), matrix.row(1))
+            sim = cosine(*to_dense(matrix))
             assert abs(sim - expected) <= 1e-3, (ngram_range, sim)
 
 
@@ -78,7 +86,7 @@ def test_02_dedup_worked_example_and_idempotence():
         cleaned, report = run_pipeline(pair)
         assert len(cleaned) == 1
         assert cleaned.tweets[0].joined() == "he go school _MENT_ _URL_"
-        assert report.duplicates_removed == 1
+        assert report.removed_by_stage["dedupe"] == 1
 
         dataset = synth_corpus(202, 200, BINARY)
         first, _ = run_pipeline(dataset)
@@ -147,8 +155,8 @@ def test_05_sparse_matches_dense_oracle():
             if not any(len(d) >= lo for d in docs):
                 continue
             vocab = build_vocabulary(docs, (lo, hi))
-            ours_tf = vectorize_tf(docs, vocab).to_dense()
-            ours_tfidf = vectorize_tfidf(docs, vocab).to_dense()
+            ours_tf = to_dense(vectorize_tf(docs, vocab))
+            ours_tfidf = to_dense(vectorize_tfidf(docs, vocab))
             oracle_tf = np.array(dense_tf(docs, vocab.terms, lo, hi))
             oracle_tfidf = np.array(dense_tfidf(docs, vocab.terms, lo, hi))
             assert np.max(np.abs(ours_tf - oracle_tf)) <= 1e-12
@@ -175,7 +183,7 @@ def test_07_gradient_check_and_loss_descent():
     with _Budget(7, "LR gradient check over 100 instances; loss non-increasing", 30.0):
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            X = SparseMatrix.from_dense(rng.normal(size=(6, 4)))
+            X = from_dense(rng.normal(size=(6, 4)))
             y = [("p", "q", "r")[i % 3] for i in range(6)]
             assert gradient_check(X, y, seed=seed) <= 1e-4
 
@@ -184,7 +192,7 @@ def test_07_gradient_check_and_loss_descent():
             [rng.normal((1.5, 1.5), 0.4, (6, 2)), rng.normal((-1.5, -1.5), 0.4, (6, 2))]
         )
         norms = np.linalg.norm(points, axis=1, keepdims=True)
-        X = SparseMatrix.from_dense(points / norms)
+        X = from_dense(points / norms)
         y = ["a"] * 6 + ["b"] * 6
         clf = LogisticRegression(max_epochs=300).fit(X, y)
         assert np.all(np.diff(clf.loss_history_) <= 1e-12)
@@ -203,8 +211,8 @@ def test_08_nb_posteriors_match_brute_force():
             query = rng.integers(0, 4, size=n_terms).astype(float)
             fixtures.append((rows, labels, alpha, query))
         for rows, labels, alpha, query in fixtures:
-            nb = MultinomialNaiveBayes(alpha=alpha).fit(SparseMatrix.from_dense(rows), labels)
-            ours = np.exp(nb.predict_log_proba(SparseMatrix.from_dense(query[None, :])))[0]
+            nb = MultinomialNaiveBayes(alpha=alpha).fit(from_dense(rows), labels)
+            ours = softmax(nb.predict_log_joint(from_dense(query[None, :])), axis=1)[0]
             oracle = nb_posteriors(rows.tolist(), labels, alpha, query.tolist())
             for i, label in enumerate(nb.classes_):
                 assert abs(ours[i] - oracle[label]) <= 1e-9

@@ -4,26 +4,26 @@ import numpy as np
 import pytest
 
 from oracles import (
+    cosine,
     dense_l2_normalize,
     dense_tf,
     dense_tfidf,
     extract_ngrams,
+    from_dense,
     reference_build_vocabulary,
     reference_featurize,
     reference_vectorize_tf,
+    to_dense,
 )
 from rweets.corpus import CATEGORICAL, synth_corpus
 from rweets.errors import FormatError, StaleCacheError, ValidationError
 from rweets.features import (
     NGRAM_RANGES,
     FeatureConfig,
-    NgramVectorizer,
     Vocabulary,
-    append_rule_features,
     build_vocabulary,
     combo,
     count_ngrams,
-    cosine_similarity,
     enumerate_combos,
     featurize_tokens,
     idf_vector,
@@ -36,7 +36,6 @@ from rweets.features import (
 from rweets.models import stratified_kfold
 from rweets.preprocess import run_pipeline
 from rweets.rules import rule_block_for_ids
-from rweets.sparse import SparseMatrix
 
 
 def random_corpus(rng, max_docs=10):
@@ -102,7 +101,7 @@ class TestVectorize:
         docs = [["he", "love", "me"]]
         vocab = Vocabulary(terms=("he", "like", "love", "me"), ngram_range=(1, 1))
         np.testing.assert_array_equal(
-            vectorize_tf(docs, vocab).to_dense(), [[1.0, 0.0, 1.0, 1.0]]
+            to_dense(vectorize_tf(docs, vocab)), [[1.0, 0.0, 1.0, 1.0]]
         )
 
     def test_unknown_terms_ignored(self):
@@ -113,15 +112,15 @@ class TestVectorize:
     def test_repeated_term(self):
         vocab = Vocabulary(terms=("food",), ngram_range=(1, 1))
         np.testing.assert_array_equal(
-            vectorize_tf([["food", "food"]], vocab).to_dense(), [[2.0]]
+            to_dense(vectorize_tf([["food", "food"]], vocab)), [[2.0]]
         )
 
     def test_tfidf_term_in_all_docs_equals_tf(self):
         docs = [["a", "b"], ["a", "c"]]
         vocab = build_vocabulary(docs, (1, 1))
-        tfidf = vectorize_tfidf(docs, vocab).to_dense()
+        tfidf = to_dense(vectorize_tfidf(docs, vocab))
         col_a = vocab.index["a"]
-        tf = vectorize_tf(docs, vocab).to_dense()
+        tf = to_dense(vectorize_tf(docs, vocab))
         np.testing.assert_allclose(tfidf[:, col_a], tf[:, col_a])
 
     def test_tfidf_two_doc_example(self):
@@ -137,8 +136,8 @@ class TestVectorize:
         rng = np.random.default_rng(2)
         docs = random_corpus(rng)
         vocab = build_vocabulary(docs, (1, 2))
-        tf = vectorize_tf(docs, vocab).to_dense()
-        tfidf = vectorize_tfidf(docs, vocab).to_dense()
+        tf = to_dense(vectorize_tf(docs, vocab))
+        tfidf = to_dense(vectorize_tfidf(docs, vocab))
         np.testing.assert_allclose(tfidf / idf_vector(vocab), tf, atol=1e-12)
 
     def test_sparse_equals_dense_oracle(self):
@@ -150,11 +149,11 @@ class TestVectorize:
                 vocab = build_vocabulary(docs, (lo, hi))
             except ValidationError:
                 continue  # all docs shorter than lo
-            sparse_tf = vectorize_tf(docs, vocab).to_dense()
+            sparse_tf = to_dense(vectorize_tf(docs, vocab))
             np.testing.assert_allclose(
                 sparse_tf, dense_tf(docs, vocab.terms, lo, hi), atol=1e-12
             )
-            sparse_tfidf = vectorize_tfidf(docs, vocab).to_dense()
+            sparse_tfidf = to_dense(vectorize_tfidf(docs, vocab))
             np.testing.assert_allclose(
                 sparse_tfidf, dense_tfidf(docs, vocab.terms, lo, hi), atol=1e-12
             )
@@ -167,22 +166,22 @@ class TestVectorize:
         m = vectorize_tf(docs, vocab)
         for r, tokens in enumerate(docs):
             bound = sum(max(0, len(tokens) - n + 1) for n in range(lo, hi + 1))
-            assert len(m.row(r).cols) <= bound
+            assert m.indptr[r + 1] - m.indptr[r] <= bound
 
 
 class TestNormalize:
     def test_three_four_five(self):
-        m = SparseMatrix.from_dense([[3.0, 4.0]])
-        np.testing.assert_allclose(l2_normalize_rows(m).to_dense(), [[0.6, 0.8]])
+        m = from_dense([[3.0, 4.0]])
+        np.testing.assert_allclose(to_dense(l2_normalize_rows(m)), [[0.6, 0.8]])
 
     def test_single_value(self):
-        m = SparseMatrix.from_dense([[5.0]])
-        np.testing.assert_allclose(l2_normalize_rows(m).to_dense(), [[1.0]])
+        m = from_dense([[5.0]])
+        np.testing.assert_allclose(to_dense(l2_normalize_rows(m)), [[1.0]])
 
     def test_empty_row_unchanged(self):
-        m = SparseMatrix.from_dense([[0.0, 0.0], [1.0, 1.0]])
+        m = from_dense([[0.0, 0.0], [1.0, 1.0]])
         out = l2_normalize_rows(m)
-        assert list(out.row(0).cols) == []
+        assert out.indptr[1] == out.indptr[0]
 
     def test_norms_are_one(self):
         rng = np.random.default_rng(3)
@@ -196,7 +195,7 @@ class TestNormalize:
         rng = np.random.default_rng(4)
         docs = random_corpus(rng)
         vocab = build_vocabulary(docs, (1, 1))
-        ours = l2_normalize_rows(vectorize_tf(docs, vocab)).to_dense()
+        ours = to_dense(l2_normalize_rows(vectorize_tf(docs, vocab)))
         oracle = dense_l2_normalize(dense_tf(docs, vocab.terms, 1, 1))
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
@@ -206,27 +205,19 @@ class TestCosine:
         docs = ["He loves me".split(), "He likes me".split()]
         vocab = build_vocabulary(docs, (1, 2))
         m = vectorize_tf(docs, vocab)
-        assert cosine_similarity(m.row(0), m.row(1)) == pytest.approx(0.4, abs=1e-3)
+        assert cosine(*to_dense(m)) == pytest.approx(0.4, abs=1e-3)
 
     def test_lookalike_pair_uni_bi_tri(self):
         docs = ["He loves me".split(), "He likes me".split()]
         vocab = build_vocabulary(docs, (1, 3))
         m = vectorize_tf(docs, vocab)
-        assert cosine_similarity(m.row(0), m.row(1)) == pytest.approx(1 / 3, abs=1e-3)
+        assert cosine(*to_dense(m)) == pytest.approx(1 / 3, abs=1e-3)
 
     def test_identical_vectors(self):
-        m = SparseMatrix.from_dense([[1.0, 2.0, 3.0]])
-        assert cosine_similarity(m.row(0), m.row(0)) == pytest.approx(1.0)
+        assert cosine([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
 
     def test_zero_norm_gives_zero(self):
-        m = SparseMatrix.from_dense([[0.0, 0.0], [1.0, 0.0]])
-        assert cosine_similarity(m.row(0), m.row(1)) == 0.0
-
-    def test_dimension_mismatch(self):
-        a = SparseMatrix.from_dense([[1.0, 2.0]])
-        b = SparseMatrix.from_dense([[1.0, 2.0, 3.0]])
-        with pytest.raises(ValidationError):
-            cosine_similarity(a.row(0), b.row(0))
+        assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_wider_ranges_drop_similarity(self):
         docs = ["He loves me".split(), "He likes me".split()]
@@ -234,7 +225,7 @@ class TestCosine:
         for rng_ in ((1, 1), (1, 2), (1, 3)):
             vocab = build_vocabulary(docs, rng_)
             m = vectorize_tf(docs, vocab)
-            sims.append(cosine_similarity(m.row(0), m.row(1)))
+            sims.append(cosine(*to_dense(m)))
         assert sims[0] > sims[1] > sims[2]
 
 
@@ -267,35 +258,38 @@ class TestCombos:
 
 
 class TestRuleAppend:
+    WITH_RULES = FeatureConfig(append_rules=True)
+
     def test_dimension_arithmetic(self):
-        docs = [["need", "food"]] * 5
-        fm = featurize_tokens(docs, [f"t{i}" for i in range(5)], FeatureConfig())
+        docs, ids = [["need", "food"]] * 5, [f"t{i}" for i in range(5)]
+        fm = featurize_tokens(docs, ids, FeatureConfig())
         rules = np.zeros((5, 18))
         rules[0, 3] = 1.0
-        wide = append_rule_features(fm, rules)
+        wide = featurize_tokens(docs, ids, self.WITH_RULES, rule_block=rules)
         assert wide.matrix.cols == fm.matrix.cols + 18
         assert wide.config.append_rules
 
     def test_all_zero_rule_block(self):
         docs = [["need", "food"], ["dry", "camp"]]
         fm = featurize_tokens(docs, ["a", "b"], FeatureConfig())
-        wide = append_rule_features(fm, np.zeros((2, 18)))
+        wide = featurize_tokens(docs, ["a", "b"], self.WITH_RULES, rule_block=np.zeros((2, 18)))
         np.testing.assert_array_equal(
-            wide.matrix.to_dense()[:, : fm.matrix.cols], fm.matrix.to_dense()
+            to_dense(wide.matrix)[:, : fm.matrix.cols], to_dense(fm.matrix)
         )
         assert wide.matrix.nnz == fm.matrix.nnz
 
     def test_row_mismatch_is_error(self):
-        fm = featurize_tokens([["a", "b"]] * 5, [f"t{i}" for i in range(5)], FeatureConfig())
-        with pytest.raises(ValidationError):
-            append_rule_features(fm, np.zeros((4, 18)))
+        docs, ids = [["a", "b"]] * 5, [f"t{i}" for i in range(5)]
+        for block in (np.zeros((4, 18)), np.zeros((5, 17)), np.zeros(18), None):
+            with pytest.raises(ValidationError, match="rule block"):
+                featurize_tokens(docs, ids, self.WITH_RULES, rule_block=block)
 
     def test_rule_block_appended_after_normalization(self):
         docs = [["need", "food", "need"]]
         cfg = FeatureConfig(vectorizer="tf", ngram_range=(1, 1), append_rules=True)
         rules = np.ones((1, 18))
         fm = featurize_tokens(docs, ["t0"], cfg, rule_block=rules)
-        dense = fm.matrix.to_dense()
+        dense = to_dense(fm.matrix)
         ngram_part = dense[0, :2]
         assert np.linalg.norm(ngram_part) == pytest.approx(1.0)
         np.testing.assert_array_equal(dense[0, 2:], np.ones(18))
@@ -402,32 +396,13 @@ class TestCountedOnce:
 
 
 class TestVectorizerEstimator:
-    def test_fit_transform_params(self):
-        vec = NgramVectorizer(ngram_range=(1, 2), use_idf=True)
-        params = vec.get_params()
-        assert params["ngram_range"] == (1, 2) and params["use_idf"]
-        docs = [["need", "food"], ["need", "water"]]
-        m = vec.fit_transform(docs)
-        assert m.rows == 2 and m.cols == len(vec.vocabulary_)
-
-    def test_transform_before_fit(self):
-        from rweets.errors import NotFittedError
-
-        with pytest.raises(NotFittedError):
-            NgramVectorizer().transform([["a"]])
-
-    def test_set_params(self):
-        vec = NgramVectorizer().set_params(min_df=3)
-        assert vec.min_df == 3
-        with pytest.raises(ValidationError):
-            vec.set_params(bogus=1)
-
     def test_transform_counts_ignores_flags(self):
-        vec = NgramVectorizer(use_idf=True, l2_normalize=True)
         docs = [["food", "food", "water"], ["water"]]
-        vec.fit(docs)
-        counts = vectorize_tf(docs, vec.vocabulary_).to_dense()
-        np.testing.assert_array_equal(counts, [[2.0, 1.0], [0.0, 1.0]])
+        config = FeatureConfig(vectorizer="tf-idf", l2_normalize=True)
+        fm = featurize_tokens(docs, ["a", "b"], config, counts_only=True)
+        np.testing.assert_array_equal(to_dense(fm.matrix), [[2.0, 1.0], [0.0, 1.0]])
+        vocab = build_vocabulary(docs, (1, 1))
+        np.testing.assert_array_equal(to_dense(vectorize_tf(docs, vocab)), to_dense(fm.matrix))
 
 
 class TestPersistence:

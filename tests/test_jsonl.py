@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -164,6 +165,45 @@ def test_writer_bytes_are_json_dumps_lines(tmp_path, seed):
         assert write_records(path, iter(records) if n % 2 else records) == len(records)
         expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _numbered(n: int) -> list[dict]:
+    return [{"id": f"t{i}", "text": f"we need water and food at shelter {i}"} for i in range(n)]
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"id": "x", "text": {1, 2}}, TypeError),  # no JSON form
+    ({"id": "x", "text": "\ud800"}, UnicodeEncodeError),  # a lone surrogate: no UTF-8 form
+])
+def test_writer_leaves_no_file_when_a_record_fails(tmp_path, bad, error):
+    """The bad record comes after two whole chunks have been written."""
+    records = _numbered(3000)
+    records[2500] = bad
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(error):
+        write_records(path, records)
+    assert list(tmp_path.iterdir()) == []
+    assert write_records(path, records[:2500]) == 2500
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_records(path, iter(records))
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
+
+
+def test_writer_holds_one_chunk_of_lines(tmp_path):
+    """Peak memory stays near one chunk's lines, not the whole file's (which
+    holding every line, their join and its UTF-8 bytes would take)."""
+    records = _numbered(10_000)
+    path = tmp_path / "out.jsonl"
+    tracemalloc.start()
+    try:
+        assert write_records(path, records) == len(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
+    assert path.read_bytes() == expected
+    assert peak < len(expected) / 2, (peak, len(expected))
 
 
 class _Str(str):

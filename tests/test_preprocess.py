@@ -178,7 +178,7 @@ class TestDedupe:
         corpus, report = run_pipeline(d)
         assert len(corpus) == 1
         assert corpus.tweets[0].joined() == "he go school _MENT_ _URL_"
-        assert report.duplicates_removed == 1
+        assert report.removed_by_stage["dedupe"] == 1
 
     def test_identical_cleaned(self):
         a = CleanTweet("1", ("need", "food"))
@@ -227,7 +227,7 @@ class TestRunPipeline:
             corpus, report = run_pipeline(d)
             assert report.input_count == len(d)
             assert report.output_count == len(corpus)
-            assert len(d) == len(corpus) + report.total_removed
+            assert len(d) == len(corpus) + sum(report.removed_by_stage.values())
 
     def test_all_spanish_removed_at_language_stage(self):
         d = make_dataset(

@@ -8,8 +8,9 @@ from oracles import (
     add_at_row_norms,
     add_at_sum_rows_by_group,
     add_at_t_matmul_dense,
-    add_at_to_dense,
+    from_dense,
     from_triplets,
+    to_dense,
 )
 from rweets.errors import ValidationError
 from rweets.sparse import SparseMatrix
@@ -25,7 +26,7 @@ class TestConstruction:
     def test_from_triplets_round_trip(self):
         m = from_triplets(2, 3, [(0, 1, 2.0), (1, 0, -1.5), (0, 2, 4.0)])
         assert m.nnz == 3
-        np.testing.assert_array_equal(m.to_dense(), [[0, 2.0, 4.0], [-1.5, 0, 0]])
+        np.testing.assert_array_equal(to_dense(m), [[0, 2.0, 4.0], [-1.5, 0, 0]])
 
     def test_zero_values_dropped(self):
         m = from_triplets(1, 2, [(0, 0, 0.0), (0, 1, 3.0)])
@@ -54,7 +55,7 @@ class TestConstruction:
 
     def test_raw_allows_falling_column_across_rows(self):
         m = SparseMatrix(3, 3, [0, 2, 2, 4], [1, 2, 0, 1], [1.0] * 4)
-        np.testing.assert_array_equal(m.to_dense(), [[0, 1, 1], [0, 0, 0], [1, 1, 0]])
+        np.testing.assert_array_equal(to_dense(m), [[0, 1, 1], [0, 0, 0], [1, 1, 0]])
 
     def test_raw_rejects_stored_zero(self):
         with pytest.raises(ValidationError, match=r"stored values must be nonzero \(row 2\)"):
@@ -78,46 +79,39 @@ class TestConstruction:
         rng = np.random.default_rng(5)
         for _ in range(20):
             dense = random_dense(rng, rng.integers(1, 6), rng.integers(1, 6))
-            np.testing.assert_array_equal(SparseMatrix.from_dense(dense).to_dense(), dense)
+            np.testing.assert_array_equal(to_dense(from_dense(dense)), dense)
 
 
 class TestOps:
-    def test_row_view(self):
-        m = SparseMatrix.from_dense([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
-        row = m.row(1)
-        assert row.dim == 3
-        assert list(row.cols) == [0, 2]
-        assert list(row.values) == [1.0, 3.0]
-
     def test_append_dense_columns(self):
-        m = SparseMatrix.from_dense([[1.0, 0], [0, 2.0]])
+        m = from_dense([[1.0, 0], [0, 2.0]])
         wide = m.append_dense_columns([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(wide.to_dense(), [[1, 0, 0, 1], [0, 2, 1, 0]])
+        np.testing.assert_array_equal(to_dense(wide), [[1, 0, 0, 1], [0, 2, 1, 0]])
 
     def test_append_rejects_row_mismatch(self):
-        m = SparseMatrix.from_dense([[1.0]])
+        m = from_dense([[1.0]])
         with pytest.raises(ValidationError):
             m.append_dense_columns([[1.0], [2.0]])
 
     def test_row_norms_and_scaling(self):
-        m = SparseMatrix.from_dense([[3.0, 4.0], [0.0, 0.0]])
+        m = from_dense([[3.0, 4.0], [0.0, 0.0]])
         np.testing.assert_allclose(m.row_norms(), [5.0, 0.0])
         scaled = m.scale_rows([0.2, 1.0])
-        np.testing.assert_allclose(scaled.to_dense(), [[0.6, 0.8], [0, 0]])
+        np.testing.assert_allclose(to_dense(scaled), [[0.6, 0.8], [0, 0]])
 
     def test_column_scaling(self):
-        m = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 4.0]])
+        m = from_dense([[1.0, 2.0], [0.0, 4.0]])
         np.testing.assert_allclose(
-            m.scale_columns([2.0, 0.5]).to_dense(), [[2.0, 1.0], [0, 2.0]]
+            to_dense(m.scale_columns([2.0, 0.5])), [[2.0, 1.0], [0, 2.0]]
         )
 
     def test_sum_rows_by_group(self):
-        m = SparseMatrix.from_dense([[1.0, 0], [2.0, 1.0], [0, 5.0]])
+        m = from_dense([[1.0, 0], [2.0, 1.0], [0, 5.0]])
         out = m.sum_rows_by_group([0, 1, 0], 2)
         np.testing.assert_array_equal(out, [[1.0, 5.0], [2.0, 1.0]])
 
     def test_sum_rows_by_group_rejects_out_of_range_group(self):
-        m = SparseMatrix.from_dense([[1.0, 0], [2.0, 1.0]])
+        m = from_dense([[1.0, 0], [2.0, 1.0]])
         for groups in ([0, 2], [-1, 0]):
             with pytest.raises(ValidationError, match="group indices"):
                 m.sum_rows_by_group(groups, 2)
@@ -129,14 +123,14 @@ class TestMatmul:
         for _ in range(25):
             rows, cols, k = rng.integers(1, 7, size=3)
             dense = random_dense(rng, rows, cols)
-            m = SparseMatrix.from_dense(dense)
+            m = from_dense(dense)
             W = rng.normal(size=(cols, k))
             np.testing.assert_allclose(m.matmul_dense(W), dense @ W, atol=1e-12)
             G = rng.normal(size=(rows, k))
             np.testing.assert_allclose(m.t_matmul_dense(G), dense.T @ G, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        m = SparseMatrix.from_dense([[1.0, 2.0]])
+        m = from_dense([[1.0, 2.0]])
         with pytest.raises(ValidationError):
             m.matmul_dense(np.zeros((3, 2)))
 
@@ -216,7 +210,7 @@ def random_sparse(rng):
     dense = random_dense(rng, rows, cols, density=float(rng.uniform(0.0, 0.9)))
     dense *= 10.0 ** rng.integers(-6, 7, size=dense.shape)
     dense[rng.random(rows) < 0.3] = 0.0
-    return SparseMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 class TestBitExactReductions:
@@ -228,14 +222,13 @@ class TestBitExactReductions:
         fixed = [
             from_triplets(0, 4, []),  # no rows
             from_triplets(5, 3, []),  # all zero
-            SparseMatrix.from_dense([[0.0, 0.0], [1e16, 1.0], [0.0, 0.0]]),
+            from_dense([[0.0, 0.0], [1e16, 1.0], [0.0, 0.0]]),
         ]
         return rng, fixed + [random_sparse(rng) for _ in range(n)]
 
     def test_to_dense_and_row_norms(self):
         _rng, matrices = self.matrices(31)
         for m in matrices:
-            assert np.array_equal(m.to_dense(), add_at_to_dense(m))
             assert np.array_equal(m.row_norms(), add_at_row_norms(m))
 
     def test_products(self):
@@ -275,7 +268,7 @@ class TestBitExactReductions:
                 (m.t_matmul_dense(np.ones((m.rows, 2))), (m.cols, 2)),
                 (m.row_norms(), (m.rows,)),
                 (m.sum_rows_by_group(np.zeros(m.rows, dtype=int), 3), (3, m.cols)),
-                (m.to_dense(), (m.rows, m.cols)),
+                (to_dense(m), (m.rows, m.cols)),
             ):
                 assert out.dtype == np.float64 and out.shape == shape
                 assert not out.any()
@@ -291,7 +284,7 @@ class TestBitExactReductions:
             one_hot = scipy_sparse.csr_matrix(
                 (np.ones(m.rows), (groups, np.arange(m.rows))), shape=(k, m.rows)
             )
-            np.testing.assert_array_equal(m.to_dense(), csr.toarray())
+            np.testing.assert_array_equal(to_dense(m), csr.toarray())
             np.testing.assert_allclose(m.matmul_dense(W), csr @ W, rtol=1e-12, atol=1e-6)
             np.testing.assert_allclose(m.t_matmul_dense(D), csr.T @ D, rtol=1e-12, atol=1e-6)
             np.testing.assert_allclose(
