@@ -23,10 +23,10 @@ from .corpus import (
     save_dataset,
     synth_corpus,
 )
-from .digest import atomic_open, atomic_write_text, combine_digests, digest_records
+from .digest import atomic_write_text, combine_digests, digest_records
 from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from .features import FeatureConfig, combo, load_matrix, save_matrix
-from .jsonl import encode_line, read_records, text_lines
+from .jsonl import encode_line, read_records, text_lines, write_lines
 from .metrics import render_record, render_text
 from .models import LogisticRegression, TrainConfig, cross_validate, make_classifier
 from .pipeline import (
@@ -286,48 +286,32 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-# characters of distinct text the `rules classify` memo holds before it empties
-_RULE_MEMO_CHARS = 1 << 21
-_RULE_CHUNK = 1024  # records `rules classify` matches as one batch and writes together
+_RULE_CHUNK = 1024  # records `rules classify` matches as one batch
+
+
+def _rule_lines(records):
+    """Each record's output line, with `rule_label` and `rule_bits` set. A
+    chunk's distinct texts are matched as one batch and each of its distinct
+    bit rows is encoded once; no chunk keeps anything for the next."""
+    while chunk := list(itertools.islice(records, _RULE_CHUNK)):
+        texts = list(dict.fromkeys([record["text"] for record in chunk]))
+        by_bits, by_text = {}, {}  # bits -> (fields, tail), text -> the same
+        for text, bits in zip(texts, map(tuple, rule_features(texts).tolist())):
+            if bits not in by_bits:
+                fields = {"rule_label": RWEET if any(bits) else NOT_RWEET,
+                          "rule_bits": [int(bit) for bit in bits]}
+                by_bits[bits] = fields, ", " + encode_line(fields)[1:-1]
+            by_text[text] = by_bits[bits]
+        for record in chunk:
+            fields, tail = by_text[record["text"]]
+            # a record holding either field keeps its keys in their places
+            if clash := "rule_label" in record or "rule_bits" in record:
+                record.update(fields)
+            yield encode_line(record, "" if clash else tail) + "\n"
 
 
 def cmd_rules(args) -> int:
-    # a distinct text is matched, and a distinct bit row encoded, once while the
-    # memo holds it; it empties past _RULE_MEMO_CHARS. Each chunk is matched as
-    # one batch and written before the next is read, so memory stays flat.
-    by_text, by_bits, held, count = {}, {}, 0, 0  # text -> (fields, tail), bits -> the same
-    records = read_records(args.input, ("text",))
-    with atomic_open(args.output) as fh:
-        while chunk := list(itertools.islice(records, _RULE_CHUNK)):
-            # the texts the memo will miss, walked as the loop below walks them
-            batch, known, missed, will_hold = [], by_text.keys(), set(), held
-            for text in (record["text"] for record in chunk):
-                if text not in missed and text not in known:
-                    if will_hold > _RULE_MEMO_CHARS:
-                        known, missed, will_hold = (), set(), 0
-                    batch.append(text)
-                    missed.add(text)
-                    will_hold += len(text)
-            bit_rows, lines = iter(rule_features(batch).tolist()), []
-            for record in chunk:
-                text = record["text"]
-                found = by_text.get(text)
-                if found is None:
-                    if held > _RULE_MEMO_CHARS:
-                        by_text, by_bits, held = {}, {}, 0
-                    bits = tuple(next(bit_rows))
-                    if bits not in by_bits:
-                        fields = {"rule_label": RWEET if any(bits) else NOT_RWEET,
-                                  "rule_bits": [int(bit) for bit in bits]}
-                        by_bits[bits] = fields, ", " + encode_line(fields)[1:-1]
-                    found = by_text[text] = by_bits[bits]
-                    held += len(text)
-                # a record holding either field keeps its keys in their places
-                if clash := "rule_label" in record or "rule_bits" in record:
-                    record.update(found[0])
-                lines.append(encode_line(record, "" if clash else found[1]) + "\n")
-            fh.write("".join(lines).encode("utf-8"))
-            count += len(chunk)
+    count = write_lines(args.output, _rule_lines(read_records(args.input, ("text",))))
     print(f"classified {count} tweets -> {args.output}")
     return 0
 

@@ -1,7 +1,8 @@
 """JSON Lines files, one object per line: the package's one reader, line
-encoder and record writer. Files are read in text mode (CRLF and lone CR end
-lines too) and split on "\n" only; blank and whitespace-only lines are skipped
-but counted. Bytes that are not UTF-8 make their line a bad line.
+encoder and writer. Files are read in text mode (CRLF and lone CR end lines
+too) and split on "\n" only; blank and whitespace-only lines are skipped but
+counted. Bytes that are not UTF-8 make their line a bad line. Every JSONL file
+the package writes goes through `write_lines`, one chunk of lines at a time.
 """
 
 import itertools
@@ -120,13 +121,22 @@ def encode_line(record: dict, tail: str = "") -> str:
     return "{" + (body + tail if body else tail[2:]) + "}"
 
 
-def write_records(path, records) -> int:
-    """Write each record of an iterable as the line `encode_line(record)`,
-    one chunk of lines at a time, replacing `path` atomically; returns the
-    number of records. A record that cannot be encoded leaves no file."""
-    records, count = iter(records), 0
+def write_lines(path, lines) -> int:
+    """Write an iterable of lines, each ending in "\n", as UTF-8, one chunk
+    of lines at a time, replacing `path` atomically; returns the number of
+    lines. A source that fails leaves no file; the first chunk is taken before
+    `path` is opened, so one that fails in it leaves no new directory either."""
+    lines, count = iter(lines), 0
+    chunk = list(itertools.islice(lines, _CHUNK))
     with atomic_open(path) as fh:
-        while chunk := list(itertools.islice(records, _CHUNK)):
-            fh.write("".join([encode_line(record) + "\n" for record in chunk]).encode("utf-8"))
+        while chunk:
+            fh.write("".join(chunk).encode("utf-8"))
             count += len(chunk)
+            chunk = list(itertools.islice(lines, _CHUNK))
     return count
+
+
+def write_records(path, records) -> int:
+    """Write each record of an iterable as the line `encode_line(record)`
+    through `write_lines`; returns the number of records."""
+    return write_lines(path, (encode_line(record) + "\n" for record in records))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import artifact
 from .corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet
-from .digest import atomic_write_text, combine_digests, digest_records, digest_text
+from .digest import combine_digests, digest_records, digest_text
 from .errors import FormatError, StaleCacheError, ValidationError
 from .features import (
     FeatureConfig,
@@ -27,6 +27,7 @@ from .features import (
     load_matrix,
     save_matrix,
 )
+from .jsonl import write_lines
 from .models import _model_fields, _model_from, make_classifier
 from .preprocess import CleanCorpus, PipelineConfig, run_pipeline
 from .rules import rule_block_for_ids
@@ -245,9 +246,10 @@ def run_series(
 
 def save_series_output(results, path) -> None:
     """Write each result as the line `json.dumps(record, ensure_ascii=False)`
-    of its record, encoding the strings with the encoder that call uses."""
+    of its record through `write_lines`, encoding the strings with the
+    encoder that call uses."""
     quote = encode_basestring
-    atomic_write_text(path, "".join(
+    write_lines(path, (
         f'{{"id": {quote(r.id)}, "text": {quote(r.text)}, "stage1": {quote(r.stage1)}'
         + ("}\n" if r.stage2 is None else f', "stage2": {quote(r.stage2)}}}\n') for r in results))
 

@@ -25,7 +25,7 @@ compiles lowercase, a leading `\b` moved behind it as `(?<!\w.{n})`, and
 by one scan of the batch's joined lines, keeping each line's leftmost match;
 each child stage is searched only on the lines its parent matched, from the
 parent's end to the line's end. Every step is linear in the text length.
-`rules classify` matches the new texts of each chunk it reads as one batch.
+`rules classify` matches the distinct texts of each chunk it reads as one batch.
 """
 
 import re
@@ -36,7 +36,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .corpus import NOT_RWEET, RWEET, Dataset
+from .corpus import NOT_RWEET, RWEET
 from .errors import ValidationError
 
 PATTERN_SOURCES = (
@@ -163,11 +163,10 @@ def rule_classify(text: str) -> str:
     return RWEET if any(p.matches(text) for p in compile_patterns()) else NOT_RWEET
 
 
-def rule_features(dataset_or_texts) -> np.ndarray:
-    """Binary matrix of shape (n_tweets, 18); row i holds match_tweet of
-    tweet i. Accepts a Dataset or any iterable of texts."""
-    data = dataset_or_texts
-    texts = [tw.text for tw in data] if isinstance(data, Dataset) else list(data)
+def rule_features(texts) -> np.ndarray:
+    """Binary matrix of shape (n_texts, 18) over an iterable of texts; row i
+    holds match_tweet of text i."""
+    texts = list(texts)
     out = np.zeros((len(texts), N_PATTERNS), dtype=np.float64)
     for lo in range(0, len(texts), _BATCH):
         for i, rows in _match(texts[lo:lo + _BATCH], _ROOTS).items():

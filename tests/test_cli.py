@@ -208,22 +208,26 @@ class TestRules:
                 labels.add(row["rule_label"])
             assert labels == {"rweet", "not_rweet"}
 
-    def test_memo_empties_past_its_bound(self, tmp_path, rule_walks, monkeypatch):
+    def test_each_chunk_matches_its_distinct_texts_once(self, tmp_path, rule_walks,
+                                                          monkeypatch):
         import re
 
         from rweets import cli
         from rweets.rules import PATTERN_SOURCES
 
-        monkeypatch.setattr(cli, "_RULE_MEMO_CHARS", 20)
-        texts = ["need shelter?", "quiet night here", "I am bringing food", "need shelter?"]
+        monkeypatch.setattr(cli, "_RULE_CHUNK", 3)
+        a, b, c = "need shelter?", "quiet night here", "I am bringing food"
+        texts = [a, b, a, c, b, a, c]
         source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         source.write_text("".join(json.dumps({"id": str(n), "text": t}) + "\n"
                                   for n, t in enumerate(texts)))
         assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
-        # 13 + 16 characters pass the bound: the third text empties the memo,
-        # so the repeat of the first is walked again
-        assert rule_walks == texts
-        for row in (json.loads(line) for line in out.read_text().splitlines()):
+        # chunks [a, b, a], [c, b, a], [c]: each walks its distinct texts in
+        # first-appearance order, and a text of an earlier chunk is walked again
+        assert rule_walks == [a, b, c, b, a, c]
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["text"] for row in rows] == texts
+        for row in rows:
             bits = [int(re.search(s, row["text"], re.IGNORECASE) is not None)
                     for s in PATTERN_SOURCES]
             assert row["rule_bits"] == bits
@@ -306,44 +310,64 @@ class TestRules:
         assert '"text": "we need food", "rule_label": "not_rweet"}' in got[3 + 8]
         assert {"rweet", "not_rweet"} <= {json.loads(line)["rule_label"] for line in got}
 
-    def test_small_memo_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        """Past the memo's bound the bit rows' encoded tails are dropped with
-        the text memo and encoded again; the output bytes do not change."""
+    def test_chunk_size_does_not_change_the_bytes(self, tmp_path, monkeypatch):
+        """Each chunk encodes each of its bit rows' tails at most once; the
+        output bytes do not depend on the chunk size."""
         from rweets import cli
 
-        tails = []  # the bit row of each tail encode_line is asked for
-        encode = cli.encode_line
+        tails = []  # per chunk, the bit row of each tail encode_line is asked for
+        encode, features = cli.encode_line, cli.rule_features
 
         def counted(record, tail=""):
             if "text" not in record:
-                tails.append(tuple(record["rule_bits"]))
+                tails[-1].append(tuple(record["rule_bits"]))
             return encode(record, tail)
 
+        def chunk_start(texts):
+            tails.append([])
+            return features(texts)
+
         monkeypatch.setattr(cli, "encode_line", counted)
+        monkeypatch.setattr(cli, "rule_features", chunk_start)
         texts = ["need shelter?", "quiet night here", "I am bringing food", "need shelter?"]
         lines = [json.dumps({"id": str(n), "text": t}) for n, t in enumerate(texts)]
         lines += self.ODD_LINES
         source = tmp_path / "in.jsonl"
         source.write_text("\n".join(lines) + "\n", encoding="utf-8")
         outputs = []
-        for bound in (1 << 21, 20, 0):
-            monkeypatch.setattr(cli, "_RULE_MEMO_CHARS", bound)
+        for size in (1, 2, 3, 1024):
+            monkeypatch.setattr(cli, "_RULE_CHUNK", size)
             tails.clear()
-            out = tmp_path / f"out{bound}.jsonl"
+            out = tmp_path / f"out{size}.jsonl"
             assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
             outputs.append(out.read_bytes())
-            if bound == 20:
-                # 13 + 16 characters pass the bound, so the third text empties
-                # both memos: the fourth text's bit row, the first's, is
-                # encoded again
-                assert len(set(tails[:3])) == 3 and tails[3] == tails[0]
-            elif bound:  # each bit row is encoded once
-                assert len(tails) == len(set(tails))
-            else:  # the memos empty before almost every text
-                assert len(tails) > len(lines) - 3
-        assert outputs[0] == outputs[1] == outputs[2]
+            assert len(tails) == -(-len(lines) // size)
+            for encoded in tails:
+                assert len(encoded) == len(set(encoded)), (size, encoded)
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
         got = outputs[0].decode("utf-8").split("\n")
         assert got[:-1] == self._expected_lines(lines)
+
+    @pytest.mark.parametrize("content", [None, '{"id": "1", "text": "need shelter?"}\n{"id":\n'],
+                             ids=["missing input", "bad line 2"])
+    def test_failing_first_chunk_leaves_no_directory(self, tmp_path, capsys, content):
+        """A missing input (exit 2) or a bad line in the first chunk (exit 3)
+        fails before the output or its new directory is made."""
+        source = tmp_path / "in.jsonl"
+        if content is not None:
+            source.write_text(content)
+        out = tmp_path / "new" / "sub" / "out.jsonl"
+        code = run(["rules", "classify", "--input", str(source), "--output", str(out)])
+        assert code == (2 if content is None else 3)
+        assert ("in.jsonl: line 2: malformed JSON" in capsys.readouterr().err) == (code == 3)
+        assert not (tmp_path / "new").exists()
+
+    def test_empty_input_writes_an_empty_file(self, tmp_path, capsys):
+        source, out = tmp_path / "in.jsonl", tmp_path / "new" / "out.jsonl"
+        source.write_text("")
+        assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
+        assert out.read_bytes() == b""
+        assert "classified 0 tweets" in capsys.readouterr().out
 
     def test_action_defaults_to_classify(self, tmp_path):
         source = tmp_path / "in.jsonl"

@@ -9,7 +9,7 @@ from oracles import reference_read_records
 from rweets.corpus import BINARY
 from rweets.errors import ValidationError
 from rweets import jsonl
-from rweets.jsonl import encode_line, read_records, write_records
+from rweets.jsonl import encode_line, read_records, write_lines, write_records
 
 # texts that stress the one-decode reader: quotes, backslashes, the item
 # boundary "}, {" (and "], ["), raw U+2028 / U+0085 (line
@@ -189,6 +189,26 @@ def test_writer_leaves_no_file_when_a_record_fails(tmp_path, bad, error):
         write_records(path, iter(records))
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
+
+
+def test_writer_writes_an_empty_file_for_no_lines(tmp_path):
+    path = tmp_path / "new" / "out.jsonl"
+    assert write_lines(path, iter(())) == 0
+    assert path.read_bytes() == b""
+    assert write_records(path, []) == 0
+    assert path.read_bytes() == b"" and list(path.parent.iterdir()) == [path]
+
+
+def test_source_failing_in_its_first_chunk_leaves_no_directory(tmp_path):
+    """The first chunk is taken before the output, or its directory, is made."""
+    def lines():
+        yield "{}\n"
+        raise ValueError("source failed")
+
+    path = tmp_path / "new" / "sub" / "out.jsonl"
+    with pytest.raises(ValueError):
+        write_lines(path, lines())
+    assert list(tmp_path.iterdir()) == []
 
 def test_writer_holds_one_chunk_of_lines(tmp_path):
     """Peak memory stays near one chunk's lines, not the whole file's (which

@@ -516,6 +516,53 @@ class TestSeriesOutput:
         assert (tmp_path / "out.jsonl").read_bytes() == expected.encode("utf-8")
 
 
+    @staticmethod
+    def _results(n):
+        return [CategorizedTweet(f"t{i}", f"we need water at shelter {i}", RWEET, "water")
+                if i % 3 else CategorizedTweet(f"t{i}", f"calm night {i}", "not_rweet")
+                for i in range(n)]
+
+    @staticmethod
+    def _expected(results):
+        import json
+
+        return "".join(json.dumps({"id": r.id, "text": r.text, "stage1": r.stage1,
+                                   **({} if r.stage2 is None else {"stage2": r.stage2})},
+                                  ensure_ascii=False) + "\n" for r in results).encode("utf-8")
+
+    def test_three_chunks_are_json_dumps_lines(self, tmp_path):
+        results = self._results(2500)
+        save_series_output(results, tmp_path / "out.jsonl")
+        assert (tmp_path / "out.jsonl").read_bytes() == self._expected(results)
+
+    def test_a_result_that_fails_in_the_third_chunk_leaves_no_file(self, tmp_path):
+        results = self._results(2500)
+        results[2100] = CategorizedTweet(7, "an id that is not a str", "not_rweet")
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(TypeError):
+            save_series_output(results, path)
+        assert list(tmp_path.iterdir()) == []  # no file and no temp file
+        path.write_text("old output\n")
+        with pytest.raises(TypeError):
+            save_series_output(iter(results), path)
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == "old output\n"
+
+    def test_holds_one_chunk_of_lines(self, tmp_path):
+        """Peak memory stays near one chunk's lines, not the whole file's."""
+        import tracemalloc
+
+        results = self._results(20_000)
+        path = tmp_path / "out.jsonl"
+        tracemalloc.start()
+        try:
+            save_series_output(results, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = self._expected(results)
+        assert path.read_bytes() == expected
+        assert peak < len(expected) / 2, (peak, len(expected))
+
 class TestFeaturizeCorpus:
     def test_rules_need_raw_texts(self):
         corpus, _ = run_pipeline(synth_corpus(3, 40, BINARY))

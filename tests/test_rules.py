@@ -253,7 +253,7 @@ class TestRuleFeatures:
             RawTweet("a", "need shelter?"),
             RawTweet("b", "quiet night"),
         ))
-        m = rule_features(d)
+        m = rule_features([tw.text for tw in d])
         assert m[0, 12] == 1.0 and m[1].sum() == 0.0
 
     def test_question_only_row(self):
