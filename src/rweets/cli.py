@@ -100,15 +100,17 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             setattr(args, key, value)
 
 
+_ORDERS = {"default": DEFAULT_OPS, "punct-first": PUNCT_FIRST_OPS}
+
+
 def _pipeline_config(args) -> PipelineConfig:
-    order = args.order or "default"
-    if order not in ("default", "punct-first"):
-        raise UsageError(f"--order must be 'default' or 'punct-first', got {order!r}")
-    return PipelineConfig(
-        ops=DEFAULT_OPS if order == "default" else PUNCT_FIRST_OPS,
-        english_threshold=args.threshold if args.threshold is not None else 0.15,
-        min_tokens=args.min_tokens if args.min_tokens is not None else 2,
-    )
+    """PipelineConfig from the flags given; the rest keep the config's defaults."""
+    # a config file's order does not pass through argparse's choices
+    if args.order not in (None, *_ORDERS):
+        raise UsageError(f"--order must be 'default' or 'punct-first', got {args.order!r}")
+    given = {"ops": _ORDERS.get(args.order), "english_threshold": args.threshold,
+             "min_tokens": args.min_tokens}
+    return PipelineConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _feature_config(args) -> FeatureConfig:
@@ -143,7 +145,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def _add_pipeline_flags(parser):
-    parser.add_argument("--order", choices=("default", "punct-first"), default=None,
+    parser.add_argument("--order", choices=tuple(_ORDERS), default=None,
                         help="cleaning op order (default: default)")
     parser.add_argument("--threshold", type=float, default=None,
                         help="English-evidence ratio threshold (default 0.15)")

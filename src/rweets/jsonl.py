@@ -124,16 +124,24 @@ def encode_line(record: dict, tail: str = "") -> str:
 def write_lines(path, lines) -> int:
     """Write an iterable of lines, each ending in "\n", as UTF-8, one chunk
     of lines at a time, replacing `path` atomically; returns the number of
-    lines. A source that fails leaves no file; the first chunk is taken before
-    `path` is opened, so one that fails in it leaves no new directory either."""
+    lines. A source that fails leaves no file; the first chunk is taken and
+    encoded before `path` is opened, so one that fails in it leaves no new
+    directory either."""
     lines, count = iter(lines), 0
-    chunk = list(itertools.islice(lines, _CHUNK))
+    size, data = _next_chunk(lines)
     with atomic_open(path) as fh:
-        while chunk:
-            fh.write("".join(chunk).encode("utf-8"))
-            count += len(chunk)
-            chunk = list(itertools.islice(lines, _CHUNK))
+        while size:
+            fh.write(data)
+            count += size
+            del data  # one chunk's bytes at a time
+            size, data = _next_chunk(lines)
     return count
+
+
+def _next_chunk(lines) -> tuple[int, bytes]:
+    """The number of lines in the next chunk of `lines`, and their UTF-8 bytes."""
+    chunk = list(itertools.islice(lines, _CHUNK))
+    return len(chunk), "".join(chunk).encode("utf-8")
 
 
 def write_records(path, records) -> int:

@@ -1,9 +1,10 @@
-"""Tweet cleaning pipeline: an ordered, configurable sequence of per-tweet
-operations followed by corpus-level duplicate elimination.
+"""Tweet cleaning pipeline: one of two fixed orders of per-tweet operations
+followed by corpus-level duplicate elimination.
 
 The default order generalizes tags (numbers, retweet markers, mentions, URLs)
 before punctuation removal, which destroys the "@", ":" and "//" that the tag
 patterns need. The "punct-first" order, kept for ablation, swaps the two.
+`PipelineConfig.ops` accepts these two orders and no other.
 
 Every per-tweet stage is a pure function, so cleaning is idempotent. That is
 why the language filter scores words against the whole bundled English
@@ -14,19 +15,20 @@ a whitespace-delimited word and never across one: lowercase, tokenize,
 remove_stopwords, lemmatize, and remove_punctuation, which turns every
 whitespace character into a separator. generalize_tags is word-local on a
 text without "@" or "//", where only the number and www patterns can match,
-and neither matches whitespace; a text that holds "@" or "/" is tagged as a
-whole. Each run of word-local ops is one memo from a word to its tokens and
-each op's change to its word count; a run that must keep the separators
-(lowercase before whole-text tagging) acts on the text. strip_non_ascii, the
-filters and dedupe act on whole tweets. The memos die with the call, and the
-corpus and report equal those of the per-op reference in `tests/oracles.py`.
+and neither matches whitespace, and after remove_punctuation, where only
+digit runs inside a word are left to match. Under the default order a text
+that holds "@" or "/" is lowercased and tagged as a whole. Each run of
+word-local ops is one memo from a word to its tokens and each op's change to
+its word count. strip_non_ascii, the filters and dedupe act on whole tweets.
+The memos die with the call, and the corpus and report equal those of the
+per-op reference in `tests/oracles.py`.
 """
 
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -67,11 +69,6 @@ PUNCT_FIRST_OPS = (
     "dedupe",
 )
 
-_TEXT_ONLY_OPS = {"strip_non_ascii", "is_english"}
-_TOKEN_ONLY_OPS = {"remove_stopwords", "drop_if_short", "lemmatize"}
-_EITHER_OPS = {"lowercase", "generalize_tags", "remove_punctuation"}
-_KNOWN_OPS = _TEXT_ONLY_OPS | _TOKEN_ONLY_OPS | _EITHER_OPS | {"tokenize", "dedupe"}
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -81,22 +78,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        if len(set(self.ops)) != len(self.ops):
-            raise ValidationError("pipeline op appears more than once")
-        unknown = [op for op in self.ops if op not in _KNOWN_OPS]
-        if unknown:
-            raise ValidationError(f"unknown pipeline ops: {unknown}")
-        if "dedupe" in self.ops and self.ops[-1] != "dedupe":
-            raise ValidationError("dedupe must be the last pipeline op")
-        if "tokenize" not in self.ops:
-            raise ValidationError("pipeline must include the tokenize op")
-        split_at = self.ops.index("tokenize")
-        for op in self.ops[:split_at]:
-            if op in _TOKEN_ONLY_OPS:
-                raise ValidationError(f"{op} must come after tokenize")
-        for op in self.ops[split_at + 1 :]:
-            if op in _TEXT_ONLY_OPS:
-                raise ValidationError(f"{op} must come before tokenize")
+        if self.ops not in (DEFAULT_OPS, PUNCT_FIRST_OPS):
+            raise ValidationError(
+                f"pipeline ops must be DEFAULT_OPS or PUNCT_FIRST_OPS, got {list(self.ops)}")
         if not 0.0 <= self.english_threshold <= 1.0:
             raise ValidationError("english_threshold must be within [0, 1]")
         if self.min_tokens < 1:
@@ -313,34 +297,28 @@ def _validated_strip(word: str, stem: str) -> str:
 # Ops that report no token delta: the first two never change the word count,
 # and dedupe drops whole tweets once the per-tweet ops are done.
 _UNREPORTED_OPS = ("is_english", "tokenize", "dedupe")
-# Before tokenize, a run of word-local ops with neither of these must keep the
-# separators strip_non_ascii and whole-text tags read, so it acts on the text.
-_JOINING_OPS = {"remove_punctuation", "tokenize"}
-_TEXT_OPS = dict(
-    strip_non_ascii=strip_non_ascii, lowercase=lowercase, generalize_tags=generalize_tags)
 
 
 def _compile(config: PipelineConfig):
-    """Config's per-tweet ops as routes of (key, step) pairs for texts with
-    and without "@" or "/", the token-delta totals the steps add to, and each
-    run's (ops, word-count changes by word, entering words). A step maps the
-    state (the text, or a word list where no later step reads the exact text)
-    to the next, or to None to drop the tweet. Each maximal run of word-local
-    ops is one step, keyed by its ops, with a memo from a word to its tokens;
+    """Config's order as routes of (stage, step) pairs for texts without and
+    with "@" or "/", the token-delta totals the steps add to, and each run's
+    (ops, word-count changes by word, entering words). A step maps a text or
+    a word list to the next, or to None to drop the tweet at its stage. Each
+    run of word-local ops is one step, with a memo from a word to its tokens;
     beneath the runs, each op maps each distinct word once. Memos last a call.
     """
     evidence = _Memo(_is_evidence)
+    # no run holds tokenize, a split: every word in a run is split already
     word_memos = {op: _Memo(fn) for op, fn in {
         "lowercase": lambda w: lowercase(w).split(),
         "generalize_tags": lambda w: generalize_tags(w).split(),
         "remove_punctuation": _punctuation_free_words,
-        "tokenize": tokenize,
         "remove_stopwords": lambda w: remove_stopwords([w]),
         "lemmatize": lambda w: lemmatize([w]),
     }.items()}
     totals, runs = Counter(), []
 
-    def run_step(ops):
+    def run(*ops):
         # the words entering the run are counted, and each op's changes to
         # their counts summed once the call is done
         changes_of, seen = {}, Counter()
@@ -358,61 +336,46 @@ def _compile(config: PipelineConfig):
 
         tokens = _Memo(expand)
 
-        def step(state):
-            words = state.split() if isinstance(state, str) else state
+        def step(words):
             seen.update(words)
             return list(chain.from_iterable(map(tokens.__getitem__, words)))
 
-        return step
+        return ops, step
 
-    def text_step(op, to_words):
-        def step(state):
-            text = state if isinstance(state, str) else " ".join(state)
-            new = _TEXT_OPS[op](text)
-            words = new.split() if to_words else None
-            # ASCII case mapping changes letters only, never a word boundary;
-            # each space a tag match removes joins two words (a match's only
-            # whitespace is single spaces between non-space characters)
-            if op == "generalize_tags":
-                totals[op] += new.count(" ") - text.count(" ")
-            elif new != text and not (op == "lowercase" and text.isascii()):
-                totals[op] += len(words or new.split()) - len(text.split())
-            return new if words is None else words
+    def strip(text):
+        new = strip_non_ascii(text)
+        if new != text:
+            totals["strip_non_ascii"] += len(new.split()) - len(text.split())
+        return new
 
-        return step
+    def english(text):
+        words = text.split()
+        return words if _english(words, config.english_threshold, evidence) else None
 
-    def english_step(to_words):
-        def step(state):
-            words = state.split() if isinstance(state, str) else state
-            if _english(words, config.english_threshold, evidence):
-                return words if to_words else state
+    def tag_text(text):
+        # the text is ASCII, whose case mapping changes letters only; each
+        # space a tag match removes joins two words (a match's only
+        # whitespace is single spaces between non-space characters)
+        lowered = lowercase(text)
+        tagged = generalize_tags(lowered)
+        totals["generalize_tags"] += tagged.count(" ") - lowered.count(" ")
+        return tagged.split()
 
-        return step
-
-    short = partial(drop_if_short, min_tokens=config.min_tokens)
-    makers = {"is_english": english_step, "drop_if_short": lambda _: short}
-    run_steps = _Memo(run_step)
-    # lemmatize maps each token to one, so drop_if_short reads the same count
-    # after it; run first, it joins the run before drop_if_short
-    ops = " ".join(config.ops).replace("drop_if_short lemmatize", "lemmatize drop_if_short")
-    ops = [op for op in ops.split() if op != "dedupe"]
-
-    def route(word_tags: bool):
-        keys, on_tokens = [], False  # (an op or the ops of a run, state is tokens)
-        is_local = lambda op: op in word_memos and (word_tags or op != "generalize_tags")
-        for local, group in groupby(ops, is_local):
-            group = tuple(group)
-            joins = local and (on_tokens or _JOINING_OPS & set(group))
-            keys += [(group, on_tokens)] if joins else [(op, on_tokens) for op in group]
-            on_tokens = on_tokens or "tokenize" in group
-        # a step hands on a word list in token state or when a run reads it next
-        return [
-            (key, run_steps[key] if type(key) is tuple else
-             makers.get(key, partial(text_step, key))(tokens or type(then) is tuple))
-            for (key, tokens), (then, _) in zip(keys, keys[1:] + [((), True)])
-        ]
-
-    return route(True), route(False), totals, runs
+    head = ("strip_non_ascii", strip), ("is_english", english)
+    short = ("drop_if_short", partial(drop_if_short, min_tokens=config.min_tokens))
+    if config.ops == PUNCT_FIRST_OPS:
+        # after remove_punctuation, the only tags left are digit runs inside a word
+        route = (*head, run("lowercase", "remove_punctuation", "remove_stopwords"), short,
+                 run("generalize_tags", "lemmatize"))
+        return route, route, totals, runs
+    # a text holding "@" or "/" is lowercased and tagged whole, so is_english
+    # hands on the text; lemmatize maps each token to one, so drop_if_short
+    # reads the same count after it
+    word_ops = ("remove_punctuation", "remove_stopwords", "lemmatize")
+    plain = (*head, run("lowercase", "generalize_tags", *word_ops), short)
+    tagged = (head[0], ("is_english", lambda text: english(text) and text),
+              ("generalize_tags", tag_text), run(*word_ops), short)
+    return plain, tagged, totals, runs
 
 
 def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
@@ -424,26 +387,23 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
     config = config or PipelineConfig()
     plain, tagged, totals, runs = _compile(config)
 
-    removed = {op: 0 for op in config.ops if op in ("is_english", "drop_if_short", "dedupe")}
-    # by token string under dedupe, keeping the first of each; else by id
-    survivors: dict[str, CleanTweet] = {}
+    removed = dict.fromkeys(("is_english", "drop_if_short", "dedupe"), 0)
+    survivors: dict[str, CleanTweet] = {}  # by token string, keeping the first of each
 
     for tweet in dataset:
         state = tweet.text
         # no op before generalize_tags makes an "@", or a "//" out of no "/"
-        for key, step in tagged if "@" in state or "/" in state else plain:
+        for stage, step in tagged if "@" in state or "/" in state else plain:
             state = step(state)
             if state is None:
-                removed[key] += 1
+                removed[stage] += 1
                 break
         else:
-            # tokenize is a required op, so the state is a token list here
-            if not state:
-                removed["empty"] = removed.get("empty", 0) + 1
-            elif (dup_key := " ".join(state) if "dedupe" in removed else tweet.id) in survivors:
+            # drop_if_short leaves at least one token, and no later op drops one
+            if (key := " ".join(state)) in survivors:
                 removed["dedupe"] += 1
             else:
-                survivors[dup_key] = CleanTweet(tweet.id, tuple(state), tweet.label)
+                survivors[key] = CleanTweet(tweet.id, tuple(state), tweet.label)
 
     for ops, changes_of, seen in runs:
         for word, changes in changes_of.items():

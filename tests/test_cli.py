@@ -5,7 +5,9 @@ import pytest
 from oracles import with_header
 from rweets import artifact
 from rweets.cli import main
-from rweets.pipeline import STAGED_FILE
+from rweets.errors import FormatError
+from rweets.pipeline import STAGED_FILE, load_staged
+from rweets.preprocess import DEFAULT_OPS
 
 
 def run(args):
@@ -552,6 +554,18 @@ class TestTrain:
         assert self.series(workspace, tmp_path) == 4
         assert "config digest mismatch" in capsys.readouterr().err
 
+    def test_staged_model_of_another_order_exit_3(self, workspace, tmp_path, capsys):
+        # the default order without dedupe, which earlier versions accepted
+        assert self.train(workspace) == 0
+        model = workspace / "staged" / STAGED_FILE
+        ops = [op for op in DEFAULT_OPS if op != "dedupe"]
+        model.write_bytes(with_header(
+            model.read_bytes(), lambda header: header["meta"]["pipeline_config"].update(ops=ops)))
+        with pytest.raises(FormatError, match="DEFAULT_OPS or PUNCT_FIRST_OPS"):
+            load_staged(workspace / "staged")
+        assert self.series(workspace, tmp_path) == 3
+        assert "damaged staged model" in capsys.readouterr().err
+
     def test_stage_classes_must_be_its_domain_labels(self, workspace, tmp_path, capsys):
         assert self.train(workspace) == 0
         assert self.series(workspace, tmp_path) == 0
@@ -676,6 +690,22 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "old.cfg" in err and "line 2" in err and "learning_rate" in err
         assert not out.exists()
+
+    def test_config_file_order(self, tmp_path, capsys):
+        data, config = tmp_path / "d.jsonl", tmp_path / "run.cfg"
+        assert run(["--seed", "3", "synth", "--size", "200", "--out", str(data)]) == 0
+        clean = ["preprocess", "--input", str(data), "--output"]
+        config.write_text("order=punct-first\nthreshold=0.6\n")
+        assert run(["--config", str(config), *clean, str(tmp_path / "cfg")]) == 0
+        assert run([*clean, str(tmp_path / "flags"), "--order", "punct-first",
+                    "--threshold", "0.6"]) == 0
+        assert (tmp_path / "cfg").read_bytes() == (tmp_path / "flags").read_bytes()
+        config.write_text("order=alphabetical\n")
+        capsys.readouterr()
+        assert run(["--config", str(config), *clean, str(tmp_path / "bad")]) == 1
+        assert "--order must be 'default' or 'punct-first', got 'alphabetical'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "bad").exists()
 
     def test_calls_share_no_parsed_values(self, tmp_path, monkeypatch):
         from rweets import cli

@@ -210,6 +210,14 @@ def test_source_failing_in_its_first_chunk_leaves_no_directory(tmp_path):
         write_lines(path, lines())
     assert list(tmp_path.iterdir()) == []
 
+
+def test_unencodable_first_chunk_leaves_no_directory(tmp_path):
+    """A line with no UTF-8 form fails before the output's directory is made."""
+    with pytest.raises(UnicodeEncodeError):
+        write_records(tmp_path / "new" / "out.jsonl", [{"id": "\ud800"}])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_writer_holds_one_chunk_of_lines(tmp_path):
     """Peak memory stays near one chunk's lines, not the whole file's (which
     holding every line, their join and its UTF-8 bytes would take)."""

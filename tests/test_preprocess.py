@@ -191,6 +191,18 @@ class TestDedupe:
         assert dedupe([a, b]) == [a, b]
 
 
+# Orders beyond the two named ones, which PipelineConfig rejects: text ops
+# after tokenize; no strip_non_ascii, is_english, drop_if_short or dedupe;
+# the language filter late.
+OTHER_ORDERS = (
+    ("strip_non_ascii", "is_english", "remove_punctuation", "tokenize", "lowercase",
+     "generalize_tags", "remove_stopwords", "drop_if_short", "lemmatize", "dedupe"),
+    ("generalize_tags", "lowercase", "tokenize", "remove_stopwords", "lemmatize"),
+    ("lowercase", "strip_non_ascii", "generalize_tags", "is_english", "tokenize",
+     "remove_punctuation", "drop_if_short", "remove_stopwords", "lemmatize", "dedupe"),
+)
+
+
 class TestPipelineConfig:
     def test_default_order(self):
         assert PipelineConfig().ops == DEFAULT_OPS
@@ -218,6 +230,21 @@ class TestPipelineConfig:
         ops = tuple(op for op in DEFAULT_OPS if op != "dedupe") + ("spell_correct", "dedupe")
         with pytest.raises(ValidationError, match="spell_correct"):
             PipelineConfig(ops=ops)
+
+    @pytest.mark.parametrize("ops", [
+        DEFAULT_OPS + ("lowercase",),
+        DEFAULT_OPS[:-1] + ("spell_correct", "dedupe"),
+        ("dedupe",) + DEFAULT_OPS[:-1],
+        *OTHER_ORDERS,
+    ], ids=["duplicate", "unknown", "dedupe-first", "late-text-ops", "bare", "late-filter"])
+    def test_only_the_two_orders_accepted(self, ops):
+        with pytest.raises(ValidationError, match="DEFAULT_OPS or PUNCT_FIRST_OPS"):
+            PipelineConfig(ops=ops)
+
+    @pytest.mark.parametrize("ops", [DEFAULT_OPS, PUNCT_FIRST_OPS], ids=["default", "punct"])
+    def test_list_form_of_an_order(self, ops):
+        config = PipelineConfig(ops=list(ops))
+        assert config.ops == ops and config.digest == PipelineConfig(ops=ops).digest
 
 
 class TestRunPipeline:
@@ -393,17 +420,6 @@ class TestCleanPersistence:
         assert a.read_bytes() == b.read_bytes()
 
 
-# Valid orders beyond the two named ones: text ops after tokenize; no
-# strip_non_ascii or is_english (and no drop_if_short or dedupe, so tweets
-# cleaned to nothing reach the "empty" count); the language filter late.
-OTHER_ORDERS = (
-    ("strip_non_ascii", "is_english", "remove_punctuation", "tokenize", "lowercase",
-     "generalize_tags", "remove_stopwords", "drop_if_short", "lemmatize", "dedupe"),
-    ("generalize_tags", "lowercase", "tokenize", "remove_stopwords", "lemmatize"),
-    ("lowercase", "strip_non_ascii", "generalize_tags", "is_english", "tokenize",
-     "remove_punctuation", "drop_if_short", "remove_stopwords", "lemmatize", "dedupe"),
-)
-
 _FUZZ_PIECES = (
     "_NUM_", "_RT_", "_MENT_", "_URL_", "_num_", "_NUM", "a_b", "__", "help", "HELP",
     "Need", "FOOD", "water", "the", "is", "going", "went", "families", "supplies",
@@ -414,7 +430,7 @@ _FUZZ_PIECES = (
     "'", "",
     # the word/text split: ASCII separators that str.split splits on, tags
     # next to words or across a space (one whose "//" strip_non_ascii makes),
-    # and letters whose lowercase is longer (for orders without strip_non_ascii)
+    # and letters whose lowercase is longer (which strip_non_ascii removes)
     "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "rt @12ab:", "x_NUM_y",
     "xwww.a1.com", "http : //a.b", "http : /é/a.b", "@ bob", "ǅ",
 )
@@ -448,39 +464,12 @@ class TestAgainstReference:
     def test_synth(self, seed, domain, ops):
         assert_same_as_reference(synth_corpus(seed, 300, domain), PipelineConfig(ops=ops))
 
-    @pytest.mark.parametrize("ops", OTHER_ORDERS, ids=["late-text-ops", "bare", "late-filter"])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_other_orders(self, seed, ops):
-        assert_same_as_reference(synth_corpus(seed, 300, BINARY), PipelineConfig(ops=ops))
-
-    @pytest.mark.parametrize(
-        "ops", (DEFAULT_OPS, PUNCT_FIRST_OPS) + OTHER_ORDERS,
-        ids=["default", "punct", "late-text-ops", "bare", "late-filter"],
-    )
+    @pytest.mark.parametrize("ops", [DEFAULT_OPS, PUNCT_FIRST_OPS], ids=["default", "punct"])
     def test_fuzz(self, ops):
         dataset = make_dataset(fuzz_texts(7, 3000))
         assert_same_as_reference(dataset, PipelineConfig(ops=ops))
         strict = PipelineConfig(ops=ops, english_threshold=0.6, min_tokens=3)
         assert_same_as_reference(dataset, strict)
-
-    def test_random_orders(self):
-        # the runner groups ops into runs by their order, so any valid order
-        # must clean as the reference does
-        rng = random.Random(5)
-        synth = [tw.text for tw in synth_corpus(5, 100, BINARY)]
-        dataset = make_dataset(fuzz_texts(5, 400) + synth)
-        ops = sorted(preprocess._KNOWN_OPS - {"tokenize", "dedupe"})
-        checked = 0
-        while checked < 200:
-            order = rng.sample(ops, rng.randint(0, len(ops)))
-            order.insert(rng.randint(0, len(order)), "tokenize")
-            try:
-                config = PipelineConfig(order + ["dedupe"] * rng.randint(0, 1),
-                                        rng.choice([0.0, 0.15, 0.6]), rng.randint(1, 3))
-            except ValidationError:
-                continue
-            assert_same_as_reference(dataset, config)
-            checked += 1
 
     @pytest.mark.parametrize("ops", [DEFAULT_OPS, PUNCT_FIRST_OPS], ids=["default", "punct"])
     def test_ops_no_tweet_comes_through_report_no_delta(self, ops):
