@@ -12,7 +12,7 @@ import itertools
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, _lazy_names
 from .corpus import (
     BINARY,
     CATEGORICAL,
@@ -25,29 +25,21 @@ from .corpus import (
 )
 from .digest import atomic_write_text, combine_digests, digest_records
 from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
-from .features import FeatureConfig, combo, load_matrix, save_matrix
 from .jsonl import encode_line, read_records, text_lines, write_lines
-from .metrics import render_record, render_text
-from .models import LogisticRegression, TrainConfig, cross_validate, make_classifier
-from .pipeline import (
-    FeatureCache,
-    featurize_corpus,
-    load_staged,
-    run_series,
-    save_series_output,
-    save_staged,
-    train_staged,
-)
-from .preprocess import (
-    DEFAULT_OPS,
-    PUNCT_FIRST_OPS,
-    PipelineConfig,
-    load_clean,
-    run_pipeline,
-    save_clean,
-)
-# rule_classify is not called here; bench/selftest.py traces it as cli.rule_classify
-from .rules import rule_classify, rule_features  # noqa: F401
+
+# The modules that need numpy, and rules, are imported by the commands that
+# use them, so `rules classify` and `synth` start without numpy. Each name
+# below still reads as `rweets.cli.<name>`, its module's object: the
+# benchmark's tracer and self-test look for them here.
+__getattr__, _ = _lazy_names(__name__, {
+    "features": "FeatureConfig combo load_matrix save_matrix",
+    "metrics": "render_record render_text",
+    "models": "LogisticRegression TrainConfig cross_validate make_classifier",
+    "pipeline": "FeatureCache featurize_corpus load_staged run_series save_series_output "
+                "save_staged train_staged",
+    "preprocess": "DEFAULT_OPS PUNCT_FIRST_OPS PipelineConfig load_clean run_pipeline save_clean",
+    "rules": "rule_classify rule_features",
+})
 
 
 class UsageError(Exception):
@@ -100,20 +92,22 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             setattr(args, key, value)
 
 
-_ORDERS = {"default": DEFAULT_OPS, "punct-first": PUNCT_FIRST_OPS}
+_ORDERS = ("default", "punct-first")
 
 
-def _pipeline_config(args) -> PipelineConfig:
+def _pipeline_config(args) -> "PipelineConfig":
     """PipelineConfig from the flags given; the rest keep the config's defaults."""
+    from .preprocess import DEFAULT_OPS, PUNCT_FIRST_OPS, PipelineConfig
     # a config file's order does not pass through argparse's choices
     if args.order not in (None, *_ORDERS):
         raise UsageError(f"--order must be 'default' or 'punct-first', got {args.order!r}")
-    given = {"ops": _ORDERS.get(args.order), "english_threshold": args.threshold,
-             "min_tokens": args.min_tokens}
+    ops = dict(zip(_ORDERS, (DEFAULT_OPS, PUNCT_FIRST_OPS))).get(args.order)
+    given = {"ops": ops, "english_threshold": args.threshold, "min_tokens": args.min_tokens}
     return PipelineConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-def _feature_config(args) -> FeatureConfig:
+def _feature_config(args) -> "FeatureConfig":
+    from .features import FeatureConfig, combo
     if args.combo is not None:
         if not 1 <= args.combo <= 24:
             raise UsageError(f"--combo must be in 1..24, got {args.combo}")
@@ -138,14 +132,15 @@ def _domain(args):
     return DOMAINS[name]
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args) -> "TrainConfig":
     """TrainConfig from the flags given; the rest keep the config's defaults."""
+    from .models import TrainConfig
     given = {k: getattr(args, k) for k in ("l2_penalty", "max_epochs", "tol")}
     return TrainConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _add_pipeline_flags(parser):
-    parser.add_argument("--order", choices=tuple(_ORDERS), default=None,
+    parser.add_argument("--order", choices=_ORDERS, default=None,
                         help="cleaning op order (default: default)")
     parser.add_argument("--threshold", type=float, default=None,
                         help="English-evidence ratio threshold (default 0.15)")
@@ -240,6 +235,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_preprocess(args) -> int:
+    from .preprocess import run_pipeline, save_clean
     config = _pipeline_config(args)
     dataset = load_dataset(args.input, _domain(args))
     corpus, report = run_pipeline(dataset, config)
@@ -255,6 +251,9 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    from .features import load_matrix, save_matrix
+    from .pipeline import featurize_corpus
+    from .preprocess import load_clean
     pipeline_config = _pipeline_config(args)
     feature_config = _feature_config(args)
     corpus = load_clean(args.clean, pipeline_config)
@@ -295,13 +294,14 @@ def _rule_lines(records):
     """Each record's output line, with `rule_label` and `rule_bits` set. A
     chunk's distinct texts are matched as one batch and each of its distinct
     bit rows is encoded once; no chunk keeps anything for the next."""
+    from .rules import rule_bits
     while chunk := list(itertools.islice(records, _RULE_CHUNK)):
         texts = list(dict.fromkeys([record["text"] for record in chunk]))
         by_bits, by_text = {}, {}  # bits -> (fields, tail), text -> the same
-        for text, bits in zip(texts, map(tuple, rule_features(texts).tolist())):
+        for text, bits in zip(texts, rule_bits(texts)):
             if bits not in by_bits:
                 fields = {"rule_label": RWEET if any(bits) else NOT_RWEET,
-                          "rule_bits": [int(bit) for bit in bits]}
+                          "rule_bits": list(bits)}
                 by_bits[bits] = fields, ", " + encode_line(fields)[1:-1]
             by_text[text] = by_bits[bits]
         for record in chunk:
@@ -320,6 +320,7 @@ def cmd_rules(args) -> int:
 
 def _train(args):
     """train_staged on --binary and --categories under the flags' configs."""
+    from .pipeline import train_staged
     return train_staged(
         load_dataset(args.binary, BINARY),
         load_dataset(args.categories, CATEGORICAL),
@@ -332,6 +333,8 @@ def _train(args):
 
 
 def cmd_train(args) -> int:
+    from .models import LogisticRegression
+    from .pipeline import save_staged
     staged, (r1, r2) = _train(args)
     save_staged(staged, args.out)
     if args.verbose:
@@ -349,6 +352,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import render_record, render_text
+    from .models import cross_validate, make_classifier
+    from .preprocess import run_pipeline
     domain = _domain(args)
     dataset = load_dataset(args.input, domain)
     dataset.require_labeled()
@@ -374,6 +380,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .pipeline import FeatureCache, load_staged, run_series, save_series_output
     if args.model:
         staged = load_staged(args.model)
     elif args.binary and args.categories:

@@ -231,38 +231,33 @@ def _fill(template: str, rng: random.Random) -> str:
     return text
 
 
-def _noise_shape(rng: random.Random) -> dict:
-    """Which decorations a tweet gets. Values are drawn separately so that
+def _noise_shape(rng: random.Random) -> tuple[bool, ...]:
+    """Which decorations a tweet gets: (rt, mention, url, number, shout,
+    bang), drawn in that order. Values are drawn separately so that
     near-duplicate pairs share the shape but not the surface text."""
-    return {
-        "rt": rng.random() < 0.10,
-        "mention": rng.random() < 0.35,
-        "url": rng.random() < 0.30,
-        "number": rng.random() < 0.25,
-        "shout": rng.random() < 0.25,
-        "bang": rng.random() < 0.30,
-    }
+    return tuple([rng.random() < p for p in (0.10, 0.35, 0.30, 0.25, 0.25, 0.30)])
 
 
-def _decorate(core: str, shape: dict, rng: random.Random) -> str:
+def _decorate(core: str, shape: tuple, rng: random.Random) -> str:
     """Apply noise that washes out during cleaning: placeholder-bound tags,
     digits, casing, and trailing punctuation."""
+    rt, mention, url, number, shout, bang = shape
     text = core
-    if shape["number"]:
+    if number:
         text = f"{text} {rng.randint(2, 500)} people affected"
-    if shape["mention"]:
+    if mention:
         text = f"{text} @{rng.choice(_MENTION_NAMES)}{rng.randint(1, 99)}"
-    if shape["url"]:
+    if url:
         tail = "".join(rng.choice("abcdefghjkmnpqrstuvwxyz23456789") for _ in range(6))
         text = f"{text} http://{rng.choice(_URL_HOSTS)}/{tail}"
-    if shape["rt"]:
+    if rt:
         text = f"RT @{rng.choice(_MENTION_NAMES)}: {text}"
-    if shape["shout"]:
+    if shout:
         words = text.split()
         pos = rng.randrange(len(words))
         words[pos] = words[pos].upper()
         text = " ".join(words)
-    if shape["bang"]:
+    if bang:
         text = text + rng.choice(("!", "!!", "."))
     return text
 
@@ -312,8 +307,7 @@ def synth_corpus(seed: int, size: int, domain: LabelDomain) -> Dataset:
         label, core, shape = entries[rng.randrange(len(entries))]
         entries.append((label, core, shape))
 
-    tweets = []
-    for i, (label, core, shape) in enumerate(entries):
-        text = _decorate(core, shape, rng)
-        tweets.append(RawTweet(f"s{seed}-{i:05d}", text, label))
-    return Dataset(domain, tuple(tweets))
+    tweets = tuple(RawTweet(f"s{seed}-{i:05d}", _decorate(core, shape, rng), label)
+                   for i, (label, core, shape) in enumerate(entries))
+    del entries  # the cores and shapes are not needed while the Dataset checks ids
+    return Dataset(domain, tweets)

@@ -25,7 +25,8 @@ compiles lowercase, a leading `\b` moved behind it as `(?<!\w.{n})`, and
 by one scan of the batch's joined lines, keeping each line's leftmost match;
 each child stage is searched only on the lines its parent matched, from the
 parent's end to the line's end. Every step is linear in the text length.
-`rules classify` matches the distinct texts of each chunk it reads as one batch.
+`rules classify` matches the distinct texts of each chunk it reads as one batch
+(`rule_bits`). numpy is imported only where a float matrix is built.
 """
 
 import re
@@ -33,8 +34,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-
-import numpy as np
 
 from .corpus import NOT_RWEET, RWEET
 from .errors import ValidationError
@@ -163,9 +162,19 @@ def rule_classify(text: str) -> str:
     return RWEET if any(p.matches(text) for p in compile_patterns()) else NOT_RWEET
 
 
-def rule_features(texts) -> np.ndarray:
+def rule_bits(texts: list) -> list[tuple[int, ...]]:
+    """Each text's 18 match bits, 0 or 1, with `texts` matched as one batch."""
+    rows = [[0] * N_PATTERNS for _ in texts]
+    for i, at in _match(texts, _ROOTS).items():
+        for row in at:
+            rows[row][i] = 1
+    return [tuple(row) for row in rows]
+
+
+def rule_features(texts) -> "numpy.ndarray":
     """Binary matrix of shape (n_texts, 18) over an iterable of texts; row i
     holds match_tweet of text i."""
+    import numpy as np
     texts = list(texts)
     out = np.zeros((len(texts), N_PATTERNS), dtype=np.float64)
     for lo in range(0, len(texts), _BATCH):
@@ -174,7 +183,7 @@ def rule_features(texts) -> np.ndarray:
     return out
 
 
-def rule_block_for_ids(ids, texts_by_id) -> np.ndarray:
+def rule_block_for_ids(ids, texts_by_id) -> "numpy.ndarray":
     """Rule features for specific tweet ids looked up in an id->text map."""
     missing = [i for i in ids if i not in texts_by_id]
     if missing:

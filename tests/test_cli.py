@@ -30,6 +30,111 @@ class TestSynth:
             assert run(["--seed", "9", "synth", "--size", "40", "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
+    # sha256 of `synth --size 300` per domain and seed 1..5: the bench inputs
+    # and every figure measured on them rest on these bytes
+    DIGESTS = {
+        "binary": (
+            "a3b822de3c38cac268ce858ac7b43968e28996d343a95c1d19fbd1b4b0ae3193",
+            "4fe7ea0f4b47392e58f367397120fa850979a28c60e109d8baef06ec2824ac65",
+            "3cbd51a4924c9ef949325c3f2d6388b6d20c57b4e1b7ab016e1b1f4bcf984e89",
+            "1c6336e0988098aefc75fa69666993a2f0b00b40b04e5a6d667394f19feeadb8",
+            "f386462a646f175cd59b3874bec8a048ae3b401b6e45977b0d88d6edbafb6eec",
+        ),
+        "categorical": (
+            "1d33e4192b484e5b2cd9244be72f2df1ef71a842269b565a9e7fd7815275bcc3",
+            "fe2a08a0793777aa52668115149d45a4131b20b094ca7aa7836b16fea1477296",
+            "6035c8ce04e29cda8ee7a9d33b52d245dcf6cf03bc02e3621017aacebeba1466",
+            "d53cf6bf5e8696ac802d44504b62b605f2a833efe3521e3910f7cb31022067a6",
+            "b63715eeef83860b0cfd02c8ed576ff02c6fc5ae32b710ee31d1cfadebeeb353",
+        ),
+    }
+
+    @pytest.mark.parametrize("domain", sorted(DIGESTS))
+    def test_pinned_bytes(self, tmp_path, domain):
+        import hashlib
+
+        out = tmp_path / "d.jsonl"
+        for seed, digest in enumerate(self.DIGESTS[domain], start=1):
+            assert run(["--seed", str(seed), "synth", "--size", "300", "--domain", domain,
+                        "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, seed
+
+
+class TestStartup:
+    """A command imports only the modules it uses; numpy only where it computes."""
+
+    def test_rules_and_synth_import_no_numpy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import rweets
+
+        source = tmp_path / "in.jsonl"
+        source.write_text('{"id": "1", "text": "where can I donate?"}\n')
+        code = (
+            "import sys\n"
+            "from rweets.cli import main\n"
+            f"assert main(['rules', 'classify', '--input', {str(source)!r},"
+            f" '--output', {str(tmp_path / 'out.jsonl')!r}]) == 0\n"
+            f"assert main(['synth', '--size', '30', '--out', {str(tmp_path / 's.jsonl')!r}]) == 0\n"
+            "import rweets\n"
+            "rweets.BINARY, rweets.rule_classify, rweets.RweetsError\n"
+            "import json\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] in ('numpy', 'rweets')]))\n"
+        )
+        src = str(Path(rweets.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert "numpy" not in loaded
+        assert {"rweets.cli", "rweets.corpus", "rweets.jsonl", "rweets.rules"} <= set(loaded)
+        assert not {"rweets.features", "rweets.models", "rweets.preprocess"} & set(loaded)
+        assert json.loads((tmp_path / "out.jsonl").read_text())["rule_label"] == "rweet"
+
+    # every name `rweets` re-exports, by its defining module
+    EXPORTS = {
+        "corpus": ("BINARY", "CATEGORICAL", "Dataset", "LabelDomain", "RawTweet",
+                   "load_dataset", "save_dataset", "synth_corpus"),
+        "errors": ("FormatError", "NotFittedError", "RweetsError", "StaleCacheError",
+                   "TrainingDivergedError", "ValidationError"),
+        "features": ("FeatureConfig", "FeatureMatrix", "Vocabulary", "combo",
+                     "enumerate_combos"),
+        "metrics": ("MetricsReport", "compute_report"),
+        "models": ("LogisticRegression", "MultinomialNaiveBayes", "TrainConfig",
+                   "cross_validate", "stratified_kfold"),
+        "pipeline": ("FeatureCache", "StagedClassifier", "run_series", "train_staged"),
+        "preprocess": ("CleanCorpus", "CleanTweet", "PipelineConfig", "run_pipeline"),
+        "rules": ("compile_patterns", "match_tweet", "rule_classify", "rule_features"),
+        "sparse": ("SparseMatrix",),
+    }
+
+    def test_package_names_are_their_modules_objects(self):
+        import importlib
+
+        import rweets
+
+        listed = dir(rweets)
+        for module, names in self.EXPORTS.items():
+            defining = importlib.import_module(f"rweets.{module}")
+            for name in names:
+                assert getattr(rweets, name) is getattr(defining, name), name
+                assert name in listed, name
+        exec("from rweets import synth_corpus, SparseMatrix, __version__", {})
+        for missing in ("rule_bits", "not_a_name", "__all__"):
+            with pytest.raises(AttributeError, match=f"'rweets' has no attribute '{missing}'"):
+                getattr(rweets, missing)
+
+    def test_cli_names_resolve_to_their_modules(self):
+        from rweets import cli, features, rules
+
+        assert cli.save_matrix is features.save_matrix
+        assert cli.rule_classify is rules.rule_classify
+        assert cli.rule_features is rules.rule_features
+        with pytest.raises(AttributeError, match="'rweets.cli' has no attribute 'np'"):
+            cli.np
+
 
 class TestPreprocess:
     def test_writes_clean_file_and_report(self, workspace, capsys):
@@ -315,22 +420,22 @@ class TestRules:
     def test_chunk_size_does_not_change_the_bytes(self, tmp_path, monkeypatch):
         """Each chunk encodes each of its bit rows' tails at most once; the
         output bytes do not depend on the chunk size."""
-        from rweets import cli
+        from rweets import cli, rules
 
         tails = []  # per chunk, the bit row of each tail encode_line is asked for
-        encode, features = cli.encode_line, cli.rule_features
+        encode, bit_rows = cli.encode_line, rules.rule_bits
 
         def counted(record, tail=""):
             if "text" not in record:
                 tails[-1].append(tuple(record["rule_bits"]))
             return encode(record, tail)
 
-        def chunk_start(texts):
+        def chunk_start(texts):  # one call per chunk, for its distinct texts
             tails.append([])
-            return features(texts)
+            return bit_rows(texts)
 
         monkeypatch.setattr(cli, "encode_line", counted)
-        monkeypatch.setattr(cli, "rule_features", chunk_start)
+        monkeypatch.setattr(rules, "rule_bits", chunk_start)
         texts = ["need shelter?", "quiet night here", "I am bringing food", "need shelter?"]
         lines = [json.dumps({"id": str(n), "text": t}) for n, t in enumerate(texts)]
         lines += self.ODD_LINES

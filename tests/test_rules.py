@@ -264,8 +264,8 @@ class TestRuleFeatures:
 
 
 class TestBatches:
-    """`rule_features` gives every row of a batch, repeated or multi-line
-    texts among them, the bits `re` gives its text."""
+    """`rule_features` and `rule_bits` give every row of a batch, repeated or
+    multi-line texts among them, the bits `re` gives its text."""
 
     def test_fuzz_batches_with_repeats_equal_re(self):
         rng = random.Random(31)
@@ -280,10 +280,11 @@ class TestBatches:
             for row, text in zip(m, batch):
                 assert tuple(row == 1.0) == re_bits(text), repr(text)
             assert set(np.unique(m)) <= {0.0, 1.0}
+            assert rules.rule_bits(batch) == [tuple(map(int, bits)) for bits in map(re_bits, batch)]
             repeats += len(batch) - len(set(batch))
             multi_line += sum("\n" in text for text in batch)
         assert repeats > 400 and multi_line > 400, (repeats, multi_line)
-        assert rule_features([]).shape == (0, N_PATTERNS)
+        assert rule_features([]).shape == (0, N_PATTERNS) and rules.rule_bits([]) == []
 
     @pytest.mark.parametrize("size", [1, 7, 1024])
     def test_batch_boundaries_keep_rows_in_order(self, monkeypatch, size):
