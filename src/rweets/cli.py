@@ -398,10 +398,9 @@ def cmd_series(args) -> int:
     # input labels, if any, are ignored: the series only needs id and text
     texts = {r["id"]: r["text"] for r in read_records(input_path)}
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
-    results = run_series(texts, staged, cache)
-    save_series_output(results, args.output)
-    n_rweets = sum(1 for r in results if r.stage1 == "rweet")
-    print(f"{len(results)} tweets classified; {n_rweets} rweets categorized")
+    ids, stage1, stage2 = run_series(texts, staged, cache)
+    save_series_output(texts, ids, stage1, stage2, args.output)
+    print(f"{len(ids)} tweets classified; {stage1.count('rweet')} rweets categorized")
     if cache is not None and args.verbose:
         print(f"cache: {cache.hits} hits, {cache.misses} misses, {cache.built} built")
     return 0

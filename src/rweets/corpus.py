@@ -8,23 +8,19 @@ inference inputs; training entry points reject them separately.
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .jsonl import read_records, write_records
 
 
-@dataclass(frozen=True)
-class RawTweet:
-    """One source tweet, exactly as loaded. Text may be empty; cleaning
-    decides its fate later."""
+class RawTweet(NamedTuple):
+    """One source tweet, exactly as loaded: an (id, text, label) row. Text
+    may be empty; cleaning decides its fate later. `Dataset` checks the id."""
 
     id: str
     text: str
     label: str | None = None
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValidationError("tweet id must be a nonempty string")
 
 
 @dataclass(frozen=True)
@@ -69,6 +65,8 @@ class Dataset:
     def __post_init__(self):
         seen = set()
         for tw in self.tweets:
+            if not tw.id:
+                raise ValidationError("tweet id must be a nonempty string")
             if tw.id in seen:
                 raise ValidationError(f"duplicate tweet id {tw.id!r}")
             seen.add(tw.id)

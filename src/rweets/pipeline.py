@@ -3,9 +3,10 @@ then categorize them by relief type, reusing cached feature matrices.
 
 Training and inference are deliberately separated: train_staged fits the
 identifier on a binary dataset and the categorizer on a categorical dataset;
-run_series applies both to any input dataset. The categorizer is trained on
-gold rweets but sees stage-1 PREDICTED rweets at inference, an intentional
-train/serve skew inherited from the staged design.
+run_series applies both to any {id: text} input and returns its labels as
+columns. The categorizer is trained on gold rweets but sees stage-1 PREDICTED
+rweets at inference, an intentional train/serve skew inherited from the
+staged design.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import artifact
-from .corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet
+from .corpus import BINARY, CATEGORICAL, RWEET, Dataset
 from .digest import combine_digests, digest_records, digest_text
 from .errors import FormatError, StaleCacheError, ValidationError
 from .features import (
@@ -36,19 +37,17 @@ from .rules import rule_block_for_ids
 def featurize_corpus(
     corpus: CleanCorpus,
     config: FeatureConfig,
-    raw_texts=None,
+    raw_texts: dict[str, str] | None = None,
     vocabulary: Vocabulary | None = None,
     counts_only: bool = False,
 ) -> FeatureMatrix:
-    """Featurize a cleaned corpus. `raw_texts` may be a Dataset or an
-    id -> text mapping; it is required when rule features are appended,
-    because rules evaluate original tweets."""
+    """Featurize a cleaned corpus. `raw_texts` maps each id to its original
+    text; it is required when rule features are appended, because rules
+    evaluate original tweets."""
     rule_block = None
     if config.append_rules:
         if raw_texts is None:
             raise ValidationError("rule features need the original tweet texts")
-        if isinstance(raw_texts, Dataset):
-            raw_texts = raw_texts.texts_by_id()
         rule_block = rule_block_for_ids(corpus.ids(), raw_texts)
     return featurize_tokens(
         corpus.token_lists(),
@@ -103,20 +102,6 @@ class StagedClassifier:
     pipeline_config: PipelineConfig
 
 
-@dataclass(frozen=True)
-class CategorizedTweet:
-    id: str
-    text: str
-    stage1: str
-    stage2: str | None = None
-
-    def __post_init__(self):
-        if (self.stage2 is not None) != (self.stage1 == RWEET):
-            raise ValidationError(
-                "stage-2 label must be present exactly when stage 1 predicts rweet"
-            )
-
-
 def train_staged(
     d1: Dataset,
     d2: Dataset,
@@ -146,7 +131,7 @@ def train_staged(
     def fit_stage(clean, dataset, domain):
         clf = make_classifier(classifier, train_config, alpha)
         counts_only = getattr(clf, "input_kind", "weighted") == "counts"
-        fm = featurize_corpus(clean, feature_config, dataset, counts_only=counts_only)
+        fm = featurize_corpus(clean, feature_config, dataset.texts_by_id(), counts_only=counts_only)
         clf.fit(fm.matrix, [tw.label for tw in clean], classes=domain.labels)
         return clf, fm.vocab
 
@@ -161,10 +146,13 @@ def run_series(
     texts: dict[str, str],
     staged: StagedClassifier,
     cache: FeatureCache | None = None,
-) -> list[CategorizedTweet]:
+) -> tuple[list[str], list[str], list[str | None]]:
     """Predict stage-1 labels for every cleaned tweet of `texts` (id -> text,
-    in input order), then stage-2 labels for the predicted rweets. Output
-    order follows the cleaned corpus.
+    in input order), then stage-2 labels for the predicted rweets.
+
+    Returns the columns (ids, stage1, stage2): three lists in the cleaned
+    corpus's order, where stage2[i] is the category of a row that stage 1
+    calls a rweet and None for every other row.
 
     The cache is keyed on the input as given, not on what cleaning makes of
     it. Stage 1's key covers the feature config, the identifier vocabulary,
@@ -192,8 +180,8 @@ def run_series(
         """Featurize the cleaned rows at positions `rows` (None: every row)."""
         nonlocal cleaned, all_counts, all_rules
         if cleaned is None:
-            dataset = Dataset(BINARY, tuple(RawTweet(*item) for item in texts.items()))
-            cleaned, _ = run_pipeline(dataset, staged.pipeline_config)
+            unlabeled = [(tweet_id, text, None) for tweet_id, text in texts.items()]
+            cleaned, _ = run_pipeline(unlabeled, staged.pipeline_config)
         if ids is not None and cleaned.ids() != tuple(ids):
             raise StaleCacheError(
                 f"{cache.path_for(key1).name}: rows differ from the cleaned input")
@@ -226,7 +214,7 @@ def run_series(
     stage1 = staged.identifier.predict(fm1.matrix)
 
     keep = [i for i, label in enumerate(stage1) if label == RWEET]
-    stage2_by_row: dict[int, str] = {}
+    stage2: list[str | None] = [None] * len(stage1)
     if keep:
         key2 = None if cache is None else combine_digests(
             config.digest, staged.categorizer_vocab.digest, key1,
@@ -234,24 +222,23 @@ def run_series(
         fm2 = featurize(key2, keep, staged.categorizer_vocab)
         if cache is not None and list(fm2.row_ids) != [ids[i] for i in keep]:
             raise FormatError(f"{cache.path_for(key2).name}: row ids are not the stage-2 rows")
-        stage2_by_row = dict(zip(keep, staged.categorizer.predict(fm2.matrix)))
-
-    return [
-        CategorizedTweet(
-            id=tweet_id, text=texts[tweet_id], stage1=label, stage2=stage2_by_row.get(i)
-        )
-        for i, (tweet_id, label) in enumerate(zip(ids, stage1))
-    ]
+        categories = staged.categorizer.predict(fm2.matrix)
+        if len(categories) != len(keep):
+            raise ValidationError(f"categorizer gave {len(categories)} labels for {len(keep)} rows")
+        for i, category in zip(keep, categories):
+            stage2[i] = category
+    return list(ids), stage1, stage2
 
 
-def save_series_output(results, path) -> None:
-    """Write each result as the line `json.dumps(record, ensure_ascii=False)`
-    of its record through `write_lines`, encoding the strings with the
-    encoder that call uses."""
+def save_series_output(texts, ids, stage1, stage2, path) -> None:
+    """Write each row of the `run_series` columns, with its text from `texts`,
+    as the line `json.dumps(record, ensure_ascii=False)` of its record through
+    `write_lines`, encoding the strings with the encoder that call uses."""
     quote = encode_basestring
     write_lines(path, (
-        f'{{"id": {quote(r.id)}, "text": {quote(r.text)}, "stage1": {quote(r.stage1)}'
-        + ("}\n" if r.stage2 is None else f', "stage2": {quote(r.stage2)}}}\n') for r in results))
+        f'{{"id": {quote(i)}, "text": {quote(texts[i])}, "stage1": {quote(s1)}'
+        + ("}\n" if s2 is None else f', "stage2": {quote(s2)}}}\n')
+        for i, s1, s2 in zip(ids, stage1, stage2, strict=True)))
 
 
 # --- staged-model persistence -----------------------------------------------

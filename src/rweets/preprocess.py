@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from . import artifact, lexicon
-from .corpus import Dataset
 from .digest import digest_json, digest_text
 from .errors import FormatError, ValidationError
 
@@ -378,11 +377,12 @@ def _compile(config: PipelineConfig):
     return plain, tagged, totals, runs
 
 
-def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
-    """Clean every tweet through the configured op sequence.
+def run_pipeline(rows, config: PipelineConfig | None = None):
+    """Clean every (id, text, label) row of `rows`, a sized iterable such as
+    a Dataset, through the configured op sequence.
 
     Returns (CleanCorpus, PreprocessReport). The report accounts for every
-    removed tweet: len(dataset) == len(corpus) + sum(report.removed_by_stage.values()).
+    removed row: len(rows) == len(corpus) + sum(report.removed_by_stage.values()).
     """
     config = config or PipelineConfig()
     plain, tagged, totals, runs = _compile(config)
@@ -390,8 +390,8 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
     removed = dict.fromkeys(("is_english", "drop_if_short", "dedupe"), 0)
     survivors: dict[str, CleanTweet] = {}  # by token string, keeping the first of each
 
-    for tweet in dataset:
-        state = tweet.text
+    for tweet_id, text, label in rows:
+        state = text
         # no op before generalize_tags makes an "@", or a "//" out of no "/"
         for stage, step in tagged if "@" in state or "/" in state else plain:
             state = step(state)
@@ -403,14 +403,14 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
             if (key := " ".join(state)) in survivors:
                 removed["dedupe"] += 1
             else:
-                survivors[key] = CleanTweet(tweet.id, tuple(state), tweet.label)
+                survivors[key] = CleanTweet(tweet_id, tuple(state), label)
 
     for ops, changes_of, seen in runs:
         for word, changes in changes_of.items():
             totals.update({op: seen[word] * change for op, change in zip(ops, changes)})
     # An op reports a delta once some tweet has come through it.
     deltas: dict[str, int] = {}
-    reached = len(dataset)
+    reached = len(rows)
     for op in config.ops:
         reached -= removed.get(op, 0)
         if reached and op not in _UNREPORTED_OPS:
@@ -418,7 +418,7 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig | None = None):
 
     corpus = CleanCorpus(tuple(survivors.values()), config.digest)
     report = PreprocessReport(
-        input_count=len(dataset),
+        input_count=len(rows),
         output_count=len(corpus),
         removed_by_stage=removed,
         token_deltas=deltas,

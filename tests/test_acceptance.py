@@ -134,7 +134,7 @@ def test_04_twenty_four_combos():
         corpus, _ = run_pipeline(dataset)
         cols = {}
         for i, config in enumerate(combos, start=1):
-            fm = featurize_corpus(corpus, config, dataset)
+            fm = featurize_corpus(corpus, config, dataset.texts_by_id())
             cols[i] = fm.matrix.cols
         for base in (1, 2, 3, 4, 5, 6, 13, 14, 15, 16, 17, 18):
             assert cols[base + 6] - cols[base] == 18, (base, cols[base], cols[base + 6])
@@ -265,12 +265,11 @@ def test_10_end_to_end_staged_pipeline(tmp_path):
         assert cold.built == 2
 
         cleaned_probe, _ = run_pipeline(probe, staged.pipeline_config)
-        assert len(first) == len(cleaned_probe)  # stage-1 coverage
-        n_rweet = sum(1 for r in first if r.stage1 == "rweet")
-        n_stage2 = sum(1 for r in first if r.stage2 is not None)
-        assert n_rweet == n_stage2
+        ids, stage1, stage2 = first
+        assert len(ids) == len(stage1) == len(stage2) == len(cleaned_probe)  # stage-1 coverage
+        assert [label == "rweet" for label in stage1] == [c is not None for c in stage2]
         probe_ids = {t.id for t in probe}
-        assert all(r.id in probe_ids for r in first)
+        assert all(i in probe_ids for i in ids)
 
         warm = FeatureCache(tmp_path / "cache")
         second = run_series(probe.texts_by_id(), staged, warm)

@@ -99,6 +99,12 @@ class TestLoad:
         assert stats.counts == {"rweet": 1644, "not_rweet": 1296}
 
 
+class TestDatasetChecks:
+    def test_empty_id_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            Dataset(BINARY, (RawTweet("", "x"),))
+
+
 class TestStats:
     def test_counting(self):
         d = Dataset(BINARY, (

@@ -105,7 +105,7 @@ class TestLogisticRegression:
     def test_fit_bit_identical_to_add_at_kernels(self, monkeypatch):
         dataset = synth_corpus(3, 600, BINARY)
         clean, _ = run_pipeline(dataset)
-        X = featurize_corpus(clean, combo(10), dataset).matrix
+        X = featurize_corpus(clean, combo(10), dataset.texts_by_id()).matrix
         y = clean.labels()
         fast = LogisticRegression().fit(X, y, classes=BINARY.labels)
         monkeypatch.setattr(SparseMatrix, "matmul_dense", add_at_matmul_dense)
@@ -147,7 +147,7 @@ def bench_style_cv_corpora(seed):
 class TestLBFGS:
     def combo10(self, dataset):
         clean, _ = run_pipeline(dataset)
-        return featurize_corpus(clean, combo(10), dataset).matrix, clean.labels()
+        return featurize_corpus(clean, combo(10), dataset.texts_by_id()).matrix, clean.labels()
 
     @pytest.mark.parametrize(
         "seed, domain", [(3, BINARY), (4, CATEGORICAL)], ids=["binary", "categorical"]
@@ -174,7 +174,7 @@ class TestLBFGS:
 
         for dataset, domain in corpora:
             clean, _ = run_pipeline(dataset)
-            X = featurize_corpus(clean, combo(10), dataset).matrix
+            X = featurize_corpus(clean, combo(10), dataset.texts_by_id()).matrix
             make().fit(X, clean.labels(), classes=domain.labels)
             cross_validate(make, clean, domain, combo(10), k=5, seed=1,
                            raw_texts=dataset.texts_by_id())

@@ -11,7 +11,6 @@ from rweets.digest import combine_digests, digest_records, digest_text
 from rweets.features import FeatureConfig, combo, load_matrix, save_matrix
 from rweets.pipeline import (
     STAGED_FILE,
-    CategorizedTweet,
     FeatureCache,
     featurize_corpus,
     load_staged,
@@ -57,16 +56,6 @@ def recording_cache(directory):
     return cache
 
 
-class TestCategorizedTweet:
-    def test_stage2_requires_rweet(self):
-        CategorizedTweet("a", "text", RWEET, "food")
-        CategorizedTweet("b", "text", "not_rweet", None)
-        with pytest.raises(ValidationError):
-            CategorizedTweet("c", "text", "not_rweet", "food")
-        with pytest.raises(ValidationError):
-            CategorizedTweet("d", "text", RWEET, None)
-
-
 class TestTrainStaged:
     def test_wrong_domains_rejected(self):
         d1 = synth_corpus(1, 40, BINARY)
@@ -101,27 +90,24 @@ class TestRunSeries:
     def test_conservation(self, staged_model):
         probe = synth_corpus(43, 120, BINARY)
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
-        results = run_series(probe.texts_by_id(), staged_model)
-        assert len(results) == len(clean)
-        n_rweet = sum(1 for r in results if r.stage1 == RWEET)
-        n_stage2 = sum(1 for r in results if r.stage2 is not None)
-        assert n_rweet == n_stage2
-        assert len(results) <= len(probe)
+        ids, stage1, stage2 = run_series(probe.texts_by_id(), staged_model)
+        assert len(ids) == len(stage1) == len(stage2) == len(clean)
+        assert [label == RWEET for label in stage1] == [c is not None for c in stage2]
+        assert RWEET in stage1
+        assert len(ids) <= len(probe)
 
     def test_alignment(self, staged_model):
         probe = synth_corpus(44, 80, BINARY)
-        results = run_series(probe.texts_by_id(), staged_model)
-        texts = probe.texts_by_id()
-        ids = [r.id for r in results]
+        clean, _ = run_pipeline(probe, staged_model.pipeline_config)
+        ids, _, _ = run_series(probe.texts_by_id(), staged_model)
         assert len(ids) == len(set(ids))
-        for r in results:
-            assert texts[r.id] == r.text
+        assert ids == list(clean.ids())  # the cleaned corpus's ids, in its order
 
     def test_near_perfect_on_easy_data(self, staged_model):
         probe = synth_corpus(45, 150, BINARY)
-        results = run_series(probe.texts_by_id(), staged_model)
+        ids, stage1, _ = run_series(probe.texts_by_id(), staged_model)
         gold = {t.id: t.label for t in probe}
-        acc = sum(1 for r in results if gold[r.id] == r.stage1) / len(results)
+        acc = sum(gold[i] == label for i, label in zip(ids, stage1)) / len(ids)
         assert acc >= 0.95
 
     def test_warm_cache_skips_featurization(self, staged_model, tmp_path):
@@ -139,7 +125,7 @@ class TestRunSeries:
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
         texts = probe.texts_by_id()
         cold = run_series(texts, staged_model, FeatureCache(tmp_path / "cache"))
-        assert any(r.stage1 == RWEET for r in cold)
+        assert RWEET in cold[1]
         assert rule_walks == [texts[i] for i in clean.ids()]  # one walk per cleaned row
         rule_walks.clear()
         assert run_series(texts, staged_model, FeatureCache(tmp_path / "cache")) == cold
@@ -147,16 +133,18 @@ class TestRunSeries:
         assert run_series(texts, staged_model) == cold
         assert rule_walks == [texts[i] for i in clean.ids()]
 
-    def stage2_reference(self, staged, probe, results):
+    def stage2_reference(self, staged, probe, series):
         """Stage-2 features built from scratch on the id-filtered corpus,
         with the key run_series files them under."""
         clean, _ = run_pipeline(probe, staged.pipeline_config)
-        kept = {r.id for r in results if r.stage1 == RWEET}
+        ids, stage1, _ = series
+        kept = {i for i, label in zip(ids, stage1) if label == RWEET}
         filtered = CleanCorpus(tuple(tw for tw in clean if tw.id in kept), clean.config_digest)
         fm = featurize_corpus(
-            filtered, staged.feature_config, probe, vocabulary=staged.categorizer_vocab
+            filtered, staged.feature_config, probe.texts_by_id(),
+            vocabulary=staged.categorizer_vocab,
         )
-        positions = [i for i, r in enumerate(results) if r.stage1 == RWEET]
+        positions = [i for i, label in enumerate(stage1) if label == RWEET]
         key = combine_digests(
             staged.feature_config.digest,
             staged.categorizer_vocab.digest,
@@ -174,7 +162,7 @@ class TestRunSeries:
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
         cache = FeatureCache(tmp_path / "cache")
         key1 = stage1_key(staged_model, probe)
-        fm1 = featurize_corpus(clean, staged_model.feature_config, probe,
+        fm1 = featurize_corpus(clean, staged_model.feature_config, probe.texts_by_id(),
                                vocabulary=staged_model.identifier_vocab)
         save_matrix(fm1, cache.path_for(key1), digest=key1)
         fm2, key2, _ = self.stage2_reference(staged_model, probe, results)
@@ -195,7 +183,7 @@ class TestRunSeries:
         probe = synth_corpus(46, 90, BINARY)
         cold = run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         _fm, key, n_stage2 = self.stage2_reference(staged_model, probe, cold)
-        assert 0 < n_stage2 < len(cold)
+        assert 0 < n_stage2 < len(cold[0])
         stage2_path = FeatureCache(tmp_path / "cache").path_for(key)
         stage2_path.unlink()
         rule_walks.clear()
@@ -203,7 +191,7 @@ class TestRunSeries:
         assert run_series(probe.texts_by_id(), staged_model, cache) == cold
         assert (cache.hits, cache.misses, cache.built) == (1, 1, 1)
         texts = probe.texts_by_id()
-        stage2_texts = [texts[r.id] for r in cold if r.stage1 == RWEET]
+        stage2_texts = [texts[i] for i, label in zip(cold[0], cold[1]) if label == RWEET]
         assert len(stage2_texts) == n_stage2
         assert rule_walks == stage2_texts  # stage 2 walks its own rows only
         assert stage2_path.exists()
@@ -219,7 +207,8 @@ class TestRunSeries:
         probe = synth_corpus(46, 90, BINARY)
         taken = recording_cache(tmp_path / "cache")  # stage 2 takes stage 1's counts
         results = run_series(probe.texts_by_id(), staged, taken)
-        assert 0 < sum(r.stage2 is not None for r in results) < len(results)
+        stage2 = results[2]
+        assert 0 < sum(c is not None for c in stage2) < len(stage2)
         stage1_path = taken.path_for(stage1_key(staged, probe))
         for path in (tmp_path / "cache").iterdir():
             if path != stage1_path:
@@ -272,7 +261,7 @@ class TestRunSeries:
         first, *rest = probe.tweets
         variants = [
             # "!" is punctuation, so cleaning leaves the same tokens
-            (Dataset(BINARY, (replace(first, text=first.text + "!"), *rest)), staged_model),
+            (Dataset(BINARY, (first._replace(text=first.text + "!"), *rest)), staged_model),
             (Dataset(BINARY, (*rest, first)), staged_model),
             (probe, replace(staged_model, pipeline_config=replace(
                 staged_model.pipeline_config, english_threshold=0.14))),
@@ -290,7 +279,7 @@ class TestRunSeries:
         for n, text in enumerate(("where can i donate food", "where can i donate food?")):
             probe = Dataset(BINARY, (RawTweet("t1", text), *rest))
             cache = recording_cache(tmp_path / "cache")
-            assert run_series(probe.texts_by_id(), staged_model, cache)[0].stage1 == RWEET
+            assert run_series(probe.texts_by_id(), staged_model, cache)[1][0] == RWEET
             assert cache.built == 2 and cache.hits == 0
             # an empty cache returns what its builders made
             fresh = recording_cache(tmp_path / f"fresh{n}")
@@ -339,14 +328,13 @@ class TestRunSeries:
 
     def test_matrix_copied_under_another_key_is_stale(self, staged_model, tmp_path):
         import shutil
-        from dataclasses import replace
 
         probe = synth_corpus(46, 90, BINARY)
         run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         # same ids and cleaned tokens ("!" is punctuation), so only the key
         # tells the two inputs' matrices apart
         first, *rest = probe.tweets
-        variant = Dataset(BINARY, (replace(first, text=first.text + "!"), *rest))
+        variant = Dataset(BINARY, (first._replace(text=first.text + "!"), *rest))
         cache = FeatureCache(tmp_path / "cache")
         shutil.copy(cache.path_for(stage1_key(staged_model, probe)),
                     cache.path_for(stage1_key(staged_model, variant)))
@@ -363,9 +351,21 @@ class TestRunSeries:
         cols = len(staged_model.identifier_vocab) + 18
         neutered = replace(staged_model, identifier=zero_model(BINARY.labels, cols))
         probe = synth_corpus(49, 60, BINARY)
-        results = run_series(probe.texts_by_id(), neutered)
-        assert results and all(r.stage1 == "not_rweet" for r in results)
-        assert all(r.stage2 is None for r in results)
+        ids, stage1, stage2 = run_series(probe.texts_by_id(), neutered)
+        assert ids and stage1 == ["not_rweet"] * len(ids)
+        assert stage2 == [None] * len(ids)
+
+    def test_a_categorizer_that_drops_a_label_is_a_validation_error(self, staged_model):
+        from dataclasses import replace
+
+        class DropsOne:  # one label short of the rows it is given
+            def predict(self, X):
+                return staged_model.categorizer.predict(X)[:-1]
+
+        probe = synth_corpus(46, 90, BINARY)
+        assert RWEET in run_series(probe.texts_by_id(), staged_model)[1]
+        with pytest.raises(ValidationError, match="categorizer"):
+            run_series(probe.texts_by_id(), replace(staged_model, categorizer=DropsOne()))
 
     def test_empty_cleaned_input(self, staged_model):
         probe = Dataset(
@@ -375,7 +375,7 @@ class TestRunSeries:
                 RawTweet("e2", "se necesita comida y agua"),
             ),
         )
-        assert run_series(probe.texts_by_id(), staged_model) == []
+        assert run_series(probe.texts_by_id(), staged_model) == ([], [], [])
 
 
 def keyword_toy_sets():
@@ -429,14 +429,14 @@ class TestPerfectStagedToy:
     def test_every_gold_rweet_carries_its_gold_category(self):
         d1, d2, probe, gold = keyword_toy_sets()
         staged, _ = train_staged(d1, d2, combo(4))  # tf, uni+bi, no rules
-        results = run_series(probe.texts_by_id(), staged)
-        assert len(results) == len(probe)
-        for r in results:
-            if gold[r.id] is None:
-                assert r.stage1 == "not_rweet" and r.stage2 is None
+        ids, stage1, stage2 = run_series(probe.texts_by_id(), staged)
+        assert len(ids) == len(probe)
+        for i, label, category in zip(ids, stage1, stage2):
+            if gold[i] is None:
+                assert label == "not_rweet" and category is None
             else:
-                assert r.stage1 == RWEET
-                assert r.stage2 == gold[r.id]
+                assert label == RWEET
+                assert category == gold[i]
 
 
 class TestStagedPersistence:
@@ -487,81 +487,86 @@ class TestSeriesOutput:
     def test_jsonl_shape(self, staged_model, tmp_path):
         import json
 
-        probe = synth_corpus(48, 50, BINARY)
-        results = run_series(probe.texts_by_id(), staged_model)
+        texts = synth_corpus(48, 50, BINARY).texts_by_id()
+        ids, stage1, stage2 = run_series(texts, staged_model)
         path = tmp_path / "out.jsonl"
-        save_series_output(results, path)
+        save_series_output(texts, ids, stage1, stage2, path)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == len(results)
-        for record in lines:
+        assert len(lines) == len(ids)
+        for record, tweet_id in zip(lines, ids):
             assert set(record) <= {"id", "text", "stage1", "stage2"}
+            assert record["id"] == tweet_id and record["text"] == texts[tweet_id]
             assert record["stage1"] in ("rweet", "not_rweet")
             assert ("stage2" in record) == (record["stage1"] == "rweet")
 
-    def test_lines_are_json_dumps_of_the_records(self, tmp_path):
+    @staticmethod
+    def _columns(rows):
+        """`save_series_output`'s texts and columns for (id, text, stage1,
+        stage2) rows."""
+        ids, texts, stage1, stage2 = map(list, zip(*rows))
+        return dict(zip(ids, texts)), ids, stage1, stage2
+
+    @staticmethod
+    def _expected(rows):
         import json
 
+        return "".join(json.dumps({"id": i, "text": text, "stage1": s1,
+                                   **({} if s2 is None else {"stage2": s2})},
+                                  ensure_ascii=False) + "\n"
+                       for i, text, s1, s2 in rows).encode("utf-8")
+
+    def test_lines_are_json_dumps_of_the_records(self, tmp_path):
         # quotes, backslashes, control characters, DEL, the Unicode line and
         # paragraph separators, non-BMP and non-ASCII characters, and nothing
         strings = ['say "hi"', "back\\slash\\", "\x00\x01\x1f\t\n\r\x0b\x0c\x08", "del\x7f",
                    "\u2028\u2029", "\U0001f6a8 help \U00010348", "café 需要 İ", "\u00a0\ufeff",
                    ""]
-        results = [CategorizedTweet(f"{s}#{n}", s, RWEET, "food") if n % 2 else
-                   CategorizedTweet(f"{s}#{n}", s, "not_rweet")
-                   for n, s in enumerate(strings + strings[::-1])]
-        save_series_output(results, tmp_path / "out.jsonl")
-        records = [{"id": r.id, "text": r.text, "stage1": r.stage1,
-                    **({} if r.stage2 is None else {"stage2": r.stage2})} for r in results]
-        expected = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
-        assert (tmp_path / "out.jsonl").read_bytes() == expected.encode("utf-8")
-
+        rows = [(f"{s}#{n}", s, RWEET, "food") if n % 2 else (f"{s}#{n}", s, "not_rweet", None)
+                for n, s in enumerate(strings + strings[::-1])]
+        save_series_output(*self._columns(rows), tmp_path / "out.jsonl")
+        assert (tmp_path / "out.jsonl").read_bytes() == self._expected(rows)
 
     @staticmethod
-    def _results(n):
-        return [CategorizedTweet(f"t{i}", f"we need water at shelter {i}", RWEET, "water")
-                if i % 3 else CategorizedTweet(f"t{i}", f"calm night {i}", "not_rweet")
+    def _rows(n):
+        return [(f"t{i}", f"we need water at shelter {i}", RWEET, "water")
+                if i % 3 else (f"t{i}", f"calm night {i}", "not_rweet", None)
                 for i in range(n)]
 
-    @staticmethod
-    def _expected(results):
-        import json
-
-        return "".join(json.dumps({"id": r.id, "text": r.text, "stage1": r.stage1,
-                                   **({} if r.stage2 is None else {"stage2": r.stage2})},
-                                  ensure_ascii=False) + "\n" for r in results).encode("utf-8")
-
     def test_three_chunks_are_json_dumps_lines(self, tmp_path):
-        results = self._results(2500)
-        save_series_output(results, tmp_path / "out.jsonl")
-        assert (tmp_path / "out.jsonl").read_bytes() == self._expected(results)
+        rows = self._rows(2500)
+        save_series_output(*self._columns(rows), tmp_path / "out.jsonl")
+        assert (tmp_path / "out.jsonl").read_bytes() == self._expected(rows)
 
     def test_a_result_that_fails_in_the_third_chunk_leaves_no_file(self, tmp_path):
-        results = self._results(2500)
-        results[2100] = CategorizedTweet(7, "an id that is not a str", "not_rweet")
+        rows = self._rows(2500)
+        rows[2100] = (7, "an id that is not a str", "not_rweet", None)
+        texts, ids, stage1, stage2 = self._columns(rows)
         path = tmp_path / "out.jsonl"
         with pytest.raises(TypeError):
-            save_series_output(results, path)
+            save_series_output(texts, ids, stage1, stage2, path)
         assert list(tmp_path.iterdir()) == []  # no file and no temp file
         path.write_text("old output\n")
         with pytest.raises(TypeError):
-            save_series_output(iter(results), path)
+            save_series_output(texts, iter(ids), stage1, stage2, path)
         assert list(tmp_path.iterdir()) == [path] and path.read_text() == "old output\n"
 
     def test_holds_one_chunk_of_lines(self, tmp_path):
         """Peak memory stays near one chunk's lines, not the whole file's."""
         import tracemalloc
 
-        results = self._results(20_000)
+        rows = self._rows(20_000)
+        columns = self._columns(rows)
         path = tmp_path / "out.jsonl"
         tracemalloc.start()
         try:
-            save_series_output(results, path)
+            save_series_output(*columns, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        expected = self._expected(results)
+        expected = self._expected(rows)
         assert path.read_bytes() == expected
         assert peak < len(expected) / 2, (peak, len(expected))
+
 
 class TestFeaturizeCorpus:
     def test_rules_need_raw_texts(self):
@@ -572,5 +577,5 @@ class TestFeaturizeCorpus:
     def test_rule_columns_present(self):
         dataset = synth_corpus(3, 40, BINARY)
         corpus, _ = run_pipeline(dataset)
-        fm = featurize_corpus(corpus, FeatureConfig(append_rules=True), dataset)
+        fm = featurize_corpus(corpus, FeatureConfig(append_rules=True), dataset.texts_by_id())
         assert fm.matrix.cols == len(fm.vocab) + 18
