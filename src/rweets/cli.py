@@ -34,7 +34,7 @@ from .jsonl import encode_line, read_records, text_lines, write_lines
 __getattr__, _ = _lazy_names(__name__, {
     "features": "FeatureConfig combo load_matrix save_matrix",
     "metrics": "render_record render_text",
-    "models": "LogisticRegression TrainConfig cross_validate make_classifier",
+    "models": "LogisticRegression cross_validate",
     "pipeline": "FeatureCache featurize_corpus load_staged run_series save_series_output "
                 "save_staged train_staged",
     "preprocess": "DEFAULT_OPS PUNCT_FIRST_OPS PipelineConfig load_clean run_pipeline save_clean",
@@ -52,19 +52,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _long_flags(parser: argparse.ArgumentParser) -> dict:
-    """Config-file keys, each with its flag's type: every long flag of parser
+    """Config-file keys, each with its flag's action: every long flag of parser
     and of its subcommands, written with underscores."""
     keys = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for subparser in action.choices.values():
                 keys.update(_long_flags(subparser))
-        keys.update((opt[2:].replace("-", "_"), action.type or str)
+        keys.update((opt[2:].replace("-", "_"), action)
                     for opt in action.option_strings if opt.startswith("--"))
     return keys
 
 
 def _load_config_file(path, known_keys: dict) -> dict:
+    """The values a config file presets: a switch's key reads `true` or
+    `false`, any other key its flag's type, and within its flag's choices."""
     values = {}
     for lineno, line in enumerate(text_lines(path), start=1):
         line = line.strip()
@@ -73,13 +75,21 @@ def _load_config_file(path, known_keys: dict) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}: line {lineno}: expected key=value")
         key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
         if key not in known_keys:
             raise UsageError(f"{path}: line {lineno}: unknown key {key!r}")
+        action = known_keys[key]
         try:
-            values[key] = known_keys[key](raw.strip())
-        except ValueError:
+            if isinstance(action, argparse._StoreTrueAction):
+                value = {"true": True, "false": False}[raw]
+            else:
+                value = (action.type or str)(raw)
+        except (KeyError, ValueError):
             raise ValidationError(f"{path}: line {lineno}: bad value for {key}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{path}: line {lineno}: {key} must be one of "
+                             f"{', '.join(map(repr, action.choices))}, got {value!r}")
+        values[key] = value
     return values
 
 
@@ -98,9 +108,6 @@ _ORDERS = ("default", "punct-first")
 def _pipeline_config(args) -> "PipelineConfig":
     """PipelineConfig from the flags given; the rest keep the config's defaults."""
     from .preprocess import DEFAULT_OPS, PUNCT_FIRST_OPS, PipelineConfig
-    # a config file's order does not pass through argparse's choices
-    if args.order not in (None, *_ORDERS):
-        raise UsageError(f"--order must be 'default' or 'punct-first', got {args.order!r}")
     ops = dict(zip(_ORDERS, (DEFAULT_OPS, PUNCT_FIRST_OPS))).get(args.order)
     given = {"ops": ops, "english_threshold": args.threshold, "min_tokens": args.min_tokens}
     return PipelineConfig(**{k: v for k, v in given.items() if v is not None})
@@ -109,34 +116,34 @@ def _pipeline_config(args) -> "PipelineConfig":
 def _feature_config(args) -> "FeatureConfig":
     from .features import FeatureConfig, combo
     if args.combo is not None:
+        given = [k for k in ("vectorizer", "ngrams", "rules") if getattr(args, k) is not None]
+        if given:
+            raise UsageError(f"--combo and --{given[0]} cannot be given together")
         if not 1 <= args.combo <= 24:
             raise UsageError(f"--combo must be in 1..24, got {args.combo}")
         return combo(args.combo)
     if args.vectorizer is None and args.ngrams is None:
         raise UsageError("give --combo N or explicit --vectorizer/--ngrams flags")
-    vectorizer = args.vectorizer or "tf"
     ngrams = args.ngrams or "1,1"
     try:
         lo, hi = (int(x) for x in ngrams.split(","))
     except ValueError:
         raise UsageError(f"--ngrams expects LO,HI, got {ngrams!r}") from None
-    return FeatureConfig(
-        vectorizer=vectorizer, ngram_range=(lo, hi), append_rules=bool(args.rules)
-    )
+    return FeatureConfig(vectorizer=args.vectorizer or "tf", ngram_range=(lo, hi),
+                         append_rules=bool(args.rules))
 
 
 def _domain(args):
-    name = args.domain or "binary"
-    if name not in DOMAINS:
-        raise UsageError(f"--domain must be one of {sorted(DOMAINS)}, got {name!r}")
-    return DOMAINS[name]
+    return DOMAINS[args.domain or "binary"]
 
 
-def _train_config(args) -> "TrainConfig":
-    """TrainConfig from the flags given; the rest keep the config's defaults."""
-    from .models import TrainConfig
-    given = {k: getattr(args, k) for k in ("l2_penalty", "max_epochs", "tol")}
-    return TrainConfig(**{k: v for k, v in given.items() if v is not None})
+def _classifier(args):
+    """A zero-argument factory of the --clf classifier, given the flags of its
+    constructor that are set; the rest keep the constructor's defaults."""
+    from .models import _HYPER, CLASSIFIERS
+    name = args.clf or "logreg"
+    given = {k: getattr(args, k) for k in _HYPER[name]}
+    return functools.partial(CLASSIFIERS[name], **{k: v for k, v in given.items() if v is not None})
 
 
 def _add_pipeline_flags(parser):
@@ -153,7 +160,8 @@ def _add_feature_flags(parser):
                         help="standard feature combination index, 1..24")
     parser.add_argument("--vectorizer", choices=("tf", "tf-idf"), default=None)
     parser.add_argument("--ngrams", default=None, help="n-gram range as LO,HI")
-    parser.add_argument("--rules", action="store_true", help="append rule features")
+    parser.add_argument("--rules", action="store_true", default=None,
+                        help="append rule features")
 
 
 def _add_train_flags(parser):
@@ -173,7 +181,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
     parser.add_argument("--cache-dir", dest="cache_dir", default=None)
-    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--verbose", action="store_true", default=None)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("preprocess", help="clean a dataset and persist the corpus")
@@ -217,7 +225,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--binary", default=None, help="train stage 1 on this dataset first")
     p.add_argument("--categories", default=None, help="train stage 2 on this dataset first")
-    p.add_argument("--resubstitution", action="store_true",
+    p.add_argument("--resubstitution", action="store_true", default=None,
                    help="predict the stage-1 training data back (uses --binary as input)")
     _add_feature_flags(p)
     _add_pipeline_flags(p)
@@ -321,15 +329,9 @@ def cmd_rules(args) -> int:
 def _train(args):
     """train_staged on --binary and --categories under the flags' configs."""
     from .pipeline import train_staged
-    return train_staged(
-        load_dataset(args.binary, BINARY),
-        load_dataset(args.categories, CATEGORICAL),
-        _feature_config(args),
-        train_config=_train_config(args),
-        pipeline_config=_pipeline_config(args),
-        classifier=args.clf or "logreg",
-        alpha=args.alpha if args.alpha is not None else 1.0,
-    )
+    return train_staged(load_dataset(args.binary, BINARY),
+                        load_dataset(args.categories, CATEGORICAL), _feature_config(args),
+                        make_clf=_classifier(args), pipeline_config=_pipeline_config(args))
 
 
 def cmd_train(args) -> int:
@@ -353,25 +355,16 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .metrics import render_record, render_text
-    from .models import cross_validate, make_classifier
+    from .models import cross_validate
     from .preprocess import run_pipeline
     domain = _domain(args)
     dataset = load_dataset(args.input, domain)
     dataset.require_labeled()
     corpus, _ = run_pipeline(dataset, _pipeline_config(args))
-    feature_config = _feature_config(args)
-    train_config = _train_config(args)
-    clf_name = args.clf or "logreg"
-    alpha = args.alpha if args.alpha is not None else 1.0
-    result = cross_validate(
-        lambda: make_classifier(clf_name, train_config, alpha),
-        corpus,
-        domain,
-        feature_config,
-        k=args.folds if args.folds is not None else 5,
-        seed=args.seed if args.seed is not None else 0,
-        raw_texts=dataset.texts_by_id(),
-    )
+    result = cross_validate(_classifier(args), corpus, domain, _feature_config(args),
+                            k=args.folds if args.folds is not None else 5,
+                            seed=args.seed if args.seed is not None else 0,
+                            raw_texts=dataset.texts_by_id())
     sys.stdout.write(render_text(result.pooled))
     if args.out:
         atomic_write_text(args.out, render_record(result.pooled))

@@ -17,7 +17,7 @@ inputs and seed; ties always resolve to the lowest class index.
 
 import random
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +33,6 @@ from .features import FeatureConfig, count_ngrams, featurize_tokens
 from .metrics import MetricsReport, compute_report
 from .rules import rule_block_for_ids
 from .sparse import SparseMatrix
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    l2_penalty: float = 1e-4
-    max_epochs: int = 500
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.l2_penalty < 0:
-            raise ValidationError("l2_penalty must be nonnegative")
-        if self.max_epochs < 1:
-            raise ValidationError("max_epochs must be at least 1")
 
 
 def _resolve_classes(y, classes) -> list[str]:
@@ -140,6 +127,10 @@ class LogisticRegression:
         self.tol = tol
 
     def fit(self, X: SparseMatrix, y, classes=None) -> "LogisticRegression":
+        if self.l2_penalty < 0:
+            raise ValidationError("l2_penalty must be nonnegative")
+        if self.max_epochs < 1:
+            raise ValidationError("max_epochs must be at least 1")
         check_equal_length("X rows", range(X.rows), "y", y)
         classes = _resolve_classes(y, classes)
         labels = _label_indices(y, classes)
@@ -261,12 +252,9 @@ CLASSIFIERS = {
 }
 
 
-def make_classifier(name: str, train_config: TrainConfig | None = None, alpha: float = 1.0):
-    if name not in CLASSIFIERS:
-        raise ValidationError(f"unknown classifier {name!r}; choose from {sorted(CLASSIFIERS)}")
-    if name == "logreg":
-        return LogisticRegression(**asdict(train_config or TrainConfig()))
-    return MultinomialNaiveBayes(alpha=alpha)
+def takes_counts(clf) -> bool:
+    """Whether `clf` is fed raw term counts rather than weighted rows."""
+    return getattr(clf, "input_kind", "weighted") == "counts"
 
 
 # --- cross-validation -------------------------------------------------------
@@ -312,8 +300,6 @@ def stratified_kfold(y, k: int, seed: int) -> FoldPlan:
 @dataclass(frozen=True)
 class CVResult:
     pooled: MetricsReport
-    fold_reports: tuple[MetricsReport, ...]
-    plan: FoldPlan
     predictions: tuple[str, ...]
 
 
@@ -347,17 +333,15 @@ def cross_validate(
 
     plan = stratified_kfold(labels, k, seed)
     predictions: list[str | None] = [None] * len(labels)
-    fold_reports = []
     for fold in range(k):
         train_idx = plan.train_indices(fold)
         test_idx = plan.fold_indices(fold)
         clf = make_clf()
-        counts_only = getattr(clf, "input_kind", "weighted") == "counts"
 
         def featurize(indices, vocab=None):
             block = rule_block[indices, :] if rule_block is not None else None
             return featurize_tokens(counts.take(indices), tuple(ids[i] for i in indices), config,
-                                    vocab=vocab, rule_block=block, counts_only=counts_only)
+                                    vocab=vocab, rule_block=block, counts_only=takes_counts(clf))
 
         train_fm = featurize(train_idx)
         test_fm = featurize(test_idx, train_fm.vocab)
@@ -365,16 +349,8 @@ def cross_validate(
         fold_pred = clf.predict(test_fm.matrix)
         for i, pred in zip(test_idx, fold_pred):
             predictions[i] = pred
-        fold_reports.append(
-            compute_report([labels[i] for i in test_idx], fold_pred, domain)
-        )
-    pooled = compute_report(labels, predictions, domain)
-    return CVResult(
-        pooled=pooled,
-        fold_reports=tuple(fold_reports),
-        plan=plan,
-        predictions=tuple(predictions),
-    )
+    return CVResult(pooled=compute_report(labels, predictions, domain),
+                    predictions=tuple(predictions))
 
 
 # --- persistence ------------------------------------------------------------
@@ -387,7 +363,7 @@ _PARAMS = {
 }
 # each classifier's hyperparameters: its constructor's keyword arguments
 _HYPER = {
-    "logreg": tuple(f.name for f in fields(TrainConfig)),
+    "logreg": ("l2_penalty", "max_epochs", "tol"),
     "nb": ("alpha",),
 }
 

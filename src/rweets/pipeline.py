@@ -29,7 +29,7 @@ from .features import (
     save_matrix,
 )
 from .jsonl import write_lines
-from .models import _model_fields, _model_from, make_classifier
+from .models import LogisticRegression, _model_fields, _model_from, takes_counts
 from .preprocess import CleanCorpus, PipelineConfig, run_pipeline
 from .rules import rule_block_for_ids
 
@@ -106,13 +106,12 @@ def train_staged(
     d1: Dataset,
     d2: Dataset,
     feature_config: FeatureConfig,
-    train_config=None,
+    make_clf=LogisticRegression,
     pipeline_config: PipelineConfig | None = None,
-    classifier: str = "logreg",
-    alpha: float = 1.0,
 ):
     """Fit the binary identifier on d1 and the category classifier on d2
-    under one shared feature configuration.
+    under one shared feature configuration; `make_clf` is a zero-argument
+    factory that gives each stage a fresh classifier.
 
     Returns (StagedClassifier, stage reports) where reports carry the
     cleaning summaries for both datasets.
@@ -129,9 +128,9 @@ def train_staged(
     clean2, report2 = run_pipeline(d2, pipeline_config)
 
     def fit_stage(clean, dataset, domain):
-        clf = make_classifier(classifier, train_config, alpha)
-        counts_only = getattr(clf, "input_kind", "weighted") == "counts"
-        fm = featurize_corpus(clean, feature_config, dataset.texts_by_id(), counts_only=counts_only)
+        clf = make_clf()
+        fm = featurize_corpus(clean, feature_config, dataset.texts_by_id(),
+                              counts_only=takes_counts(clf))
         clf.fit(fm.matrix, [tw.label for tw in clean], classes=domain.labels)
         return clf, fm.vocab
 
@@ -171,13 +170,13 @@ def run_series(
     is a cache hit, stage 2 counts and evaluates only its own rows.
     """
     config = staged.feature_config
-    counts_only = getattr(staged.identifier, "input_kind", "weighted") == "counts"
     ids = None  # stage 1's row ids: the cleaned corpus's, or a cached artifact's
     cleaned = None  # the cleaned corpus, once a builder needs it
     all_counts = all_rules = None  # the n-gram counts and rule block of every cleaned row
 
-    def build(rows, vocab: Vocabulary) -> FeatureMatrix:
-        """Featurize the cleaned rows at positions `rows` (None: every row)."""
+    def build(rows, vocab: Vocabulary, clf) -> FeatureMatrix:
+        """Featurize the cleaned rows at positions `rows` (None: every row)
+        as the input of the classifier `clf`."""
         nonlocal cleaned, all_counts, all_rules
         if cleaned is None:
             unlabeled = [(tweet_id, text, None) for tweet_id, text in texts.items()]
@@ -196,17 +195,17 @@ def run_series(
             if rows is None:
                 all_counts, all_rules = counts, rules
         return featurize_tokens(counts, row_ids, config, vocab=vocab, rule_block=rules,
-                                counts_only=counts_only)
+                                counts_only=takes_counts(clf))
 
-    def featurize(key, rows, vocab: Vocabulary) -> FeatureMatrix:
+    def featurize(key, rows, vocab: Vocabulary, clf) -> FeatureMatrix:
         if cache is None:
-            return build(rows, vocab)
-        return cache.get_or_build(key, config, lambda: build(rows, vocab))
+            return build(rows, vocab, clf)
+        return cache.get_or_build(key, config, lambda: build(rows, vocab, clf))
 
     key1 = None if cache is None else combine_digests(
         config.digest, staged.identifier_vocab.digest, staged.pipeline_config.digest,
         digest_records(texts.items()), "stage1")
-    fm1 = featurize(key1, None, staged.identifier_vocab)
+    fm1 = featurize(key1, None, staged.identifier_vocab, staged.identifier)
     ids = fm1.row_ids
     remaining = iter(texts)  # input order; `in` consumes it up to the match
     if cache is not None and not all(row_id in remaining for row_id in ids):
@@ -219,7 +218,7 @@ def run_series(
         key2 = None if cache is None else combine_digests(
             config.digest, staged.categorizer_vocab.digest, key1,
             digest_text(",".join(map(str, keep))), "stage2")
-        fm2 = featurize(key2, keep, staged.categorizer_vocab)
+        fm2 = featurize(key2, keep, staged.categorizer_vocab, staged.categorizer)
         if cache is not None and list(fm2.row_ids) != [ids[i] for i in keep]:
             raise FormatError(f"{cache.path_for(key2).name}: row ids are not the stage-2 rows")
         categories = staged.categorizer.predict(fm2.matrix)

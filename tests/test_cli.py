@@ -102,8 +102,8 @@ class TestStartup:
         "features": ("FeatureConfig", "FeatureMatrix", "Vocabulary", "combo",
                      "enumerate_combos"),
         "metrics": ("MetricsReport", "compute_report"),
-        "models": ("LogisticRegression", "MultinomialNaiveBayes", "TrainConfig",
-                   "cross_validate", "stratified_kfold"),
+        "models": ("LogisticRegression", "MultinomialNaiveBayes", "cross_validate",
+                   "stratified_kfold"),
         "pipeline": ("FeatureCache", "StagedClassifier", "run_series", "train_staged"),
         "preprocess": ("CleanCorpus", "CleanTweet", "PipelineConfig", "run_pipeline"),
         "rules": ("compile_patterns", "match_tweet", "rule_classify", "rule_features"),
@@ -621,6 +621,21 @@ class TestTrain:
             assert " iterations, loss " in line and ", max |grad| " in line
             assert line.endswith(", converged")
 
+    def test_classifier_from_flags(self):
+        from rweets import cli
+        from rweets.models import LogisticRegression, MultinomialNaiveBayes
+
+        args = cli._parser().parse_args(["train", "--binary", "b", "--categories", "c",
+                                         "--out", "m", "--max-epochs", "7", "--alpha", "2"])
+        clf = cli._classifier(args)()
+        assert type(clf) is LogisticRegression
+        assert (clf.l2_penalty, clf.max_epochs, clf.tol) == (1e-4, 7, 1e-6)
+        args.clf = "nb"  # the logreg flags are not NB's: it takes only --alpha
+        make_nb = cli._classifier(args)
+        nb = make_nb()
+        assert type(nb) is MultinomialNaiveBayes and nb.alpha == 2.0
+        assert make_nb() is not nb  # each call gives a fresh classifier
+
     def test_learning_rate_flag_removed(self, workspace):
         assert self.train(workspace, "--learning-rate", "0.1") == 1
         assert self.train(workspace, "--max-epochs", "3", "--tol", "1e-3") == 0
@@ -808,9 +823,55 @@ class TestUsage:
         config.write_text("order=alphabetical\n")
         capsys.readouterr()
         assert run(["--config", str(config), *clean, str(tmp_path / "bad")]) == 1
-        assert "--order must be 'default' or 'punct-first', got 'alphabetical'" in (
-            capsys.readouterr().err)
+        assert ("run.cfg: line 1: order must be one of 'default', 'punct-first', "
+                "got 'alphabetical'") in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
+
+    # each value outside its flag's choices is a usage error naming the file,
+    # the line and the key, whichever subcommand the key belongs to
+    @pytest.mark.parametrize("line", ["clf=svm", "vectorizer=x", "order=", "domain="])
+    def test_config_value_outside_choices(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed=5\n{line}\n")
+        out = tmp_path / "s.jsonl"
+        assert run(["--config", str(config), "synth", "--size", "30", "--out", str(out)]) == 1
+        key = line.partition("=")[0]
+        assert f"run.cfg: line 2: {key} must be one of " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_switches(self, workspace, capsys):
+        clean, raw = workspace / "d1.clean", str(workspace / "d1.jsonl")
+        assert run(["preprocess", "--input", raw, "--output", str(clean)]) == 0
+        config = workspace / "run.cfg"
+        featurize = ["featurize", "--clean", str(clean), "--raw", raw, "--ngrams", "1,2", "--out"]
+        config.write_text("rules=true\nverbose=false\n")
+        assert run(["--config", str(config), *featurize, str(workspace / "cfg")]) == 0
+        assert run([*featurize, str(workspace / "flag"), "--rules"]) == 0
+        assert (workspace / "cfg").read_bytes() == (workspace / "flag").read_bytes()
+        config.write_text("verbose=true\n")
+        capsys.readouterr()
+        assert run(["--config", str(config), "preprocess", "--input", raw,
+                    "--output", str(clean)]) == 0
+        assert "pipeline digest: " in capsys.readouterr().out
+        config.write_text("# a switch reads true or false\nrules=yes\n")
+        assert run(["--config", str(config), *featurize, str(workspace / "bad")]) == 3
+        assert "run.cfg: line 2: bad value for rules" in capsys.readouterr().err
+        assert not (workspace / "bad").exists()
+
+    def test_combo_with_feature_flags(self, workspace, capsys):
+        clean, raw = workspace / "d1.clean", str(workspace / "d1.jsonl")
+        assert run(["preprocess", "--input", raw, "--output", str(clean)]) == 0
+        config = workspace / "run.cfg"
+        config.write_text("combo=1\n")
+        featurize = ["featurize", "--clean", str(clean), "--raw", raw,
+                     "--out", str(workspace / "m")]
+        for preset, flags, named in (
+                (True, ["--vectorizer", "tf-idf", "--ngrams", "1,2", "--rules"], "--vectorizer"),
+                (False, ["--combo", "10", "--rules"], "--rules")):
+            capsys.readouterr()
+            assert run([*(["--config", str(config)] if preset else []), *featurize, *flags]) == 1
+            assert f"--combo and {named} cannot be given together" in capsys.readouterr().err
+            assert not (workspace / "m").exists()
 
     def test_calls_share_no_parsed_values(self, tmp_path, monkeypatch):
         from rweets import cli

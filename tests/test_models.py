@@ -23,9 +23,7 @@ from rweets.models import (
     FoldPlan,
     LogisticRegression,
     MultinomialNaiveBayes,
-    TrainConfig,
     cross_validate,
-    make_classifier,
     stratified_kfold,
 )
 from rweets.pipeline import STAGED_FILE, StagedClassifier, featurize_corpus, load_staged, save_staged
@@ -85,6 +83,13 @@ class TestLogisticRegression:
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):
             LogisticRegression().predict(from_dense(np.zeros((1, 2))))
+
+    def test_fit_validates_hyperparameters(self):
+        X, y = separable_blobs()
+        with pytest.raises(ValidationError, match="l2_penalty must be nonnegative"):
+            LogisticRegression(l2_penalty=-1.0).fit(X, y)
+        with pytest.raises(ValidationError, match="max_epochs must be at least 1"):
+            LogisticRegression(max_epochs=0).fit(X, y)
 
     def test_loss_non_increasing(self):
         X, y = separable_blobs(seed=5)
@@ -376,7 +381,6 @@ class TestCrossValidate:
         )
         assert len(result.predictions) == len(corpus)
         assert all(p is not None for p in result.predictions)
-        assert len(result.fold_reports) == 5
 
     def test_fixed_seed_reproducible(self):
         dataset = synth_corpus(33, 100, BINARY)
@@ -516,21 +520,3 @@ class TestModelPersistence:
             saved_as_both_stages(clf, tmp_path)
             with pytest.raises(FormatError, match=f"disagree with {len(classes)} classes"):
                 load_staged(tmp_path)
-
-
-class TestMakeClassifier:
-    def test_registry(self):
-        clf = make_classifier("logreg", TrainConfig(max_epochs=7))
-        assert isinstance(clf, LogisticRegression) and clf.max_epochs == 7
-        nb = make_classifier("nb", alpha=2.0)
-        assert isinstance(nb, MultinomialNaiveBayes) and nb.alpha == 2.0
-
-    def test_unknown_name(self):
-        with pytest.raises(ValidationError):
-            make_classifier("svm")
-
-    def test_train_config_validation(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(l2_penalty=-1.0)
-        with pytest.raises(ValidationError):
-            TrainConfig(max_epochs=0)

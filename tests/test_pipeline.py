@@ -9,6 +9,7 @@ from rweets.corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet, synth_c
 from rweets.errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from rweets.digest import combine_digests, digest_records, digest_text
 from rweets.features import FeatureConfig, combo, load_matrix, save_matrix
+from rweets.models import CLASSIFIERS
 from rweets.pipeline import (
     STAGED_FILE,
     FeatureCache,
@@ -203,7 +204,7 @@ class TestRunSeries:
     def test_stage2_counts_taken_from_stage1_equal_a_fresh_count(self, index, classifier,
                                                                  tmp_path):
         staged, _ = train_staged(synth_corpus(41, 120, BINARY), synth_corpus(42, 120, CATEGORICAL),
-                                 combo(index), classifier=classifier)
+                                 combo(index), make_clf=CLASSIFIERS[classifier])
         probe = synth_corpus(46, 90, BINARY)
         taken = recording_cache(tmp_path / "cache")  # stage 2 takes stage 1's counts
         results = run_series(probe.texts_by_id(), staged, taken)
@@ -221,6 +222,34 @@ class TestRunSeries:
         assert (ours.matrix.rows, ours.matrix.cols) == (fresh.matrix.rows, fresh.matrix.cols)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(ours.matrix, name), getattr(fresh.matrix, name)), name
+
+    # a staged pair may mix classifiers; NB reads raw counts, logreg weighted rows
+    @pytest.mark.parametrize("kinds", [("logreg", "nb"), ("nb", "logreg")])
+    def test_each_stage_featurized_for_its_own_classifier(self, kinds, tmp_path):
+        from dataclasses import replace
+
+        d1, d2 = synth_corpus(41, 120, BINARY), synth_corpus(42, 120, CATEGORICAL)
+        first, second = (train_staged(d1, d2, combo(16), make_clf=CLASSIFIERS[kind])[0]
+                         for kind in kinds)
+        staged = replace(first, categorizer=second.categorizer,
+                         categorizer_vocab=second.categorizer_vocab)
+        texts = synth_corpus(46, 200, BINARY).texts_by_id()
+        cache = recording_cache(tmp_path / "cache")
+        ids, stage1, stage2 = run_series(texts, staged, cache)
+        assert run_series(texts, staged, None) == (ids, stage1, stage2)
+        cleaned, _ = run_pipeline([(i, t, None) for i, t in texts.items()])
+        rweets = CleanCorpus(tuple(tw for tw, label in zip(cleaned, stage1) if label == RWEET),
+                             cleaned.config_digest)
+        assert 0 < len(rweets) < len(cleaned)
+        stages = ((cleaned, staged.identifier, staged.identifier_vocab, kinds[0]),
+                  (rweets, staged.categorizer, staged.categorizer_vocab, kinds[1]))
+        for (corpus, clf, vocab, kind), ours in zip(stages, cache.returned, strict=True):
+            fresh = featurize_corpus(corpus, combo(16), vocabulary=vocab,
+                                     counts_only=kind == "nb").matrix
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(ours.matrix, name), getattr(fresh, name)), name
+            labels = stage1 if clf is staged.identifier else [c for c in stage2 if c is not None]
+            assert labels == clf.predict(fresh)
 
     def count_cleanings(self, monkeypatch):
         from rweets import pipeline
