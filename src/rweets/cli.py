@@ -53,14 +53,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _long_flags(parser: argparse.ArgumentParser) -> dict:
     """Config-file keys, each with its flag's action: every long flag of parser
-    and of its subcommands, written with underscores."""
+    and of its subcommands, written with underscores, except --help,
+    --version and --config, which a file cannot preset."""
     keys = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for subparser in action.choices.values():
                 keys.update(_long_flags(subparser))
-        keys.update((opt[2:].replace("-", "_"), action)
-                    for opt in action.option_strings if opt.startswith("--"))
+        elif action.dest not in ("help", "version", "config"):
+            keys.update((opt[2:].replace("-", "_"), action)
+                        for opt in action.option_strings if opt.startswith("--"))
     return keys
 
 

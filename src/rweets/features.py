@@ -271,15 +271,12 @@ def featurize_tokens(
     config: FeatureConfig,
     vocab: Vocabulary | None = None,
     rule_block: np.ndarray | None = None,
-    counts_only: bool = False,
 ) -> FeatureMatrix:
     """Low-level featurization of token lists, or of their `NgramCounts`
     (e.g. `counts.take(rows)` of a corpus counted once).
 
     When `vocab` is None it is built from `docs` (the fit path); passing a
     vocabulary vectorizes new documents against an existing column space.
-    `counts_only` skips idf weighting and normalization for classifiers
-    defined on raw counts; the rule block is appended either way.
     """
     docs = _counted(docs, config.ngram_range)
     ids = tuple(ids)
@@ -291,9 +288,8 @@ def featurize_tokens(
         raise ValidationError(
             f"vocabulary range {vocab.ngram_range} differs from config {config.ngram_range}"
         )
-    use_idf = config.vectorizer == TFIDF and not counts_only
-    matrix = (vectorize_tfidf if use_idf else vectorize_tf)(docs, vocab)
-    if config.l2_normalize and not counts_only:
+    matrix = (vectorize_tfidf if config.vectorizer == TFIDF else vectorize_tf)(docs, vocab)
+    if config.l2_normalize:
         matrix = l2_normalize_rows(matrix)
     if config.append_rules:
         # the 18 binary rule columns go after normalization, unscaled

@@ -17,7 +17,7 @@ inputs and seed; ties always resolve to the lowest class index.
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     check_equal_length,
     check_is_fitted,
 )
-from .features import FeatureConfig, count_ngrams, featurize_tokens
+from .features import TF, FeatureConfig, count_ngrams, featurize_tokens
 from .metrics import MetricsReport, compute_report
 from .rules import rule_block_for_ids
 from .sparse import SparseMatrix
@@ -119,7 +119,6 @@ class LogisticRegression:
     """
 
     name = "logreg"
-    input_kind = "weighted"
 
     def __init__(self, l2_penalty=1e-4, max_epochs=500, tol=1e-6):
         self.l2_penalty = l2_penalty
@@ -206,7 +205,6 @@ class MultinomialNaiveBayes:
     """Multinomial naive Bayes with Laplace smoothing over raw term counts."""
 
     name = "nb"
-    input_kind = "counts"
 
     def __init__(self, alpha=1.0):
         self.alpha = alpha
@@ -252,9 +250,13 @@ CLASSIFIERS = {
 }
 
 
-def takes_counts(clf) -> bool:
-    """Whether `clf` is fed raw term counts rather than weighted rows."""
-    return getattr(clf, "input_kind", "weighted") == "counts"
+def input_config(clf, config: FeatureConfig) -> FeatureConfig:
+    """The feature configuration `clf` is fed under the user's `config`:
+    naive Bayes reads raw term counts (tf, no normalization); every other
+    classifier, duck-typed ones included, reads `config` itself."""
+    if isinstance(clf, MultinomialNaiveBayes):
+        return replace(config, vectorizer=TF, l2_normalize=False)
+    return config
 
 
 # --- cross-validation -------------------------------------------------------
@@ -340,8 +342,8 @@ def cross_validate(
 
         def featurize(indices, vocab=None):
             block = rule_block[indices, :] if rule_block is not None else None
-            return featurize_tokens(counts.take(indices), tuple(ids[i] for i in indices), config,
-                                    vocab=vocab, rule_block=block, counts_only=takes_counts(clf))
+            return featurize_tokens(counts.take(indices), tuple(ids[i] for i in indices),
+                                    input_config(clf, config), vocab=vocab, rule_block=block)
 
         train_fm = featurize(train_idx)
         test_fm = featurize(test_idx, train_fm.vocab)

@@ -29,7 +29,7 @@ from .features import (
     save_matrix,
 )
 from .jsonl import write_lines
-from .models import LogisticRegression, _model_fields, _model_from, takes_counts
+from .models import LogisticRegression, _model_fields, _model_from, input_config
 from .preprocess import CleanCorpus, PipelineConfig, run_pipeline
 from .rules import rule_block_for_ids
 
@@ -39,7 +39,6 @@ def featurize_corpus(
     config: FeatureConfig,
     raw_texts: dict[str, str] | None = None,
     vocabulary: Vocabulary | None = None,
-    counts_only: bool = False,
 ) -> FeatureMatrix:
     """Featurize a cleaned corpus. `raw_texts` maps each id to its original
     text; it is required when rule features are appended, because rules
@@ -55,7 +54,6 @@ def featurize_corpus(
         config,
         vocab=vocabulary,
         rule_block=rule_block,
-        counts_only=counts_only,
     )
 
 
@@ -129,8 +127,7 @@ def train_staged(
 
     def fit_stage(clean, dataset, domain):
         clf = make_clf()
-        fm = featurize_corpus(clean, feature_config, dataset.texts_by_id(),
-                              counts_only=takes_counts(clf))
+        fm = featurize_corpus(clean, input_config(clf, feature_config), dataset.texts_by_id())
         clf.fit(fm.matrix, [tw.label for tw in clean], classes=domain.labels)
         return clf, fm.vocab
 
@@ -154,9 +151,10 @@ def run_series(
     calls a rweet and None for every other row.
 
     The cache is keyed on the input as given, not on what cleaning makes of
-    it. Stage 1's key covers the feature config, the identifier vocabulary,
-    the pipeline config and every input (id, text) in order; stage 2's the
-    feature config, the categorizer vocabulary, the stage-1 key and the
+    it. Stage 1's key covers the feature config the identifier is fed
+    (`input_config`), the identifier vocabulary, the pipeline config and
+    every input (id, text) in order; stage 2's the feature config the
+    categorizer is fed, the categorizer vocabulary, the stage-1 key and the
     positions of its rows among stage 1's. Cleaning runs at most once per
     call and only when a stage has to be built, so a full hit cleans,
     evaluates and vectorizes nothing; on a stage-1 hit the output ids are
@@ -169,14 +167,16 @@ def run_series(
     building stage 2 takes its rows' counts and bits from those; when stage 1
     is a cache hit, stage 2 counts and evaluates only its own rows.
     """
-    config = staged.feature_config
+    config1 = input_config(staged.identifier, staged.feature_config)
+    config2 = input_config(staged.categorizer, staged.feature_config)
     ids = None  # stage 1's row ids: the cleaned corpus's, or a cached artifact's
     cleaned = None  # the cleaned corpus, once a builder needs it
     all_counts = all_rules = None  # the n-gram counts and rule block of every cleaned row
 
-    def build(rows, vocab: Vocabulary, clf) -> FeatureMatrix:
+    def build(rows, vocab: Vocabulary, config: FeatureConfig) -> FeatureMatrix:
         """Featurize the cleaned rows at positions `rows` (None: every row)
-        as the input of the classifier `clf`."""
+        under `config`; both stages' configs share the n-gram range and the
+        rule flag, so stage 2 can take stage 1's counts and bits."""
         nonlocal cleaned, all_counts, all_rules
         if cleaned is None:
             unlabeled = [(tweet_id, text, None) for tweet_id, text in texts.items()]
@@ -194,18 +194,17 @@ def run_series(
             rules = rule_block_for_ids(row_ids, texts) if config.append_rules else None
             if rows is None:
                 all_counts, all_rules = counts, rules
-        return featurize_tokens(counts, row_ids, config, vocab=vocab, rule_block=rules,
-                                counts_only=takes_counts(clf))
+        return featurize_tokens(counts, row_ids, config, vocab=vocab, rule_block=rules)
 
-    def featurize(key, rows, vocab: Vocabulary, clf) -> FeatureMatrix:
+    def featurize(key, rows, vocab: Vocabulary, config: FeatureConfig) -> FeatureMatrix:
         if cache is None:
-            return build(rows, vocab, clf)
-        return cache.get_or_build(key, config, lambda: build(rows, vocab, clf))
+            return build(rows, vocab, config)
+        return cache.get_or_build(key, config, lambda: build(rows, vocab, config))
 
     key1 = None if cache is None else combine_digests(
-        config.digest, staged.identifier_vocab.digest, staged.pipeline_config.digest,
+        config1.digest, staged.identifier_vocab.digest, staged.pipeline_config.digest,
         digest_records(texts.items()), "stage1")
-    fm1 = featurize(key1, None, staged.identifier_vocab, staged.identifier)
+    fm1 = featurize(key1, None, staged.identifier_vocab, config1)
     ids = fm1.row_ids
     remaining = iter(texts)  # input order; `in` consumes it up to the match
     if cache is not None and not all(row_id in remaining for row_id in ids):
@@ -216,9 +215,9 @@ def run_series(
     stage2: list[str | None] = [None] * len(stage1)
     if keep:
         key2 = None if cache is None else combine_digests(
-            config.digest, staged.categorizer_vocab.digest, key1,
+            config2.digest, staged.categorizer_vocab.digest, key1,
             digest_text(",".join(map(str, keep))), "stage2")
-        fm2 = featurize(key2, keep, staged.categorizer_vocab, staged.categorizer)
+        fm2 = featurize(key2, keep, staged.categorizer_vocab, config2)
         if cache is not None and list(fm2.row_ids) != [ids[i] for i in keep]:
             raise FormatError(f"{cache.path_for(key2).name}: row ids are not the stage-2 rows")
         categories = staged.categorizer.predict(fm2.matrix)

@@ -192,17 +192,17 @@ def reference_vectorize_tf(docs, vocab: Vocabulary) -> SparseMatrix:
     return from_triplets(len(docs), len(vocab), triplets)
 
 
-def reference_featurize(docs, config, vocab=None, rule_block=None, counts_only=False):
+def reference_featurize(docs, config, vocab=None, rule_block=None):
     """(vocabulary, matrix) as `featurize_tokens` builds them, through the
     string path: vocabulary from `docs` unless given, tf, then idf and L2
-    unless `counts_only`, then the rule block."""
+    as the config asks, then the rule block."""
     if vocab is None:
         vocab = reference_build_vocabulary(docs, config.ngram_range, config.min_df,
                                            config.max_df)
     matrix = reference_vectorize_tf(docs, vocab)
-    if config.vectorizer == TFIDF and not counts_only:
+    if config.vectorizer == TFIDF:
         matrix = matrix.scale_columns(idf_vector(vocab))
-    if config.l2_normalize and not counts_only:
+    if config.l2_normalize:
         matrix = l2_normalize_rows(matrix)
     if rule_block is not None:
         matrix = matrix.append_dense_columns(rule_block)

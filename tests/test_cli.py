@@ -802,14 +802,18 @@ class TestUsage:
         assert out.read_bytes() == direct.read_bytes()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
-        # a config written for an older version: the learning_rate knob is gone
+        # a config written for an older version (the learning_rate knob is
+        # gone), and flags that a file cannot preset
         config = tmp_path / "old.cfg"
-        config.write_text("seed=5\nlearning_rate=0.1\n")
         out = tmp_path / "s.jsonl"
-        assert run(["--config", str(config), "synth", "--size", "30", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "old.cfg" in err and "line 2" in err and "learning_rate" in err
-        assert not out.exists()
+        for line in ("learning_rate=0.1", "version=true", "help=1", "config=other.cfg"):
+            config.write_text(f"seed=5\n{line}\n")
+            assert run(["--config", str(config), "synth", "--size", "30",
+                        "--out", str(out)]) == 1, line
+            err = capsys.readouterr().err
+            key = line.partition("=")[0]
+            assert f"old.cfg: line 2: unknown key {key!r}" in err, line
+            assert not out.exists()
 
     def test_config_file_order(self, tmp_path, capsys):
         data, config = tmp_path / "d.jsonl", tmp_path / "run.cfg"

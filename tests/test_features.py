@@ -33,7 +33,7 @@ from rweets.features import (
     vectorize_tf,
     vectorize_tfidf,
 )
-from rweets.models import stratified_kfold
+from rweets.models import MultinomialNaiveBayes, input_config, stratified_kfold
 from rweets.preprocess import run_pipeline
 from rweets.rules import rule_block_for_ids
 
@@ -323,27 +323,25 @@ class TestCountedOnce:
         docs, ids = clean.token_lists(), clean.ids()
         plan = stratified_kfold(clean.labels(), 5, seed=3)
         all_rules = rule_block_for_ids(ids, texts)
-        for config in enumerate_combos():
-            counts = count_ngrams(docs, config.ngram_range)
-            rules = all_rules if config.append_rules else None
-            for counts_only in (False, True):
+        for combo_config in enumerate_combos():
+            counts = count_ngrams(docs, combo_config.ngram_range)
+            rules = all_rules if combo_config.append_rules else None
+            # the combo as given, and as naive Bayes is fed it (raw counts)
+            for config in (combo_config, input_config(MultinomialNaiveBayes(), combo_config)):
                 for fold in range(plan.k):
                     train, test = plan.train_indices(fold), plan.fold_indices(fold)
                     block = {k: None if rules is None else rules[rows]
                              for k, rows in (("train", train), ("test", test))}
                     fm = featurize_tokens(counts.take(train), [ids[i] for i in train], config,
-                                          rule_block=block["train"], counts_only=counts_only)
+                                          rule_block=block["train"])
                     vocab, ref = reference_featurize([docs[i] for i in train], config,
-                                                     rule_block=block["train"],
-                                                     counts_only=counts_only)
+                                                     rule_block=block["train"])
                     assert_same_vocab(fm.vocab, vocab)
                     assert_same_matrix(fm.matrix, ref)
                     test_fm = featurize_tokens(counts.take(test), [ids[i] for i in test], config,
-                                               vocab=fm.vocab, rule_block=block["test"],
-                                               counts_only=counts_only)
+                                               vocab=fm.vocab, rule_block=block["test"])
                     _, test_ref = reference_featurize([docs[i] for i in test], config, vocab,
-                                                      rule_block=block["test"],
-                                                      counts_only=counts_only)
+                                                      rule_block=block["test"])
                     assert_same_matrix(test_fm.matrix, test_ref)
 
     @pytest.mark.parametrize("ngram_range", NGRAM_RANGES)
@@ -399,7 +397,7 @@ class TestVectorizerEstimator:
     def test_transform_counts_ignores_flags(self):
         docs = [["food", "food", "water"], ["water"]]
         config = FeatureConfig(vectorizer="tf-idf", l2_normalize=True)
-        fm = featurize_tokens(docs, ["a", "b"], config, counts_only=True)
+        fm = featurize_tokens(docs, ["a", "b"], input_config(MultinomialNaiveBayes(), config))
         np.testing.assert_array_equal(to_dense(fm.matrix), [[2.0, 1.0], [0.0, 1.0]])
         vocab = build_vocabulary(docs, (1, 1))
         np.testing.assert_array_equal(to_dense(vectorize_tf(docs, vocab)), to_dense(fm.matrix))

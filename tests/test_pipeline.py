@@ -9,7 +9,7 @@ from rweets.corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet, synth_c
 from rweets.errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from rweets.digest import combine_digests, digest_records, digest_text
 from rweets.features import FeatureConfig, combo, load_matrix, save_matrix
-from rweets.models import CLASSIFIERS
+from rweets.models import CLASSIFIERS, MultinomialNaiveBayes, input_config
 from rweets.pipeline import (
     STAGED_FILE,
     FeatureCache,
@@ -32,9 +32,10 @@ def staged_model():
 
 
 def stage1_key(staged, dataset):
-    """The stage-1 cache key: configs, identifier vocabulary and raw input."""
+    """The stage-1 cache key: the identifier's input config, the identifier
+    vocabulary, the pipeline config and the raw input."""
     return combine_digests(
-        staged.feature_config.digest,
+        input_config(staged.identifier, staged.feature_config).digest,
         staged.identifier_vocab.digest,
         staged.pipeline_config.digest,
         digest_records((tw.id, tw.text) for tw in dataset),
@@ -121,6 +122,32 @@ class TestRunSeries:
         assert warm.built == 0 and warm.misses == 0 and warm.hits == 2
         assert first == second
 
+    # logreg and NB trained on the same data have the same vocabularies; the
+    # NB stages are fed raw counts, so they must not take logreg's matrices
+    def test_models_of_other_classifiers_share_a_cache_dir(self, tmp_path):
+        d1, d2 = synth_corpus(41, 120, BINARY), synth_corpus(42, 120, CATEGORICAL)
+        logreg, nb = (train_staged(d1, d2, combo(10), make_clf=CLASSIFIERS[kind])[0]
+                      for kind in ("logreg", "nb"))
+        assert logreg.identifier_vocab == nb.identifier_vocab
+        texts = synth_corpus(46, 200, BINARY).texts_by_id()
+        run_series(texts, logreg, FeatureCache(tmp_path / "cache"))
+        cache = FeatureCache(tmp_path / "cache")
+        assert run_series(texts, nb, cache) == run_series(texts, nb)
+        assert (cache.hits, cache.misses, cache.built) == (0, 2, 2)
+
+    def test_nb_stages_carry_the_config_they_are_fed(self, tmp_path):
+        staged, _ = train_staged(synth_corpus(41, 120, BINARY), synth_corpus(42, 120, CATEGORICAL),
+                                 combo(16), make_clf=MultinomialNaiveBayes)
+        fed = input_config(staged.identifier, combo(16))
+        assert fed == FeatureConfig(ngram_range=(1, 2), l2_normalize=False)
+        assert staged.feature_config == combo(16)  # the user's config is what is saved
+        texts = synth_corpus(46, 90, BINARY).texts_by_id()
+        for hits in (0, 2):  # built, then loaded
+            cache = recording_cache(tmp_path / "cache")
+            run_series(texts, staged, cache)
+            assert cache.hits == hits
+            assert [fm.config for fm in cache.returned] == [fed, fed]
+
     def test_rules_run_once_per_cleaned_row(self, staged_model, tmp_path, rule_walks):
         probe = synth_corpus(46, 90, BINARY)
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
@@ -147,7 +174,7 @@ class TestRunSeries:
         )
         positions = [i for i, label in enumerate(stage1) if label == RWEET]
         key = combine_digests(
-            staged.feature_config.digest,
+            input_config(staged.categorizer, staged.feature_config).digest,
             staged.categorizer_vocab.digest,
             stage1_key(staged, probe),
             digest_text(",".join(map(str, positions))),
@@ -241,11 +268,10 @@ class TestRunSeries:
         rweets = CleanCorpus(tuple(tw for tw, label in zip(cleaned, stage1) if label == RWEET),
                              cleaned.config_digest)
         assert 0 < len(rweets) < len(cleaned)
-        stages = ((cleaned, staged.identifier, staged.identifier_vocab, kinds[0]),
-                  (rweets, staged.categorizer, staged.categorizer_vocab, kinds[1]))
-        for (corpus, clf, vocab, kind), ours in zip(stages, cache.returned, strict=True):
-            fresh = featurize_corpus(corpus, combo(16), vocabulary=vocab,
-                                     counts_only=kind == "nb").matrix
+        stages = ((cleaned, staged.identifier, staged.identifier_vocab),
+                  (rweets, staged.categorizer, staged.categorizer_vocab))
+        for (corpus, clf, vocab), ours in zip(stages, cache.returned, strict=True):
+            fresh = featurize_corpus(corpus, input_config(clf, combo(16)), vocabulary=vocab).matrix
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(ours.matrix, name), getattr(fresh, name)), name
             labels = stage1 if clf is staged.identifier else [c for c in stage2 if c is not None]
