@@ -10,25 +10,22 @@ Every per-tweet stage is a pure function, so cleaning is idempotent. That is
 why the language filter scores words against the whole bundled English
 lexicon rather than the stopwords alone: cleaned tweets are stopword-free.
 
-`run_pipeline` cleans each distinct word once per call. Five ops act inside
-a whitespace-delimited word and never across one: lowercase, tokenize,
-remove_stopwords, lemmatize, and remove_punctuation, which turns every
-whitespace character into a separator. generalize_tags is word-local on a
-text without "@" or "//", where only the number and www patterns can match,
-and neither matches whitespace, and after remove_punctuation, where only
-digit runs inside a word are left to match. Under the default order a text
-that holds "@" or "/" is lowercased and tagged as a whole. Each run of
-word-local ops is one memo from a word to its tokens and each op's change to
-its word count. strip_non_ascii, the filters and dedupe act on whole tweets.
-The memos die with the call, and the corpus and report equal those of the
-per-op reference in `tests/oracles.py`.
+`run_pipeline` cleans 1,024 rows at a time, each op over the whole chunk.
+lowercase, tokenize, remove_stopwords, lemmatize and remove_punctuation act
+inside a whitespace-delimited word, as does generalize_tags on a text without
+"@" or "//" and after remove_punctuation; runs of these ops map each distinct
+word once per call. The default order lowercases and tags a chunk's texts
+that hold "@" or "/" as one text, joined by a separator no tag pattern
+matches (text by text if one holds it). The corpus and report equal those of
+the per-op reference in `tests/oracles.py`.
 """
 
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, islice, repeat, tee
+from operator import ge, not_
 from pathlib import Path
 
 import numpy as np
@@ -143,16 +140,19 @@ _PLACEHOLDER_SPLIT = re.compile("(" + "|".join(PLACEHOLDERS) + ")")
 # are uppercase on purpose so later stages can recognize them. The number
 # pattern is the source's (?:(?:\d+,?)+(?:\.?\d+)?) without its nested repeat.
 _TAG_SOURCES = (r"\d+(?:,\d+)*,?(?:\.?\d+)?", r"(?:(RT|rt) @ ?[\w_]+:?)", r"(?:@ ?[\w_]+)")
-_NUM_RE, _RT_RE, _MENT_RE = _NUM_RT_MENT = tuple(map(re.compile, _TAG_SOURCES))
-# On an ASCII text these match what the patterns above match, and `re` can
-# scan ahead for [0-9] where it cannot for \d.
-_ASCII_NUM_RT_MENT = tuple(re.compile(p.replace(r"\d", "[0-9]"), re.ASCII) for p in _TAG_SOURCES)
-# The source pattern covers only scheme-prefixed URLs; bare www. hosts appear
-# in real tweets (and in the documented cleaning example), so they are
-# generalized as well.
-_URL_BODY = r"(?:[a-z]|[0-9]|[$-_@.&+]|[!*\(\),]|(?:%[0-9a-f][0-9a-f]))+"
+_NUM_RE, _RT_RE, _MENT_RE = map(re.compile, _TAG_SOURCES)
+_ASCII_RT_MENT = tuple(re.compile(p, re.ASCII) for p in _TAG_SOURCES[1:])
+# In an ASCII text every digit starts a number match and each match is
+# replaced whole, so the digits may all be "0" first: `re` scans for a literal.
+_ZEROS = str.maketrans("123456789", "0" * 9)
+_ZERO_NUM_RE = re.compile(_TAG_SOURCES[0].replace(r"\d", "0").replace("0+", "00*", 1))
+# The source's URL body (?:[a-z]|[0-9]|[$-_@.&+]|[!*\(\),]|(?:%[0-9a-f][0-9a-f]))+
+# as one class ("%" lies in $-_). Bare www. hosts, which the source leaves
+# out, appear in real tweets and the documented cleaning example; their word
+# boundary is tested behind the literal, so that `re` can scan for "www.".
+_URL_BODY = r"[a-z0-9$-_@.&+!*(),]+"
 _URL_RE = re.compile(r"http[s]? ?: ?//" + _URL_BODY)
-_WWW_RE = re.compile(r"\bwww\." + _URL_BODY)
+_WWW_RE = re.compile(r"www\.(?<!\wwww\.)" + _URL_BODY)
 
 _NOT_ALLOWED_RE = re.compile(r"[^a-z0-9_#' ]+")
 # A word without its leading and trailing characters outside [a-z'].
@@ -191,20 +191,17 @@ def _is_evidence(word: str) -> bool:
     return core is not None and core.group() in lexicon.english_evidence()
 
 
-def _english(words: list[str], threshold: float, evidence: _Memo) -> bool:
-    if not words:
-        return False
-    hits = sum(map(evidence.__getitem__, words))
-    if len(words) < 3:
-        return hits >= 1
-    return hits / len(words) >= threshold
+def _needed(n: int, threshold: float) -> int:
+    """The fewest lexicon hits that pass a text of n words (h / n grows with h)."""
+    return 1 if n < 3 else next(h for h in range(n + 1) if h / n >= threshold)
 
 
 def is_english(text: str, threshold: float = 0.15) -> bool:
     """Heuristic language check: the fraction of words found in the bundled
     English lexicon must reach the threshold (very short texts pass with a
     single hit). Deterministic and dependency-free."""
-    return _english(text.split(), threshold, _Memo(_is_evidence))
+    words = text.split()
+    return sum(map(_is_evidence, words)) >= _needed(len(words), threshold)
 
 
 def lowercase(text: str) -> str:
@@ -214,8 +211,10 @@ def lowercase(text: str) -> str:
 def generalize_tags(text: str) -> str:
     # Each substring test is a necessary condition of the patterns it guards,
     # so a skipped substitution is one that could not have matched.
-    num, rt, ment = _ASCII_NUM_RT_MENT if text.isascii() else _NUM_RT_MENT
-    text = num.sub("_NUM_", text)
+    if text.isascii():
+        text, (rt, ment) = _ZERO_NUM_RE.sub("_NUM_", text.translate(_ZEROS)), _ASCII_RT_MENT
+    else:
+        text, rt, ment = _NUM_RE.sub("_NUM_", text), _RT_RE, _MENT_RE
     if "@" in text:
         text = rt.sub("_RT_", text)
         text = ment.sub("_MENT_", text)
@@ -293,20 +292,19 @@ def _validated_strip(word: str, stem: str) -> str:
 
 # --- pipeline runner --------------------------------------------------------
 
+_CHUNK = 1024  # rows cleaned as one batch: memory holds one chunk's intermediates
+_SEP = "\x00"  # joins a chunk's tag-route texts; no tag pattern matches it
+
 # Ops that report no token delta: the first two never change the word count,
 # and dedupe drops whole tweets once the per-tweet ops are done.
 _UNREPORTED_OPS = ("is_english", "tokenize", "dedupe")
 
 
 def _compile(config: PipelineConfig):
-    """Config's order as routes of (stage, step) pairs for texts without and
-    with "@" or "/", the token-delta totals the steps add to, and each run's
-    (ops, word-count changes by word, entering words). A step maps a text or
-    a word list to the next, or to None to drop the tweet at its stage. Each
-    run of word-local ops is one step, with a memo from a word to its tokens;
-    beneath the runs, each op maps each distinct word once. Memos last a call.
-    """
-    evidence = _Memo(_is_evidence)
+    """Config's order as a chunk cleaner and a function from the input count to (corpus, report)."""
+    canon = _Memo(str).__getitem__  # a word -> the first string object that held it
+    evidence = _Memo(_is_evidence).__getitem__
+    needed = _Memo(partial(_needed, threshold=config.english_threshold)).__getitem__
     # no run holds tokenize, a split: every word in a run is split already
     word_memos = {op: _Memo(fn) for op, fn in {
         "lowercase": lambda w: lowercase(w).split(),
@@ -315,11 +313,12 @@ def _compile(config: PipelineConfig):
         "remove_stopwords": lambda w: remove_stopwords([w]),
         "lemmatize": lambda w: lemmatize([w]),
     }.items()}
+    removed = dict.fromkeys(("is_english", "drop_if_short", "dedupe"), 0)
     totals, runs = Counter(), []
+    survivors: dict[str, CleanTweet] = {}  # by token string, keeping the first of each
 
     def run(*ops):
-        # the words entering the run are counted, and each op's changes to
-        # their counts summed once the call is done
+        # entering words are counted; each op's changes to them summed at the end
         changes_of, seen = {}, Counter()
         runs.append((ops, changes_of, seen))
 
@@ -333,97 +332,98 @@ def _compile(config: PipelineConfig):
                 changes_of[word] = changes
             return words
 
-        tokens = _Memo(expand)
+        tokens = _Memo(expand).__getitem__
 
-        def step(words):
-            seen.update(words)
-            return list(chain.from_iterable(map(tokens.__getitem__, words)))
+        def step(rows):
+            seen.update(chain.from_iterable(rows))
+            return list(map(list, map(chain.from_iterable, map(map, repeat(tokens), rows))))
 
-        return ops, step
+        return step
 
-    def strip(text):
-        new = strip_non_ascii(text)
-        if new != text:
-            totals["strip_non_ascii"] += len(new.split()) - len(text.split())
-        return new
+    def keep(stage, mask, *columns):
+        removed[stage] += mask.count(False)
+        return [list(compress(column, mask)) for column in columns]
 
-    def english(text):
-        words = text.split()
-        return words if _english(words, config.english_threshold, evidence) else None
+    def english(texts):
+        # each text is split once, and no word list outlives its sum
+        counted, scored = tee(map(str.split, texts))
+        return list(map(ge, map(sum, map(map, repeat(evidence), scored)),
+                        map(needed, map(len, counted))))
 
-    def tag_text(text):
-        # the text is ASCII, whose case mapping changes letters only; each
-        # space a tag match removes joins two words (a match's only
-        # whitespace is single spaces between non-space characters)
-        lowered = lowercase(text)
-        tagged = generalize_tags(lowered)
-        totals["generalize_tags"] += tagged.count(" ") - lowered.count(" ")
-        return tagged.split()
+    def tag(texts):
+        # ASCII case mapping changes letters only; each space a tag match removes
+        # joins two words (its only whitespace is single spaces inside it)
+        joined = _SEP.join(texts)
+        whole = joined.count(_SEP) == len(texts) - 1  # no text holds the separator
+        tagged = [generalize_tags(lowercase(text)) for text in ([joined] if whole else texts)]
+        totals["generalize_tags"] += sum(t.count(" ") for t in tagged) - joined.count(" ")
+        # each row's words as their first string objects: fresh ones die with the row
+        rows = map(str.split, tagged[0].split(_SEP) if whole else tagged)
+        return list(map(list, map(map, repeat(canon), rows)))
 
-    head = ("strip_non_ascii", strip), ("is_english", english)
-    short = ("drop_if_short", partial(drop_if_short, min_tokens=config.min_tokens))
-    if config.ops == PUNCT_FIRST_OPS:
-        # after remove_punctuation, the only tags left are digit runs inside a word
-        route = (*head, run("lowercase", "remove_punctuation", "remove_stopwords"), short,
-                 run("generalize_tags", "lemmatize"))
-        return route, route, totals, runs
-    # a text holding "@" or "/" is lowercased and tagged whole, so is_english
-    # hands on the text; lemmatize maps each token to one, so drop_if_short
-    # reads the same count after it
-    word_ops = ("remove_punctuation", "remove_stopwords", "lemmatize")
-    plain = (*head, run("lowercase", "generalize_tags", *word_ops), short)
-    tagged = (head[0], ("is_english", lambda text: english(text) and text),
-              ("generalize_tags", tag_text), run(*word_ops), short)
-    return plain, tagged, totals, runs
+    punct_first = config.ops == PUNCT_FIRST_OPS
+    if punct_first:  # after remove_punctuation, the only tags left are digit runs inside a word
+        first = run("lowercase", "remove_punctuation", "remove_stopwords")
+        last = run("generalize_tags", "lemmatize")
+    else:
+        # a text holding "@" or "/" is lowercased and tagged whole before the
+        # word ops; lemmatize maps each token to one, so drop_if_short reads
+        # the same count after it
+        word_ops = ("remove_punctuation", "remove_stopwords", "lemmatize")
+        plain, tagged = run("lowercase", "generalize_tags", *word_ops), run(*word_ops)
+
+    def clean(chunk):
+        ids, texts, labels = zip(*chunk)
+        if not all(map(str.isascii, texts)):
+            totals["strip_non_ascii"] -= sum(map(len, map(str.split, texts)))
+            texts = list(map(strip_non_ascii, texts))
+            totals["strip_non_ascii"] += sum(map(len, map(str.split, texts)))
+        ids, labels, texts = keep("is_english", english(texts), ids, labels, texts)
+        if punct_first:
+            rows = first(list(map(str.split, texts)))
+        else:
+            # no op before generalize_tags makes an "@", or a "//" out of no "/"
+            route = ["@" in text or "/" in text for text in texts]
+            plain_rows = iter(plain(list(map(str.split, compress(texts, map(not_, route))))))
+            tag_rows = iter(tagged(tag(list(compress(texts, route)))))
+            rows = [next(tag_rows) if r else next(plain_rows) for r in route]
+        mask = list(map(ge, map(len, rows), repeat(config.min_tokens)))
+        ids, labels, rows = keep("drop_if_short", mask, ids, labels, rows)
+        rows = last(rows) if punct_first else rows
+        # drop_if_short leaves at least one token, and no later op drops one
+        before = len(survivors)
+        for key, tweet_id, tokens, label in zip(map(" ".join, rows), ids, rows, labels):
+            if key not in survivors:
+                survivors[key] = CleanTweet(tweet_id, tuple(tokens), label)
+        removed["dedupe"] += len(rows) - (len(survivors) - before)
+
+    def finish(count):
+        for ops, changes_of, seen in runs:
+            for word, changes in changes_of.items():
+                totals.update({op: seen[word] * change for op, change in zip(ops, changes)})
+        deltas, reached = {}, count  # an op reports a delta once some tweet came through it
+        for op in config.ops:
+            reached -= removed.get(op, 0)
+            if reached and op not in _UNREPORTED_OPS:
+                deltas[op] = totals[op]
+        corpus = CleanCorpus(tuple(survivors.values()), config.digest)
+        return corpus, PreprocessReport(count, len(corpus), removed, deltas)
+
+    return clean, finish
 
 
 def run_pipeline(rows, config: PipelineConfig | None = None):
     """Clean every (id, text, label) row of `rows`, a sized iterable such as
-    a Dataset, through the configured op sequence.
+    a Dataset, through the configured op sequence, _CHUNK rows at a time.
 
     Returns (CleanCorpus, PreprocessReport). The report accounts for every
     removed row: len(rows) == len(corpus) + sum(report.removed_by_stage.values()).
     """
-    config = config or PipelineConfig()
-    plain, tagged, totals, runs = _compile(config)
-
-    removed = dict.fromkeys(("is_english", "drop_if_short", "dedupe"), 0)
-    survivors: dict[str, CleanTweet] = {}  # by token string, keeping the first of each
-
-    for tweet_id, text, label in rows:
-        state = text
-        # no op before generalize_tags makes an "@", or a "//" out of no "/"
-        for stage, step in tagged if "@" in state or "/" in state else plain:
-            state = step(state)
-            if state is None:
-                removed[stage] += 1
-                break
-        else:
-            # drop_if_short leaves at least one token, and no later op drops one
-            if (key := " ".join(state)) in survivors:
-                removed["dedupe"] += 1
-            else:
-                survivors[key] = CleanTweet(tweet_id, tuple(state), label)
-
-    for ops, changes_of, seen in runs:
-        for word, changes in changes_of.items():
-            totals.update({op: seen[word] * change for op, change in zip(ops, changes)})
-    # An op reports a delta once some tweet has come through it.
-    deltas: dict[str, int] = {}
-    reached = len(rows)
-    for op in config.ops:
-        reached -= removed.get(op, 0)
-        if reached and op not in _UNREPORTED_OPS:
-            deltas[op] = totals[op]
-
-    corpus = CleanCorpus(tuple(survivors.values()), config.digest)
-    report = PreprocessReport(
-        input_count=len(rows),
-        output_count=len(corpus),
-        removed_by_stage=removed,
-        token_deltas=deltas,
-    )
-    return corpus, report
+    clean, finish = _compile(config or PipelineConfig())
+    chunks = iter(rows)
+    while chunk := list(islice(chunks, _CHUNK)):
+        clean(chunk)
+    return finish(len(rows))
 
 
 # --- persistence ------------------------------------------------------------

@@ -43,8 +43,6 @@ from rweets.preprocess import (
     _NOT_ALLOWED_RE,
     _PLACEHOLDER_SPLIT,
     _RT_RE,
-    _URL_RE,
-    _WWW_RE,
     PLACEHOLDERS,
     CleanCorpus,
     CleanTweet,
@@ -461,6 +459,11 @@ def scipy_logreg_optimum(X: SparseMatrix, y, classes, l2: float) -> float:
 # The number pattern as the paper's source writes it; `rweets.preprocess`
 # compiles an equivalent one without the nested repeat, which `re` runs faster.
 SOURCE_NUM_RE = re.compile(r"(?:(?:\d+,?)+(?:\.?\d+)?)")
+# The source's URL pattern, and the bare www. host pattern as first written,
+# with the word boundary ahead of its literal.
+_SOURCE_URL_BODY = r"(?:[a-z]|[0-9]|[$-_@.&+]|[!*\(\),]|(?:%[0-9a-f][0-9a-f]))+"
+SOURCE_URL_RE = re.compile(r"http[s]? ?: ?//" + _SOURCE_URL_BODY)
+SOURCE_WWW_RE = re.compile(r"\bwww\." + _SOURCE_URL_BODY)
 # The language filter trims a lowercased word's leading and trailing
 # characters outside [a-z'] before the lexicon lookup.
 _EDGE_TRIM_RE = re.compile(r"^[^a-z']+|[^a-z']+$")
@@ -497,8 +500,8 @@ def _generalize_tags(text: str) -> str:
     text = SOURCE_NUM_RE.sub("_NUM_", text)
     text = _RT_RE.sub("_RT_", text)
     text = _MENT_RE.sub("_MENT_", text)
-    text = _URL_RE.sub("_URL_", text)
-    text = _WWW_RE.sub("_URL_", text)
+    text = SOURCE_URL_RE.sub("_URL_", text)
+    text = SOURCE_WWW_RE.sub("_URL_", text)
     return text
 
 

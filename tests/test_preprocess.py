@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import SOURCE_NUM_RE, dedupe, reference_clean
+from oracles import SOURCE_NUM_RE, SOURCE_URL_RE, SOURCE_WWW_RE, dedupe, reference_clean
 from oracles import _generalize_tags as oracle_generalize_tags
 
 from rweets import lexicon, preprocess
@@ -433,6 +433,9 @@ _FUZZ_PIECES = (
     # and letters whose lowercase is longer (which strip_non_ascii removes)
     "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "rt @12ab:", "x_NUM_y",
     "xwww.a1.com", "http : //a.b", "http : /é/a.b", "@ bob", "ǅ",
+    # the separator that joins a chunk's tag-route texts, and texts that hold
+    # pieces of placeholders
+    "\x00", "\x00@", "_NUM_x", "a_MENT_", "_RT", "URL_", "x_url_",
 )
 
 
@@ -502,22 +505,41 @@ class TestAgainstReference:
             assert preprocess._NUM_RE.sub("_NUM_", text) == SOURCE_NUM_RE.sub("_NUM_", text), text
 
     def test_ascii_tag_patterns_match_the_unicode_ones(self):
-        # generalize_tags tags an ASCII text with the ASCII patterns; "٣" is a
-        # digit to \d and "_" a word character, so non-ASCII texts must keep
-        # the Unicode ones
+        # generalize_tags tags an ASCII text with its digits zeroed and the
+        # ASCII patterns; "٣" is a digit to \d and "_" a word character, so
+        # non-ASCII texts must keep the Unicode ones
         rng = random.Random(4)
         pieces = ("٣", "_", "@ x", "rt @x:", "http : //", "@", "rt", "12", "1,0", ".9", "345678",
-                  ",", ":", "a", "é", "x.co", "www.", " ", "  ", "\t")
+                  ",", ":", "a", "é", "x.co", "www.", " ", "  ", "\t", "0", "07,", "9.")
         texts = ["".join(rng.choices(pieces, k=rng.randint(0, 9))) for _ in range(5000)]
         assert sum(t.isascii() for t in texts) > 1000 and sum("٣" in t for t in texts) > 500
+        unicode_rt_ment = (preprocess._RT_RE, preprocess._MENT_RE)
         for text in texts:
             assert generalize_tags(text) == oracle_generalize_tags(text), text
             if text.isascii():
-                for ascii_re, unicode_re in zip(preprocess._ASCII_NUM_RT_MENT,
-                                                preprocess._NUM_RT_MENT):
+                zeroed = text.translate(preprocess._ZEROS)
+                assert (preprocess._ZERO_NUM_RE.sub("_X_", zeroed)
+                        == preprocess._NUM_RE.sub("_X_", text)), text
+                for ascii_re, unicode_re in zip(preprocess._ASCII_RT_MENT, unicode_rt_ment):
                     assert ascii_re.sub("_X_", text) == unicode_re.sub("_X_", text), text
         assert_same_as_reference(make_dataset(texts), PipelineConfig())
         assert_same_as_reference(make_dataset(texts), PipelineConfig(ops=PUNCT_FIRST_OPS))
+
+    def test_url_patterns_match_the_source_patterns(self):
+        # the URL body as one class, and the www pattern with its word
+        # boundary behind the literal, substitute as the source forms do
+        rng = random.Random(6)
+        pieces = ("www.", "www", "ww", "w", "W", ".", "a", "_", "é", "ǅ", "٣", " ", "\t", "\x00",
+                  "http://", "https : //", "x.co", "%2f", "%", "9", "@", "/", "-", "~", "(", "!")
+        texts = ["".join(rng.choices(pieces, k=rng.randint(0, 12))) for _ in range(20000)]
+        fuzz = fuzz_texts(7, 3000)
+        texts += fuzz + [t.lower() for t in fuzz]
+        assert sum(bool(SOURCE_WWW_RE.search(t)) for t in texts) > 2000
+        assert sum("www." in t and not SOURCE_WWW_RE.search(t) for t in texts) > 2000
+        assert sum(bool(SOURCE_URL_RE.search(t)) for t in texts) > 2000
+        for text in texts:
+            assert preprocess._WWW_RE.sub("_URL_", text) == SOURCE_WWW_RE.sub("_URL_", text), text
+            assert preprocess._URL_RE.sub("_URL_", text) == SOURCE_URL_RE.sub("_URL_", text), text
 
     def test_memos_last_one_call(self, monkeypatch):
         # a memo that outlived its call would serve tokens, lemmas and
@@ -546,9 +568,77 @@ class TestAgainstReference:
             counted = lambda w, fn=getattr(preprocess, name), seen=seen: seen.append(w) or fn(w)
             monkeypatch.setattr(preprocess, name, counted)
         synth = [tw.text for tw in synth_corpus(1, 300, BINARY)]
-        dataset = make_dataset(fuzz_texts(13, 1000) + synth)
+        # three chunks: the memos last the call, not the chunk
+        dataset = make_dataset(fuzz_texts(13, 2500) + synth)
+        assert len(dataset) > 2 * preprocess._CHUNK
         for ops in (DEFAULT_OPS, PUNCT_FIRST_OPS):
             run_pipeline(dataset, PipelineConfig(ops=ops))
             for name, seen in calls.items():
                 assert seen and len(seen) == len(set(seen)), name
                 seen.clear()
+
+
+# Both orders, each under the default and a strict configuration.
+CONFIGS = [PipelineConfig(ops=ops, english_threshold=threshold, min_tokens=min_tokens)
+           for ops in (DEFAULT_OPS, PUNCT_FIRST_OPS)
+           for threshold, min_tokens in ((0.15, 2), (0.6, 3))]
+CONFIG_IDS = ["default", "default-strict", "punct", "punct-strict"]
+
+
+def chunk_texts(seed: int, n: int) -> list[str]:
+    """n texts, fuzz and synth tweets in turn, none holding the separator."""
+    fuzz = [text.replace("\x00", "") for text in fuzz_texts(seed, n)]
+    synth = [tw.text for tw in synth_corpus(seed, max(n, 2), BINARY)]
+    return [f if i % 2 else s for i, (f, s) in enumerate(zip(fuzz, synth))][:n]
+
+
+class TestChunks:
+    """run_pipeline cleans 1,024 rows at a time: no output may show where a
+    chunk ends."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3079])
+    def test_sizes(self, n, config):
+        assert preprocess._CHUNK == 1024
+        assert_same_as_reference(make_dataset(chunk_texts(19, n)), config)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_duplicates_across_a_boundary_keep_the_first(self, config):
+        texts, at = chunk_texts(23, 2100), (1020, 1023, 1024, 1030, 2047, 2048)
+        dup = "we urgently need food and water at the shelter"
+        for i in at:
+            texts[i] = dup
+        dataset = make_dataset(texts)
+        assert_same_as_reference(dataset, config)
+        corpus, report = run_pipeline(dataset, config)
+        (tokens,) = run_pipeline(make_dataset([dup]), config)[0].token_lists()
+        assert [tw.id for tw in corpus if tw.tokens == tokens] == ["t1020"]
+        # the text once among the others: the rest of its copies are the difference
+        once = [t for i, t in enumerate(texts) if i not in at] + [dup]
+        dedupe = run_pipeline(make_dataset(once), config)[1].removed_by_stage["dedupe"]
+        assert report.removed_by_stage["dedupe"] == dedupe + len(at) - 1
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_a_chunk_dropped_whole_at_the_language_filter(self, config):
+        spanish = [f"necesitamos ayuda urgente en la zona {i}" for i in range(1024)]
+        dataset = make_dataset(chunk_texts(29, 1024) + spanish + chunk_texts(31, 10))
+        assert_same_as_reference(dataset, config)
+        assert run_pipeline(dataset, config)[1].removed_by_stage["is_english"] >= 1024
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_chunks_of_one_route(self, config):
+        texts = chunk_texts(37, 6000)
+        tagged = [t for t in texts if "@" in t or "/" in t]
+        plain = [t for t in texts if "@" not in t and "/" not in t]
+        assert len(tagged) > 1024 and len(plain) > 1024
+        dataset = make_dataset(plain[:1024] + tagged[:1024] + texts[:500])
+        assert_same_as_reference(dataset, config)
+
+    def test_a_chunk_is_tagged_as_one_text_unless_a_text_holds_the_separator(self, monkeypatch):
+        calls, tag = [], preprocess.generalize_tags
+        monkeypatch.setattr(preprocess, "generalize_tags", lambda t: calls.append(t) or tag(t))
+        texts = [f"@user{i} we need water at the shelter {i % 7}" for i in range(2048)]
+        texts[1500] = "rt @x: \x00 need food and water"
+        assert_same_as_reference(make_dataset(texts), PipelineConfig())
+        # the first chunk's texts as one, then the second chunk's one by one
+        assert sum("@" in text for text in calls) == 1 + 1024
