@@ -39,7 +39,7 @@ __getattr__, _EXPORTS = _lazy_names(__name__, {
     "metrics": "MetricsReport compute_report",
     "models": "LogisticRegression MultinomialNaiveBayes cross_validate stratified_kfold",
     "pipeline": "FeatureCache StagedClassifier run_series train_staged",
-    "preprocess": "CleanCorpus CleanTweet PipelineConfig run_pipeline",
+    "preprocess": "CleanCorpus PipelineConfig run_pipeline",
     "rules": "compile_patterns match_tweet rule_classify rule_features",
     "sparse": "SparseMatrix",
 })

@@ -278,7 +278,7 @@ def cmd_featurize(args) -> int:
         raw = {record["id"]: record["text"] for record in read_records(args.raw)}
         # the rule columns come from the raw texts of the corpus rows; an id
         # missing from --raw fails the build, so no artifact has such a key
-        key.append(digest_records((i, raw[i]) for i in corpus.ids() if i in raw))
+        key.append(digest_records((i, raw[i]) for i in corpus.ids if i in raw))
     artifact_digest = combine_digests(*key)
     out = Path(args.out)
     try:

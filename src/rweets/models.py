@@ -323,14 +323,14 @@ def cross_validate(
     model. `raw_texts` (id -> original text) is required when the feature
     configuration appends rule features, which evaluate original tweets.
     """
-    labels = corpus.labels()
+    labels = corpus.labels
     if any(label is None for label in labels):
         raise ValidationError("cross-validation requires a fully labeled corpus")
     if config.append_rules and raw_texts is None:
         raise ValidationError("rule features need the original texts (raw_texts)")
 
-    counts = count_ngrams(corpus.token_lists(), config.ngram_range)
-    ids = corpus.ids()
+    counts = count_ngrams(corpus.tokens, config.ngram_range)
+    ids = corpus.ids
     rule_block = rule_block_for_ids(ids, raw_texts) if config.append_rules else None
 
     plan = stratified_kfold(labels, k, seed)

@@ -47,10 +47,10 @@ def featurize_corpus(
     if config.append_rules:
         if raw_texts is None:
             raise ValidationError("rule features need the original tweet texts")
-        rule_block = rule_block_for_ids(corpus.ids(), raw_texts)
+        rule_block = rule_block_for_ids(corpus.ids, raw_texts)
     return featurize_tokens(
-        corpus.token_lists(),
-        corpus.ids(),
+        corpus.tokens,
+        corpus.ids,
         config,
         vocab=vocabulary,
         rule_block=rule_block,
@@ -128,7 +128,7 @@ def train_staged(
     def fit_stage(clean, dataset, domain):
         clf = make_clf()
         fm = featurize_corpus(clean, input_config(clf, feature_config), dataset.texts_by_id())
-        clf.fit(fm.matrix, [tw.label for tw in clean], classes=domain.labels)
+        clf.fit(fm.matrix, clean.labels, classes=domain.labels)
         return clf, fm.vocab
 
     identifier, vocab1 = fit_stage(clean1, d1, BINARY)
@@ -181,16 +181,16 @@ def run_series(
         if cleaned is None:
             unlabeled = [(tweet_id, text, None) for tweet_id, text in texts.items()]
             cleaned, _ = run_pipeline(unlabeled, staged.pipeline_config)
-        if ids is not None and cleaned.ids() != tuple(ids):
+        if ids is not None and cleaned.ids != tuple(ids):
             raise StaleCacheError(
                 f"{cache.path_for(key1).name}: rows differ from the cleaned input")
-        tweets = cleaned.tweets if rows is None else [cleaned.tweets[i] for i in rows]
-        row_ids = [tw.id for tw in tweets]
+        row_ids = cleaned.ids if rows is None else [cleaned.ids[i] for i in rows]
         if all_counts is not None:
             counts, all_counts = all_counts.take(rows), None  # its last use: free it
             rules = None if all_rules is None else all_rules[rows]
         else:
-            counts = count_ngrams([tw.tokens for tw in tweets], config.ngram_range)
+            tokens = cleaned.tokens if rows is None else [cleaned.tokens[i] for i in rows]
+            counts = count_ngrams(tokens, config.ngram_range)
             rules = rule_block_for_ids(row_ids, texts) if config.append_rules else None
             if rows is None:
                 all_counts, all_rules = counts, rules

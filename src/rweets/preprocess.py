@@ -89,37 +89,27 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class CleanTweet:
-    id: str
-    tokens: tuple[str, ...]
-    label: str | None = None
-
-    def joined(self) -> str:
-        return " ".join(self.tokens)
-
-
-@dataclass(frozen=True)
 class CleanCorpus:
-    tweets: tuple[CleanTweet, ...]
+    """The cleaned rows as columns: row i is (ids[i], tokens[i], labels[i])."""
+
+    ids: tuple[str, ...]
+    tokens: tuple[tuple[str, ...], ...]
+    labels: tuple[str | None, ...]
     config_digest: str
 
-    def __len__(self) -> int:
-        return len(self.tweets)
+    def __post_init__(self):
+        if not len(self.ids) == len(self.tokens) == len(self.labels):
+            raise ValidationError("ids, token lists and labels differ in number")
 
-    def __iter__(self):
-        return iter(self.tweets)
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def token_lists(self) -> list[tuple[str, ...]]:
-        return [tw.tokens for tw in self.tweets]
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(tw.id for tw in self.tweets)
-
-    def labels(self) -> list[str | None]:
-        return [tw.label for tw in self.tweets]
+        return list(self.tokens)
 
     def content_digest(self) -> str:
-        parts = [f"{tw.id}\x1f{tw.joined()}\x1f{tw.label or ''}" for tw in self.tweets]
+        rows = zip(self.ids, map(" ".join, self.tokens), self.labels)
+        parts = [f"{i}\x1f{joined}\x1f{label or ''}" for i, joined, label in rows]
         return digest_text(self.config_digest + "\x1e".join(parts))
 
 
@@ -315,7 +305,7 @@ def _compile(config: PipelineConfig):
     }.items()}
     removed = dict.fromkeys(("is_english", "drop_if_short", "dedupe"), 0)
     totals, runs = Counter(), []
-    survivors: dict[str, CleanTweet] = {}  # by token string, keeping the first of each
+    survivors = {}  # token string -> the first (id, tokens, label) row holding it
 
     def run(*ops):
         # entering words are counted; each op's changes to them summed at the end
@@ -394,7 +384,7 @@ def _compile(config: PipelineConfig):
         before = len(survivors)
         for key, tweet_id, tokens, label in zip(map(" ".join, rows), ids, rows, labels):
             if key not in survivors:
-                survivors[key] = CleanTweet(tweet_id, tuple(tokens), label)
+                survivors[key] = tweet_id, tuple(tokens), label
         removed["dedupe"] += len(rows) - (len(survivors) - before)
 
     def finish(count):
@@ -406,7 +396,8 @@ def _compile(config: PipelineConfig):
             reached -= removed.get(op, 0)
             if reached and op not in _UNREPORTED_OPS:
                 deltas[op] = totals[op]
-        corpus = CleanCorpus(tuple(survivors.values()), config.digest)
+        columns = list(zip(*survivors.values())) or [()] * 3
+        corpus = CleanCorpus(*columns, config.digest)
         return corpus, PreprocessReport(count, len(corpus), removed, deltas)
 
     return clean, finish
@@ -434,17 +425,17 @@ def save_clean(corpus: CleanCorpus, path) -> None:
     one code into that table per token with every tweet's codes end to end,
     the offset where each tweet's codes start, and labels ("" for none)."""
     table: dict[str, int] = {}
-    codes = [table.setdefault(token, len(table)) for tw in corpus for token in tw.tokens]
+    codes = [table.setdefault(token, len(table)) for tokens in corpus.tokens for token in tokens]
     artifact.save(
         path,
         "clean",
         corpus.config_digest,
         {},
-        ids=corpus.ids(),
+        ids=corpus.ids,
         tokens=tuple(table),
         codes=np.array(codes, dtype=np.int64),
-        token_offsets=np.cumsum([0, *(len(tw.tokens) for tw in corpus)], dtype=np.int64),
-        labels=[tw.label or "" for tw in corpus],
+        token_offsets=np.cumsum([0, *map(len, corpus.tokens)], dtype=np.int64),
+        labels=[label or "" for label in corpus.labels],
     )
 
 
@@ -458,9 +449,7 @@ def load_clean(path, config: PipelineConfig | None = None) -> CleanCorpus:
             raise FormatError("token code outside the token table")
         words = tuple(table[c] for c in codes.tolist())
         tokens = artifact.split_at(words, arrays["token_offsets"])
-    except (KeyError, FormatError) as exc:
+        labels = tuple(label or None for label in labels)
+        return CleanCorpus(ids, tokens, labels, header["digest"])
+    except (KeyError, FormatError, ValidationError) as exc:
         raise FormatError(f"{Path(path).name}: inconsistent clean corpus ({exc})") from None
-    if not len(ids) == len(tokens) == len(labels):
-        raise FormatError(f"{Path(path).name}: ids, token lists and labels differ in number")
-    tweets = (CleanTweet(i, t, label or None) for i, t, label in zip(ids, tokens, labels))
-    return CleanCorpus(tuple(tweets), header["digest"])

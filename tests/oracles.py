@@ -45,7 +45,6 @@ from rweets.preprocess import (
     _RT_RE,
     PLACEHOLDERS,
     CleanCorpus,
-    CleanTweet,
     PipelineConfig,
     PreprocessReport,
     drop_if_short,
@@ -537,15 +536,16 @@ def _apply(op: str, state):
     return fn(state)
 
 
-def dedupe(tweets: list[CleanTweet]) -> list[CleanTweet]:
-    """Collapse tweets with identical token strings, keeping the first."""
+def dedupe(rows: list[tuple]) -> list[tuple]:
+    """Collapse (id, tokens, label) rows with identical token strings,
+    keeping the first."""
     seen: set[str] = set()
     kept = []
-    for tw in tweets:
-        key = tw.joined()
+    for row in rows:
+        key = " ".join(row[1])
         if key not in seen:
             seen.add(key)
-            kept.append(tw)
+            kept.append(row)
     return kept
 
 
@@ -557,7 +557,7 @@ def reference_clean(dataset, config: PipelineConfig | None = None):
     filter_stages = ("is_english", "drop_if_short", "dedupe")
     removed: dict[str, int] = {op: 0 for op in config.ops if op in filter_stages}
     deltas: dict[str, int] = {}
-    survivors: list[CleanTweet] = []
+    survivors: list[tuple] = []  # (id, tokens, label) rows
 
     for tweet in dataset:
         state: str | list[str] = tweet.text
@@ -591,14 +591,19 @@ def reference_clean(dataset, config: PipelineConfig | None = None):
         if not tokens:
             removed["empty"] = removed.get("empty", 0) + 1
             continue
-        survivors.append(CleanTweet(tweet.id, tokens, tweet.label))
+        survivors.append((tweet.id, tokens, tweet.label))
 
     if "dedupe" in config.ops:
         before_dedupe = len(survivors)
         survivors = dedupe(survivors)
         removed["dedupe"] = before_dedupe - len(survivors)
 
-    corpus = CleanCorpus(tuple(survivors), config.digest)
+    corpus = CleanCorpus(
+        tuple(row[0] for row in survivors),
+        tuple(row[1] for row in survivors),
+        tuple(row[2] for row in survivors),
+        config.digest,
+    )
     report = PreprocessReport(
         input_count=len(dataset),
         output_count=len(corpus),

@@ -85,16 +85,17 @@ def test_02_dedup_worked_example_and_idempotence():
         )
         cleaned, report = run_pipeline(pair)
         assert len(cleaned) == 1
-        assert cleaned.tweets[0].joined() == "he go school _MENT_ _URL_"
+        assert " ".join(cleaned.tokens[0]) == "he go school _MENT_ _URL_"
         assert report.removed_by_stage["dedupe"] == 1
 
         dataset = synth_corpus(202, 200, BINARY)
         first, _ = run_pipeline(dataset)
         rebuilt = Dataset(
-            BINARY, tuple(RawTweet(t.id, t.joined(), t.label) for t in first)
+            BINARY,
+            tuple(map(RawTweet, first.ids, map(" ".join, first.tokens), first.labels)),
         )
         second, _ = run_pipeline(rebuilt)
-        assert [t.tokens for t in first] == [t.tokens for t in second]
+        assert first.tokens == second.tokens
 
 
 def test_03_rule_engine_fixture_and_oracle():

@@ -105,7 +105,7 @@ class TestStartup:
         "models": ("LogisticRegression", "MultinomialNaiveBayes", "cross_validate",
                    "stratified_kfold"),
         "pipeline": ("FeatureCache", "StagedClassifier", "run_series", "train_staged"),
-        "preprocess": ("CleanCorpus", "CleanTweet", "PipelineConfig", "run_pipeline"),
+        "preprocess": ("CleanCorpus", "PipelineConfig", "run_pipeline"),
         "rules": ("compile_patterns", "match_tweet", "rule_classify", "rule_features"),
         "sparse": ("SparseMatrix",),
     }
@@ -174,6 +174,22 @@ class TestFeaturize:
         assert run(args) == 0
         assert "cache hit" in capsys.readouterr().out
 
+    def test_clean_file_with_unequal_columns_exits_3(self, tmp_path, capsys):
+        import numpy as np
+
+        from rweets.preprocess import PipelineConfig, load_clean
+
+        clean = tmp_path / "odd.clean"
+        artifact.save(clean, "clean", PipelineConfig().digest, {}, ids=("a", "b", "c"),
+                      tokens=("need", "food"), codes=np.array([0, 1, 0], dtype=np.int64),
+                      token_offsets=np.array([0, 2, 3], dtype=np.int64), labels=("", "", ""))
+        with pytest.raises(FormatError, match="odd.clean: .*differ in number"):
+            load_clean(clean)
+        capsys.readouterr()
+        assert run(["featurize", "--clean", str(clean), "--out", str(tmp_path / "m"),
+                    "--combo", "1"]) == 3
+        assert "odd.clean" in capsys.readouterr().err
+
     def test_matrix_cut_after_its_header_is_rebuilt(self, workspace, capsys):
         clean = workspace / "d1.clean"
         run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
@@ -227,7 +243,7 @@ class TestFeaturize:
 
         clean = workspace / "d1.clean"
         run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
-        kept = load_clean(clean, PipelineConfig()).ids()[0]
+        kept = load_clean(clean, PipelineConfig()).ids[0]
         records = [json.loads(l) for l in (workspace / "d1.jsonl").read_text().splitlines()]
         for r in records:
             if r["id"] == kept:

@@ -320,8 +320,8 @@ class TestCountedOnce:
 
     def test_every_combo_and_fold_matches_string_path(self, cv_corpus):
         clean, texts = cv_corpus
-        docs, ids = clean.token_lists(), clean.ids()
-        plan = stratified_kfold(clean.labels(), 5, seed=3)
+        docs, ids = clean.tokens, clean.ids
+        plan = stratified_kfold(clean.labels, 5, seed=3)
         all_rules = rule_block_for_ids(ids, texts)
         for combo_config in enumerate_combos():
             counts = count_ngrams(docs, combo_config.ngram_range)

@@ -111,7 +111,7 @@ class TestLogisticRegression:
         dataset = synth_corpus(3, 600, BINARY)
         clean, _ = run_pipeline(dataset)
         X = featurize_corpus(clean, combo(10), dataset.texts_by_id()).matrix
-        y = clean.labels()
+        y = clean.labels
         fast = LogisticRegression().fit(X, y, classes=BINARY.labels)
         monkeypatch.setattr(SparseMatrix, "matmul_dense", add_at_matmul_dense)
         monkeypatch.setattr(SparseMatrix, "t_matmul_dense", add_at_t_matmul_dense)
@@ -152,7 +152,7 @@ def bench_style_cv_corpora(seed):
 class TestLBFGS:
     def combo10(self, dataset):
         clean, _ = run_pipeline(dataset)
-        return featurize_corpus(clean, combo(10), dataset.texts_by_id()).matrix, clean.labels()
+        return featurize_corpus(clean, combo(10), dataset.texts_by_id()).matrix, clean.labels
 
     @pytest.mark.parametrize(
         "seed, domain", [(3, BINARY), (4, CATEGORICAL)], ids=["binary", "categorical"]
@@ -180,7 +180,7 @@ class TestLBFGS:
         for dataset, domain in corpora:
             clean, _ = run_pipeline(dataset)
             X = featurize_corpus(clean, combo(10), dataset.texts_by_id()).matrix
-            make().fit(X, clean.labels(), classes=domain.labels)
+            make().fit(X, clean.labels, classes=domain.labels)
             cross_validate(make, clean, domain, combo(10), k=5, seed=1,
                            raw_texts=dataset.texts_by_id())
         assert len(fits) == 4 * 6
@@ -423,11 +423,9 @@ class TestCrossValidate:
         assert result.pooled.accuracy >= 0.8
 
     def test_unlabeled_corpus_rejected(self):
-        from rweets.preprocess import CleanCorpus, CleanTweet
+        from rweets.preprocess import CleanCorpus
 
-        corpus = CleanCorpus(
-            (CleanTweet("a", ("need", "food")), CleanTweet("b", ("dry", "day"))), "x"
-        )
+        corpus = CleanCorpus(("a", "b"), (("need", "food"), ("dry", "day")), (None, None), "x")
         with pytest.raises(ValidationError):
             cross_validate(
                 lambda: LogisticRegression(), corpus, BINARY, FeatureConfig(), 2, 0

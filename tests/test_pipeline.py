@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ def recording_cache(directory):
     return cache
 
 
+def rows_where(corpus, mask):
+    """The corpus of `corpus`'s rows whose `mask` entry is true, in order."""
+    columns = (tuple(compress(c, mask)) for c in (corpus.ids, corpus.tokens, corpus.labels))
+    return CleanCorpus(*columns, corpus.config_digest)
+
+
 class TestTrainStaged:
     def test_wrong_domains_rejected(self):
         d1 = synth_corpus(1, 40, BINARY)
@@ -103,7 +110,7 @@ class TestRunSeries:
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
         ids, _, _ = run_series(probe.texts_by_id(), staged_model)
         assert len(ids) == len(set(ids))
-        assert ids == list(clean.ids())  # the cleaned corpus's ids, in its order
+        assert ids == list(clean.ids)  # the cleaned corpus's ids, in its order
 
     def test_near_perfect_on_easy_data(self, staged_model):
         probe = synth_corpus(45, 150, BINARY)
@@ -154,12 +161,12 @@ class TestRunSeries:
         texts = probe.texts_by_id()
         cold = run_series(texts, staged_model, FeatureCache(tmp_path / "cache"))
         assert RWEET in cold[1]
-        assert rule_walks == [texts[i] for i in clean.ids()]  # one walk per cleaned row
+        assert rule_walks == [texts[i] for i in clean.ids]  # one walk per cleaned row
         rule_walks.clear()
         assert run_series(texts, staged_model, FeatureCache(tmp_path / "cache")) == cold
         assert rule_walks == []
         assert run_series(texts, staged_model) == cold
-        assert rule_walks == [texts[i] for i in clean.ids()]
+        assert rule_walks == [texts[i] for i in clean.ids]
 
     def stage2_reference(self, staged, probe, series):
         """Stage-2 features built from scratch on the id-filtered corpus,
@@ -167,7 +174,7 @@ class TestRunSeries:
         clean, _ = run_pipeline(probe, staged.pipeline_config)
         ids, stage1, _ = series
         kept = {i for i, label in zip(ids, stage1) if label == RWEET}
-        filtered = CleanCorpus(tuple(tw for tw in clean if tw.id in kept), clean.config_digest)
+        filtered = rows_where(clean, [i in kept for i in clean.ids])
         fm = featurize_corpus(
             filtered, staged.feature_config, probe.texts_by_id(),
             vocabulary=staged.categorizer_vocab,
@@ -265,8 +272,7 @@ class TestRunSeries:
         ids, stage1, stage2 = run_series(texts, staged, cache)
         assert run_series(texts, staged, None) == (ids, stage1, stage2)
         cleaned, _ = run_pipeline([(i, t, None) for i, t in texts.items()])
-        rweets = CleanCorpus(tuple(tw for tw, label in zip(cleaned, stage1) if label == RWEET),
-                             cleaned.config_digest)
+        rweets = rows_where(cleaned, [label == RWEET for label in stage1])
         assert 0 < len(rweets) < len(cleaned)
         stages = ((cleaned, staged.identifier, staged.identifier_vocab),
                   (rweets, staged.categorizer, staged.categorizer_vocab))
@@ -352,7 +358,8 @@ class TestRunSeries:
 
         def drops_first_row(*args):  # cleaning that no longer matches the cache
             corpus, report = clean(*args)
-            return CleanCorpus(corpus.tweets[1:], corpus.config_digest), report
+            rest = corpus.ids[1:], corpus.tokens[1:], corpus.labels[1:]
+            return CleanCorpus(*rest, corpus.config_digest), report
 
         monkeypatch.setattr(pipeline, "run_pipeline", drops_first_row)
         with pytest.raises(StaleCacheError, match="rows differ"):

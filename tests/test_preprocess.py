@@ -11,7 +11,6 @@ from rweets.preprocess import (
     DEFAULT_OPS,
     PUNCT_FIRST_OPS,
     CleanCorpus,
-    CleanTweet,
     PipelineConfig,
     drop_if_short,
     generalize_tags,
@@ -177,17 +176,17 @@ class TestDedupe:
         )
         corpus, report = run_pipeline(d)
         assert len(corpus) == 1
-        assert corpus.tweets[0].joined() == "he go school _MENT_ _URL_"
+        assert " ".join(corpus.tokens[0]) == "he go school _MENT_ _URL_"
         assert report.removed_by_stage["dedupe"] == 1
 
     def test_identical_cleaned(self):
-        a = CleanTweet("1", ("need", "food"))
-        b = CleanTweet("2", ("need", "food"))
+        a = ("1", ("need", "food"), None)
+        b = ("2", ("need", "food"), None)
         assert dedupe([a, b]) == [a]
 
     def test_distinct_kept(self):
-        a = CleanTweet("1", ("need", "food"))
-        b = CleanTweet("2", ("need", "shelter"))
+        a = ("1", ("need", "food"), None)
+        b = ("2", ("need", "shelter"), None)
         assert dedupe([a, b]) == [a, b]
 
 
@@ -273,15 +272,15 @@ class TestRunPipeline:
         first, _ = run_pipeline(d)
         rebuilt = Dataset(
             CATEGORICAL,
-            tuple(RawTweet(t.id, t.joined(), t.label) for t in first),
+            tuple(map(RawTweet, first.ids, map(" ".join, first.tokens), first.labels)),
         )
         second, _ = run_pipeline(rebuilt)
-        assert [t.tokens for t in first] == [t.tokens for t in second]
+        assert first.tokens == second.tokens
 
     def test_lowercase_closure(self):
         corpus, _ = run_pipeline(synth_corpus(17, 150, BINARY))
-        for tweet in corpus:
-            for token in tweet.tokens:
+        for tokens in corpus.tokens:
+            for token in tokens:
                 assert token in lexicon.PLACEHOLDERS or token == token.lower()
 
     def test_token_charset(self):
@@ -289,25 +288,25 @@ class TestRunPipeline:
 
         allowed = re.compile(r"[a-z0-9_#']+\Z")
         corpus, _ = run_pipeline(synth_corpus(19, 150, CATEGORICAL))
-        for tweet in corpus:
-            for token in tweet.tokens:
+        for tokens in corpus.tokens:
+            for token in tokens:
                 assert token in lexicon.PLACEHOLDERS or allowed.match(token), token
 
     def test_post_dedupe_uniqueness(self):
         corpus, _ = run_pipeline(synth_corpus(23, 200, BINARY))
-        joined = [t.joined() for t in corpus]
+        joined = [" ".join(t) for t in corpus.tokens]
         assert len(joined) == len(set(joined))
 
     def test_placeholder_safety(self):
         d = make_dataset(["rt @a: send 50 blankets to camp http://x.co/ab1"])
         corpus, _ = run_pipeline(d)
-        tokens = corpus.tweets[0].tokens
+        tokens = corpus.tokens[0]
         assert "_RT_" in tokens and "_NUM_" in tokens and "_URL_" in tokens
 
     def test_order_preservation(self):
         d = make_dataset(["we really need clean water and warm blankets tonight"])
         corpus, _ = run_pipeline(d)
-        tokens = list(corpus.tweets[0].tokens)
+        tokens = list(corpus.tokens[0])
         source_order = ["need", "clean", "water", "warm", "blanket", "tonight"]
         positions = [tokens.index(w) for w in source_order]
         assert positions == sorted(positions)
@@ -315,7 +314,7 @@ class TestRunPipeline:
     def test_prose_order_defeats_tag_patterns(self):
         d = make_dataset(["rt @bob: send 20 blankets http://x.co"])
         corpus, _ = run_pipeline(d, PipelineConfig(ops=PUNCT_FIRST_OPS))
-        tokens = corpus.tweets[0].tokens
+        tokens = corpus.tokens[0]
         assert "_RT_" not in tokens and "_URL_" not in tokens
 
 
@@ -350,11 +349,9 @@ class TestCleanPersistence:
 
     def test_round_trip_odd_ids_and_mixed_labels(self, tmp_path):
         corpus = CleanCorpus(
-            (
-                CleanTweet("a\nb", ("need", "food"), "rweet"),
-                CleanTweet("c\x00", ("caf\u00e9", "\U0001f6a8"), None),
-                CleanTweet("d\te", ("one",), "not_rweet"),
-            ),
+            ("a\nb", "c\x00", "d\te"),
+            (("need", "food"), ("caf\u00e9", "\U0001f6a8"), ("one",)),
+            ("rweet", None, "not_rweet"),
             "0123456789abcdef",
         )
         path = tmp_path / "c.clean"
@@ -363,19 +360,15 @@ class TestCleanPersistence:
 
     def test_round_trip_empty_tweets_and_non_bmp_tokens(self, tmp_path):
         corpus = CleanCorpus(
-            (
-                CleanTweet("e0", (), None),
-                CleanTweet("a", ("\U0001f6a8", "need", "\U0001f6a8", "caf\u00e9"), "rweet"),
-                CleanTweet("e1", (), "not_rweet"),
-                CleanTweet("b", ("need", "\U00010348"), None),
-                CleanTweet("e2", (), None),
-            ),
+            ("e0", "a", "e1", "b", "e2"),
+            ((), ("\U0001f6a8", "need", "\U0001f6a8", "caf\u00e9"), (), ("need", "\U00010348"), ()),
+            (None, "rweet", "not_rweet", None, None),
             "0123456789abcdef",
         )
         path = tmp_path / "c.clean"
         save_clean(corpus, path)
         assert load_clean(path) == corpus
-        empty = CleanCorpus((), "0123456789abcdef")
+        empty = CleanCorpus((), (), (), "0123456789abcdef")
         save_clean(empty, path)
         assert load_clean(path) == empty
 
@@ -386,12 +379,12 @@ class TestCleanPersistence:
         path = tmp_path / "c.clean"
         save_clean(corpus, path)
         _, arrays = artifact.load(path, "clean")
-        tokens = [t for tw in corpus for t in tw.tokens]
+        tokens = [t for row in corpus.tokens for t in row]
         assert arrays["tokens"] == tuple(dict.fromkeys(tokens))
         assert len(arrays["codes"]) == len(tokens) > 2 * len(arrays["tokens"])
 
     def test_code_outside_table_is_format_error(self, tmp_path):
-        corpus = CleanCorpus((CleanTweet("a", ("need", "food"), None),), "0123456789abcdef")
+        corpus = CleanCorpus(("a",), (("need", "food"),), (None,), "0123456789abcdef")
         path = tmp_path / "c.clean"
         save_clean(corpus, path)
         data = bytearray(path.read_bytes())
@@ -411,6 +404,20 @@ class TestCleanPersistence:
         path.write_bytes(data.replace(b'"version":2}', b'"version":1}'))
         with pytest.raises(FormatError, match="clean artifact version 1 is not readable"):
             load_clean(path)
+
+    def test_content_digest_bytes(self):
+        # featurize keys its matrices on this digest: its bytes must not change
+        corpus = CleanCorpus(
+            ("a\nb", "c\x00", "e"),
+            (("need", "food"), ("caf\u00e9", "\U0001f6a8"), ()),
+            ("rweet", None, "not_rweet"),
+            "0123456789abcdef",
+        )
+        assert corpus.content_digest() == "7c9ed2d8e2e01002"
+
+    def test_columns_of_different_lengths_are_rejected(self):
+        with pytest.raises(ValidationError, match="differ in number"):
+            CleanCorpus(("a", "b"), (("x",),), (None, None), "d")
 
     def test_save_is_deterministic(self, tmp_path):
         corpus, _ = run_pipeline(synth_corpus(3, 60, BINARY))
@@ -612,7 +619,7 @@ class TestChunks:
         assert_same_as_reference(dataset, config)
         corpus, report = run_pipeline(dataset, config)
         (tokens,) = run_pipeline(make_dataset([dup]), config)[0].token_lists()
-        assert [tw.id for tw in corpus if tw.tokens == tokens] == ["t1020"]
+        assert [i for i, t in zip(corpus.ids, corpus.tokens) if t == tokens] == ["t1020"]
         # the text once among the others: the rest of its copies are the difference
         once = [t for i, t in enumerate(texts) if i not in at] + [dup]
         dedupe = run_pipeline(make_dataset(once), config)[1].removed_by_stage["dedupe"]
