@@ -28,17 +28,13 @@ from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from .jsonl import encode_line, read_records, text_lines, write_lines
 
 # The modules that need numpy, and rules, are imported by the commands that
-# use them, so `rules classify` and `synth` start without numpy. Each name
-# below still reads as `rweets.cli.<name>`, its module's object: the
-# benchmark's tracer and self-test look for them here.
+# use them, so `rules classify` and `synth` start without numpy. The two
+# names below still read as `rweets.cli.<name>`, their module's object, for
+# the benchmark's self-test. Its tracer rebinds names it finds in each
+# module's `vars()`, which these never enter, so it does not rely on them.
 __getattr__, _ = _lazy_names(__name__, {
-    "features": "FeatureConfig combo load_matrix save_matrix",
-    "metrics": "render_record render_text",
-    "models": "LogisticRegression cross_validate",
-    "pipeline": "FeatureCache featurize_corpus load_staged run_series save_series_output "
-                "save_staged train_staged",
-    "preprocess": "DEFAULT_OPS PUNCT_FIRST_OPS PipelineConfig load_clean run_pipeline save_clean",
-    "rules": "rule_classify rule_features",
+    "features": "save_matrix",
+    "rules": "rule_classify",
 })
 
 

@@ -1,10 +1,11 @@
-"""Confusion matrices, micro/macro precision-recall-F1, and accuracy.
+"""Confusion matrices and the metrics report derived from them.
 
-Micro averages pool true/false positives over all labels before dividing;
-for single-label prediction this makes micro precision, micro recall, micro
-F1, and accuracy identical. Macro averages are unweighted per-class means,
-and macro F1 is the harmonic mean OF THE AVERAGED precision and recall, not
-the mean of per-class F1 scores. Undefined 0/0 cells evaluate to 0.
+`report_from_confusion` checks a count matrix once and computes each class's
+precision and recall once; every other figure comes from those and the
+matrix's sums. Micro P, R and F1 equal accuracy for single-label prediction
+(F1 stays 2PR/(P+R), which may differ in the last bit). Macro F1 is the
+harmonic mean OF THE AVERAGED precision and recall, not the mean of per-class
+F1 scores. Undefined 0/0 cells evaluate to 0.
 """
 
 import json
@@ -28,42 +29,6 @@ def confusion(y_true, y_pred, domain: LabelDomain) -> np.ndarray:
     for actual, predicted in zip(y_true, y_pred):
         cm[domain.index(actual), domain.index(predicted)] += 1
     return cm
-
-
-def _check_cm(cm: np.ndarray) -> np.ndarray:
-    cm = np.asarray(cm)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
-        raise ValidationError("confusion matrix must be square")
-    if np.any(cm < 0):
-        raise ValidationError("confusion matrix entries must be nonnegative")
-    return cm
-
-
-def accuracy(cm) -> float:
-    """Correctly predicted over total."""
-    cm = _check_cm(cm)
-    return _safe_div(float(np.trace(cm)), float(cm.sum()))
-
-
-def micro_metrics(cm) -> tuple[float, float, float]:
-    cm = _check_cm(cm)
-    tp = float(np.trace(cm))
-    fp = float(cm.sum(axis=0).sum() - np.trace(cm))
-    fn = float(cm.sum(axis=1).sum() - np.trace(cm))
-    precision = _safe_div(tp, tp + fp)
-    recall = _safe_div(tp, tp + fn)
-    f1 = _safe_div(2.0 * precision * recall, precision + recall)
-    return precision, recall, f1
-
-
-def macro_metrics(cm) -> tuple[float, float, float]:
-    cm = _check_cm(cm)
-    per_p = [_safe_div(float(cm[i, i]), float(cm[:, i].sum())) for i in range(cm.shape[0])]
-    per_r = [_safe_div(float(cm[i, i]), float(cm[i, :].sum())) for i in range(cm.shape[0])]
-    precision = sum(per_p) / len(per_p)
-    recall = sum(per_r) / len(per_r)
-    f1 = _safe_div(2.0 * precision * recall, precision + recall)
-    return precision, recall, f1
 
 
 @dataclass(frozen=True)
@@ -93,33 +58,32 @@ def compute_report(y_true, y_pred, domain: LabelDomain) -> MetricsReport:
 
 
 def report_from_confusion(cm, domain: LabelDomain) -> MetricsReport:
-    cm = _check_cm(cm)
-    if cm.shape[0] != len(domain.labels):
-        raise ValidationError("confusion matrix size disagrees with label domain")
-    p_mi, r_mi, f_mi = micro_metrics(cm)
-    p_ma, r_ma, f_ma = macro_metrics(cm)
-    per_class = []
-    for i, label in enumerate(domain.labels):
-        p = _safe_div(float(cm[i, i]), float(cm[:, i].sum()))
-        r = _safe_div(float(cm[i, i]), float(cm[i, :].sum()))
-        per_class.append(
-            PerClassMetrics(
-                label=label,
-                precision=p,
-                recall=r,
-                f1=_safe_div(2.0 * p * r, p + r),
-                support=int(cm[i, :].sum()),
-            )
-        )
+    """Every figure of the report, from a matrix laid out as `confusion`'s."""
+    cm, size = np.asarray(cm), len(domain.labels)
+    if cm.shape != (size, size):
+        raise ValidationError(f"confusion matrix must be {size} x {size}, one row per label")
+    if np.any(cm < 0):
+        raise ValidationError("confusion matrix entries must be nonnegative")
+    trace, predicted, actual = np.trace(cm), cm.sum(axis=0), cm.sum(axis=1)
+    tp = float(trace)
+    p_micro = _safe_div(tp, tp + float(predicted.sum() - trace))
+    r_micro = _safe_div(tp, tp + float(actual.sum() - trace))
+    per_p = [_safe_div(float(cm[i, i]), float(n)) for i, n in enumerate(predicted)]
+    per_r = [_safe_div(float(cm[i, i]), float(n)) for i, n in enumerate(actual)]
+    p_macro = sum(per_p) / len(per_p)
+    r_macro = sum(per_r) / len(per_r)
     return MetricsReport(
-        accuracy=accuracy(cm),
-        p_micro=p_mi,
-        r_micro=r_mi,
-        f1_micro=f_mi,
-        p_macro=p_ma,
-        r_macro=r_ma,
-        f1_macro=f_ma,
-        per_class=tuple(per_class),
+        accuracy=_safe_div(tp, float(cm.sum())),
+        p_micro=p_micro,
+        r_micro=r_micro,
+        f1_micro=_safe_div(2.0 * p_micro * r_micro, p_micro + r_micro),
+        p_macro=p_macro,
+        r_macro=r_macro,
+        f1_macro=_safe_div(2.0 * p_macro * r_macro, p_macro + r_macro),
+        per_class=tuple(
+            PerClassMetrics(label, p, r, _safe_div(2.0 * p * r, p + r), int(n))
+            for label, p, r, n in zip(domain.labels, per_p, per_r, actual)
+        ),
     )
 
 
@@ -149,11 +113,6 @@ def render_text(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_record(report: MetricsReport) -> dict:
-    """Machine-readable form with fixed keys; floats kept at full precision."""
-    return asdict(report)
-
-
 def render_record(report: MetricsReport) -> str:
-    """Deterministic JSON serialization of the machine record."""
-    return json.dumps(report_to_record(report), sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON of `dataclasses.asdict(report)`; floats at full precision."""
+    return json.dumps(asdict(report), sort_keys=True, separators=(",", ":")) + "\n"

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifact, lexicon
-from .digest import digest_json, digest_text
+from .digest import combine_digests, digest_json, digest_records
 from .errors import FormatError, ValidationError
 
 PLACEHOLDERS = lexicon.PLACEHOLDERS
@@ -108,9 +108,12 @@ class CleanCorpus:
         return list(self.tokens)
 
     def content_digest(self) -> str:
-        rows = zip(self.ids, map(" ".join, self.tokens), self.labels)
-        parts = [f"{i}\x1f{joined}\x1f{label or ''}" for i, joined, label in rows]
-        return digest_text(self.config_digest + "\x1e".join(parts))
+        """Digest of the config and every row: its id, label ("" for none),
+        token count and tokens, each field length-prefixed by
+        `digest_records`; the count tells where a row's tokens end."""
+        rows = zip(self.ids, self.labels, self.tokens)
+        fields = ((i, label or "", str(len(tokens)), *tokens) for i, label, tokens in rows)
+        return combine_digests(self.config_digest, digest_records(fields))
 
 
 @dataclass
@@ -444,11 +447,16 @@ def load_clean(path, config: PipelineConfig | None = None) -> CleanCorpus:
     under a different pipeline digest."""
     header, arrays = artifact.load(path, "clean", config.digest if config else None)
     try:
-        ids, labels, table, codes = (arrays[k] for k in ("ids", "labels", "tokens", "codes"))
+        ids, labels, table, codes, offsets = (
+            arrays[k] for k in ("ids", "labels", "tokens", "codes", "token_offsets"))
+        if any(type(a) is not tuple for a in (ids, labels, table)):
+            raise FormatError("ids, labels and tokens must be string lists")
+        if any(type(a) is tuple or a.dtype != np.int64 or a.ndim != 1 for a in (codes, offsets)):
+            raise FormatError("codes and token_offsets must be 1-D int64 arrays")
         if len(codes) and not 0 <= codes.min() <= codes.max() < len(table):
             raise FormatError("token code outside the token table")
         words = tuple(table[c] for c in codes.tolist())
-        tokens = artifact.split_at(words, arrays["token_offsets"])
+        tokens = artifact.split_at(words, offsets)
         labels = tuple(label or None for label in labels)
         return CleanCorpus(ids, tokens, labels, header["digest"])
     except (KeyError, FormatError, ValidationError) as exc:

@@ -15,9 +15,10 @@ reader (one `json.loads` per line as file iteration yields it) for the
 chunk-decoding reader of `rweets.jsonl`. The module also holds the helpers
 only tests use: a (row, col, value) matrix builder, an all-zero logistic
 regression, a finite-difference gradient check, an artifact header
-rewriter, a metrics report read back from its record and dataset class
-statistics, and the dense forms of a matrix (to and from a 2-D array, and
-the cosine of two rows).
+rewriter, a metrics record from plain loops over a confusion matrix, a
+metrics report read back from its record and dataset class statistics, and
+the dense forms of a matrix (to and from a 2-D array, and the cosine of two
+rows).
 """
 
 import json
@@ -667,6 +668,49 @@ def with_header(data: bytes, change) -> bytes:
     change(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return len(raw).to_bytes(4, "little") + raw + data[4 + size:]
+
+
+def reference_report(cm, labels) -> dict:
+    """The `render_record` fields of a confusion matrix (rows actual, columns
+    predicted), from plain-Python loops over its cells."""
+    size = len(labels)
+    cells = [[int(cm[i][j]) for j in range(size)] for i in range(size)]
+    total = trace = 0
+    row_sums, col_sums = [0] * size, [0] * size
+    for i in range(size):
+        for j in range(size):
+            total += cells[i][j]
+            row_sums[i] += cells[i][j]
+            col_sums[j] += cells[i][j]
+            if i == j:
+                trace += cells[i][j]
+
+    def ratio(num, den):
+        return num / den if den else 0.0
+
+    def f1(p, r):
+        return ratio(2.0 * p * r, p + r)
+
+    # every prediction that is not a true positive is one false positive
+    # and one false negative, so both pooled denominators are the total
+    p_micro = r_micro = ratio(trace, total)
+    per_p = [ratio(cells[i][i], col_sums[i]) for i in range(size)]
+    per_r = [ratio(cells[i][i], row_sums[i]) for i in range(size)]
+    p_macro, r_macro = sum(per_p) / size, sum(per_r) / size
+    return {
+        "accuracy": ratio(trace, total),
+        "p_micro": p_micro,
+        "r_micro": r_micro,
+        "f1_micro": f1(p_micro, r_micro),
+        "p_macro": p_macro,
+        "r_macro": r_macro,
+        "f1_macro": f1(p_macro, r_macro),
+        "per_class": [
+            {"label": labels[i], "precision": per_p[i], "recall": per_r[i],
+             "f1": f1(per_p[i], per_r[i]), "support": row_sums[i]}
+            for i in range(size)
+        ],
+    }
 
 
 def report_from_record(record: dict) -> MetricsReport:

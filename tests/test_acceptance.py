@@ -20,7 +20,7 @@ from oracles import (
     regex_search,
     to_dense,
 )
-from rweets.corpus import BINARY, CATEGORICAL, Dataset, RawTweet, synth_corpus
+from rweets.corpus import BINARY, CATEGORICAL, Dataset, LabelDomain, RawTweet, synth_corpus
 from rweets.features import (
     FeatureConfig,
     build_vocabulary,
@@ -29,7 +29,7 @@ from rweets.features import (
     vectorize_tf,
     vectorize_tfidf,
 )
-from rweets.metrics import accuracy, micro_metrics
+from rweets.metrics import report_from_confusion
 from rweets.models import (
     LogisticRegression,
     MultinomialNaiveBayes,
@@ -173,8 +173,9 @@ def test_06_micro_equality_on_random_confusions():
             cm = rng.integers(0, 50, size=(size, size))
             if cm.sum() == 0:
                 cm[0, 0] = 1
-            p, r, f1 = micro_metrics(cm)
-            a = accuracy(cm)
+            report = report_from_confusion(cm, LabelDomain("t", tuple("ABCDEF"[:size])))
+            p, r, f1 = report.p_micro, report.r_micro, report.f1_micro
+            a = report.accuracy
             assert abs(p - a) <= 1e-12
             assert abs(r - a) <= 1e-12
             assert abs(f1 - a) <= 1e-12

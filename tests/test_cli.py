@@ -131,7 +131,6 @@ class TestStartup:
 
         assert cli.save_matrix is features.save_matrix
         assert cli.rule_classify is rules.rule_classify
-        assert cli.rule_features is rules.rule_features
         with pytest.raises(AttributeError, match="'rweets.cli' has no attribute 'np'"):
             cli.np
 
@@ -189,6 +188,37 @@ class TestFeaturize:
         assert run(["featurize", "--clean", str(clean), "--out", str(tmp_path / "m"),
                     "--combo", "1"]) == 3
         assert "odd.clean" in capsys.readouterr().err
+
+    def test_clean_file_with_int_ids_exits_3(self, tmp_path, capsys):
+        import numpy as np
+
+        from rweets.preprocess import PipelineConfig
+
+        clean = tmp_path / "int-ids.clean"
+        artifact.save(clean, "clean", PipelineConfig().digest, {},
+                      ids=np.array([7], dtype=np.int64), tokens=("need", "food"),
+                      codes=np.array([0, 1], dtype=np.int64),
+                      token_offsets=np.array([0, 2], dtype=np.int64), labels=("",))
+        capsys.readouterr()
+        assert run(["featurize", "--clean", str(clean), "--out", str(tmp_path / "m"),
+                    "--combo", "1"]) == 3
+        assert "int-ids.clean" in capsys.readouterr().err
+
+    def test_rows_that_join_alike_get_their_own_matrix(self, tmp_path, capsys):
+        # one row whose id holds the row and field separators of a joined
+        # digest, then the two rows it reads as: the second file is a miss
+        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        one.write_text(json.dumps({"id": "a\x1fneed food\x1f\x1eb", "text": "help shelter"}) + "\n")
+        two.write_text("".join(json.dumps({"id": i, "text": t}) + "\n"
+                               for i, t in (("a", "need food"), ("b", "help shelter"))))
+        matrix = tmp_path / "m"
+        for source, rows in ((one, 1), (two, 2)):
+            clean = source.with_suffix(".clean")
+            run(["preprocess", "--input", str(source), "--output", str(clean)])
+            capsys.readouterr()
+            assert run(["featurize", "--clean", str(clean), "--out", str(matrix),
+                        "--combo", "1"]) == 0
+            assert f"wrote {rows}x" in capsys.readouterr().out
 
     def test_matrix_cut_after_its_header_is_rebuilt(self, workspace, capsys):
         clean = workspace / "d1.clean"

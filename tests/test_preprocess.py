@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from oracles import SOURCE_NUM_RE, SOURCE_URL_RE, SOURCE_WWW_RE, dedupe, reference_clean
 from oracles import _generalize_tags as oracle_generalize_tags
 
-from rweets import lexicon, preprocess
+from rweets import artifact, lexicon, preprocess
 from rweets.corpus import BINARY, CATEGORICAL, Dataset, RawTweet, synth_corpus
 from rweets.errors import FormatError, StaleCacheError, ValidationError
 from rweets.preprocess import (
@@ -413,7 +414,33 @@ class TestCleanPersistence:
             ("rweet", None, "not_rweet"),
             "0123456789abcdef",
         )
-        assert corpus.content_digest() == "7c9ed2d8e2e01002"
+        assert corpus.content_digest() == "f9fe35d731ab6a80"
+
+    def test_content_digest_tells_apart_rows_that_join_alike(self):
+        # an id may hold any character: with rows joined by separators, one
+        # row whose id holds them read as two rows
+        one = CleanCorpus(("a\x1fneed food\x1f\x1eb",), (("help", "shelter"),), (None,), "d")
+        two = CleanCorpus(("a", "b"), (("need", "food"), ("help", "shelter")), (None, None), "d")
+        spaced = CleanCorpus(("a", "b"), (("need food",), ("help", "shelter")), (None, None), "d")
+        assert len({one.content_digest(), two.content_digest(), spaced.content_digest()}) == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("ids", np.array([7], dtype=np.int64)),
+        ("labels", np.array([0], dtype=np.int64)),
+        ("tokens", np.array([1.0, 2.0])),
+        ("codes", ("0", "1")),
+        ("codes", np.array([0.0, 1.0])),
+        ("codes", np.array([[0, 1]], dtype=np.int64)),
+        ("token_offsets", np.array([0, 2], dtype=np.uint8)),
+    ])
+    def test_array_of_the_wrong_type_is_format_error(self, tmp_path, field, value):
+        path = tmp_path / "typed.clean"
+        arrays = {"ids": ("a",), "tokens": ("need", "food"),
+                  "codes": np.array([0, 1], dtype=np.int64),
+                  "token_offsets": np.array([0, 2], dtype=np.int64), "labels": ("",)}
+        artifact.save(path, "clean", "d", {}, **{**arrays, field: value})
+        with pytest.raises(FormatError, match="typed.clean: inconsistent clean corpus .* must be"):
+            load_clean(path)
 
     def test_columns_of_different_lengths_are_rejected(self):
         with pytest.raises(ValidationError, match="differ in number"):
