@@ -30,6 +30,18 @@ def _lazy_names(owner: str, modules: dict):
     return __getattr__, frozenset(where)
 
 
+class _Memo(dict):
+    """key -> fn(key), computed on the first lookup of each key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 __getattr__, _EXPORTS = _lazy_names(__name__, {
     "corpus": "BINARY CATEGORICAL Dataset LabelDomain RawTweet load_dataset save_dataset "
               "synth_corpus",

@@ -12,7 +12,7 @@ import itertools
 import sys
 from pathlib import Path
 
-from . import __version__, _lazy_names
+from . import _Memo, __version__, _lazy_names
 from .corpus import (
     BINARY,
     CATEGORICAL,
@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .digest import atomic_write_text, combine_digests, digest_records
 from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
-from .jsonl import encode_line, read_records, text_lines, write_lines
+from .jsonl import encode_id_text_lines, encode_line, read_records, text_lines, write_lines
 
 # The modules that need numpy, and rules, are imported by the commands that
 # use them, so `rules classify` and `synth` start without numpy. The two
@@ -296,26 +296,37 @@ def cmd_featurize(args) -> int:
 _RULE_CHUNK = 1024  # records `rules classify` matches as one batch
 
 
+def _rule_fields(bits) -> tuple[dict, str]:
+    """A bit row's `rule_label` and `rule_bits`, and their `encode_line` tail."""
+    fields = {"rule_label": RWEET if any(bits) else NOT_RWEET, "rule_bits": list(bits)}
+    return fields, ", " + encode_line(fields)[1:-1]
+
+
 def _rule_lines(records):
     """Each record's output line, with `rule_label` and `rule_bits` set. A
     chunk's distinct texts are matched as one batch and each of its distinct
-    bit rows is encoded once; no chunk keeps anything for the next."""
+    bit rows is encoded once; no chunk keeps anything for the next. Records
+    that are exactly {"id": str, "text": str}, in that order, are encoded by
+    `encode_id_text_lines`, one call per chunk; every other by `encode_line`."""
     from .rules import rule_bits
     while chunk := list(itertools.islice(records, _RULE_CHUNK)):
-        texts = list(dict.fromkeys([record["text"] for record in chunk]))
-        by_bits, by_text = {}, {}  # bits -> (fields, tail), text -> the same
-        for text, bits in zip(texts, rule_bits(texts)):
-            if bits not in by_bits:
-                fields = {"rule_label": RWEET if any(bits) else NOT_RWEET,
-                          "rule_bits": list(bits)}
-                by_bits[bits] = fields, ", " + encode_line(fields)[1:-1]
-            by_text[text] = by_bits[bits]
-        for record in chunk:
+        texts = [record["text"] for record in chunk]
+        distinct = list(dict.fromkeys(texts))
+        by_text = dict(zip(distinct, map(_Memo(_rule_fields).__getitem__, rule_bits(distinct))))
+        ids = [record.get("id") for record in chunk]
+        plain = [tuple(record) == ("id", "text") and type(i) is str for record, i in zip(chunk, ids)]
+        lines = list(encode_id_text_lines(
+            itertools.compress(ids, plain), itertools.compress(texts, plain),
+            [by_text[text][1] for text in itertools.compress(texts, plain)]))
+        # every other record, in input order, so each line is inserted at its own position
+        for k in [k for k, is_plain in enumerate(plain) if not is_plain]:
+            record = chunk[k]
             fields, tail = by_text[record["text"]]
             # a record holding either field keeps its keys in their places
             if clash := "rule_label" in record or "rule_bits" in record:
                 record.update(fields)
-            yield encode_line(record, "" if clash else tail) + "\n"
+            lines.insert(k, encode_line(record, "" if clash else tail) + "\n")
+        yield from lines
 
 
 def cmd_rules(args) -> int:

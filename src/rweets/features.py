@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artifact
+from . import _Memo, artifact
 from .digest import digest_json
 from .errors import FormatError, ValidationError
 from .rules import N_PATTERNS
@@ -158,17 +158,22 @@ class NgramCounts:
 
 
 def count_ngrams(docs, ngram_range) -> NgramCounts:
-    """Join every n-gram of the token lists once, intern it, and count it per
-    doc."""
+    """Key every n-gram of the token lists by its tokens, intern it, and count
+    it per doc."""
     lo, hi = ngram_range
     if not 1 <= lo <= hi <= 3:
         raise ValidationError(f"ngram range must satisfy 1 <= lo <= hi <= 3, got {ngram_range}")
-    ids: dict[str, int] = {}
+    ids: dict[str, int] = {}  # n-gram string -> term id, in first-appearance order
+    # an n-gram's token (unigrams) or token tuple -> the term id of its string,
+    # which is joined once per key; ("a b",) and ("a", "b") share one id
+    term_id = _Memo(lambda key: ids.setdefault(key if isinstance(key, str) else " ".join(key),
+                                               len(ids))).__getitem__
     stream, lengths = [], []
     for tokens in docs:
-        grams = [" ".join(tokens[i : i + n]) for n in range(lo, hi + 1)
-                 for i in range(len(tokens) - n + 1)]
-        stream.extend([ids.setdefault(g, len(ids)) for g in grams])
+        grams = []
+        for n in range(lo, hi + 1):
+            grams += tokens if n == 1 else zip(*[tokens[k:] for k in range(n)])
+        stream.extend(map(term_id, grams))
         lengths.append(len(grams))
     stream = np.array(stream, dtype=np.int64)
     doc = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)

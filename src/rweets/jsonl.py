@@ -1,8 +1,10 @@
-"""JSON Lines files, one object per line: the package's one reader, line
-encoder and writer. Files are read in text mode (CRLF and lone CR end lines
-too) and split on "\n" only; blank and whitespace-only lines are skipped but
-counted. Bytes that are not UTF-8 make their line a bad line. Every JSONL file
-the package writes goes through `write_lines`, one chunk of lines at a time.
+"""JSON Lines files, one object per line: the package's one reader, its two
+line encoders (`encode_line` for any record, `encode_id_text_lines` for a
+string id and text followed by encoded members) and its writer. Files are
+read in text mode (CRLF and lone CR end lines too) and split on "\n" only;
+blank and whitespace-only lines are skipped but counted. Bytes that are not
+UTF-8 make their line a bad line. Every JSONL file the package writes goes
+through `write_lines`, one chunk of lines at a time.
 """
 
 import itertools
@@ -119,6 +121,17 @@ def encode_line(record: dict, tail: str = "") -> str:
     except TypeError:  # a key or value that is not a str: one encoder for the whole record
         body = _ENCODER.encode(record)[1:-1]
     return "{" + (body + tail if body else tail[2:]) + "}"
+
+
+def encode_id_text_lines(ids, texts, tails):
+    """Yield `encode_line({"id": id, "text": text}, tail) + "\n"` for each
+    id, text and tail of three iterables of equal length: id and text are
+    strs, and tail is pre-encoded as `encode_line`'s. The keys are encoded
+    once, here; each chunk of lines is encoded by one comprehension."""
+    rows, quote = zip(ids, texts, tails, strict=True), encode_basestring
+    while lines := [f'{{"id": {quote(i)}, "text": {quote(text)}{tail}}}\n'
+                    for i, text, tail in itertools.islice(rows, _CHUNK)]:
+        yield from lines
 
 
 def write_lines(path, lines) -> int:

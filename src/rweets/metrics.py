@@ -62,6 +62,8 @@ def report_from_confusion(cm, domain: LabelDomain) -> MetricsReport:
     cm, size = np.asarray(cm), len(domain.labels)
     if cm.shape != (size, size):
         raise ValidationError(f"confusion matrix must be {size} x {size}, one row per label")
+    if not np.issubdtype(cm.dtype, np.integer):
+        raise ValidationError(f"confusion matrix entries must be integer counts, not {cm.dtype}")
     if np.any(cm < 0):
         raise ValidationError("confusion matrix entries must be nonnegative")
     trace, predicted, actual = np.trace(cm), cm.sum(axis=0), cm.sum(axis=1)

@@ -10,10 +10,9 @@ staged design.
 """
 
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 from pathlib import Path
 
-from . import artifact
+from . import _Memo, artifact
 from .corpus import BINARY, CATEGORICAL, RWEET, Dataset
 from .digest import combine_digests, digest_records, digest_text
 from .errors import FormatError, StaleCacheError, ValidationError
@@ -28,7 +27,7 @@ from .features import (
     load_matrix,
     save_matrix,
 )
-from .jsonl import write_lines
+from .jsonl import encode_id_text_lines, encode_line, write_lines
 from .models import LogisticRegression, _model_fields, _model_from, input_config
 from .preprocess import CleanCorpus, PipelineConfig, run_pipeline
 from .rules import rule_block_for_ids
@@ -228,15 +227,20 @@ def run_series(
     return list(ids), stage1, stage2
 
 
+def _stage_tail(stages: tuple) -> str:
+    """The `encode_line` tail of a row's stage1 label and its stage2 label, if any."""
+    stage1, stage2 = stages
+    fields = {"stage1": stage1} if stage2 is None else {"stage1": stage1, "stage2": stage2}
+    return ", " + encode_line(fields)[1:-1]
+
+
 def save_series_output(texts, ids, stage1, stage2, path) -> None:
     """Write each row of the `run_series` columns, with its text from `texts`,
     as the line `json.dumps(record, ensure_ascii=False)` of its record through
-    `write_lines`, encoding the strings with the encoder that call uses."""
-    quote = encode_basestring
-    write_lines(path, (
-        f'{{"id": {quote(i)}, "text": {quote(texts[i])}, "stage1": {quote(s1)}'
-        + ("}\n" if s2 is None else f', "stage2": {quote(s2)}}}\n')
-        for i, s1, s2 in zip(ids, stage1, stage2, strict=True)))
+    `write_lines`: `encode_id_text_lines` encodes the id and text, and the
+    tail of each distinct (stage1, stage2) pair is encoded once."""
+    tails = map(_Memo(_stage_tail).__getitem__, zip(stage1, stage2, strict=True))
+    write_lines(path, encode_id_text_lines(ids, map(texts.__getitem__, ids), tails))
 
 
 # --- staged-model persistence -----------------------------------------------

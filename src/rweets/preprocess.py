@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artifact, lexicon
+from . import _Memo, artifact, lexicon
 from .digest import combine_digests, digest_json, digest_records
 from .errors import FormatError, ValidationError
 
@@ -135,6 +135,10 @@ _PLACEHOLDER_SPLIT = re.compile("(" + "|".join(PLACEHOLDERS) + ")")
 _TAG_SOURCES = (r"\d+(?:,\d+)*,?(?:\.?\d+)?", r"(?:(RT|rt) @ ?[\w_]+:?)", r"(?:@ ?[\w_]+)")
 _NUM_RE, _RT_RE, _MENT_RE = map(re.compile, _TAG_SOURCES)
 _ASCII_RT_MENT = tuple(re.compile(p, re.ASCII) for p in _TAG_SOURCES[1:])
+# Without "RT @" in a text only the retweet pattern's "rt" branch can match;
+# led by that literal, `re` scans for it instead of trying both branches at
+# every position.
+_RT_LOWER_RE, _ASCII_RT_LOWER_RE = (re.compile(r"rt @ ?[\w_]+:?", flags) for flags in (0, re.ASCII))
 # In an ASCII text every digit starts a number match and each match is
 # replaced whole, so the digits may all be "0" first: `re` scans for a literal.
 _ZEROS = str.maketrans("123456789", "0" * 9)
@@ -158,18 +162,6 @@ def _map_around_placeholders(text: str, fn) -> str:
         return fn(text)
     parts = _PLACEHOLDER_SPLIT.split(text)
     return "".join(part if part in PLACEHOLDERS else fn(part) for part in parts)
-
-
-class _Memo(dict):
-    """word -> fn(word), computed on the first lookup of each word."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, word):
-        value = self[word] = self.fn(word)
-        return value
 
 
 def strip_non_ascii(text: str) -> str:
@@ -206,10 +198,11 @@ def generalize_tags(text: str) -> str:
     # so a skipped substitution is one that could not have matched.
     if text.isascii():
         text, (rt, ment) = _ZERO_NUM_RE.sub("_NUM_", text.translate(_ZEROS)), _ASCII_RT_MENT
+        rt_lower = _ASCII_RT_LOWER_RE
     else:
-        text, rt, ment = _NUM_RE.sub("_NUM_", text), _RT_RE, _MENT_RE
+        text, rt, ment, rt_lower = _NUM_RE.sub("_NUM_", text), _RT_RE, _MENT_RE, _RT_LOWER_RE
     if "@" in text:
-        text = rt.sub("_RT_", text)
+        text = (rt if "RT @" in text else rt_lower).sub("_RT_", text)
         text = ment.sub("_MENT_", text)
     if "//" in text:
         text = _URL_RE.sub("_URL_", text)

@@ -119,6 +119,7 @@ def compile_patterns() -> tuple[RulePattern, ...]:
 
 
 _ROOTS = _forests(range(N_PATTERNS))  # all 18, compiled once
+_NO_BITS = (0,) * N_PATTERNS
 
 
 def _reached(node, folded: str, end: int, stop: int, row: int, hits: dict) -> None:
@@ -164,11 +165,14 @@ def rule_classify(text: str) -> str:
 
 def rule_bits(texts: list) -> list[tuple[int, ...]]:
     """Each text's 18 match bits, 0 or 1, with `texts` matched as one batch."""
-    rows = [[0] * N_PATTERNS for _ in texts]
+    hit = {}  # the position of each text some pattern matches -> its bits
     for i, at in _match(texts, _ROOTS).items():
         for row in at:
-            rows[row][i] = 1
-    return [tuple(row) for row in rows]
+            hit.setdefault(row, [0] * N_PATTERNS)[i] = 1
+    rows = [_NO_BITS] * len(texts)  # most texts match nothing: they share one row
+    for row, bits in hit.items():
+        rows[row] = tuple(bits)
+    return rows
 
 
 def rule_features(texts) -> "numpy.ndarray":

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 class SparseMatrix:
     def __init__(self, rows: int, cols: int, indptr, indices, data):
@@ -65,11 +67,17 @@ class SparseMatrix:
         error."""
         if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
+        if max(int(rows), 1) * max(int(cols), 1) > _INT64_MAX:
+            raise ValidationError(f"a {rows}x{cols} matrix has more cells than int64 can index")
         kept = v != 0.0
-        r, c, v = r[kept], c[kept], v[kept]
-        order = np.lexsort((c, r))
-        r, c, v = r[order], c[order], v[order]
+        r, c, v = np.asarray(r[kept], np.int64), np.asarray(c[kept], np.int64), v[kept]
         outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+        # Inside the shape, the key r * cols + c orders entries as (row, col)
+        # pairs do. Outside it, keys can collide, so the pairs themselves are
+        # sorted and an error names the first bad entry in (row, col) order.
+        order = (np.lexsort((c, r)) if outside.any()
+                 else np.argsort(r * cols + c, kind="stable"))
+        r, c, v, outside = r[order], c[order], v[order], outside[order]
         repeated = np.zeros(len(r), dtype=bool)
         repeated[1:] = (r[1:] == r[:-1]) & (c[1:] == c[:-1])
         bad = np.flatnonzero(outside | repeated)

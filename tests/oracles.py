@@ -33,6 +33,7 @@ from rweets import lexicon
 from rweets.errors import ValidationError
 from rweets.features import (
     TFIDF,
+    NgramCounts,
     Vocabulary,
     idf_vector,
     l2_normalize_rows,
@@ -145,6 +146,26 @@ def extract_ngrams(tokens, n: int) -> list[str]:
 def _range_ngrams(tokens, lo, hi):
     for n in range(lo, hi + 1):
         yield from extract_ngrams(tokens, n)
+
+
+def reference_count_ngrams(docs, ngram_range) -> NgramCounts:
+    """`count_ngrams` one n-gram string at a time: every n-gram is joined and
+    interned in stream order, and a doc's (term, count) entries run in the
+    order its terms first occur."""
+    lo, hi = ngram_range
+    ids: dict[str, int] = {}
+    doc, term, count = [], [], []
+    for d, tokens in enumerate(docs):
+        counts: dict[int, int] = {}
+        for gram in _range_ngrams(tokens, lo, hi):
+            t = ids.setdefault(gram, len(ids))
+            counts[t] = counts.get(t, 0) + 1
+        for t, n in counts.items():
+            doc.append(d)
+            term.append(t)
+            count.append(n)
+    return NgramCounts(tuple(ids), (lo, hi), len(docs), *(np.array(a, dtype=np.int64)
+                                                          for a in (doc, term, count)))
 
 
 def reference_build_vocabulary(docs, ngram_range, min_df=1, max_df=1.0) -> Vocabulary:

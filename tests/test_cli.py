@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -485,6 +486,16 @@ class TestRules:
         texts = ["need shelter?", "quiet night here", "I am bringing food", "need shelter?"]
         lines = [json.dumps({"id": str(n), "text": t}) for n, t in enumerate(texts)]
         lines += self.ODD_LINES
+        # plain records, {"id": str, "text": str}, mixed at random with
+        # text-first, non-string id and extra-key records: chunks of 1, 2 and
+        # 3 start and end on each kind
+        rng = random.Random(29)
+        for n in range(60):
+            text = rng.choice(texts)
+            lines.append(json.dumps(rng.choice([
+                {"id": f"p{n}", "text": text}, {"id": f"p{n}", "text": text},
+                {"text": text, "id": f"f{n}"}, {"id": n, "text": text},
+                {"id": f"k{n}", "text": text, "k": [n]}])))
         source = tmp_path / "in.jsonl"
         source.write_text("\n".join(lines) + "\n", encoding="utf-8")
         outputs = []

@@ -11,6 +11,7 @@ from oracles import (
     extract_ngrams,
     from_dense,
     reference_build_vocabulary,
+    reference_count_ngrams,
     reference_featurize,
     reference_vectorize_tf,
     to_dense,
@@ -384,6 +385,23 @@ class TestCountedOnce:
         assert counts.terms == ("a b c",) and counts.doc.tolist() == [2]
         with pytest.raises(ValidationError, match="vocabulary is empty"):
             build_vocabulary(counts.take([0, 1]), (3, 3))
+
+    @pytest.mark.parametrize("ngram_range", NGRAM_RANGES)
+    def test_counts_equal_the_per_gram_string_reference(self, cv_corpus, ngram_range):
+        """Keys that join to one string, such as ("a b",) and ("a", "b"), or
+        ("", "") and (" ",), count as one term, in first-appearance order."""
+        rng = np.random.default_rng(29)
+        alphabet = ["a", "b", "a b", "", " ", "b a", "a  b", "need", "need food"]
+        fuzz = [[alphabet[int(k)] for k in rng.integers(0, len(alphabet), size=rng.integers(0, 7))]
+                for _ in range(300)]
+        for docs in (cv_corpus[0].tokens, fuzz, [["a b", "c"], ["a", "b c"], ["a", "b", "c"]]):
+            ours, ref = count_ngrams(docs, ngram_range), reference_count_ngrams(docs, ngram_range)
+            assert ours.terms == ref.terms
+            assert (ours.ngram_range, ours.n_docs) == (ref.ngram_range, ref.n_docs)
+            for name in ("doc", "term", "count"):
+                assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+        if ngram_range == (1, 2):
+            assert count_ngrams([["a b"], ["a", "b"]], ngram_range).terms == ("a b", "a", "b")
 
     def test_counts_of_another_range_are_refused(self):
         counts = count_ngrams([["a", "b"]], (1, 2))

@@ -303,6 +303,31 @@ def test_line_encoder_is_json_dumps(tmp_path, seed):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_id_text_encoder_is_json_dumps(monkeypatch, seed):
+    """encode_id_text_lines(ids, texts, tails) gives, per row, the
+    json.dumps(..., ensure_ascii=False) of {"id": id, "text": text} with the
+    tail's members, and encode_line's line, across chunks of rows."""
+    monkeypatch.setattr(jsonl, "_CHUNK", 7)
+    rng = random.Random(seed)
+    # ODD_STRINGS, a surrogate pair as json.loads decodes it, and lone
+    # quotes, backslashes, DEL and U+2028/U+2029; picks of none are empty
+    pieces = ODD_STRINGS + (json.loads('"\\ud83c\\udfe5"'), '"', "\\", "\x7f", "\u2028", "\u2029")
+    extras = ({}, {"stage1": "not_rweet"}, {"rule_label": "rweet", "rule_bits": [0, 1, 0]})
+    rows, expected = [], []
+    for _ in range(300):
+        i, text = ("".join(rng.choices(pieces, k=rng.randrange(4))) for _ in range(2))
+        extra = rng.choice(extras + ({"stage1": "rweet", "stage2": rng.choice(pieces)},))
+        tail = ", " + json.dumps(extra, ensure_ascii=False)[1:-1] if extra else ""
+        rows.append((i, text, tail))
+        expected.append(json.dumps({"id": i, "text": text, **extra}, ensure_ascii=False) + "\n")
+        assert expected[-1] == encode_line({"id": i, "text": text}, tail) + "\n"
+    assert sum(not i for i, _, _ in rows) > 20 and sum(not tail for *_, tail in rows) > 50
+    assert list(jsonl.encode_id_text_lines(*zip(*rows))) == expected
+    with pytest.raises(ValueError):  # columns of unequal length
+        list(jsonl.encode_id_text_lines(["a", "b"], ["x", "y"], [""]))
+
+
 @pytest.mark.parametrize("record", [
     {}, {"a": 1}, {1: "a"}, {None: None, "x": [{}]}, {"k": {2: [float("nan")]}},
     {_Str("k\u2028"): _Str("v\x7f")}, {"\U0001f6a8": "\U0001f6a8"},

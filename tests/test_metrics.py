@@ -208,6 +208,13 @@ class TestReportFromConfusion:
         with pytest.raises(ValidationError, match="must be 2 x 2"):
             report_from_confusion(cm, AB)
 
+    @pytest.mark.parametrize("cm", [[[0.5, 0], [0, 1]], [[1.0, 0.0], [0.0, 1.0]],
+                                    [[True, False], [False, True]]])
+    def test_non_integer_matrix_rejected(self, cm):
+        # a count of 0.5 would otherwise be truncated to a support of 0
+        with pytest.raises(ValidationError, match="integer counts"):
+            report_from_confusion(cm, AB)
+
     def test_negative_entry_rejected(self):
         with pytest.raises(ValidationError, match="nonnegative"):
             report_from_confusion([[1, -1], [0, 1]], AB)

@@ -559,6 +559,24 @@ class TestAgainstReference:
         assert_same_as_reference(make_dataset(texts), PipelineConfig())
         assert_same_as_reference(make_dataset(texts), PipelineConfig(ops=PUNCT_FIRST_OPS))
 
+    def test_retweet_pattern_matches_the_source_pattern(self):
+        # a text without "RT @" is tagged by the literal-led "rt @" form; the
+        # cleaning fuzz, raw and lowercased, with case variants of the marker
+        # and a placeholder before " @" spliced in, tags as the source does
+        rng = random.Random(29)
+        markers = ("RT @", "Rt @", "_RT_ @", "rt @", "rT @", "RT  @", "RT @ ", "rt @ Ann:")
+        fuzz = fuzz_texts(7, 3000)
+        texts = fuzz + [t.lower() for t in fuzz]
+        for text in fuzz:
+            at = rng.randint(0, len(text))
+            texts.append(text[:at] + rng.choice(markers) + rng.choice(("x_1:", "é", "", " y")) +
+                         text[at:])
+        assert sum("RT @" in t for t in texts) > 300
+        assert sum("RT @" not in t and "rt @" in t for t in texts) > 300
+        for text in texts:
+            assert generalize_tags(text) == oracle_generalize_tags(text), text
+        assert_same_as_reference(make_dataset(texts), PipelineConfig())
+
     def test_url_patterns_match_the_source_patterns(self):
         # the URL body as one class, and the www pattern with its word
         # boundary behind the literal, substitute as the source forms do

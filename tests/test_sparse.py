@@ -191,6 +191,60 @@ class TestAgainstScipy:
             checked += 1
         assert checked > 100
 
+    def test_bad_entries_are_named_in_row_col_order(self):
+        """Entries outside the shape whose r * cols + c keys equal those of
+        entries inside it, such as (0, cols) and (1, 0), beside duplicates:
+        an error names the entry a (row, col) sort of the nonzero entries
+        reaches first, and a valid set builds scipy's matrix."""
+        def first_error(rows, cols, entries):
+            entries = sorted((r, c) for r, c, v in entries if v != 0.0)
+            for k, (r, c) in enumerate(entries):
+                if not (0 <= r < rows and 0 <= c < cols):
+                    return f"entry ({r},{c}) outside {rows}x{cols} matrix"
+                if k and entries[k - 1] == (r, c):
+                    return f"duplicate entry at ({r},{c})"
+            return None
+
+        rng = np.random.default_rng(29)
+        seen = {"entry": 0, "duplicate": 0, None: 0}  # message kinds: outside, duplicate, none
+        for _ in range(1500):
+            rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            n = int(rng.integers(1, 7))
+            # now and then a side one or two steps outside the shape
+            r, c = (np.where(rng.random(n) < 0.07, rng.choice([-2, -1, size, size + 1], size=n),
+                             rng.integers(0, size, size=n)) for size in (rows, cols))
+            entries = [(int(r), int(c), float(v)) for r, c, v in zip(
+                r, c, rng.choice([0.0, 1.0, 2.5], size=n, p=[0.2, 0.4, 0.4]))]
+            message = first_error(rows, cols, entries)
+            seen[message and message.split()[0]] += 1
+            if message is None:
+                dense = np.zeros((rows, cols))
+                for r, c, v in entries:
+                    if v:
+                        dense[r, c] = v
+                self.assert_same(from_triplets(rows, cols, entries), self.scipy_csr(dense))
+            else:
+                with pytest.raises(ValidationError) as exc:
+                    from_triplets(rows, cols, entries)
+                assert str(exc.value) == message
+        assert min(seen.values()) > 100, seen
+        # (0, 3) has the key of (1, 0), and (-1, 5) that of (0, 2), in a 2x3 matrix
+        for entries, message in [
+            ([(1, 1, 1.0), (1, 1, 2.0), (0, 4, 1.0)], "entry (0,4) outside 2x3 matrix"),
+            ([(0, 2, 1.0), (0, 2, 1.0), (-1, 5, 1.0)], "entry (-1,5) outside 2x3 matrix"),
+            ([(1, 0, 1.0), (0, 3, 1.0), (1, 0, 1.0)], "entry (0,3) outside 2x3 matrix"),
+            ([(0, 1, 1.0), (1, -1, 1.0), (0, 1, 1.0)], "duplicate entry at (0,1)"),
+        ]:
+            with pytest.raises(ValidationError) as exc:
+                from_triplets(2, 3, entries)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("rows,cols", [(2**32, 2**32), (2**31, 2**32), (1, 2**63), (0, 2**63)])
+    def test_shapes_whose_cells_overflow_int64_are_refused(self, rows, cols):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValidationError, match="more cells than int64"):
+            SparseMatrix.from_coordinates(rows, cols, empty, empty, empty.astype(np.float64))
+
     def test_append_dense_columns(self):
         rng = np.random.default_rng(99)
         for _ in range(300):
