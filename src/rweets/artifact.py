@@ -12,10 +12,12 @@ of them) followed by the `nbytes` of its items' UTF-8 concatenation (numpy
 `<U` arrays would drop trailing "\\x00").
 
 Equal content gives equal bytes (one stream, no zip timestamps). Nothing is
-pickled or evaluated: only int64, float64 and uint8 arrays are written or
-read, each taken by `np.frombuffer` at its declared dtype and shape.
+pickled or evaluated: only uint8, uint16, uint32, int64 and float64 arrays
+are written or read, each taken by `np.frombuffer` at its declared dtype and
+shape, and `field` checks that an array has the type its reader expects.
 Readers raise `FormatError` for a bad magic, version or kind (an earlier
-text-format file is named by its version), an undeclared dtype, a truncated
+text-format file is named by its version; `clean` and `matrix` files
+are at version 2 and other kinds at 1), an undeclared dtype, a truncated
 file, trailing bytes, or string offsets that disagree with their text, and
 `StaleCacheError` for an unexpected digest.
 """
@@ -32,10 +34,12 @@ from .errors import FormatError, StaleCacheError
 
 MAGIC = "RWEETS-ARTIFACT"
 VERSION = 1
-# kinds whose layout changed since VERSION; each reads only its own version
-_KIND_VERSIONS = {"clean": 2}  # clean 2: a token table plus int64 codes
+# kinds whose layout changed since VERSION; each reads only its own version:
+# clean 2 has a token table and codes, matrix 2 narrow integers and coded values
+KIND_VERSIONS = {"clean": 2, "matrix": 2}
 _STRINGS = "utf-8"
-_DTYPES = ("<i8", "<f8", "|u1")
+INTEGERS = ("|u1", "<u2", "<u4", "<i8")  # narrowest first
+_DTYPES = (*INTEGERS, "<f8")
 _TEXT_ERA = (b"SPMA", b"VOCA", b"MODE", b"CLEA")  # SPMAT, VOCAB, MODEL, CLEAN
 
 
@@ -55,7 +59,7 @@ def save(path, kind: str, digest: str, meta: dict, **arrays) -> None:
     if any(r.dtype.str not in _DTYPES for r in records):
         raise TypeError(f"artifact arrays must have one of the dtypes {_DTYPES}")
     header = {"arrays": declared, "digest": digest, "kind": kind, "magic": MAGIC,
-              "meta": meta, "version": _KIND_VERSIONS.get(kind, VERSION)}
+              "meta": meta, "version": KIND_VERSIONS.get(kind, VERSION)}
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
     with atomic_open(path) as fh:
         fh.write(len(raw).to_bytes(4, "little") + raw)
@@ -71,7 +75,7 @@ def load(path, kind: str, expected_digest: str | None = None) -> tuple[dict, dic
     header = _read_header(stream, name)
     if header["kind"] != kind:
         raise FormatError(f"{name}: holds a {header['kind']!r} artifact, expected {kind!r}")
-    version = _KIND_VERSIONS.get(kind, VERSION)
+    version = KIND_VERSIONS.get(kind, VERSION)
     if header.get("version") != version:
         raise FormatError(f"{name}: {kind} artifact version {header.get('version')!r} is not "
                           f"readable; this version reads {version}; rebuild the file")
@@ -125,6 +129,17 @@ def _read_array(stream, dtype: str, shape: list) -> np.ndarray:
     if len(data) < size:
         raise FormatError(f"array declared {dtype} {shape} is truncated")
     return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+
+def field(arrays: dict, name: str, dtypes=None):
+    """`arrays[name]`: a string list when `dtypes` is None, else a 1-D array
+    of one of `dtypes`, or a FormatError names the array."""
+    value = arrays[name]
+    if dtypes is None and type(value) is not tuple:
+        raise FormatError(f"{name} must be a string list")
+    if dtypes and (type(value) is tuple or value.ndim != 1 or value.dtype.str not in dtypes):
+        raise FormatError(f"{name} must be a 1-D array of {'/'.join(dtypes)}")
+    return value
 
 
 def split_at(items, offsets) -> tuple:

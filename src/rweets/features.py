@@ -321,13 +321,19 @@ def _vocab_fields(vocab: Vocabulary) -> tuple[dict, dict]:
 
 
 def _vocab_from(meta: dict, arrays: dict) -> Vocabulary:
-    freqs = arrays.get("doc_freqs")
+    """The vocabulary `_vocab_fields` stored, its arrays type-checked."""
+    freqs = "doc_freqs" in arrays and artifact.field(arrays, "doc_freqs", artifact.INTEGERS)
     return Vocabulary(
-        terms=arrays["terms"],
+        terms=artifact.field(arrays, "terms"),
         ngram_range=tuple(meta["ngram_range"]),
-        doc_freqs=None if freqs is None else tuple(freqs.tolist()),
+        doc_freqs=tuple(freqs.tolist()) if "doc_freqs" in arrays else None,
         n_docs=meta["n_docs"],
     )
+
+
+def _narrowest(top: int) -> np.dtype:
+    """The narrowest artifact integer dtype that holds 0..top."""
+    return np.dtype(next(dtype for dtype in artifact.INTEGERS if top <= np.iinfo(dtype).max))
 
 
 def save_matrix(fm: FeatureMatrix, path, digest: str | None = None) -> None:
@@ -336,25 +342,50 @@ def save_matrix(fm: FeatureMatrix, path, digest: str | None = None) -> None:
     The header digest defaults to the feature-config digest; callers that
     key artifacts on more than the configuration (e.g. input content) pass
     the wider digest explicitly.
+
+    Layout (matrix version 2): `counts`, each row's entry count, and
+    `indices` at the narrowest width that holds their values; then `values`,
+    each distinct float64 bit pattern once in ascending order, and `codes`,
+    one narrow index into them per entry, when those are smaller than
+    `data`, the raw float64 entries (which tf-idf values keep).
     """
     m = fm.matrix
     meta, arrays = _vocab_fields(fm.vocab)
     meta.update(rows=m.rows, cols=m.cols)
-    artifact.save(path, "matrix", digest or fm.config.digest, meta, indptr=m.indptr,
-                  indices=m.indices, data=m.data, row_ids=fm.row_ids, **arrays)
+    bits = m.data.view(np.uint64)
+    ordered = np.sort(bits)
+    table = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    code = _narrowest(len(table) - 1)
+    values = ({"values": table.view(np.float64), "codes": np.searchsorted(table, bits).astype(code)}
+              if table.nbytes + code.itemsize * m.nnz < m.data.nbytes else {"data": m.data})
+    counts = np.diff(m.indptr)
+    artifact.save(path, "matrix", digest or fm.config.digest, meta,
+                  counts=counts.astype(_narrowest(counts.max(initial=0))),
+                  indices=m.indices.astype(_narrowest(m.indices.max(initial=0))),
+                  **values, row_ids=fm.row_ids, **arrays)
 
 
 def load_matrix(path, config: FeatureConfig, digest: str | None = None) -> FeatureMatrix:
     """Load a persisted feature matrix; the header digest must match the
     expected one (the feature-config digest unless overridden) or the
-    artifact is considered stale."""
+    artifact is considered stale. Each array must have the type and the
+    codes and counts the bounds that `save_matrix` writes, or a FormatError
+    names the file and the array."""
     header, arrays = artifact.load(path, "matrix", digest or config.digest)
-    meta = header["meta"]
+    meta, ints = header["meta"], artifact.INTEGERS
     try:
-        matrix = SparseMatrix(
-            meta["rows"], meta["cols"], arrays["indptr"], arrays["indices"], arrays["data"]
-        )
-        vocab = _vocab_from(meta, arrays)
-        return FeatureMatrix(matrix=matrix, vocab=vocab, config=config, row_ids=arrays["row_ids"])
+        counts, indices = (artifact.field(arrays, k, ints) for k in ("counts", "indices"))
+        data = artifact.field(arrays, "values" if "codes" in arrays else "data", ("<f8",))
+        if "codes" in arrays:
+            codes = artifact.field(arrays, "codes", ints)
+            if len(codes) and not 0 <= codes.min() <= codes.max() < len(data):
+                raise FormatError("codes fall outside the value table")
+            data = data[codes]
+        if counts.sum() != len(indices):
+            raise FormatError("counts do not sum to the number of entries")
+        indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        matrix = SparseMatrix(meta["rows"], meta["cols"], indptr, indices, data)
+        return FeatureMatrix(matrix=matrix, vocab=_vocab_from(meta, arrays), config=config,
+                             row_ids=artifact.field(arrays, "row_ids"))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise FormatError(f"{Path(path).name}: inconsistent matrix artifact ({exc})") from None

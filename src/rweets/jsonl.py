@@ -60,7 +60,7 @@ def text_lines(path, start: int = 1):
 
 def _decode_chunk(lines: list, ids: set, fields, domain) -> list[dict] | None:
     """The chunk's records from one decode, or None if any check fails."""
-    kept = [line for line in lines if line.strip()]
+    kept = [line for line in lines if not line.isspace()]
     text = "[" + ",".join(kept) + "]"  # each line but the file's last ends in "\n"
     try:
         records = json.loads(text)
@@ -86,7 +86,7 @@ def _read_line_by_line(path, lines, start: int, ids: set, fields, domain) -> lis
     """The chunk's records decoded one line at a time, checked in order."""
     records = []
     for lineno, line in enumerate(lines, start):
-        if not line.strip():
+        if line.isspace():
             continue
         where = f"{path}: line {lineno}"
         try:

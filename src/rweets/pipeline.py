@@ -154,12 +154,13 @@ def run_series(
     (`input_config`), the identifier vocabulary, the pipeline config and
     every input (id, text) in order; stage 2's the feature config the
     categorizer is fed, the categorizer vocabulary, the stage-1 key and the
-    positions of its rows among stage 1's. Cleaning runs at most once per
-    call and only when a stage has to be built, so a full hit cleans,
-    evaluates and vectorizes nothing; on a stage-1 hit the output ids are
-    the artifact's row ids. The pipeline digest covers the pipeline config
-    and the lexicon but not the cleaning code, as the feature digest covers
-    the feature config but not the featurization code.
+    positions of its rows among stage 1's. Both keys name the matrix layout
+    version, so files of an earlier layout are rebuilt, never read. Cleaning
+    runs at most once per call and only when a stage has to be built, so a
+    full hit cleans, evaluates and vectorizes nothing; on a stage-1 hit the
+    output ids are the artifact's row ids. The pipeline digest covers the
+    pipeline config and the lexicon but not the cleaning code, as the feature
+    digest covers the feature config but not the featurization code.
 
     N-grams are counted and the 18 rules run at most once per cleaned tweet
     per call: building stage 1 counts and evaluates every cleaned row, and
@@ -200,9 +201,10 @@ def run_series(
             return build(rows, vocab, config)
         return cache.get_or_build(key, config, lambda: build(rows, vocab, config))
 
+    layout = f"matrix {artifact.KIND_VERSIONS['matrix']}"
     key1 = None if cache is None else combine_digests(
         config1.digest, staged.identifier_vocab.digest, staged.pipeline_config.digest,
-        digest_records(texts.items()), "stage1")
+        digest_records(texts.items()), "stage1", layout)
     fm1 = featurize(key1, None, staged.identifier_vocab, config1)
     ids = fm1.row_ids
     remaining = iter(texts)  # input order; `in` consumes it up to the match
@@ -215,7 +217,7 @@ def run_series(
     if keep:
         key2 = None if cache is None else combine_digests(
             config2.digest, staged.categorizer_vocab.digest, key1,
-            digest_text(",".join(map(str, keep))), "stage2")
+            digest_text(",".join(map(str, keep))), "stage2", layout)
         fm2 = featurize(key2, keep, staged.categorizer_vocab, config2)
         if cache is not None and list(fm2.row_ids) != [ids[i] for i in keep]:
             raise FormatError(f"{cache.path_for(key2).name}: row ids are not the stage-2 rows")

@@ -440,12 +440,8 @@ def load_clean(path, config: PipelineConfig | None = None) -> CleanCorpus:
     under a different pipeline digest."""
     header, arrays = artifact.load(path, "clean", config.digest if config else None)
     try:
-        ids, labels, table, codes, offsets = (
-            arrays[k] for k in ("ids", "labels", "tokens", "codes", "token_offsets"))
-        if any(type(a) is not tuple for a in (ids, labels, table)):
-            raise FormatError("ids, labels and tokens must be string lists")
-        if any(type(a) is tuple or a.dtype != np.int64 or a.ndim != 1 for a in (codes, offsets)):
-            raise FormatError("codes and token_offsets must be 1-D int64 arrays")
+        ids, labels, table = (artifact.field(arrays, k) for k in ("ids", "labels", "tokens"))
+        codes, offsets = (artifact.field(arrays, k, ("<i8",)) for k in ("codes", "token_offsets"))
         if len(codes) and not 0 <= codes.min() <= codes.max() < len(table):
             raise FormatError("token code outside the token table")
         words = tuple(table[c] for c in codes.tolist())

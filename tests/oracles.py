@@ -15,10 +15,10 @@ reader (one `json.loads` per line as file iteration yields it) for the
 chunk-decoding reader of `rweets.jsonl`. The module also holds the helpers
 only tests use: a (row, col, value) matrix builder, an all-zero logistic
 regression, a finite-difference gradient check, an artifact header
-rewriter, a metrics record from plain loops over a confusion matrix, a
-metrics report read back from its record and dataset class statistics, and
-the dense forms of a matrix (to and from a 2-D array, and the cosine of two
-rows).
+rewriter, a writer of the version-1 matrix layout, a metrics record from
+plain loops over a confusion matrix, a metrics report read back from its
+record and dataset class statistics, and the dense forms of a matrix (to
+and from a 2-D array, and the cosine of two rows).
 """
 
 import json
@@ -26,10 +26,11 @@ import math
 import re
 import string
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from rweets import lexicon
+from rweets import artifact, lexicon
 from rweets.errors import ValidationError
 from rweets.features import (
     TFIDF,
@@ -689,6 +690,23 @@ def with_header(data: bytes, change) -> bytes:
     change(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return len(raw).to_bytes(4, "little") + raw + data[4 + size:]
+
+
+def save_version_1_matrix(fm, path, digest: str) -> None:
+    """Write `fm` in the version-1 matrix layout, which `save_matrix` wrote
+    before the narrow one: `indptr` and `indices` as int64, `data` as
+    float64, then the row ids and the vocabulary."""
+    m, vocab = fm.matrix, fm.vocab
+    meta = {"n_docs": vocab.n_docs, "ngram_range": vocab.ngram_range, "rows": m.rows,
+            "cols": m.cols}
+    arrays = {"indptr": m.indptr, "indices": m.indices, "data": m.data,
+              "row_ids": fm.row_ids, "terms": vocab.terms}
+    if vocab.doc_freqs is not None:
+        arrays["doc_freqs"] = np.asarray(vocab.doc_freqs, dtype=np.int64)
+    artifact.save(path, "matrix", digest, meta, **arrays)
+    data = Path(path).read_bytes()  # the sorted header ends in its version
+    assert data.count(b'"version":2}') == 1
+    Path(path).write_bytes(data.replace(b'"version":2}', b'"version":1}'))
 
 
 def reference_report(cm, labels) -> dict:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import with_header
+from oracles import save_version_1_matrix, with_header
 from rweets import artifact
 from rweets.cli import main
 from rweets.errors import FormatError
@@ -235,6 +235,25 @@ class TestFeaturize:
         out = capsys.readouterr().out
         assert "cache hit" not in out and "wrote" in out
         assert matrix.read_bytes() == built
+
+    def test_version_1_matrix_is_rebuilt_then_a_hit(self, workspace, capsys):
+        from rweets.features import combo, load_matrix
+
+        clean = workspace / "d1.clean"
+        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
+        matrix = workspace / "m10"
+        args = ["featurize", "--clean", str(clean), "--out", str(matrix), "--combo", "10",
+                "--raw", str(workspace / "d1.jsonl")]
+        assert run(args) == 0
+        built = matrix.read_bytes()
+        digest = artifact.load(matrix, "matrix")[0]["digest"]
+        save_version_1_matrix(load_matrix(matrix, combo(10), digest), matrix, digest)
+        capsys.readouterr()
+        assert run(args) == 0
+        assert capsys.readouterr().out.startswith("wrote ")
+        assert matrix.read_bytes() == built
+        assert run(args) == 0
+        assert capsys.readouterr().out.startswith("cache hit: ")
 
     def test_combo_out_of_range_exit_1(self, workspace):
         clean = workspace / "d1.clean"
@@ -620,6 +639,23 @@ class TestSeries:
         capsys.readouterr()
         assert run(base) == 3
         assert "row ids" in capsys.readouterr().err
+
+    def test_cached_doc_freqs_of_the_wrong_type_exit_3(self, workspace, capsys):
+        staged = workspace / "staged"
+        assert run(["train", "--binary", str(workspace / "d1.jsonl"),
+                    "--categories", str(workspace / "d2.jsonl"),
+                    "--combo", "10", "--out", str(staged)]) == 0
+        base = ["--cache-dir", str(workspace / "cache"), "series", "--model", str(staged),
+                "--input", str(workspace / "d1.jsonl"), "--output", str(workspace / "o.jsonl")]
+        assert run(base) == 0
+        path = next((workspace / "cache").iterdir())
+        header, arrays = artifact.load(path, "matrix")
+        arrays["doc_freqs"] = tuple(map(str, arrays["doc_freqs"].tolist()))
+        artifact.save(path, "matrix", header["digest"], header["meta"], **arrays)
+        capsys.readouterr()
+        assert run(base) == 3
+        assert f"{path.name}: inconsistent matrix artifact (doc_freqs must be" in (
+            capsys.readouterr().err)
 
     def test_series_without_model_or_training_data_exit_1(self, tmp_path):
         assert run(["series", "--output", str(tmp_path / "o.jsonl")]) == 1

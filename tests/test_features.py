@@ -14,13 +14,16 @@ from oracles import (
     reference_count_ngrams,
     reference_featurize,
     reference_vectorize_tf,
+    save_version_1_matrix,
     to_dense,
 )
+from rweets import artifact
 from rweets.corpus import CATEGORICAL, synth_corpus
 from rweets.errors import FormatError, StaleCacheError, ValidationError
 from rweets.features import (
     NGRAM_RANGES,
     FeatureConfig,
+    FeatureMatrix,
     Vocabulary,
     build_vocabulary,
     combo,
@@ -37,6 +40,7 @@ from rweets.features import (
 from rweets.models import MultinomialNaiveBayes, input_config, stratified_kfold
 from rweets.preprocess import run_pipeline
 from rweets.rules import rule_block_for_ids
+from rweets.sparse import SparseMatrix
 
 
 def random_corpus(rng, max_docs=10):
@@ -467,3 +471,191 @@ class TestPersistence:
         assert loaded.matrix == fm.matrix
         assert len(loaded.vocab) == len(fm.vocab)
         assert loaded.matrix.cols == len(loaded.vocab) + 18
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        """(token lists, ids, rule block) of a cleaned synth corpus, whose
+        templated texts repeat their values, and of seeded random words drawn
+        by Zipf's law, whose unigram tf-idf values are mostly distinct."""
+        dataset = synth_corpus(7, 200, CATEGORICAL)
+        clean, _ = run_pipeline(dataset)
+        rng = np.random.default_rng(11)
+        words = [f"w{k}" for k in range(2000)]
+        zipf = 1 / np.arange(1, len(words) + 1)
+        zipf /= zipf.sum()
+        docs = [[words[k] for k in rng.choice(len(words), rng.integers(10, 40), p=zipf)]
+                for _ in range(300)]
+        ids = [f"d{k}" for k in range(len(docs))]
+        return {
+            "synth": (clean.tokens, clean.ids,
+                      rule_block_for_ids(clean.ids, dataset.texts_by_id())),
+            "random": (docs, ids, rule_block_for_ids(ids, {i: " ".join(d)
+                                                           for i, d in zip(ids, docs)})),
+        }
+
+    @staticmethod
+    def combo_matrix(corpus, config):
+        docs, ids, rules = corpus
+        return featurize_tokens(docs, ids, config,
+                                rule_block=rules if config.append_rules else None)
+
+    @staticmethod
+    def declared(path) -> dict:
+        """{array name: declared dtype} of a saved matrix."""
+        header, _ = artifact.load(path, "matrix")
+        return {name: dtype for name, dtype, _shape in header["arrays"]}
+
+    @staticmethod
+    def assert_bit_exact(loaded, fm):
+        built, back = fm.matrix, loaded.matrix
+        assert (back.rows, back.cols) == (built.rows, built.cols)
+        for name in ("indptr", "indices"):
+            assert getattr(back, name).dtype == np.int64
+            assert np.array_equal(getattr(back, name), getattr(built, name)), name
+        assert np.array_equal(back.data.view(np.uint64), built.data.view(np.uint64))
+        assert loaded.row_ids == fm.row_ids
+        assert loaded.vocab == fm.vocab and loaded.vocab.digest == fm.vocab.digest
+
+    def save_twice_and_load(self, fm, tmp_path):
+        """Save `fm` twice, check the bytes agree, load it bit for bit and
+        check that saving what was loaded writes the same bytes again."""
+        first, second, again = (tmp_path / f"{n}.matrix" for n in ("first", "second", "again"))
+        save_matrix(fm, first, digest="d" * 16)
+        save_matrix(fm, second, digest="d" * 16)
+        assert first.read_bytes() == second.read_bytes()
+        loaded = load_matrix(first, fm.config, digest="d" * 16)
+        self.assert_bit_exact(loaded, fm)
+        save_matrix(loaded, again, digest="d" * 16)
+        assert again.read_bytes() == first.read_bytes()
+        return self.declared(first)
+
+    @staticmethod
+    def narrowest(top: int) -> str:
+        return next(dtype for dtype, bits in (("|u1", 8), ("<u2", 16), ("<u4", 32), ("<i8", 63))
+                    if top < 1 << bits)
+
+    def assert_layout(self, fm, dtypes: dict):
+        """Integers at the width their largest value needs, and the values
+        coded exactly when the table and the codes take fewer bytes."""
+        m = fm.matrix
+        assert "indptr" not in dtypes
+        assert dtypes["counts"] == self.narrowest(max(np.diff(m.indptr), default=0))
+        assert dtypes["indices"] == self.narrowest(max(m.indices, default=0))
+        distinct = len(set(m.data.view(np.uint64).tolist()))
+        code = self.narrowest(distinct - 1)
+        coded = 8 * distinct + int(code[-1]) * m.nnz < 8 * m.nnz
+        assert sorted(k for k in dtypes if k in ("codes", "values", "data")) == (
+            ["codes", "values"] if coded else ["data"])
+        if coded:
+            assert dtypes["codes"] == code
+        return coded
+
+    @pytest.mark.parametrize("corpus", ["synth", "random"])
+    @pytest.mark.parametrize("index", range(1, 25))
+    def test_every_combo_round_trips_bit_for_bit(self, corpora, tmp_path, index, corpus):
+        fm = self.combo_matrix(corpora[corpus], combo(index))
+        self.assert_layout(fm, self.save_twice_and_load(fm, tmp_path))
+
+    def test_combos_take_both_value_layouts(self, corpora, tmp_path):
+        # synth values repeat, so every combo is coded; the random unigram
+        # tf-idf values are mostly distinct and stay raw
+        coded = {}
+        for name, corpus in corpora.items():
+            for index, config in enumerate(enumerate_combos(), 1):
+                fm = self.combo_matrix(corpus, config)
+                save_matrix(fm, tmp_path / "m.matrix")
+                coded[name, index] = self.assert_layout(fm, self.declared(tmp_path / "m.matrix"))
+        assert all(coded["synth", index] for index in range(1, 25))
+        assert [index for index in range(1, 25) if not coded["random", index]] == [13, 19]
+
+    @pytest.mark.parametrize("shape, entries, widths", [
+        pytest.param((0, 3), [], {"counts": "|u1", "indices": "|u1", "data": "<f8"}, id="0-rows"),
+        pytest.param((4, 3), [], {"counts": "|u1", "indices": "|u1", "data": "<f8"},
+                     id="0-entries"),
+        pytest.param((2, 400), [(1, c, 1.0 + c % 3) for c in range(300)],
+                     {"counts": "<u2", "indices": "<u2", "codes": "|u1"}, id="row-of-300"),
+        pytest.param((3, 70_000), [(0, 5, 2.0), (0, 65_535, 2.0), (2, 69_999, 0.5)],
+                     {"indices": "<u4", "codes": "|u1"}, id="cols-70000"),
+        pytest.param((40, 30), [(k // 25, k % 25, 1.0 + (k % 300) / 7) for k in range(1000)],
+                     {"codes": "<u2"}, id="300-values"),
+        pytest.param((1875, 80), [(k // 80, k % 80, 1.0 + (k % 70_000) / 64)
+                                  for k in range(150_000)], {"codes": "<u4"}, id="70000-values"),
+        pytest.param((1, 3), [(0, 0, 5e-324), (0, 1, -1.5), (0, 2, 2.2250738585072014e-308)],
+                     {"data": "<f8"}, id="all-distinct"),
+        # negative values sort after positive ones as uint64 bit patterns
+        pytest.param((20, 10), [(k // 10, k % 10, (-2.5, -1.0, 0.5, 3.0, -5e-324)[k % 5])
+                                for k in range(200)], {"codes": "|u1"}, id="negative-values"),
+    ])
+    def test_hand_built_matrix_round_trips_bit_for_bit(self, tmp_path, shape, entries, widths):
+        rows, cols = shape
+        r, c, v = (np.array(column, dtype=dtype) for column, dtype in
+                   zip(zip(*entries) if entries else ((), (), ()), (np.int64, np.int64, float)))
+        matrix = SparseMatrix.from_coordinates(rows, cols, r, c, v)
+        vocab = Vocabulary(tuple(f"t{k}" for k in range(cols)), (1, 1),
+                           tuple(range(1, cols + 1)), rows)
+        fm = FeatureMatrix(matrix, vocab, FeatureConfig(), tuple(f"r{k}" for k in range(rows)))
+        dtypes = self.save_twice_and_load(fm, tmp_path)
+        self.assert_layout(fm, dtypes)
+        assert widths.items() <= dtypes.items()
+
+    @pytest.mark.parametrize("field, value", [
+        ("row_ids", np.array([7, 8], dtype=np.int64)),
+        ("terms", np.array([1.0, 2.0])),
+        ("doc_freqs", ("1", "2")),
+        ("doc_freqs", np.array([1.0, 2.0])),
+        ("counts", np.array([1.0, 1.0])),
+        ("counts", np.array([[1, 1]], dtype=np.uint8)),
+        ("counts", ("1", "1")),
+        ("indices", np.array([0.0, 1.0])),
+        ("codes", np.array([0.0, 0.0])),
+        ("codes", ("0", "0")),
+        ("values", np.array([2], dtype=np.int64)),
+        ("values", np.array([[2.0]])),
+        ("data", np.array([2, 2], dtype=np.uint8)),
+    ])
+    def test_array_of_the_wrong_type_is_format_error(self, tmp_path, field, value):
+        path = tmp_path / "typed.matrix"
+        meta = {"rows": 2, "cols": 2, "n_docs": 2, "ngram_range": [1, 1]}
+        arrays = {"counts": np.array([1, 1], dtype=np.uint8),
+                  "indices": np.array([0, 1], dtype=np.uint8),
+                  "row_ids": ("a", "b"), "terms": ("need", "food"),
+                  "doc_freqs": np.array([1, 1], dtype=np.int64)}
+        if field == "data":
+            arrays["data"] = np.array([2.0, 2.0])
+        else:
+            arrays.update(values=np.array([2.0]), codes=np.array([0, 0], dtype=np.uint8))
+        artifact.save(path, "matrix", "d" * 16, meta, **arrays)
+        assert load_matrix(path, FeatureConfig(), digest="d" * 16).matrix.nnz == 2
+        artifact.save(path, "matrix", "d" * 16, meta, **{**arrays, field: value})
+        with pytest.raises(FormatError, match=f"typed.matrix: inconsistent matrix artifact "
+                                              f"[(]{field} must be"):
+            load_matrix(path, FeatureConfig(), digest="d" * 16)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("codes", np.array([0, 1], dtype=np.uint8), "codes fall outside the value table"),
+        ("codes", np.array([0, -1], dtype=np.int64), "codes fall outside the value table"),
+        ("counts", np.array([1, 2], dtype=np.uint8), "counts do not sum to the number of entries"),
+        ("counts", np.array([2, -1, 1], dtype=np.int64), "row pointers must be nondecreasing"),
+        ("indices", np.array([0], dtype=np.uint8), "counts do not sum to the number of entries"),
+        ("indices", np.array([0, 2], dtype=np.uint8), "column index out of range"),
+    ])
+    def test_codes_and_counts_out_of_bounds_are_format_errors(self, tmp_path, field, value,
+                                                              message):
+        path = tmp_path / "bounds.matrix"
+        arrays = {"counts": np.array([1, 1], dtype=np.uint8),
+                  "indices": np.array([0, 0], dtype=np.uint8),
+                  "values": np.array([2.0]), "codes": np.array([0, 0], dtype=np.uint8),
+                  "terms": ("need", "food"), "doc_freqs": np.array([1, 1], dtype=np.int64)}
+        arrays[field] = value
+        rows = len(arrays["counts"])
+        meta = {"rows": rows, "cols": 2, "n_docs": 2, "ngram_range": [1, 1]}
+        artifact.save(path, "matrix", "d" * 16, meta, row_ids=tuple("abc"[:rows]), **arrays)
+        with pytest.raises(FormatError, match=f"bounds.matrix: inconsistent matrix artifact "
+                                              f"[(]{message}"):
+            load_matrix(path, FeatureConfig(), digest="d" * 16)
+
+    def test_version_1_matrix_is_refused_by_name(self, tmp_path):
+        fm, cfg = self.make_fm()
+        save_version_1_matrix(fm, tmp_path / "old.matrix", cfg.digest)
+        with pytest.raises(FormatError, match="matrix artifact version 1 is not readable"):
+            load_matrix(tmp_path / "old.matrix", cfg)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -135,6 +136,27 @@ def test_named_inputs(tmp_path, text, outcome):
         assert [record["id"] for record in got] == outcome
     else:
         assert got.startswith(f"{path}: {outcome}")
+
+
+# every character str.isspace holds but the two that end a line in text mode
+SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in "\n\r"]
+
+
+@pytest.mark.parametrize("chunk", [3, 1024])
+def test_whitespace_only_lines_are_skipped_and_counted(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(jsonl, "_CHUNK", chunk)
+    assert len(SPACES) == 27
+    blank = [space * n for space in SPACES for n in (1, 3)] + ["".join(SPACES)]
+    lines = ['{"id": "a", "text": "x"}', *blank, '{"id": "b", "text": "y"}']
+    path = tmp_path / "d.jsonl"
+    for tail, outcome in (([], ["a", "b"]), (["{"], f"line {len(lines) + 1}: malformed JSON")):
+        path.write_text("\n".join(lines + tail) + "\n", encoding="utf-8", newline="")
+        kind, got = _outcome(read_records, path, ("id", "text"), None)
+        assert (kind, got) == _outcome(reference_read_records, path, ("id", "text"), None)
+        if kind == "records":
+            assert [record["id"] for record in got] == outcome
+        else:
+            assert got.startswith(f"{path}: {outcome}")
 
 
 @pytest.mark.parametrize("chunk", [3, 1024])

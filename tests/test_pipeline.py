@@ -4,9 +4,18 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from oracles import with_header
+from oracles import save_version_1_matrix, with_header
 from rweets import lexicon
-from rweets.corpus import BINARY, CATEGORICAL, RWEET, Dataset, RawTweet, synth_corpus
+from rweets.cli import main
+from rweets.corpus import (
+    BINARY,
+    CATEGORICAL,
+    RWEET,
+    Dataset,
+    RawTweet,
+    save_dataset,
+    synth_corpus,
+)
 from rweets.errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from rweets.digest import combine_digests, digest_records, digest_text
 from rweets.features import FeatureConfig, combo, load_matrix, save_matrix
@@ -32,15 +41,17 @@ def staged_model():
     return staged
 
 
-def stage1_key(staged, dataset):
+def stage1_key(staged, dataset, layout=("matrix 2",)):
     """The stage-1 cache key: the identifier's input config, the identifier
-    vocabulary, the pipeline config and the raw input."""
+    vocabulary, the pipeline config, the raw input and the matrix layout
+    version (none: the key of version-1 files)."""
     return combine_digests(
         input_config(staged.identifier, staged.feature_config).digest,
         staged.identifier_vocab.digest,
         staged.pipeline_config.digest,
         digest_records((tw.id, tw.text) for tw in dataset),
         "stage1",
+        *layout,
     )
 
 
@@ -168,9 +179,9 @@ class TestRunSeries:
         assert run_series(texts, staged_model) == cold
         assert rule_walks == [texts[i] for i in clean.ids]
 
-    def stage2_reference(self, staged, probe, series):
+    def stage2_reference(self, staged, probe, series, layout=("matrix 2",)):
         """Stage-2 features built from scratch on the id-filtered corpus,
-        with the key run_series files them under."""
+        with the key run_series files them under (at matrix `layout`)."""
         clean, _ = run_pipeline(probe, staged.pipeline_config)
         ids, stage1, _ = series
         kept = {i for i, label in zip(ids, stage1) if label == RWEET}
@@ -183,9 +194,10 @@ class TestRunSeries:
         key = combine_digests(
             input_config(staged.categorizer, staged.feature_config).digest,
             staged.categorizer_vocab.digest,
-            stage1_key(staged, probe),
+            stage1_key(staged, probe, layout),
             digest_text(",".join(map(str, positions))),
             "stage2",
+            *layout,
         )
         return fm, key, len(filtered)
 
@@ -204,6 +216,38 @@ class TestRunSeries:
         save_matrix(fm2, cache.path_for(key2), digest=key2)
         assert run_series(probe.texts_by_id(), staged_model, cache) == results
         assert (cache.hits, cache.misses, cache.built) == (2, 0, 0)
+
+    def test_cache_of_version_1_matrices_is_rebuilt(self, staged_model, tmp_path, capsys):
+        # a cache the version-1 layout filled holds both stages under keys
+        # that name no layout: series builds both anew and reads neither
+        probe = synth_corpus(46, 90, BINARY)
+        save_staged(staged_model, tmp_path / "model")
+        save_dataset(probe, tmp_path / "in.jsonl")
+        series = ["series", "--model", str(tmp_path / "model"),
+                  "--input", str(tmp_path / "in.jsonl")]
+        assert main(series + ["--output", str(tmp_path / "none.jsonl")]) == 0
+        results = run_series(probe.texts_by_id(), staged_model)
+        clean, _ = run_pipeline(probe, staged_model.pipeline_config)
+        fm1 = featurize_corpus(clean, staged_model.feature_config, probe.texts_by_id(),
+                               vocabulary=staged_model.identifier_vocab)
+        fm2, key2, _ = self.stage2_reference(staged_model, probe, results, layout=())
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        old = {cache / f"{stage1_key(staged_model, probe, layout=())}.matrix": fm1,
+               cache / f"{key2}.matrix": fm2}
+        for path, fm in old.items():
+            save_version_1_matrix(fm, path, path.stem)
+        before = {path: path.read_bytes() for path in old}
+        capsys.readouterr()
+        cached = ["--cache-dir", str(cache), "--verbose"] + series
+        assert main(cached + ["--output", str(tmp_path / "cold.jsonl")]) == 0
+        assert "cache: 0 hits, 2 misses, 2 built" in capsys.readouterr().out
+        assert main(cached + ["--output", str(tmp_path / "warm.jsonl")]) == 0
+        assert "cache: 2 hits, 0 misses, 0 built" in capsys.readouterr().out
+        outputs = {(tmp_path / f"{run}.jsonl").read_bytes() for run in ("none", "cold", "warm")}
+        assert len(outputs) == 1
+        assert {path: path.read_bytes() for path in old} == before
+        assert len(list(cache.iterdir())) == 4
 
     def test_stage2_artifact_matches_filtered_corpus(self, staged_model, tmp_path):
         probe = synth_corpus(46, 90, BINARY)
