@@ -1,7 +1,7 @@
-"""One binary container for every persisted artifact, of three kinds:
-`clean` (a cleaned corpus), `matrix` (a feature matrix with its vocabulary)
-and `staged` (both classifiers of a staged model with their vocabularies and
-configurations).
+"""One binary container for every persisted artifact, of four kinds:
+`clean` (a cleaned corpus), `matrix` (a feature matrix with its vocabulary),
+`staged` (both classifiers of a staged model with their vocabularies and
+configurations) and `cache` (a series cache entry, `pipeline.FeatureCache`).
 
 Layout: a 4-byte little-endian header length, a sorted-key JSON header
 (magic, kind, version, digest, `meta`, and each array's [name, dtype,
@@ -140,6 +140,13 @@ def field(arrays: dict, name: str, dtypes=None):
     if dtypes and (type(value) is tuple or value.ndim != 1 or value.dtype.str not in dtypes):
         raise FormatError(f"{name} must be a 1-D array of {'/'.join(dtypes)}")
     return value
+
+
+def narrow(values) -> np.ndarray:
+    """Non-negative integers at the narrowest of `INTEGERS` that holds them."""
+    values = np.asarray(values)
+    top = values.max(initial=0)
+    return values.astype(next(dtype for dtype in INTEGERS if top <= np.iinfo(dtype).max))
 
 
 def split_at(items, offsets) -> tuple:

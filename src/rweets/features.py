@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _Memo, artifact
 from .digest import digest_json
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_equal_length
 from .rules import N_PATTERNS
 from .sparse import SparseMatrix
 
@@ -259,15 +259,10 @@ class FeatureMatrix:
     row_ids: tuple[str, ...]
 
     def __post_init__(self):
-        expected = len(self.vocab) + (N_PATTERNS if self.config.append_rules else 0)
-        if self.matrix.cols != expected:
-            raise ValidationError(
-                f"matrix has {self.matrix.cols} columns, config implies {expected}"
-            )
-        if self.matrix.rows != len(self.row_ids):
-            raise ValidationError(
-                f"matrix has {self.matrix.rows} rows but {len(self.row_ids)} row ids"
-            )
+        cols = len(self.vocab) + (N_PATTERNS if self.config.append_rules else 0)
+        if self.matrix.cols != cols:
+            raise ValidationError(f"matrix has {self.matrix.cols} columns, config implies {cols}")
+        check_equal_length("matrix rows", range(self.matrix.rows), "row ids", self.row_ids)
 
 
 def featurize_tokens(
@@ -285,8 +280,6 @@ def featurize_tokens(
     """
     docs = _counted(docs, config.ngram_range)
     ids = tuple(ids)
-    if len(docs) != len(ids):
-        raise ValidationError("one id per document required")
     if vocab is None:
         vocab = build_vocabulary(docs, config.ngram_range, config.min_df, config.max_df)
     elif vocab.ngram_range != config.ngram_range:
@@ -331,38 +324,46 @@ def _vocab_from(meta: dict, arrays: dict) -> Vocabulary:
     )
 
 
-def _narrowest(top: int) -> np.dtype:
-    """The narrowest artifact integer dtype that holds 0..top."""
-    return np.dtype(next(dtype for dtype in artifact.INTEGERS if top <= np.iinfo(dtype).max))
-
-
-def save_matrix(fm: FeatureMatrix, path, digest: str | None = None) -> None:
-    """Write the matrix, its vocabulary and its row ids as one artifact.
-
-    The header digest defaults to the feature-config digest; callers that
-    key artifacts on more than the configuration (e.g. input content) pass
-    the wider digest explicitly.
-
-    Layout (matrix version 2): `counts`, each row's entry count, and
-    `indices` at the narrowest width that holds their values; then `values`,
-    each distinct float64 bit pattern once in ascending order, and `codes`,
-    one narrow index into them per entry, when those are smaller than
-    `data`, the raw float64 entries (which tf-idf values keep).
-    """
-    m = fm.matrix
-    meta, arrays = _vocab_fields(fm.vocab)
-    meta.update(rows=m.rows, cols=m.cols)
+def _matrix_fields(m: SparseMatrix) -> tuple[dict, dict]:
+    """The header meta and the arrays that store a sparse matrix (layout 2):
+    `counts`, each row's entry count, and `indices`, both `narrow`; then
+    `values`, each distinct float64 bit pattern once in ascending order, and
+    `codes`, one narrow index into them per entry, when those are smaller
+    than `data`, the raw float64 entries (which tf-idf values keep)."""
     bits = m.data.view(np.uint64)
     ordered = np.sort(bits)
     table = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-    code = _narrowest(len(table) - 1)
+    code = artifact.narrow(len(table) - 1).dtype  # the width that holds every code
     values = ({"values": table.view(np.float64), "codes": np.searchsorted(table, bits).astype(code)}
               if table.nbytes + code.itemsize * m.nnz < m.data.nbytes else {"data": m.data})
-    counts = np.diff(m.indptr)
-    artifact.save(path, "matrix", digest or fm.config.digest, meta,
-                  counts=counts.astype(_narrowest(counts.max(initial=0))),
-                  indices=m.indices.astype(_narrowest(m.indices.max(initial=0))),
-                  **values, row_ids=fm.row_ids, **arrays)
+    return {"rows": m.rows, "cols": m.cols}, {"counts": artifact.narrow(np.diff(m.indptr)),
+                                              "indices": artifact.narrow(m.indices), **values}
+
+
+def _matrix_from(meta: dict, arrays: dict) -> SparseMatrix:
+    """The matrix `_matrix_fields` stored, its arrays type-checked."""
+    ints = artifact.INTEGERS
+    counts, indices = (artifact.field(arrays, k, ints) for k in ("counts", "indices"))
+    data = artifact.field(arrays, "values" if "codes" in arrays else "data", ("<f8",))
+    if "codes" in arrays:
+        codes = artifact.field(arrays, "codes", ints)
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(data):
+            raise FormatError("codes fall outside the value table")
+        data = data[codes]
+    if counts.sum() != len(indices):
+        raise FormatError("counts do not sum to the number of entries")
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    return SparseMatrix(meta["rows"], meta["cols"], indptr, indices, data)
+
+
+def save_matrix(fm: FeatureMatrix, path, digest: str | None = None) -> None:
+    """Write the matrix, its row ids and its vocabulary as one artifact,
+    under the feature-config digest unless a wider `digest` (one that also
+    covers the input, say) is given."""
+    meta, arrays = _matrix_fields(fm.matrix)
+    vocab_meta, vocab_arrays = _vocab_fields(fm.vocab)
+    artifact.save(path, "matrix", digest or fm.config.digest, {**meta, **vocab_meta},
+                  **arrays, row_ids=fm.row_ids, **vocab_arrays)
 
 
 def load_matrix(path, config: FeatureConfig, digest: str | None = None) -> FeatureMatrix:
@@ -372,20 +373,9 @@ def load_matrix(path, config: FeatureConfig, digest: str | None = None) -> Featu
     codes and counts the bounds that `save_matrix` writes, or a FormatError
     names the file and the array."""
     header, arrays = artifact.load(path, "matrix", digest or config.digest)
-    meta, ints = header["meta"], artifact.INTEGERS
+    meta = header["meta"]
     try:
-        counts, indices = (artifact.field(arrays, k, ints) for k in ("counts", "indices"))
-        data = artifact.field(arrays, "values" if "codes" in arrays else "data", ("<f8",))
-        if "codes" in arrays:
-            codes = artifact.field(arrays, "codes", ints)
-            if len(codes) and not 0 <= codes.min() <= codes.max() < len(data):
-                raise FormatError("codes fall outside the value table")
-            data = data[codes]
-        if counts.sum() != len(indices):
-            raise FormatError("counts do not sum to the number of entries")
-        indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        matrix = SparseMatrix(meta["rows"], meta["cols"], indptr, indices, data)
-        return FeatureMatrix(matrix=matrix, vocab=_vocab_from(meta, arrays), config=config,
-                             row_ids=artifact.field(arrays, "row_ids"))
+        return FeatureMatrix(matrix=_matrix_from(meta, arrays), vocab=_vocab_from(meta, arrays),
+                             config=config, row_ids=artifact.field(arrays, "row_ids"))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise FormatError(f"{Path(path).name}: inconsistent matrix artifact ({exc})") from None

@@ -20,17 +20,21 @@ from .features import (
     FeatureConfig,
     FeatureMatrix,
     Vocabulary,
+    _matrix_fields,
+    _matrix_from,
     _vocab_fields,
     _vocab_from,
     count_ngrams,
     featurize_tokens,
-    load_matrix,
-    save_matrix,
+    save_matrix,  # unused here: the benchmark's self-test asserts `rweets.pipeline.save_matrix`
 )
 from .jsonl import encode_id_text_lines, encode_line, write_lines
 from .models import LogisticRegression, _model_fields, _model_from, input_config
 from .preprocess import CleanCorpus, PipelineConfig, run_pipeline
 from .rules import rule_block_for_ids
+
+_ENTRY = "cache"  # the artifact kind of a FeatureCache entry, and its files' suffix
+_LAYOUT = f"{_ENTRY} {artifact.KIND_VERSIONS.get(_ENTRY, artifact.VERSION)}"
 
 
 def featurize_corpus(
@@ -57,36 +61,50 @@ def featurize_corpus(
 
 
 class FeatureCache:
-    """Disk cache of feature matrices keyed by content digests.
-
-    get_or_build loads the artifact when the key exists (a hit) and
-    otherwise invokes the builder and persists its result. `built` counts
-    actual featurization runs, so tests can assert warm reruns recompute
-    nothing. The key is also the artifact's header digest, so a file copied
-    or renamed under another key is refused as stale, not loaded as a hit.
+    """Disk cache of `run_series`'s feature matrices, one file per slot (see
+    `run_series`), so a directory holds at most two files per staged model.
+    An entry's header digest is its content key: a slot that holds another
+    key's entry is a miss, and the build overwrites it. `built` counts
+    actual featurization runs, so tests can assert warm reruns build nothing.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self.built = 0
 
-    def path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.matrix"
+    def path_for(self, slot: str) -> Path:
+        return self.directory / f"{slot}.{_ENTRY}"
 
-    def get_or_build(self, key: str, config: FeatureConfig, builder) -> FeatureMatrix:
-        path = self.path_for(key)
-        if path.exists():
-            fm = load_matrix(path, config, digest=key)
-            self.hits += 1
+    def get_or_build(self, slot: str, key: str, builder, vocab: Vocabulary,
+                     config: FeatureConfig, ids, rows=None) -> FeatureMatrix:
+        """The features of the rows `ids` at positions `rows`, or, when `rows`
+        is None, at the positions the entry stores, which must rise strictly
+        inside `ids`. A damaged entry is a FormatError naming the file."""
+        path = self.path_for(slot)
+        try:
+            header, arrays = artifact.load(path, _ENTRY, key)
+        except (FileNotFoundError, StaleCacheError):  # an empty slot, or another input's entry
+            self.misses += 1
+            fm = builder()
+            self.built += 1
+            meta, arrays = _matrix_fields(fm.matrix)
+            if rows is None:
+                index = {row_id: i for i, row_id in enumerate(ids)}
+                arrays["positions"] = artifact.narrow([index[row_id] for row_id in fm.row_ids])
+            artifact.save(path, _ENTRY, key, meta, **arrays)
             return fm
-        self.misses += 1
-        fm = builder()
-        self.built += 1
-        save_matrix(fm, path, digest=key)
-        return fm
+        self.hits += 1
+        try:
+            if rows is None:
+                rows = artifact.field(arrays, "positions", artifact.INTEGERS).tolist()
+                if rows != sorted({row for row in rows if 0 <= row < len(ids)}):
+                    raise FormatError(f"positions do not rise strictly inside the {len(ids)} rows")
+            return FeatureMatrix(_matrix_from(header["meta"], arrays), vocab, config,
+                                 tuple(map(ids.__getitem__, rows)))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise FormatError(f"{path.name}: damaged cache entry ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -149,18 +167,15 @@ def run_series(
     corpus's order, where stage2[i] is the category of a row that stage 1
     calls a rweet and None for every other row.
 
-    The cache is keyed on the input as given, not on what cleaning makes of
-    it. Stage 1's key covers the feature config the identifier is fed
-    (`input_config`), the identifier vocabulary, the pipeline config and
-    every input (id, text) in order; stage 2's the feature config the
-    categorizer is fed, the categorizer vocabulary, the stage-1 key and the
-    positions of its rows among stage 1's. Both keys name the matrix layout
-    version, so files of an earlier layout are rebuilt, never read. Cleaning
-    runs at most once per call and only when a stage has to be built, so a
-    full hit cleans, evaluates and vectorizes nothing; on a stage-1 hit the
-    output ids are the artifact's row ids. The pipeline digest covers the
-    pipeline config and the lexicon but not the cleaning code, as the feature
-    digest covers the feature config but not the featurization code.
+    A stage's cache slot is the stage, the feature config its classifier is
+    fed (`input_config`), its vocabulary, the pipeline config and the entry
+    layout; its key adds the input as given, not as cleaned: stage 1's every
+    (id, text) in order, stage 2's the stage-1 key and the positions of its
+    rows among stage 1's. Cleaning runs at most once per call and only when
+    a stage has to be built, so a full hit cleans, evaluates and vectorizes
+    nothing. The pipeline digest covers the pipeline config and the lexicon
+    but not the cleaning code, as the feature digest covers the feature
+    config but not the featurization code.
 
     N-grams are counted and the 18 rules run at most once per cleaned tweet
     per call: building stage 1 counts and evaluates every cleaned row, and
@@ -169,7 +184,7 @@ def run_series(
     """
     config1 = input_config(staged.identifier, staged.feature_config)
     config2 = input_config(staged.categorizer, staged.feature_config)
-    ids = None  # stage 1's row ids: the cleaned corpus's, or a cached artifact's
+    fm1 = None  # stage 1's features, once built or loaded
     cleaned = None  # the cleaned corpus, once a builder needs it
     all_counts = all_rules = None  # the n-gram counts and rule block of every cleaned row
 
@@ -181,9 +196,9 @@ def run_series(
         if cleaned is None:
             unlabeled = [(tweet_id, text, None) for tweet_id, text in texts.items()]
             cleaned, _ = run_pipeline(unlabeled, staged.pipeline_config)
-        if ids is not None and cleaned.ids != tuple(ids):
+        if fm1 is not None and cleaned.ids != fm1.row_ids:
             raise StaleCacheError(
-                f"{cache.path_for(key1).name}: rows differ from the cleaned input")
+                f"{cache.path_for(slot1).name}: rows differ from the cleaned input")
         row_ids = cleaned.ids if rows is None else [cleaned.ids[i] for i in rows]
         if all_counts is not None:
             counts, all_counts = all_counts.take(rows), None  # its last use: free it
@@ -196,37 +211,34 @@ def run_series(
                 all_counts, all_rules = counts, rules
         return featurize_tokens(counts, row_ids, config, vocab=vocab, rule_block=rules)
 
-    def featurize(key, rows, vocab: Vocabulary, config: FeatureConfig) -> FeatureMatrix:
+    def featurize(slot, key, ids, rows, vocab: Vocabulary, config: FeatureConfig) -> FeatureMatrix:
         if cache is None:
             return build(rows, vocab, config)
-        return cache.get_or_build(key, config, lambda: build(rows, vocab, config))
+        return cache.get_or_build(slot, key, lambda: build(rows, vocab, config), vocab, config,
+                                  ids, rows)
 
-    layout = f"matrix {artifact.KIND_VERSIONS['matrix']}"
-    key1 = None if cache is None else combine_digests(
-        config1.digest, staged.identifier_vocab.digest, staged.pipeline_config.digest,
-        digest_records(texts.items()), "stage1", layout)
-    fm1 = featurize(key1, None, staged.identifier_vocab, config1)
-    ids = fm1.row_ids
-    remaining = iter(texts)  # input order; `in` consumes it up to the match
-    if cache is not None and not all(row_id in remaining for row_id in ids):
-        raise FormatError(f"{cache.path_for(key1).name}: row ids are not input ids in input order")
+    def slot(stage, vocab: Vocabulary, config: FeatureConfig) -> str:
+        return combine_digests(stage, config.digest, vocab.digest, pipeline_digest, _LAYOUT)
+
+    pipeline_digest = staged.pipeline_config.digest
+    slot1 = slot("stage1", staged.identifier_vocab, config1)
+    key1 = None if cache is None else combine_digests(slot1, digest_records(texts.items()))
+    fm1 = featurize(slot1, key1, list(texts), None, staged.identifier_vocab, config1)
     stage1 = staged.identifier.predict(fm1.matrix)
 
     keep = [i for i, label in enumerate(stage1) if label == RWEET]
     stage2: list[str | None] = [None] * len(stage1)
     if keep:
+        slot2 = slot("stage2", staged.categorizer_vocab, config2)
         key2 = None if cache is None else combine_digests(
-            config2.digest, staged.categorizer_vocab.digest, key1,
-            digest_text(",".join(map(str, keep))), "stage2", layout)
-        fm2 = featurize(key2, keep, staged.categorizer_vocab, config2)
-        if cache is not None and list(fm2.row_ids) != [ids[i] for i in keep]:
-            raise FormatError(f"{cache.path_for(key2).name}: row ids are not the stage-2 rows")
+            slot2, key1, digest_text(",".join(map(str, keep))))
+        fm2 = featurize(slot2, key2, fm1.row_ids, keep, staged.categorizer_vocab, config2)
         categories = staged.categorizer.predict(fm2.matrix)
         if len(categories) != len(keep):
             raise ValidationError(f"categorizer gave {len(categories)} labels for {len(keep)} rows")
         for i, category in zip(keep, categories):
             stage2[i] = category
-    return list(ids), stage1, stage2
+    return list(fm1.row_ids), stage1, stage2
 
 
 def _stage_tail(stages: tuple) -> str:

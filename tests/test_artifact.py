@@ -229,7 +229,7 @@ def test_cold_series_caches_are_byte_identical(tmp_path):
                     "--input", str(tmp_path / "d1.jsonl"),
                     "--output", str(tmp_path / f"{name}.jsonl")]) == 0
     files = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert len(files) == 2 and all(name.endswith(".matrix") for name in files)
+    assert len(files) == 2 and all(name.endswith(".cache") for name in files)
     assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

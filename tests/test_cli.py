@@ -619,10 +619,6 @@ class TestSeries:
         assert all(any(c in i for i in ids) for c in ("\n", "\t", "\x00", "\U0001f6a8"))
 
     def test_cached_row_ids_outside_the_input_exit_3(self, workspace, capsys):
-        from dataclasses import replace
-
-        from rweets.features import combo, load_matrix, save_matrix
-
         staged = workspace / "staged"
         assert run(["train", "--binary", str(workspace / "d1.jsonl"),
                     "--categories", str(workspace / "d2.jsonl"),
@@ -630,17 +626,21 @@ class TestSeries:
         base = ["--cache-dir", str(workspace / "cache"), "series", "--model", str(staged),
                 "--input", str(workspace / "d1.jsonl"), "--output", str(workspace / "o.jsonl")]
         assert run(base) == 0
-        # stage 1 holds every cleaned row, stage 2 only the predicted rweets:
-        # the larger file is stage 1's
-        path = max((workspace / "cache").iterdir(), key=lambda p: p.stat().st_size)
-        fm = load_matrix(path, combo(10), digest=path.stem)
-        save_matrix(replace(fm, row_ids=("ghost",) + tuple(fm.row_ids[1:])), path,
-                    digest=path.stem)
+        # only stage 1's entry stores the positions of its rows; its last row
+        # moved past the last input row
+        (path,) = (p for p in (workspace / "cache").iterdir()
+                   if "positions" in artifact.load(p, "cache")[1])
+        header, arrays = artifact.load(path, "cache")
+        n_inputs = len((workspace / "d1.jsonl").read_text().splitlines())
+        positions = arrays["positions"].astype("<i8")
+        positions[-1] = n_inputs
+        artifact.save(path, "cache", header["digest"], header["meta"],
+                      **{**arrays, "positions": positions})
         capsys.readouterr()
         assert run(base) == 3
-        assert "row ids" in capsys.readouterr().err
+        assert f"{path.name}: damaged cache entry (positions" in capsys.readouterr().err
 
-    def test_cached_doc_freqs_of_the_wrong_type_exit_3(self, workspace, capsys):
+    def test_cached_positions_of_the_wrong_type_exit_3(self, workspace, capsys):
         staged = workspace / "staged"
         assert run(["train", "--binary", str(workspace / "d1.jsonl"),
                     "--categories", str(workspace / "d2.jsonl"),
@@ -648,14 +648,68 @@ class TestSeries:
         base = ["--cache-dir", str(workspace / "cache"), "series", "--model", str(staged),
                 "--input", str(workspace / "d1.jsonl"), "--output", str(workspace / "o.jsonl")]
         assert run(base) == 0
-        path = next((workspace / "cache").iterdir())
-        header, arrays = artifact.load(path, "matrix")
-        arrays["doc_freqs"] = tuple(map(str, arrays["doc_freqs"].tolist()))
-        artifact.save(path, "matrix", header["digest"], header["meta"], **arrays)
+        (path,) = (p for p in (workspace / "cache").iterdir()
+                   if "positions" in artifact.load(p, "cache")[1])
+        header, arrays = artifact.load(path, "cache")
+        arrays["positions"] = tuple(map(str, arrays["positions"].tolist()))
+        artifact.save(path, "cache", header["digest"], header["meta"], **arrays)
         capsys.readouterr()
         assert run(base) == 3
-        assert f"{path.name}: inconsistent matrix artifact (doc_freqs must be" in (
+        assert f"{path.name}: damaged cache entry (positions must be" in (
             capsys.readouterr().err)
+
+    # a cache directory holds one file per stage of each staged model it
+    # serves, whatever inputs went through it; files of earlier layouts
+    # stay as they were
+    def test_a_cache_dir_holds_two_files_per_staged_model(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import rweets
+        from rweets.corpus import BINARY, CATEGORICAL, save_dataset, synth_corpus
+        from rweets.features import combo, featurize_tokens, save_matrix
+        from rweets.models import CLASSIFIERS
+        from rweets.pipeline import save_staged, train_staged
+
+        def series(*args):  # the CLI in a process of its own, as a user runs it
+            src = str(Path(rweets.__file__).parents[1])
+            subprocess.run([sys.executable, "-m", "rweets.cli", *args], cwd=tmp_path, check=True,
+                           env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+
+        d1, d2 = synth_corpus(41, 200, BINARY), synth_corpus(42, 200, CATEGORICAL)
+        for kind in ("logreg", "nb"):
+            save_staged(train_staged(d1, d2, combo(10), make_clf=CLASSIFIERS[kind])[0],
+                        tmp_path / kind)
+        inputs = ("a", "b", "c")
+        for seed, name in enumerate(inputs, 46):
+            save_dataset(synth_corpus(seed, 150, BINARY), tmp_path / f"{name}.jsonl")
+        for name, kind in [*((name, "logreg") for name in inputs), ("a", "nb")]:
+            assert run(["series", "--model", str(tmp_path / kind), "--input",
+                        str(tmp_path / f"{name}.jsonl"),
+                        "--output", str(tmp_path / f"{name}_{kind}_none.jsonl")]) == 0
+        (tmp_path / "cache").mkdir()
+        fm = featurize_tokens([["need", "food"], ["calm", "night"]], ["x", "y"], combo(1))
+        old = {tmp_path / "cache" / f"{n:016x}.matrix": save for n, save in
+               enumerate((save_version_1_matrix, save_matrix))}
+        for path, save in old.items():
+            save(fm, path, path.stem)
+        before = {path: path.read_bytes() for path in old}
+        for name in inputs:
+            series("--cache-dir", "cache", "series", "--model", "logreg", "--input",
+                   f"{name}.jsonl", "--output", f"{name}_cached.jsonl")
+            assert ((tmp_path / f"{name}_cached.jsonl").read_bytes()
+                    == (tmp_path / f"{name}_logreg_none.jsonl").read_bytes())
+            new = set((tmp_path / "cache").iterdir()) - set(old)
+            assert len(new) == 2 and all(path.suffix == ".cache" for path in new)
+        assert {path: path.read_bytes() for path in old} == before
+        for kind in ("logreg", "nb"):
+            series("--cache-dir", "shared", "series", "--model", kind, "--input", "a.jsonl",
+                   "--output", f"shared_{kind}.jsonl")
+            assert ((tmp_path / f"shared_{kind}.jsonl").read_bytes()
+                    == (tmp_path / f"a_{kind}_none.jsonl").read_bytes())
+        assert len(list((tmp_path / "shared").iterdir())) == 4
 
     def test_series_without_model_or_training_data_exit_1(self, tmp_path):
         assert run(["series", "--output", str(tmp_path / "o.jsonl")]) == 1

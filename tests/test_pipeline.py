@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import save_version_1_matrix, with_header
-from rweets import lexicon
+from rweets import artifact, lexicon
 from rweets.cli import main
 from rweets.corpus import (
     BINARY,
@@ -18,7 +18,7 @@ from rweets.corpus import (
 )
 from rweets.errors import FormatError, RweetsError, StaleCacheError, ValidationError
 from rweets.digest import combine_digests, digest_records, digest_text
-from rweets.features import FeatureConfig, combo, load_matrix, save_matrix
+from rweets.features import FeatureConfig, _matrix_fields, combo, save_matrix
 from rweets.models import CLASSIFIERS, MultinomialNaiveBayes, input_config
 from rweets.pipeline import (
     STAGED_FILE,
@@ -41,10 +41,26 @@ def staged_model():
     return staged
 
 
-def stage1_key(staged, dataset, layout=("matrix 2",)):
-    """The stage-1 cache key: the identifier's input config, the identifier
-    vocabulary, the pipeline config, the raw input and the matrix layout
-    version (none: the key of version-1 files)."""
+def stage_slot(staged, stage):
+    """The cache slot of a stage ("stage1" or "stage2") of a staged model:
+    the stage, the feature config its classifier is fed, its vocabulary,
+    the pipeline config and the entry layout."""
+    clf, vocab = {"stage1": (staged.identifier, staged.identifier_vocab),
+                  "stage2": (staged.categorizer, staged.categorizer_vocab)}[stage]
+    return combine_digests(stage, input_config(clf, staged.feature_config).digest, vocab.digest,
+                           staged.pipeline_config.digest, "cache 1")
+
+
+def stage1_key(staged, dataset):
+    """The stage-1 cache key: the stage-1 slot and the raw input."""
+    return combine_digests(stage_slot(staged, "stage1"),
+                           digest_records((tw.id, tw.text) for tw in dataset))
+
+
+def matrix_key(staged, dataset, layout):
+    """The stage-1 key the cache named its `.matrix` files by before it had
+    slots: the identifier's input config and vocabulary, the pipeline
+    config, the raw input and the matrix layout (none: version 1)."""
     return combine_digests(
         input_config(staged.identifier, staged.feature_config).digest,
         staged.identifier_vocab.digest,
@@ -55,14 +71,23 @@ def stage1_key(staged, dataset, layout=("matrix 2",)):
     )
 
 
+def save_entry(path, key, fm, positions=None):
+    """Write `fm` as a cache entry under `key`: its matrix arrays, and the
+    positions of its rows when given."""
+    meta, arrays = _matrix_fields(fm.matrix)
+    if positions is not None:
+        arrays["positions"] = artifact.narrow(positions)
+    artifact.save(path, "cache", key, meta, **arrays)
+
+
 def recording_cache(directory):
     """A FeatureCache that keeps every matrix get_or_build returns."""
     cache = FeatureCache(directory)
     cache.returned = []
     get_or_build = cache.get_or_build
 
-    def recorded(key, config, builder):
-        fm = get_or_build(key, config, builder)
+    def recorded(*args):
+        fm = get_or_build(*args)
         cache.returned.append(fm)
         return fm
 
@@ -179,9 +204,10 @@ class TestRunSeries:
         assert run_series(texts, staged_model) == cold
         assert rule_walks == [texts[i] for i in clean.ids]
 
-    def stage2_reference(self, staged, probe, series, layout=("matrix 2",)):
-        """Stage-2 features built from scratch on the id-filtered corpus,
-        with the key run_series files them under (at matrix `layout`)."""
+    def stage2_reference(self, staged, probe, series):
+        """Stage-2 features built from scratch on the id-filtered corpus, the
+        positions of their rows among stage 1's, and the slot and key
+        run_series files them under."""
         clean, _ = run_pipeline(probe, staged.pipeline_config)
         ids, stage1, _ = series
         kept = {i for i, label in zip(ids, stage1) if label == RWEET}
@@ -191,15 +217,10 @@ class TestRunSeries:
             vocabulary=staged.categorizer_vocab,
         )
         positions = [i for i, label in enumerate(stage1) if label == RWEET]
-        key = combine_digests(
-            input_config(staged.categorizer, staged.feature_config).digest,
-            staged.categorizer_vocab.digest,
-            stage1_key(staged, probe, layout),
-            digest_text(",".join(map(str, positions))),
-            "stage2",
-            *layout,
-        )
-        return fm, key, len(filtered)
+        slot = stage_slot(staged, "stage2")
+        key = combine_digests(slot, stage1_key(staged, probe),
+                              digest_text(",".join(map(str, positions))))
+        return fm, positions, slot, key
 
     def test_cache_filled_under_the_dataset_key_is_all_hits(self, staged_model, tmp_path):
         # stage1_key digests the input as a Dataset's (id, text) pairs, the
@@ -208,18 +229,20 @@ class TestRunSeries:
         results = run_series(probe.texts_by_id(), staged_model)
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
         cache = FeatureCache(tmp_path / "cache")
-        key1 = stage1_key(staged_model, probe)
         fm1 = featurize_corpus(clean, staged_model.feature_config, probe.texts_by_id(),
                                vocabulary=staged_model.identifier_vocab)
-        save_matrix(fm1, cache.path_for(key1), digest=key1)
-        fm2, key2, _ = self.stage2_reference(staged_model, probe, results)
-        save_matrix(fm2, cache.path_for(key2), digest=key2)
+        input_ids = [tw.id for tw in probe]
+        save_entry(cache.path_for(stage_slot(staged_model, "stage1")),
+                   stage1_key(staged_model, probe), fm1, list(map(input_ids.index, clean.ids)))
+        fm2, _positions, slot2, key2 = self.stage2_reference(staged_model, probe, results)
+        save_entry(cache.path_for(slot2), key2, fm2)
         assert run_series(probe.texts_by_id(), staged_model, cache) == results
         assert (cache.hits, cache.misses, cache.built) == (2, 0, 0)
 
     def test_cache_of_version_1_matrices_is_rebuilt(self, staged_model, tmp_path, capsys):
-        # a cache the version-1 layout filled holds both stages under keys
-        # that name no layout: series builds both anew and reads neither
+        # a cache that the version-1 and version-2 matrix layouts filled holds
+        # each stage under a key that names no slot: series builds both
+        # stages into their slots and reads and removes none of those files
         probe = synth_corpus(46, 90, BINARY)
         save_staged(staged_model, tmp_path / "model")
         save_dataset(probe, tmp_path / "in.jsonl")
@@ -230,13 +253,18 @@ class TestRunSeries:
         clean, _ = run_pipeline(probe, staged_model.pipeline_config)
         fm1 = featurize_corpus(clean, staged_model.feature_config, probe.texts_by_id(),
                                vocabulary=staged_model.identifier_vocab)
-        fm2, key2, _ = self.stage2_reference(staged_model, probe, results, layout=())
+        fm2, positions, _slot, _key = self.stage2_reference(staged_model, probe, results)
+        config2 = input_config(staged_model.categorizer, staged_model.feature_config)
         cache = tmp_path / "cache"
         cache.mkdir()
-        old = {cache / f"{stage1_key(staged_model, probe, layout=())}.matrix": fm1,
-               cache / f"{key2}.matrix": fm2}
-        for path, fm in old.items():
-            save_version_1_matrix(fm, path, path.stem)
+        old = []
+        for layout, save in (((), save_version_1_matrix), (("matrix 2",), save_matrix)):
+            key1 = matrix_key(staged_model, probe, layout)
+            key2 = combine_digests(config2.digest, staged_model.categorizer_vocab.digest, key1,
+                                   digest_text(",".join(map(str, positions))), "stage2", *layout)
+            for key, fm in ((key1, fm1), (key2, fm2)):
+                save(fm, cache / f"{key}.matrix", key)
+                old.append(cache / f"{key}.matrix")
         before = {path: path.read_bytes() for path in old}
         capsys.readouterr()
         cached = ["--cache-dir", str(cache), "--verbose"] + series
@@ -247,23 +275,29 @@ class TestRunSeries:
         outputs = {(tmp_path / f"{run}.jsonl").read_bytes() for run in ("none", "cold", "warm")}
         assert len(outputs) == 1
         assert {path: path.read_bytes() for path in old} == before
-        assert len(list(cache.iterdir())) == 4
+        assert len(list(cache.iterdir())) == 6
 
     def test_stage2_artifact_matches_filtered_corpus(self, staged_model, tmp_path):
         probe = synth_corpus(46, 90, BINARY)
         cache = FeatureCache(tmp_path / "cache")
         results = run_series(probe.texts_by_id(), staged_model, cache)
-        fm, key, _ = self.stage2_reference(staged_model, probe, results)
-        save_matrix(fm, tmp_path / "reference.matrix", digest=key)
-        reference = (tmp_path / "reference.matrix").read_bytes()
-        assert cache.path_for(key).read_bytes() == reference
+        fm, positions, slot, key = self.stage2_reference(staged_model, probe, results)
+        save_entry(tmp_path / "reference.cache", key, fm)
+        reference = (tmp_path / "reference.cache").read_bytes()
+        assert cache.path_for(slot).read_bytes() == reference
+        # the entry holds the matrix arrays and no row list or vocabulary
+        header, arrays = artifact.load(cache.path_for(slot), "cache", key)
+        assert {"counts", "indices"} <= set(arrays)
+        assert not {"positions", "row_ids", "terms", "doc_freqs"} & set(arrays)
+        assert header["meta"] == {"rows": len(positions), "cols": fm.matrix.cols}
 
     def test_stage2_miss_after_stage1_hit(self, staged_model, tmp_path, rule_walks):
         probe = synth_corpus(46, 90, BINARY)
         cold = run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
-        _fm, key, n_stage2 = self.stage2_reference(staged_model, probe, cold)
+        _fm, positions, slot, _key = self.stage2_reference(staged_model, probe, cold)
+        n_stage2 = len(positions)
         assert 0 < n_stage2 < len(cold[0])
-        stage2_path = FeatureCache(tmp_path / "cache").path_for(key)
+        stage2_path = FeatureCache(tmp_path / "cache").path_for(slot)
         stage2_path.unlink()
         rule_walks.clear()
         cache = FeatureCache(tmp_path / "cache")
@@ -288,7 +322,7 @@ class TestRunSeries:
         results = run_series(probe.texts_by_id(), staged, taken)
         stage2 = results[2]
         assert 0 < sum(c is not None for c in stage2) < len(stage2)
-        stage1_path = taken.path_for(stage1_key(staged, probe))
+        stage1_path = taken.path_for(stage_slot(staged, "stage1"))
         for path in (tmp_path / "cache").iterdir():
             if path != stage1_path:
                 path.unlink()
@@ -352,8 +386,7 @@ class TestRunSeries:
         warm = FeatureCache(tmp_path / "cache")
         assert run_series(probe.texts_by_id(), staged_model, warm) == cold == uncached
         assert warm.hits == 2 and calls == []
-        _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
-        warm.path_for(key).unlink()
+        warm.path_for(stage_slot(staged_model, "stage2")).unlink()
         stage2_miss = FeatureCache(tmp_path / "cache")
         assert run_series(probe.texts_by_id(), staged_model, stage2_miss) == cold
         assert (stage2_miss.hits, stage2_miss.built) == (1, 1) and len(calls) == 1
@@ -395,9 +428,8 @@ class TestRunSeries:
         from rweets import pipeline
 
         probe = synth_corpus(46, 90, BINARY)
-        cold = run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
-        _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
-        FeatureCache(tmp_path / "cache").path_for(key).unlink()
+        run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
+        FeatureCache(tmp_path / "cache").path_for(stage_slot(staged_model, "stage2")).unlink()
         clean = pipeline.run_pipeline
 
         def drops_first_row(*args):  # cleaning that no longer matches the cache
@@ -409,43 +441,75 @@ class TestRunSeries:
         with pytest.raises(StaleCacheError, match="rows differ"):
             run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
 
-    def test_damaged_row_ids_are_format_errors(self, staged_model, tmp_path):
-        from dataclasses import replace
-
+    # entries whose header digest is their key but whose rows are damaged
+    def test_damaged_positions_are_format_errors(self, staged_model, tmp_path, capsys):
         probe = synth_corpus(46, 90, BINARY)
-        cold = run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
-        key1 = stage1_key(staged_model, probe)
-        path = FeatureCache(tmp_path / "cache").path_for(key1)
-        built = load_matrix(path, staged_model.feature_config, digest=key1)
-        ids = list(built.row_ids)
-        ghost = ["ghost"] + ids[1:]
-        swapped = [ids[1], ids[0]] + ids[2:]
-        for row_ids in (ghost, swapped):
-            save_matrix(replace(built, row_ids=tuple(row_ids)), path, digest=key1)
-            with pytest.raises(FormatError, match="row ids"):
-                run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
-        save_matrix(built, path, digest=key1)
-        _fm, key, _n = self.stage2_reference(staged_model, probe, cold)
-        stage2 = FeatureCache(tmp_path / "cache").path_for(key)
-        fm2 = load_matrix(stage2, staged_model.feature_config, digest=key)
-        save_matrix(replace(fm2, row_ids=tuple(reversed(fm2.row_ids))), stage2, digest=key)
-        with pytest.raises(FormatError, match="row ids"):
-            run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
+        save_staged(staged_model, tmp_path / "model")
+        save_dataset(probe, tmp_path / "in.jsonl")
+        cache = FeatureCache(tmp_path / "cache")
+        args = ["--cache-dir", str(cache.directory), "series", "--model", str(tmp_path / "model"),
+                "--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")]
+        assert main(args) == 0
+        path1, path2 = (cache.path_for(stage_slot(staged_model, s)) for s in ("stage1", "stage2"))
+        header, arrays = artifact.load(path1, "cache")
+        positions = arrays["positions"]
+        assert positions.dtype == np.uint8 and 0 < len(positions) < len(probe)
+        signed = positions.astype("<i8")
+        signed[0] = -1
+        damaged = {
+            "out of range": np.append(positions[:-1], len(probe)).astype(positions.dtype),
+            "negative": signed,
+            "falling": positions[[1, 0, *range(2, len(positions))]],
+            "repeated": positions[[0, 0, *range(2, len(positions))]],
+            "floats": positions.astype("<f8"),
+            "2-D": positions.reshape(1, -1),
+            "one short of the rows": positions[:-1],
+        }
+        for name, bad in damaged.items():
+            artifact.save(path1, "cache", header["digest"], header["meta"],
+                          **{**arrays, "positions": bad})
+            with pytest.raises(FormatError, match=f"{path1.name}: damaged cache entry"):
+                run_series(probe.texts_by_id(), staged_model, FeatureCache(cache.directory))
+            capsys.readouterr()
+            assert main(args) == 3, name
+            assert f"{path1.name}: damaged cache entry" in capsys.readouterr().err, name
+        artifact.save(path1, "cache", header["digest"], header["meta"], **arrays)
+        assert main(args) == 0
+        # a stage-2 matrix one row short of the rows stage 1 keeps
+        header, arrays = artifact.load(path2, "cache")
+        entries = len(arrays["indices"]) - int(arrays["counts"][-1])
+        short = {name: (array[:-1] if name == "counts" else array[:entries]
+                        if name in ("indices", "codes", "data") else array)
+                 for name, array in arrays.items()}
+        meta = {**header["meta"], "rows": header["meta"]["rows"] - 1}
+        artifact.save(path2, "cache", header["digest"], meta, **short)
+        with pytest.raises(FormatError, match=f"{path2.name}: damaged cache entry .* rows"):
+            run_series(probe.texts_by_id(), staged_model, FeatureCache(cache.directory))
+        capsys.readouterr()
+        assert main(args) == 3
+        assert f"{path2.name}: damaged cache entry" in capsys.readouterr().err
 
-    def test_matrix_copied_under_another_key_is_stale(self, staged_model, tmp_path):
-        import shutil
-
+    def test_entry_under_a_stale_key_is_rebuilt(self, staged_model, tmp_path):
         probe = synth_corpus(46, 90, BINARY)
         run_series(probe.texts_by_id(), staged_model, FeatureCache(tmp_path / "cache"))
         # same ids and cleaned tokens ("!" is punctuation), so only the key
-        # tells the two inputs' matrices apart
+        # tells the two inputs' matrices apart; their slots are the same
         first, *rest = probe.tweets
         variant = Dataset(BINARY, (first._replace(text=first.text + "!"), *rest))
         cache = FeatureCache(tmp_path / "cache")
-        shutil.copy(cache.path_for(stage1_key(staged_model, probe)),
-                    cache.path_for(stage1_key(staged_model, variant)))
-        with pytest.raises(StaleCacheError):
-            run_series(variant.texts_by_id(), staged_model, cache)
+        path = cache.path_for(stage_slot(staged_model, "stage1"))
+        data = path.read_bytes()
+        path.write_bytes(data[:-1])  # read past its header, the entry is a FormatError
+        texts = variant.texts_by_id()
+        assert run_series(texts, staged_model, cache) == run_series(texts, staged_model)
+        assert (cache.hits, cache.misses, cache.built) == (0, 2, 2)
+        fresh = FeatureCache(tmp_path / "fresh")
+        run_series(texts, staged_model, fresh)
+        assert len(list(cache.directory.iterdir())) == 2
+        for stale, rebuilt in zip(sorted(cache.directory.iterdir()),
+                                  sorted(fresh.directory.iterdir()), strict=True):
+            assert stale.name == rebuilt.name and stale.read_bytes() == rebuilt.read_bytes()
+        assert artifact.load(path, "cache")[0]["digest"] == stage1_key(staged_model, variant)
 
     def test_all_not_rweet_identifier_yields_no_stage2(self, staged_model):
         from dataclasses import replace
