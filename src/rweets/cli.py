@@ -9,6 +9,7 @@ explicit flags win.
 import argparse
 import functools
 import itertools
+import operator
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .corpus import (
 )
 from .digest import atomic_write_text, combine_digests, digest_records
 from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
-from .jsonl import encode_id_text_lines, encode_line, read_records, text_lines, write_lines
+from .jsonl import encode_id_text_lines, encode_line, read_chunks, text_lines, write_lines
 
 # The modules that need numpy, and rules, are imported by the commands that
 # use them, so `rules classify` and `synth` start without numpy. The two
@@ -271,7 +272,7 @@ def cmd_featurize(args) -> int:
     if feature_config.append_rules:
         if args.raw is None:
             raise UsageError("rule features need --raw pointing at the original dataset")
-        raw = {record["id"]: record["text"] for record in read_records(args.raw)}
+        raw = _texts_by_id(args.raw)
         # the rule columns come from the raw texts of the corpus rows; an id
         # missing from --raw fails the build, so no artifact has such a key
         key.append(digest_records((i, raw[i]) for i in corpus.ids if i in raw))
@@ -293,27 +294,33 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-_RULE_CHUNK = 1024  # records `rules classify` matches as one batch
-
-
 def _rule_fields(bits) -> tuple[dict, str]:
     """A bit row's `rule_label` and `rule_bits`, and their `encode_line` tail."""
     fields = {"rule_label": RWEET if any(bits) else NOT_RWEET, "rule_bits": list(bits)}
     return fields, ", " + encode_line(fields)[1:-1]
 
 
-def _rule_lines(records):
-    """Each record's output line, with `rule_label` and `rule_bits` set. A
-    chunk's distinct texts are matched as one batch and each of its distinct
-    bit rows is encoded once; no chunk keeps anything for the next. Records
-    that are exactly {"id": str, "text": str}, in that order, are encoded by
-    `encode_id_text_lines`, one call per chunk; every other by `encode_line`."""
+def _rule_lines(chunks):
+    """Per chunk of `read_chunks`, the output lines of its records, with
+    `rule_label` and `rule_bits` set. A chunk's distinct texts are matched as
+    one batch and each of its distinct bit rows is encoded once; no chunk
+    keeps anything for the next. A chunk whose records are all exactly
+    {"id": str, "text": str}, in that order, is encoded by one
+    `encode_id_text_lines` call, with one tail lookup per distinct text; in
+    any other chunk such records are too, and every other by `encode_line`."""
     from .rules import rule_bits
-    while chunk := list(itertools.islice(records, _RULE_CHUNK)):
-        texts = [record["text"] for record in chunk]
+    for chunk, columns in chunks:
+        texts = columns["text"]
         distinct = list(dict.fromkeys(texts))
-        by_text = dict(zip(distinct, map(_Memo(_rule_fields).__getitem__, rule_bits(distinct))))
+        encoded = map(_Memo(_rule_fields).__getitem__, rule_bits(distinct))
         ids = [record.get("id") for record in chunk]
+        # every record two keys, the first "id" (the other is "text", which all hold)
+        if (set(map(len, chunk)) == {2} and set(map(next, map(iter, chunk))) == {"id"}
+                and set(map(type, ids)) == {str}):
+            tails = dict(zip(distinct, map(operator.itemgetter(1), encoded)))
+            yield encode_id_text_lines(ids, texts, map(tails.__getitem__, texts))
+            continue
+        by_text = dict(zip(distinct, encoded))
         plain = [tuple(record) == ("id", "text") and type(i) is str for record, i in zip(chunk, ids)]
         lines = list(encode_id_text_lines(
             itertools.compress(ids, plain), itertools.compress(texts, plain),
@@ -326,11 +333,12 @@ def _rule_lines(records):
             if clash := "rule_label" in record or "rule_bits" in record:
                 record.update(fields)
             lines.insert(k, encode_line(record, "" if clash else tail) + "\n")
-        yield from lines
+        yield lines
 
 
 def cmd_rules(args) -> int:
-    count = write_lines(args.output, _rule_lines(read_records(args.input, ("text",))))
+    lines = itertools.chain.from_iterable(_rule_lines(read_chunks(args.input, ("text",))))
+    count = write_lines(args.output, lines)
     print(f"classified {count} tweets -> {args.output}")
     return 0
 
@@ -381,6 +389,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _texts_by_id(path) -> dict:
+    """{id: text} over the records of a JSONL file, from `read_chunks`' columns."""
+    texts = {}
+    for _, columns in read_chunks(path):
+        texts.update(zip(columns["id"], columns["text"]))
+    return texts
+
+
 def cmd_series(args) -> int:
     from .pipeline import FeatureCache, load_staged, run_series, save_series_output
     if args.model:
@@ -398,7 +414,7 @@ def cmd_series(args) -> int:
     else:
         raise UsageError("series needs --input (or --resubstitution)")
     # input labels, if any, are ignored: the series only needs id and text
-    texts = {r["id"]: r["text"] for r in read_records(input_path)}
+    texts = _texts_by_id(input_path)
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
     ids, stage1, stage2 = run_series(texts, staged, cache)
     save_series_output(texts, ids, stage1, stage2, args.output)

@@ -3,8 +3,11 @@ line encoders (`encode_line` for any record, `encode_id_text_lines` for a
 string id and text followed by encoded members) and its writer. Files are
 read in text mode (CRLF and lone CR end lines too) and split on "\n" only;
 blank and whitespace-only lines are skipped but counted. Bytes that are not
-UTF-8 make their line a bad line. Every JSONL file the package writes goes
-through `write_lines`, one chunk of lines at a time.
+UTF-8 make their line a bad line. The reader, `read_chunks`, yields each
+chunk of lines as its records and a column per checked field;
+`read_records` flattens it, and `_read_line_by_line` is the reference for
+every error. Every JSONL file the package writes goes through
+`write_lines`, one chunk of lines at a time.
 """
 
 import itertools
@@ -25,25 +28,32 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False)  # as json.dumps(..., ensure_asc
 _CHUNK = 1024  # lines per decode or write: a consumer that streams holds one chunk's records
 
 
-def read_records(path, fields=("id", "text"), domain=None):
-    """Yield the objects of a JSONL file. Each holds a string in every one of
-    `fields` (an "id" nonempty and unique) and, given a `domain`, no other
-    label, or a ValidationError names the file and first bad line. A chunk of
-    lines decodes as one list's items, the lines' objects unless a line holds
-    an item boundary (`}`, comma, `{`); such chunks are read line by line."""
+def read_chunks(path, fields=("id", "text"), domain=None):
+    """Yield each chunk of a JSONL file's lines as (records, columns): the
+    chunk's objects, and for each of `fields` the list of their values. Each
+    object holds a string in every one of `fields` (an "id" nonempty and
+    unique) and, given a `domain`, no other label, or a ValidationError names
+    the file and first bad line. A chunk of lines decodes as one list's items,
+    the lines' objects unless a line holds an item boundary (`}`, comma, `{`);
+    such chunks are read line by line."""
     ids: set = set()
     with open(path, encoding="utf-8") as fh:
         for start in itertools.count(1, _CHUNK):
             try:
                 lines = list(itertools.islice(fh, _CHUNK))
             except UnicodeDecodeError:  # the rest, checked line by line up to the bad one
-                yield from _read_line_by_line(path, text_lines(path, start), start, ids, fields,
-                                              domain)
+                yield _read_line_by_line(path, text_lines(path, start), start, ids, fields, domain)
                 return
             if not lines:
                 return
-            yield from (_decode_chunk(lines, ids, fields, domain)
-                        or _read_line_by_line(path, lines, start, ids, fields, domain))
+            yield (_decode_chunk(lines, ids, fields, domain)
+                   or _read_line_by_line(path, lines, start, ids, fields, domain))
+
+
+def read_records(path, fields=("id", "text"), domain=None):
+    """Yield the objects of a JSONL file, read and checked as `read_chunks`."""
+    for records, _ in read_chunks(path, fields, domain):
+        yield from records
 
 
 def text_lines(path, start: int = 1):
@@ -58,8 +68,8 @@ def text_lines(path, start: int = 1):
                 yield line
 
 
-def _decode_chunk(lines: list, ids: set, fields, domain) -> list[dict] | None:
-    """The chunk's records from one decode, or None if any check fails."""
+def _decode_chunk(lines: list, ids: set, fields, domain) -> tuple[list, dict] | None:
+    """The chunk's records and columns from one decode, or None if any check fails."""
     kept = [line for line in lines if not line.isspace()]
     text = "[" + ",".join(kept) + "]"  # each line but the file's last ends in "\n"
     try:
@@ -79,11 +89,11 @@ def _decode_chunk(lines: list, ids: set, fields, domain) -> list[dict] | None:
     if _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(_ENCODER.encode(records)):
         return None
     ids.update(chunk_ids)
-    return records
+    return records, columns
 
 
-def _read_line_by_line(path, lines, start: int, ids: set, fields, domain) -> list[dict]:
-    """The chunk's records decoded one line at a time, checked in order."""
+def _read_line_by_line(path, lines, start: int, ids: set, fields, domain) -> tuple[list, dict]:
+    """The chunk's records and columns, decoded one line at a time and checked in order."""
     records = []
     for lineno, line in enumerate(lines, start):
         if line.isspace():
@@ -109,7 +119,7 @@ def _read_line_by_line(path, lines, start: int, ids: set, fields, domain) -> lis
                 raise ValidationError(f"{where}: duplicate tweet id {record['id']!r}")
             ids.add(record["id"])
         records.append(record)
-    return records
+    return records, {field: [record[field] for record in records] for field in fields}
 
 
 def encode_line(record: dict, tail: str = "") -> str:
@@ -124,14 +134,15 @@ def encode_line(record: dict, tail: str = "") -> str:
 
 
 def encode_id_text_lines(ids, texts, tails):
-    """Yield `encode_line({"id": id, "text": text}, tail) + "\n"` for each
-    id, text and tail of three iterables of equal length: id and text are
-    strs, and tail is pre-encoded as `encode_line`'s. The keys are encoded
-    once, here; each chunk of lines is encoded by one comprehension."""
+    """An iterator of `encode_line({"id": id, "text": text}, tail) + "\n"`
+    for each id, text and tail of three iterables of equal length: id and
+    text are strs, and tail is pre-encoded as `encode_line`'s. The keys are
+    encoded once, here; each chunk of lines is encoded by one comprehension,
+    when the lines before it have been taken."""
     rows, quote = zip(ids, texts, tails, strict=True), encode_basestring
-    while lines := [f'{{"id": {quote(i)}, "text": {quote(text)}{tail}}}\n'
-                    for i, text, tail in itertools.islice(rows, _CHUNK)]:
-        yield from lines
+    chunks = iter(lambda: [f'{{"id": {quote(i)}, "text": {quote(text)}{tail}}}\n'
+                           for i, text, tail in itertools.islice(rows, _CHUNK)], [])
+    return itertools.chain.from_iterable(chunks)  # chunks end at the first empty one
 
 
 def write_lines(path, lines) -> int:

@@ -126,8 +126,8 @@ class LogisticRegression:
         self.tol = tol
 
     def fit(self, X: SparseMatrix, y, classes=None) -> "LogisticRegression":
-        if self.l2_penalty < 0:
-            raise ValidationError("l2_penalty must be nonnegative")
+        if not 0 <= self.l2_penalty < np.inf:  # NaN fails every comparison
+            raise ValidationError("l2_penalty must be nonnegative and finite")
         if self.max_epochs < 1:
             raise ValidationError("max_epochs must be at least 1")
         check_equal_length("X rows", range(X.rows), "y", y)
@@ -210,8 +210,8 @@ class MultinomialNaiveBayes:
         self.alpha = alpha
 
     def fit(self, X: SparseMatrix, y, classes=None) -> "MultinomialNaiveBayes":
-        if self.alpha <= 0:
-            raise ValidationError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:  # NaN fails every comparison
+            raise ValidationError("alpha must be positive and finite")
         check_equal_length("X rows", range(X.rows), "y", y)
         if X.nnz and X.data.min() < 0:
             raise ValidationError("count matrix must be nonnegative")

@@ -24,9 +24,13 @@ compiles lowercase, a leading `\b` moved behind it as `(?<!\w.{n})`, and
 `re` scans for its literal characters. Each phrase of a root stage is found
 by one scan of the batch's joined lines, keeping each line's leftmost match;
 each child stage is searched only on the lines its parent matched, from the
-parent's end to the line's end. Every step is linear in the text length.
-`rules classify` matches the distinct texts of each chunk it reads as one batch
-(`rule_bits`). numpy is imported only where a float matrix is built.
+parent's end to the line's end. A node is [finder, the patterns ending there,
+children, any-child search]: a node with two or more children first searches
+for the alternation of all their phrases, and on a line where it finds none
+searches no child. A root with no children (pattern 13) records each line it
+matches directly. Every step is linear in the text length. `rules classify`
+matches the distinct texts of each chunk it reads as one batch (`rule_bits`).
+numpy is imported only where a float matrix is built.
 """
 
 import re
@@ -78,21 +82,24 @@ _BATCH = 1024  # texts per batch of rule_features
 
 def _scannable(stage: str) -> list[tuple[str, str]]:
     """Each phrase of `stage` over folded text, with its regex: lowercase,
-    beginning with the phrase, and a leading `\\b` moved behind the phrase,
+    beginning with the phrase, and a leading `\\b` moved behind the phrase
+    and its trailing `\\b` (the cheaper test, so most candidates fail on it),
     where it reads "no word character before it"."""
     if stage == r"\b\w*\s*\b\?":  # pattern 13: a word character right before a "?"
         return [("?", r"\?(?<=\w\?)")]
     shape = _STAGE.fullmatch(stage.replace("\\'", "'"))
     if shape is None:
         raise ValueError(f"{stage!r} is not an alternation of literal phrases")
-    return [(p, p + (rf"(?<!\w.{{{len(p)}}})" if shape[1] else "") + (shape[4] or ""))
+    return [(p, p + (shape[4] or "") + (rf"(?<!\w.{{{len(p)}}})" if shape[1] else ""))
             for p in shape[3].lower().split("|")]
 
 
 def _forests(indices) -> list:
-    """The stage tree of the patterns at `indices`: (finder, indices of the
-    patterns ending there, children) per node; a root's finder is one
-    finditer per phrase, a child's one search for any phrase."""
+    """The stage tree of the patterns at `indices`, as a list of roots. A node
+    is [finder, indices of the patterns ending there, children, any-child
+    search]: a root's finder is one finditer per phrase, a child's one search
+    for any phrase, and a node with two or more children has one search for
+    any phrase of any child (None otherwise)."""
     nodes, roots = {}, []
     for i in indices:
         parts = PATTERN_SOURCES[i].split(".*")
@@ -102,13 +109,17 @@ def _forests(indices) -> list:
             if key not in nodes:
                 try:
                     phrases = _scannable(parts[k])
-                    nodes[key] = ([(p, re.compile(r).finditer) for p, r in phrases] if k == 0
-                                  else re.compile("|".join(r for _, r in phrases)).search, [], [])
+                    nodes[key] = [[(p, re.compile(r).finditer) for p, r in phrases] if k == 0
+                                  else re.compile("|".join(r for _, r in phrases)).search,
+                                  [], [], None]
                 except (re.error, ValueError) as exc:
                     raise ValidationError(f"rule pattern {i + 1} failed to compile: {exc}") from exc
                 siblings.append(nodes[key])
             siblings = nodes[key][2]
         nodes[key][1].append(i)
+    for node in nodes.values():  # a child's search is bound to its compiled regex
+        if len(node[2]) > 1:
+            node[3] = re.compile("|".join(child[0].__self__.pattern for child in node[2])).search
     return roots
 
 
@@ -123,12 +134,14 @@ _NO_BITS = (0,) * N_PATTERNS
 
 
 def _reached(node, folded: str, end: int, stop: int, row: int, hits: dict) -> None:
-    """Record the patterns ending at `node`; search its children from `end` to `stop`."""
+    """Record the patterns ending at `node`; search its children from `end` to
+    `stop`, none of them when its any-child search finds nothing there."""
     for i in node[1]:
         hits.setdefault(i, []).append(row)
-    for child in node[2]:
-        if m := child[0](folded, end, stop):
-            _reached(child, folded, m.end(), stop, row, hits)
+    if node[3] is None or node[3](folded, end, stop):
+        for child in node[2]:
+            if m := child[0](folded, end, stop):
+                _reached(child, folded, m.end(), stop, row, hits)
 
 
 def _folded(texts: list) -> str:
@@ -144,6 +157,11 @@ def _match(texts: list, roots: list) -> dict[int, list[int]]:
     for root in roots:
         found = [m.span() for p, finditer in root[0] if p in folded for m in finditer(folded)]
         found.sort()
+        if found and not root[2]:  # a childless root: each line holding a match is one entry
+            rows = dict.fromkeys([bisect_right(starts, start) - 1 for start, _ in found])
+            for i in root[1]:
+                hits.setdefault(i, []).extend(rows)
+            continue
         stop = -1  # where the line of the last match kept ends
         for start, end in found:
             if start > stop:  # the leftmost match of its line

@@ -385,10 +385,10 @@ class TestRules:
                                                           monkeypatch):
         import re
 
-        from rweets import cli
+        from rweets import jsonl
         from rweets.rules import PATTERN_SOURCES
 
-        monkeypatch.setattr(cli, "_RULE_CHUNK", 3)
+        monkeypatch.setattr(jsonl, "_CHUNK", 3)
         a, b, c = "need shelter?", "quiet night here", "I am bringing food"
         texts = [a, b, a, c, b, a, c]
         source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
@@ -407,9 +407,9 @@ class TestRules:
             assert row["rule_label"] == ("rweet" if any(bits) else "not_rweet")
 
     def test_bad_line_after_a_written_chunk_leaves_no_file(self, tmp_path, capsys):
-        from rweets import cli
+        from rweets import jsonl
 
-        good = cli._RULE_CHUNK + 5  # one chunk is written before the bad line is read
+        good = jsonl._CHUNK + 5  # one chunk is written before the bad line is read
         source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         source.write_text("".join(json.dumps({"id": str(n), "text": "need shelter?"}) + "\n"
                                   for n in range(good)) + '{"id": "bad",\n')
@@ -486,7 +486,7 @@ class TestRules:
     def test_chunk_size_does_not_change_the_bytes(self, tmp_path, monkeypatch):
         """Each chunk encodes each of its bit rows' tails at most once; the
         output bytes do not depend on the chunk size."""
-        from rweets import cli, rules
+        from rweets import cli, jsonl, rules
 
         tails = []  # per chunk, the bit row of each tail encode_line is asked for
         encode, bit_rows = cli.encode_line, rules.rule_bits
@@ -519,7 +519,7 @@ class TestRules:
         source.write_text("\n".join(lines) + "\n", encoding="utf-8")
         outputs = []
         for size in (1, 2, 3, 1024):
-            monkeypatch.setattr(cli, "_RULE_CHUNK", size)
+            monkeypatch.setattr(jsonl, "_CHUNK", size)
             tails.clear()
             out = tmp_path / f"out{size}.jsonl"
             assert run(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
@@ -575,6 +575,20 @@ class TestEvaluate:
         path.write_text(json.dumps({"id": "1", "text": "need food"}) + "\n"
                         + json.dumps({"id": "2", "text": "ok day"}) + "\n")
         assert run(["evaluate", "--input", str(path), "--combo", "1"]) == 3
+
+    @pytest.mark.parametrize("flag, clf, message", [
+        ("--alpha", "nb", "alpha must be positive"),
+        ("--l2-penalty", "logreg", "l2_penalty must be nonnegative"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_hyperparameter_is_a_validation_error(self, workspace, capsys, flag,
+                                                             clf, message, value):
+        """A NaN fails every comparison, so a bound check alone lets it
+        through: NB would predict one class for every tweet, and logreg
+        would fail with a loss that is not finite."""
+        assert run(["evaluate", "--input", str(workspace / "d1.jsonl"), "--folds", "2",
+                    "--combo", "1", "--clf", clf, flag, value]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestSeries:

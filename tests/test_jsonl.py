@@ -41,9 +41,14 @@ def _dumps(record, rng):
 
 def _bad_lines(rng):
     """One damaged stretch of a file: a list of lines."""
+    return rng.choice(_bad_kinds(rng))
+
+
+def _bad_kinds(rng):
+    """Every kind of damaged stretch, each a list of lines."""
     a, b = _dumps(_record(rng), rng), _dumps(_record(rng), rng)
     cut = rng.randrange(1, len(a))
-    return rng.choice([
+    return ([
         [a[:cut], a[cut:]],                            # a record split over two lines
         ['{"id": "s", "text": "t", "x": [1', '2]}'],    # ... between list items
         [a + b], [a + ",  " + b], [a + "],[" + b],     # two records on one line
@@ -86,6 +91,27 @@ def _fuzz_file(rng) -> str:
     return text
 
 
+def _chunk_columns(path, fields, domain):
+    """The records of `read_chunks`, whose columns must be their fields."""
+    records = []
+    for chunk, columns in jsonl.read_chunks(path, fields, domain):
+        assert columns == {field: [record[field] for record in chunk] for field in fields}
+        records += chunk
+    return records
+
+
+def _line_by_line(path, fields, domain):
+    """The whole file through the reader's line-by-line path."""
+    lines = jsonl.text_lines(path)
+    records, columns = jsonl._read_line_by_line(path, lines, 1, set(), fields, domain)
+    assert columns == {field: [record[field] for record in records] for field in fields}
+    return records
+
+
+# the three paths of the reader, each judged by the oracle
+READERS = (read_records, _chunk_columns, _line_by_line)
+
+
 def _outcome(reader, path, fields, domain):
     try:
         return "records", list(reader(path, fields, domain))
@@ -106,10 +132,36 @@ def test_one_decode_matches_the_line_reader(tmp_path, monkeypatch, seed):
     for _ in range(150):
         path.write_text(_fuzz_file(rng), encoding="utf-8", errors="surrogateescape", newline="")
         for fields, domain in MODES:
-            got = _outcome(read_records, path, fields, domain)
-            assert got == _outcome(reference_read_records, path, fields, domain), path.read_bytes()
-            kinds[got[0]] += 1
+            expected = _outcome(reference_read_records, path, fields, domain)
+            for reader in READERS:
+                assert _outcome(reader, path, fields, domain) == expected, (reader,
+                                                                            path.read_bytes())
+            kinds[expected[0]] += 1
     assert min(kinds.values()) > 50, kinds  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("chunk", [4, 1024])
+def test_every_bad_kind_reads_alike_on_every_path(tmp_path, monkeypatch, chunk):
+    """Each damaged stretch follows two good lines in its chunk, and one
+    good line follows it: every path names the same line with the same
+    text, or reads the same records."""
+    monkeypatch.setattr(jsonl, "_CHUNK", chunk)
+    path = tmp_path / "d.jsonl"
+    good = ['{"id": "g1", "text": "need food"}', '{"id": "g2", "text": "calm"}']
+    kinds = _bad_kinds(random.Random(chunk))
+    errors = 0
+    for bad in kinds:
+        lines = good + bad + ['{"id": "g3", "text": "after"}']
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape",
+                        newline="")
+        for fields, domain in MODES:
+            expected = _outcome(reference_read_records, path, fields, domain)
+            for reader in READERS:
+                assert _outcome(reader, path, fields, domain) == expected, (reader, bad)
+            if expected[0] == "error":
+                errors += 1
+                assert expected[1].startswith(f"{path}: line {len(good) + 1}") or len(bad) > 1
+    assert errors > 2 * len(kinds), errors  # most kinds are errors in every mode
 
 
 @pytest.mark.parametrize("text, outcome", [

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,3 +385,48 @@ class TestStagedSearch:
             start = time.perf_counter()
             assert match_tweet(text) == expected
             assert time.perf_counter() - start < 0.5
+
+
+class TestPrunedSearch:
+    """A stage node with two or more children first searches for any phrase
+    of any child, and searches each child only on the lines where it finds
+    one."""
+
+    @pytest.fixture()
+    def searched(self, monkeypatch):
+        """The regex source of every search the stage tree makes, in order."""
+        searched = []
+
+        class Counted:
+            def __init__(self, source):
+                self.pattern, self.compiled = source, re.compile(source)
+                self.finditer = self.compiled.finditer
+
+            def search(self, *args):
+                searched.append(self.pattern)
+                return self.compiled.search(*args)
+
+        monkeypatch.setattr(rules, "re", SimpleNamespace(compile=Counted, error=re.error))
+        return searched
+
+    def test_lines_with_no_child_match_make_one_search(self, searched):
+        roots = rules._forests(range(N_PATTERNS))
+        node = next(root for root in roots if [p for p, _ in root[0]] == ["i", "we"])
+        children = [child[0].__self__.pattern for child in node[2]]
+        any_child = node[3].__self__.pattern
+        assert len(children) == 4 and any_child == "|".join(children)
+        # the i/we root matches every line; no child stage does
+        quiet = ["I saw the storm", "we stayed home tonight", "the dog and I", "we",
+                 "I\nam bringing food", "so did we, again and again " * 20]
+        assert rules._match(quiet, roots) == {}
+        assert [s for s in searched if s in children] == []
+        assert searched.count(any_child) == len(quiet)
+        # a line with a child match still has every child searched
+        searched.clear()
+        busy = ["I am bringing food", "we would like to help", "I want to give", "we are ready"]
+        hits = rules._match(busy, roots)
+        assert {i + 1 for i in hits} >= {1, 4, 10}
+        assert searched.count(any_child) == len(busy)
+        assert all(searched.count(child) == len(busy) for child in children)
+        for text in quiet + busy:
+            assert match_tweet(text) == re_bits(text), text
