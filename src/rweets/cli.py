@@ -9,7 +9,6 @@ explicit flags win.
 import argparse
 import functools
 import itertools
-import operator
 import sys
 from pathlib import Path
 
@@ -304,23 +303,15 @@ def _rule_lines(chunks):
     """Per chunk of `read_chunks`, the output lines of its records, with
     `rule_label` and `rule_bits` set. A chunk's distinct texts are matched as
     one batch and each of its distinct bit rows is encoded once; no chunk
-    keeps anything for the next. A chunk whose records are all exactly
-    {"id": str, "text": str}, in that order, is encoded by one
-    `encode_id_text_lines` call, with one tail lookup per distinct text; in
-    any other chunk such records are too, and every other by `encode_line`."""
+    keeps anything for the next. The chunk's records that are exactly
+    {"id": str, "text": str}, in that order, are encoded by one
+    `encode_id_text_lines` call, and every other by `encode_line`."""
     from .rules import rule_bits
     for chunk, columns in chunks:
         texts = columns["text"]
         distinct = list(dict.fromkeys(texts))
-        encoded = map(_Memo(_rule_fields).__getitem__, rule_bits(distinct))
+        by_text = dict(zip(distinct, map(_Memo(_rule_fields).__getitem__, rule_bits(distinct))))
         ids = [record.get("id") for record in chunk]
-        # every record two keys, the first "id" (the other is "text", which all hold)
-        if (set(map(len, chunk)) == {2} and set(map(next, map(iter, chunk))) == {"id"}
-                and set(map(type, ids)) == {str}):
-            tails = dict(zip(distinct, map(operator.itemgetter(1), encoded)))
-            yield encode_id_text_lines(ids, texts, map(tails.__getitem__, texts))
-            continue
-        by_text = dict(zip(distinct, encoded))
         plain = [tuple(record) == ("id", "text") and type(i) is str for record, i in zip(chunk, ids)]
         lines = list(encode_id_text_lines(
             itertools.compress(ids, plain), itertools.compress(texts, plain),

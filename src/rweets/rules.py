@@ -27,8 +27,7 @@ each child stage is searched only on the lines its parent matched, from the
 parent's end to the line's end. A node is [finder, the patterns ending there,
 children, any-child search]: a node with two or more children first searches
 for the alternation of all their phrases, and on a line where it finds none
-searches no child. A root with no children (pattern 13) records each line it
-matches directly. Every step is linear in the text length. `rules classify`
+searches no child. Every step is linear in the text length. `rules classify`
 matches the distinct texts of each chunk it reads as one batch (`rule_bits`).
 numpy is imported only where a float matrix is built.
 """
@@ -157,11 +156,6 @@ def _match(texts: list, roots: list) -> dict[int, list[int]]:
     for root in roots:
         found = [m.span() for p, finditer in root[0] if p in folded for m in finditer(folded)]
         found.sort()
-        if found and not root[2]:  # a childless root: each line holding a match is one entry
-            rows = dict.fromkeys([bisect_right(starts, start) - 1 for start, _ in found])
-            for i in root[1]:
-                hits.setdefault(i, []).extend(rows)
-            continue
         stop = -1  # where the line of the last match kept ends
         for start, end in found:
             if start > stop:  # the leftmost match of its line
