@@ -1,7 +1,8 @@
 """Content digests and atomic file writes for cached artifacts.
 
 Every persisted artifact carries a 16-hex-char digest of the configuration
-that produced it, so downstream stages can detect stale inputs.
+that produced it, so downstream stages can detect stale inputs; inputs are
+keyed by `digest_records`, a stream of counted, length-prefixed batches.
 """
 
 import hashlib
@@ -13,7 +14,6 @@ from itertools import chain, islice
 from pathlib import Path
 
 DIGEST_LEN = 16
-_LENGTH = struct.Struct("<Q").pack  # a field's byte length, 8 bytes little-endian
 _FIELDS_PER_UPDATE = 2048  # fields hashed per update: memory stays flat
 
 
@@ -35,16 +35,15 @@ def combine_digests(*digests: str) -> str:
 
 
 def digest_records(records) -> str:
-    """Digest of a sequence of string tuples, hashed as they stream past.
-    Each field goes in as its UTF-8 byte length (8 bytes, little-endian)
-    and then its bytes, so two sequences of equal-width tuples share a
-    digest only if they are equal."""
+    """Digest of a sequence of string tuples, streamed in batches of 2,048
+    fields: a batch's field count and each field's length in characters (8
+    bytes each, little-endian), then its fields' UTF-8 bytes. UTF-8 delimits
+    characters, so equal-width tuple sequences share a digest only if equal."""
     h = hashlib.sha256()
     fields = chain.from_iterable(records)
-    while data := list(map(str.encode, islice(fields, _FIELDS_PER_UPDATE))):
-        stream = data * 2  # each field's length, then its bytes
-        stream[::2], stream[1::2] = map(_LENGTH, map(len, data)), data
-        h.update(b"".join(stream))
+    while batch := list(islice(fields, _FIELDS_PER_UPDATE)):
+        h.update(struct.pack(f"<{len(batch) + 1}Q", len(batch), *map(len, batch)))
+        h.update("".join(batch).encode())
     return h.hexdigest()[:DIGEST_LEN]
 
 

@@ -20,7 +20,8 @@ the n-gram block so the bits remain on the same unit scale as normalized
 rows.
 """
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -102,11 +103,11 @@ class Vocabulary:
     ngram_range: tuple[int, int]
     doc_freqs: tuple[int, ...] | None = None
     n_docs: int | None = None
-    index: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not self.index:
-            object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
+    @cached_property
+    def index(self) -> dict:
+        """Term -> column, built on first use: a call whose features are all cached needs none."""
+        return {t: i for i, t in enumerate(self.terms)}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -114,7 +115,7 @@ class Vocabulary:
     def __contains__(self, term: str) -> bool:
         return term in self.index
 
-    @property
+    @cached_property
     def digest(self) -> str:
         return digest_json(
             {
@@ -141,9 +142,6 @@ class NgramCounts:
     doc: np.ndarray
     term: np.ndarray
     count: np.ndarray
-
-    def __len__(self) -> int:
-        return self.n_docs
 
     def take(self, rows) -> "NgramCounts":
         """The counts of `rows` (distinct doc indices), renumbered 0.. in the

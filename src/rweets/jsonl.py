@@ -14,6 +14,7 @@ import itertools
 import json
 import re
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from .digest import atomic_open
 from .errors import ValidationError
@@ -78,15 +79,19 @@ def _decode_chunk(lines: list, ids: set, fields, domain) -> tuple[list, dict] | 
         return None
     if _ITEM_BOUNDARY.search(text) or len(records) != len(kept) or set(map(type, records)) - {dict}:
         return None
-    columns = {field: [record.get(field) for record in records] for field in fields}
-    chunk_ids = columns.get("id", ())
-    if (any(set(map(type, column)) - {str} for column in columns.values()) or "" in chunk_ids
-            or len(set(chunk_ids)) != len(chunk_ids) or not ids.isdisjoint(chunk_ids)):
+    try:  # a KeyError is a missing field, and join's TypeError a value that is not a str
+        columns = {field: list(map(itemgetter(field), records)) for field in fields}
+        "".join(itertools.chain.from_iterable(columns.values()))
+    except (KeyError, TypeError):
+        return None
+    chunk_ids = set(id_column := columns.get("id", ()))  # one set: the id tests, then the update
+    if "" in chunk_ids or len(chunk_ids) != len(id_column) or not ids.isdisjoint(chunk_ids):
         return None
     if domain is not None and not all(record.get("label") in (None, *domain.labels)
                                       for record in records):
         return None
-    if _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(_ENCODER.encode(records)):
+    if "\\" in text and _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(
+            _ENCODER.encode(records)):  # only a "\u" escape makes a lone surrogate
         return None
     ids.update(chunk_ids)
     return records, columns

@@ -36,13 +36,7 @@ from .sparse import SparseMatrix
 
 
 def _resolve_classes(y, classes) -> list[str]:
-    if classes is None:
-        seen = []
-        for label in y:
-            if label not in seen:
-                seen.append(label)
-        classes = seen
-    classes = list(classes)
+    classes = list(dict.fromkeys(y) if classes is None else classes)  # None: y's, as first seen
     if len(set(y) | set(classes)) > len(classes):
         unknown = sorted(set(y) - set(classes))
         raise ValidationError(f"labels {unknown} not in class list")
@@ -126,8 +120,9 @@ class LogisticRegression:
         self.tol = tol
 
     def fit(self, X: SparseMatrix, y, classes=None) -> "LogisticRegression":
-        if not 0 <= self.l2_penalty < np.inf:  # NaN fails every comparison
-            raise ValidationError("l2_penalty must be nonnegative and finite")
+        for name in ("l2_penalty", "tol"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
+                raise ValidationError(f"{name} must be nonnegative and finite")
         if self.max_epochs < 1:
             raise ValidationError("max_epochs must be at least 1")
         check_equal_length("X rows", range(X.rows), "y", y)
@@ -198,7 +193,7 @@ class LogisticRegression:
 
     def predict(self, X: SparseMatrix) -> list[str]:
         probs = self.predict_proba(X)
-        return [self.classes_[i] for i in np.argmax(probs, axis=1)]
+        return np.array(self.classes_, dtype=object)[np.argmax(probs, axis=1)].tolist()
 
 
 class MultinomialNaiveBayes:
@@ -241,7 +236,7 @@ class MultinomialNaiveBayes:
 
     def predict(self, X: SparseMatrix) -> list[str]:
         joint = self.predict_log_joint(X)
-        return [self.classes_[i] for i in np.argmax(joint, axis=1)]
+        return np.array(self.classes_, dtype=object)[np.argmax(joint, axis=1)].tolist()
 
 
 CLASSIFIERS = {

@@ -9,12 +9,13 @@ rweets at inference, an intentional train/serve skew inherited from the
 staged design.
 """
 
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import _Memo, artifact
 from .corpus import BINARY, CATEGORICAL, RWEET, Dataset
-from .digest import combine_digests, digest_records, digest_text
+from .digest import combine_digests, digest_bytes, digest_records
 from .errors import FormatError, StaleCacheError, ValidationError
 from .features import (
     FeatureConfig,
@@ -98,9 +99,11 @@ class FeatureCache:
         self.hits += 1
         try:
             if rows is None:
-                rows = artifact.field(arrays, "positions", artifact.INTEGERS).tolist()
-                if rows != sorted({row for row in rows if 0 <= row < len(ids)}):
+                rows = artifact.field(arrays, "positions", artifact.INTEGERS)
+                if len(rows) and (rows[0] < 0 or rows[-1] >= len(ids)
+                                  or (rows[1:] <= rows[:-1]).any()):
                     raise FormatError(f"positions do not rise strictly inside the {len(ids)} rows")
+                rows = rows.tolist()
             return FeatureMatrix(_matrix_from(header["meta"], arrays), vocab, config,
                                  tuple(map(ids.__getitem__, rows)))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -231,7 +234,7 @@ def run_series(
     if keep:
         slot2 = slot("stage2", staged.categorizer_vocab, config2)
         key2 = None if cache is None else combine_digests(
-            slot2, key1, digest_text(",".join(map(str, keep))))
+            slot2, key1, digest_bytes(struct.pack(f"<{len(keep)}q", *keep)))
         fm2 = featurize(slot2, key2, fm1.row_ids, keep, staged.categorizer_vocab, config2)
         categories = staged.categorizer.predict(fm2.matrix)
         if len(categories) != len(keep):

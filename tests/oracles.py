@@ -21,10 +21,13 @@ record and dataset class statistics, and the dense forms of a matrix (to
 and from a 2-D array, and the cosine of two rows).
 """
 
+import hashlib
+import itertools
 import json
 import math
 import re
 import string
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -773,3 +776,17 @@ def dataset_stats(dataset) -> ClassDistribution:
     total = sum(counts.values())
     fractions = {label: n / total for label, n in counts.items()} if total else {}
     return ClassDistribution(counts, fractions)
+
+
+
+def length_prefixed_digest(records) -> str:
+    """`digest_records` as it was before its batched stream, which keyed
+    series cache entries and `featurize --out` matrices: each field's UTF-8
+    byte length (8 bytes, little-endian), then its bytes."""
+    h = hashlib.sha256()
+    fields = itertools.chain.from_iterable(records)
+    while data := list(map(str.encode, itertools.islice(fields, 2048))):
+        stream = data * 2  # each field's length, then its bytes
+        stream[::2], stream[1::2] = map(struct.Struct("<Q").pack, map(len, data)), data
+        h.update(b"".join(stream))
+    return h.hexdigest()[:16]

@@ -235,6 +235,22 @@ def test_cold_series_caches_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def batched_stream(records) -> bytes:
+    """The bytes `digest_records` hashes, built field by field: per batch of
+    2,048 fields, the field count, each field's length in characters
+    (8 bytes each, little-endian), then each field's UTF-8 bytes."""
+    fields = [field for record in records for field in record]
+    stream = b""
+    for start in range(0, len(fields), 2048):
+        batch = fields[start:start + 2048]
+        stream += len(batch).to_bytes(8, "little")
+        for field in batch:
+            stream += len(field).to_bytes(8, "little")
+        for field in batch:
+            stream += field.encode("utf-8")
+    return stream
+
+
 class TestDigestRecords:
     def test_length_prefixed_utf8_stream(self):
         import hashlib
@@ -242,12 +258,50 @@ class TestDigestRecords:
         from rweets.digest import digest_records
 
         records = [("t1", "café"), ("", "\U0001f6a8 help\n")]
-        stream = b"".join(len(f.encode()).to_bytes(8, "little") + f.encode()
-                          for record in records for f in record)
+        stream = batched_stream(records)
+        assert stream[:8] == (4).to_bytes(8, "little")
         assert digest_records(iter(records)) == hashlib.sha256(stream).hexdigest()[:16]
+        assert digest_records([]) == hashlib.sha256(b"").hexdigest()[:16]
         # moving a boundary or a separator-like character changes the digest
         variants = [[("ab", "c")], [("a", "bc")], [("a\x1fb", "c")], [("a", "b\x1ec")]]
         assert len({digest_records(v) for v in variants}) == len(variants)
+
+    def test_character_and_byte_lengths_differ(self):
+        import hashlib
+
+        from rweets.digest import digest_records
+
+        # each field's length is counted in characters, not bytes: "é" is 2
+        # bytes, "需" 3 and a non-BMP character 4 (2 UTF-16 units), and moving
+        # one across a field boundary changes the digest
+        records = [("é", "需"), ("\U0001f6a8", "x\U00010348y")]
+        stream = batched_stream(records)
+        lengths = [int.from_bytes(stream[i:i + 8], "little") for i in range(8, 40, 8)]
+        assert lengths == [1, 1, 1, 3]
+        assert digest_records(records) == hashlib.sha256(stream).hexdigest()[:16]
+        variants = [[("é需", "")], [("é", "需")], [("", "é需")], [("\U0001f6a8", "")],
+                    [("\U0001f6a8a", "")], [("\U0001f6a8", "a")], [("a", "\U0001f6a8")]]
+        assert len({digest_records(v) for v in variants}) == len(variants)
+
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 4096, 4097])
+    def test_fields_split_across_the_batch_boundary(self, n):
+        import hashlib
+
+        from rweets.digest import digest_records
+
+        # single fields around a batch of 2,048, and pairs whose last pair
+        # straddles it; moving the boundary field's text to its neighbour
+        # changes the digest
+        rng = random.Random(n)
+        fields = ["".join(rng.choices(["a", "é", "需", "\U0001f6a8"], k=rng.randint(0, 3)))
+                  for _ in range(n)]
+        for width in (1, 2):
+            records = [tuple(fields[i:i + width]) for i in range(0, n - n % width, width)]
+            expected = hashlib.sha256(batched_stream(records)).hexdigest()[:16]
+            assert digest_records(iter(records)) == digest_records(records) == expected
+        if n > 2048 and fields[2047]:
+            moved = fields[:2047] + ["", fields[2047] + fields[2048]] + fields[2049:]
+            assert digest_records((f,) for f in moved) != digest_records((f,) for f in fields)
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_fuzz_against_the_byte_stream(self, width):
@@ -262,7 +316,5 @@ class TestDigestRecords:
         for n in (0, 1, 682, 683, 1024, 1025, 2048, 3001):
             records = [tuple("".join(rng.choices(alphabet, k=rng.randint(0, 6)))
                              for _ in range(width)) for _ in range(n)]
-            stream = b"".join(len(f.encode()).to_bytes(8, "little") + f.encode()
-                              for record in records for f in record)
-            expected = hashlib.sha256(stream).hexdigest()[:16]
+            expected = hashlib.sha256(batched_stream(records)).hexdigest()[:16]
             assert digest_records(iter(records)) == digest_records(records) == expected, n

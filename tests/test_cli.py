@@ -255,6 +255,39 @@ class TestFeaturize:
         assert run(args) == 0
         assert capsys.readouterr().out.startswith("cache hit: ")
 
+    def test_matrix_under_the_length_prefixed_key_is_rebuilt(self, workspace, capsys):
+        # a matrix keyed by the record digest's earlier stream (each field's
+        # byte length, then its bytes) is a miss, rebuilt once, then a hit
+        from oracles import length_prefixed_digest
+        from rweets.digest import combine_digests
+        from rweets.features import combo, load_matrix, save_matrix
+        from rweets.preprocess import PipelineConfig, load_clean
+
+        clean = workspace / "d1.clean"
+        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
+        matrix = workspace / "m10"
+        args = ["featurize", "--clean", str(clean), "--out", str(matrix), "--combo", "10",
+                "--raw", str(workspace / "d1.jsonl")]
+        assert run(args) == 0
+        built = matrix.read_bytes()
+        corpus = load_clean(clean, PipelineConfig())
+        lines = (workspace / "d1.jsonl").read_text(encoding="utf-8").splitlines()
+        raw = {r["id"]: r["text"] for r in map(json.loads, lines)}
+        rows = ((i, label or "", str(len(tokens)), *tokens)
+                for i, label, tokens in zip(corpus.ids, corpus.labels, corpus.tokens))
+        old_key = combine_digests(
+            combo(10).digest, combine_digests(corpus.config_digest, length_prefixed_digest(rows)),
+            length_prefixed_digest((i, raw[i]) for i in corpus.ids))
+        new_key = artifact.load(matrix, "matrix")[0]["digest"]
+        assert old_key != new_key
+        save_matrix(load_matrix(matrix, combo(10), new_key), matrix, digest=old_key)
+        capsys.readouterr()
+        assert run(args) == 0
+        assert capsys.readouterr().out.startswith("wrote ")
+        assert matrix.read_bytes() == built
+        assert run(args) == 0
+        assert capsys.readouterr().out.startswith("cache hit: ")
+
     def test_combo_out_of_range_exit_1(self, workspace):
         clean = workspace / "d1.clean"
         run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
@@ -796,6 +829,15 @@ class TestTrain:
         nb = make_nb()
         assert type(nb) is MultinomialNaiveBayes and nb.alpha == 2.0
         assert make_nb() is not nb  # each call gives a fresh classifier
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_tol_outside_its_range_is_a_validation_error(self, workspace, capsys, value):
+        """No gradient norm is <= NaN and none is <= a negative bound, so
+        such a tol would run every fit until no_progress; an infinite one
+        would stop each fit at its start."""
+        assert self.train(workspace, "--tol", value) == 3
+        assert "tol must be nonnegative and finite" in capsys.readouterr().err
+        assert not (workspace / "staged").exists()
 
     def test_learning_rate_flag_removed(self, workspace):
         assert self.train(workspace, "--learning-rate", "0.1") == 1

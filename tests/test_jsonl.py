@@ -164,6 +164,33 @@ def test_every_bad_kind_reads_alike_on_every_path(tmp_path, monkeypatch, chunk):
     assert errors > 2 * len(kinds), errors  # most kinds are errors in every mode
 
 
+@pytest.mark.parametrize("chunk", [4, 1024])
+@pytest.mark.parametrize("bad, error", [
+    ('{"id": "t7", "text": "again"}', "line 1027: duplicate tweet id 't7'"),
+    ('{"id": "", "text": "x"}', "line 1027: 'id' must be a nonempty string"),
+    ('{"id": "n", "label": "rweet"}', "line 1027: 'text' must be a string"),
+    ('{"text": "no id"}', "line 1027: 'id' must be a nonempty string"),
+])
+def test_a_chunk_that_fails_leaves_the_ids_as_it_found_them(tmp_path, monkeypatch, chunk, bad,
+                                                             error):
+    """1,026 good lines, then a bad one third in its chunk, after two new
+    ids and before a line that repeats one of them: a chunk that fails must
+    not keep its ids, or the line reader would name the second line of the
+    chunk, or the fourth, in place of the bad third."""
+    monkeypatch.setattr(jsonl, "_CHUNK", chunk)
+    lines = [json.dumps({"id": f"t{i}", "text": "need food"}) for i in range(1026)]
+    lines += [bad, json.dumps({"id": "t1025", "text": "repeated"})]
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    for fields, domain in MODES:
+        expected = _outcome(_line_by_line, path, fields, domain)
+        assert expected == _outcome(reference_read_records, path, fields, domain)
+        for reader in (read_records, _chunk_columns):
+            assert _outcome(reader, path, fields, domain) == expected, (reader, fields)
+        if "id" in fields:
+            assert expected == ("error", f"{path}: {error}")
+
+
 @pytest.mark.parametrize("text, outcome", [
     ('{"id": "a", "text": "x"}\r\n\r\n  \n{"id": "b", "text": "y"}\r', ["a", "b"]),
     ('{"id": "a", "text": "x"}\r{"id": "b", "text": "see [1], [2]"}', ["a", "b"]),

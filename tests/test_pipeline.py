@@ -4,7 +4,7 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from oracles import save_version_1_matrix, with_header
+from oracles import length_prefixed_digest, save_version_1_matrix, with_header
 from rweets import artifact, lexicon
 from rweets.cli import main
 from rweets.corpus import (
@@ -17,7 +17,7 @@ from rweets.corpus import (
     synth_corpus,
 )
 from rweets.errors import FormatError, RweetsError, StaleCacheError, ValidationError
-from rweets.digest import combine_digests, digest_records, digest_text
+from rweets.digest import combine_digests, digest_bytes, digest_records, digest_text
 from rweets.features import FeatureConfig, _matrix_fields, combo, save_matrix
 from rweets.models import CLASSIFIERS, MultinomialNaiveBayes, input_config
 from rweets.pipeline import (
@@ -219,7 +219,7 @@ class TestRunSeries:
         positions = [i for i, label in enumerate(stage1) if label == RWEET]
         slot = stage_slot(staged, "stage2")
         key = combine_digests(slot, stage1_key(staged, probe),
-                              digest_text(",".join(map(str, positions))))
+                              digest_bytes(np.array(positions, dtype="<i8").tobytes()))
         return fm, positions, slot, key
 
     def test_cache_filled_under_the_dataset_key_is_all_hits(self, staged_model, tmp_path):
@@ -276,6 +276,43 @@ class TestRunSeries:
         assert len(outputs) == 1
         assert {path: path.read_bytes() for path in old} == before
         assert len(list(cache.iterdir())) == 6
+
+    def test_cache_under_the_length_prefixed_key_is_rebuilt(self, staged_model, tmp_path, capsys):
+        # both slots hold entries keyed by the record digest's earlier stream
+        # (each field's byte length, then its bytes) and the stage-2 positions
+        # as decimal text: each is a miss, rebuilt once, then a hit
+        probe = synth_corpus(46, 90, BINARY)
+        save_staged(staged_model, tmp_path / "model")
+        save_dataset(probe, tmp_path / "in.jsonl")
+        series = ["series", "--model", str(tmp_path / "model"),
+                  "--input", str(tmp_path / "in.jsonl")]
+        assert main(series + ["--output", str(tmp_path / "none.jsonl")]) == 0
+        results = run_series(probe.texts_by_id(), staged_model)
+        clean, _ = run_pipeline(probe, staged_model.pipeline_config)
+        fm1 = featurize_corpus(clean, staged_model.feature_config, probe.texts_by_id(),
+                               vocabulary=staged_model.identifier_vocab)
+        fm2, positions, slot2, key2 = self.stage2_reference(staged_model, probe, results)
+        slot1 = stage_slot(staged_model, "stage1")
+        old1 = combine_digests(slot1, length_prefixed_digest((tw.id, tw.text) for tw in probe))
+        old2 = combine_digests(slot2, old1, digest_text(",".join(map(str, positions))))
+        assert old1 != stage1_key(staged_model, probe) and old2 != key2
+        cache = FeatureCache(tmp_path / "cache")
+        input_ids = [tw.id for tw in probe]
+        save_entry(cache.path_for(slot1), old1, fm1, list(map(input_ids.index, clean.ids)))
+        save_entry(cache.path_for(slot2), old2, fm2)
+        capsys.readouterr()
+        cached = ["--cache-dir", str(cache.directory), "--verbose"] + series
+        assert main(cached + ["--output", str(tmp_path / "cold.jsonl")]) == 0
+        assert "cache: 0 hits, 2 misses, 2 built" in capsys.readouterr().out
+        assert main(cached + ["--output", str(tmp_path / "warm.jsonl")]) == 0
+        assert "cache: 2 hits, 0 misses, 0 built" in capsys.readouterr().out
+        outputs = {(tmp_path / f"{run}.jsonl").read_bytes() for run in ("none", "cold", "warm")}
+        assert len(outputs) == 1
+        assert sorted(p.name for p in cache.directory.iterdir()) == sorted(
+            cache.path_for(slot).name for slot in (slot1, slot2))
+        assert artifact.load(cache.path_for(slot1), "cache")[0]["digest"] == stage1_key(
+            staged_model, probe)
+        assert artifact.load(cache.path_for(slot2), "cache")[0]["digest"] == key2
 
     def test_stage2_artifact_matches_filtered_corpus(self, staged_model, tmp_path):
         probe = synth_corpus(46, 90, BINARY)

@@ -2,11 +2,19 @@ import random
 
 import numpy as np
 import pytest
-from oracles import SOURCE_NUM_RE, SOURCE_URL_RE, SOURCE_WWW_RE, dedupe, reference_clean
+from oracles import (
+    SOURCE_NUM_RE,
+    SOURCE_URL_RE,
+    SOURCE_WWW_RE,
+    dedupe,
+    length_prefixed_digest,
+    reference_clean,
+)
 from oracles import _generalize_tags as oracle_generalize_tags
 
 from rweets import artifact, lexicon, preprocess
 from rweets.corpus import BINARY, CATEGORICAL, Dataset, RawTweet, synth_corpus
+from rweets.digest import combine_digests
 from rweets.errors import FormatError, StaleCacheError, ValidationError
 from rweets.preprocess import (
     DEFAULT_OPS,
@@ -408,13 +416,19 @@ class TestCleanPersistence:
 
     def test_content_digest_bytes(self):
         # featurize keys its matrices on this digest: its bytes must not change
+        # unless the record stream does (the length-prefixed one gave the
+        # second value; a matrix keyed on it is rebuilt once)
         corpus = CleanCorpus(
             ("a\nb", "c\x00", "e"),
             (("need", "food"), ("caf\u00e9", "\U0001f6a8"), ()),
             ("rweet", None, "not_rweet"),
             "0123456789abcdef",
         )
-        assert corpus.content_digest() == "f9fe35d731ab6a80"
+        assert corpus.content_digest() == "275b6012188be862"
+        fields = [("a\nb", "rweet", "2", "need", "food"),
+                  ("c\x00", "", "2", "caf\u00e9", "\U0001f6a8"), ("e", "not_rweet", "0")]
+        old_key = combine_digests("0123456789abcdef", length_prefixed_digest(fields))
+        assert old_key == "f9fe35d731ab6a80"
 
     def test_content_digest_tells_apart_rows_that_join_alike(self):
         # an id may hold any character: with rows joined by separators, one

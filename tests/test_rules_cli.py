@@ -18,11 +18,12 @@ from rweets.rules import PATTERN_SOURCES
 SRC = str(Path(rweets.__file__).resolve().parents[1])
 
 
-def rweets_cli(*args, cwd):
+def rweets_cli(*args, cwd) -> str:
+    """Run `python -m rweets.cli` with `args` in `cwd`; return its stdout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    subprocess.run([sys.executable, "-m", "rweets.cli", *args], cwd=cwd, env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, "-m", "rweets.cli", *args], cwd=cwd, env=env,
+                          check=True, capture_output=True, text=True).stdout
 
 
 def re_bits(text):
