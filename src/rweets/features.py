@@ -143,6 +143,9 @@ class NgramCounts:
     term: np.ndarray
     count: np.ndarray
 
+    def __len__(self) -> int:
+        return self.n_docs
+
     def take(self, rows) -> "NgramCounts":
         """The counts of `rows` (distinct doc indices), renumbered 0.. in the
         order given."""

@@ -90,8 +90,7 @@ def _decode_chunk(lines: list, ids: set, fields, domain) -> tuple[list, dict] | 
     if domain is not None and not all(record.get("label") in (None, *domain.labels)
                                       for record in records):
         return None
-    if "\\" in text and _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(
-            _ENCODER.encode(records)):  # only a "\u" escape makes a lone surrogate
+    if _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(_ENCODER.encode(records)):
         return None
     ids.update(chunk_ids)
     return records, columns

@@ -36,7 +36,13 @@ from .sparse import SparseMatrix
 
 
 def _resolve_classes(y, classes) -> list[str]:
-    classes = list(dict.fromkeys(y) if classes is None else classes)  # None: y's, as first seen
+    if classes is None:
+        seen = []
+        for label in y:
+            if label not in seen:
+                seen.append(label)
+        classes = seen
+    classes = list(classes)
     if len(set(y) | set(classes)) > len(classes):
         unknown = sorted(set(y) - set(classes))
         raise ValidationError(f"labels {unknown} not in class list")
