@@ -271,7 +271,7 @@ def cmd_featurize(args) -> int:
     if feature_config.append_rules:
         if args.raw is None:
             raise UsageError("rule features need --raw pointing at the original dataset")
-        raw = _texts_by_id(args.raw)
+        raw, _ = _texts_by_id(args.raw)
         # the rule columns come from the raw texts of the corpus rows; an id
         # missing from --raw fails the build, so no artifact has such a key
         key.append(digest_records((i, raw[i]) for i in corpus.ids if i in raw))
@@ -303,19 +303,26 @@ def _rule_lines(chunks):
     """Per chunk of `read_chunks`, the output lines of its records, with
     `rule_label` and `rule_bits` set. A chunk's distinct texts are matched as
     one batch and each of its distinct bit rows is encoded once; no chunk
-    keeps anything for the next. The chunk's records that are exactly
-    {"id": str, "text": str}, in that order, are encoded by one
-    `encode_id_text_lines` call, and every other by `encode_line`."""
+    keeps anything for the next. A chunk whose records are all exactly
+    {"id": str, "text": str}, in that order (tested once per chunk), is
+    encoded by one `encode_id_text_lines` call; in any other chunk those
+    records are, and every other by `encode_line`."""
     from .rules import rule_bits
-    for chunk, columns in chunks:
+    for chunk, columns, escape_free in chunks:
         texts = columns["text"]
         distinct = list(dict.fromkeys(texts))
         by_text = dict(zip(distinct, map(_Memo(_rule_fields).__getitem__, rule_bits(distinct))))
+        # two keys, "id" first, and ids all strs (the reader checked "text")
+        if set(map(len, chunk)) <= {2} and set(map(next, map(iter, chunk))) <= {"id"} and set(
+                map(type, ids := [record["id"] for record in chunk])) <= {str}:
+            yield list(encode_id_text_lines(ids, texts, [by_text[text][1] for text in texts],
+                                            escape_free))
+            continue
         ids = [record.get("id") for record in chunk]
         plain = [tuple(record) == ("id", "text") and type(i) is str for record, i in zip(chunk, ids)]
         lines = list(encode_id_text_lines(
             itertools.compress(ids, plain), itertools.compress(texts, plain),
-            [by_text[text][1] for text in itertools.compress(texts, plain)]))
+            [by_text[text][1] for text in itertools.compress(texts, plain)], escape_free))
         # every other record, in input order, so each line is inserted at its own position
         for k in [k for k, is_plain in enumerate(plain) if not is_plain]:
             record = chunk[k]
@@ -380,12 +387,11 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _texts_by_id(path) -> dict:
-    """{id: text} over the records of a JSONL file, from `read_chunks`' columns."""
+def _texts_by_id(path) -> tuple[dict, bool]:
+    """{id: text} of a JSONL file (the reader's id table); whether every chunk was escape-free."""
     texts = {}
-    for _, columns in read_chunks(path):
-        texts.update(zip(columns["id"], columns["text"]))
-    return texts
+    escape_free = all([escape_free for *_, escape_free in read_chunks(path, ids=texts)])
+    return texts, escape_free
 
 
 def cmd_series(args) -> int:
@@ -405,10 +411,10 @@ def cmd_series(args) -> int:
     else:
         raise UsageError("series needs --input (or --resubstitution)")
     # input labels, if any, are ignored: the series only needs id and text
-    texts = _texts_by_id(input_path)
+    texts, escape_free = _texts_by_id(input_path)
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
     ids, stage1, stage2 = run_series(texts, staged, cache)
-    save_series_output(texts, ids, stage1, stage2, args.output)
+    save_series_output(texts, ids, stage1, stage2, args.output, escape_free)
     print(f"{len(ids)} tweets classified; {stage1.count('rweet')} rweets categorized")
     if cache is not None and args.verbose:
         print(f"cache: {cache.hits} hits, {cache.misses} misses, {cache.built} built")

@@ -4,10 +4,12 @@ string id and text followed by encoded members) and its writer. Files are
 read in text mode (CRLF and lone CR end lines too) and split on "\n" only;
 blank and whitespace-only lines are skipped but counted. Bytes that are not
 UTF-8 make their line a bad line. The reader, `read_chunks`, yields each
-chunk of lines as its records and a column per checked field;
-`read_records` flattens it, and `_read_line_by_line` is the reference for
-every error. Every JSONL file the package writes goes through
-`write_lines`, one chunk of lines at a time.
+chunk of lines as its records, a column per checked field and whether it
+held no backslash; `read_records` flattens it, and `_read_line_by_line` is
+the reference for every error. Strict decoding refuses raw control
+characters, so with no backslash no string holds what JSON escapes, and
+`encode_id_text_lines` copies such strings. Every JSONL file the package
+writes goes through `write_lines`, one chunk of lines at a time.
 """
 
 import itertools
@@ -29,15 +31,17 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False)  # as json.dumps(..., ensure_asc
 _CHUNK = 1024  # lines per decode or write: a consumer that streams holds one chunk's records
 
 
-def read_chunks(path, fields=("id", "text"), domain=None):
-    """Yield each chunk of a JSONL file's lines as (records, columns): the
-    chunk's objects, and for each of `fields` the list of their values. Each
-    object holds a string in every one of `fields` (an "id" nonempty and
-    unique) and, given a `domain`, no other label, or a ValidationError names
-    the file and first bad line. A chunk of lines decodes as one list's items,
-    the lines' objects unless a line holds an item boundary (`}`, comma, `{`);
-    such chunks are read line by line."""
-    ids: set = set()
+def read_chunks(path, fields=("id", "text"), domain=None, ids=None):
+    """Yield each chunk of a JSONL file's lines as (records, columns,
+    escape_free): the chunk's objects, for each of `fields` the list of their
+    values, and whether its JSON text held no backslash. Each object holds a
+    string in every one of `fields` (an "id" nonempty and unique, "text" with
+    it) and, given a `domain`, no other label, or a ValidationError names the
+    file and first bad line. `ids` (a dict) gets each checked chunk's id:
+    text pairs. A chunk of lines decodes as one list's items, the lines'
+    objects unless a line holds an item boundary (`}`, comma, `{`); such
+    chunks are read line by line, and are never escape_free."""
+    ids = {} if ids is None else ids
     with open(path, encoding="utf-8") as fh:
         for start in itertools.count(1, _CHUNK):
             try:
@@ -53,7 +57,7 @@ def read_chunks(path, fields=("id", "text"), domain=None):
 
 def read_records(path, fields=("id", "text"), domain=None):
     """Yield the objects of a JSONL file, read and checked as `read_chunks`."""
-    for records, _ in read_chunks(path, fields, domain):
+    for records, *_ in read_chunks(path, fields, domain):
         yield from records
 
 
@@ -69,8 +73,8 @@ def text_lines(path, start: int = 1):
                 yield line
 
 
-def _decode_chunk(lines: list, ids: set, fields, domain) -> tuple[list, dict] | None:
-    """The chunk's records and columns from one decode, or None if any check fails."""
+def _decode_chunk(lines: list, ids: dict, fields, domain) -> tuple[list, dict, bool] | None:
+    """(records, columns, escape_free) from one decode, or None if any check fails."""
     kept = [line for line in lines if not line.isspace()]
     text = "[" + ",".join(kept) + "]"  # each line but the file's last ends in "\n"
     try:
@@ -84,20 +88,22 @@ def _decode_chunk(lines: list, ids: set, fields, domain) -> tuple[list, dict] | 
         "".join(itertools.chain.from_iterable(columns.values()))
     except (KeyError, TypeError):
         return None
-    chunk_ids = set(id_column := columns.get("id", ()))  # one set: the id tests, then the update
-    if "" in chunk_ids or len(chunk_ids) != len(id_column) or not ids.isdisjoint(chunk_ids):
+    chunk_ids = dict(zip(id_column := columns.get("id", ()), columns.get("text", ())))
+    if "" in chunk_ids or len(chunk_ids) != len(id_column) or not ids.keys().isdisjoint(chunk_ids):
         return None
     if domain is not None and not all(record.get("label") in (None, *domain.labels)
                                       for record in records):
         return None
-    if _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(_ENCODER.encode(records)):
+    escape_free = "\\" not in text
+    if not escape_free and _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(
+            _ENCODER.encode(records)):
         return None
     ids.update(chunk_ids)
-    return records, columns
+    return records, columns, escape_free
 
 
-def _read_line_by_line(path, lines, start: int, ids: set, fields, domain) -> tuple[list, dict]:
-    """The chunk's records and columns, decoded one line at a time and checked in order."""
+def _read_line_by_line(path, lines, start: int, ids: dict, fields, domain) -> tuple:
+    """(records, columns, False) of the chunk, decoded line by line and checked in order."""
     records = []
     for lineno, line in enumerate(lines, start):
         if line.isspace():
@@ -121,9 +127,9 @@ def _read_line_by_line(path, lines, start: int, ids: set, fields, domain) -> tup
         if "id" in fields:
             if record["id"] in ids:
                 raise ValidationError(f"{where}: duplicate tweet id {record['id']!r}")
-            ids.add(record["id"])
+            ids[record["id"]] = record["text"]
         records.append(record)
-    return records, {field: [record[field] for record in records] for field in fields}
+    return records, {field: [record[field] for record in records] for field in fields}, False
 
 
 def encode_line(record: dict, tail: str = "") -> str:
@@ -137,15 +143,18 @@ def encode_line(record: dict, tail: str = "") -> str:
     return "{" + (body + tail if body else tail[2:]) + "}"
 
 
-def encode_id_text_lines(ids, texts, tails):
+def encode_id_text_lines(ids, texts, tails, escape_free=False):
     """An iterator of `encode_line({"id": id, "text": text}, tail) + "\n"`
     for each id, text and tail of three iterables of equal length: id and
     text are strs, and tail is pre-encoded as `encode_line`'s. The keys are
     encoded once, here; each chunk of lines is encoded by one comprehension,
-    when the lines before it have been taken."""
+    when the lines before it have been taken; `escape_free` ids and texts
+    (see above) are copied as they are."""
     rows, quote = zip(ids, texts, tails, strict=True), encode_basestring
-    chunks = iter(lambda: [f'{{"id": {quote(i)}, "text": {quote(text)}{tail}}}\n'
-                           for i, text, tail in itertools.islice(rows, _CHUNK)], [])
+    chunks = iter((lambda: [f'{{"id": "{i}", "text": "{text}"{tail}}}\n'
+                            for i, text, tail in itertools.islice(rows, _CHUNK)]) if escape_free
+                  else lambda: [f'{{"id": {quote(i)}, "text": {quote(text)}{tail}}}\n'
+                                for i, text, tail in itertools.islice(rows, _CHUNK)], [])
     return itertools.chain.from_iterable(chunks)  # chunks end at the first empty one
 
 

@@ -251,13 +251,13 @@ def _stage_tail(stages: tuple) -> str:
     return ", " + encode_line(fields)[1:-1]
 
 
-def save_series_output(texts, ids, stage1, stage2, path) -> None:
+def save_series_output(texts, ids, stage1, stage2, path, escape_free=False) -> None:
     """Write each row of the `run_series` columns, with its text from `texts`,
     as the line `json.dumps(record, ensure_ascii=False)` of its record through
-    `write_lines`: `encode_id_text_lines` encodes the id and text, and the
-    tail of each distinct (stage1, stage2) pair is encoded once."""
+    `write_lines`: `encode_id_text_lines` encodes the id and text, given
+    `escape_free`, and the tail of each distinct (stage1, stage2) pair once."""
     tails = map(_Memo(_stage_tail).__getitem__, zip(stage1, stage2, strict=True))
-    write_lines(path, encode_id_text_lines(ids, map(texts.__getitem__, ids), tails))
+    write_lines(path, encode_id_text_lines(ids, map(texts.__getitem__, ids), tails, escape_free))
 
 
 # --- staged-model persistence -----------------------------------------------

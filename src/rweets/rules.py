@@ -154,7 +154,7 @@ def _match(texts: list, roots: list) -> dict[int, list[int]]:
     folded, hits = _folded(texts), {}
     starts = list(accumulate([len(text) + 1 for text in texts], initial=0))
     for root in roots:
-        found = [m.span() for p, finditer in root[0] if p in folded for m in finditer(folded)]
+        found = [m.span() for _, finditer in root[0] for m in finditer(folded)]
         found.sort()
         stop = -1  # where the line of the last match kept ends
         for start, end in found:

@@ -92,19 +92,22 @@ def _fuzz_file(rng) -> str:
 
 
 def _chunk_columns(path, fields, domain):
-    """The records of `read_chunks`, whose columns must be their fields."""
-    records = []
-    for chunk, columns in jsonl.read_chunks(path, fields, domain):
+    """The records of `read_chunks`, whose columns must be their fields, and
+    whose id table must map each id read to its text."""
+    records, ids = [], {}
+    for chunk, columns, _ in jsonl.read_chunks(path, fields, domain, ids):
         assert columns == {field: [record[field] for record in chunk] for field in fields}
         records += chunk
+    assert ids == ({r["id"]: r["text"] for r in records} if "id" in fields else {})
     return records
 
 
 def _line_by_line(path, fields, domain):
     """The whole file through the reader's line-by-line path."""
     lines = jsonl.text_lines(path)
-    records, columns = jsonl._read_line_by_line(path, lines, 1, set(), fields, domain)
+    records, columns, escape_free = jsonl._read_line_by_line(path, lines, 1, {}, fields, domain)
     assert columns == {field: [record[field] for record in records] for field in fields}
+    assert escape_free is False
     return records
 
 
@@ -427,6 +430,58 @@ def test_id_text_encoder_is_json_dumps(monkeypatch, seed):
     assert list(jsonl.encode_id_text_lines(*zip(*rows))) == expected
     with pytest.raises(ValueError):  # columns of unequal length
         list(jsonl.encode_id_text_lines(["a", "b"], ["x", "y"], [""]))
+
+
+# every character JSON escapes: '"', the backslash and U+0000-U+001F
+ESCAPED = ('"', "\\", *map(chr, range(0x20)))
+# characters written as they are, raw, but as \\u escapes by ensure_ascii
+KEPT = ("\x7f", "\u2028", "\u2029", "caf\u00e9", "\u6771", "\U0001f6a8", "\U00010348")
+
+
+def _escape_test_file(path, rng, n_groups):
+    """Groups of three records (one reader chunk each, with `_CHUNK` 3), each
+    group of one kind: plain strings written raw, with no backslash; the same
+    written with ensure_ascii; and strings holding characters JSON escapes,
+    written either way. Returns the records and each chunk's lines."""
+    records, chunks = [], []
+    for g in range(n_groups):
+        kind = rng.choice(("raw", "ascii", "escaped"))
+        pieces = KEPT + ("a", "b c") + (ESCAPED if kind == "escaped" else ())
+        group = [{"id": f"g{g}.{k}" + "".join(rng.choices(pieces, k=rng.randrange(3))),
+                  "text": "".join(rng.choices(pieces, k=rng.randrange(5)))} for k in range(3)]
+        lines = [json.dumps(r, ensure_ascii=kind == "ascii" or (kind == "escaped"
+                                                                and rng.random() < 0.5))
+                 for r in group]
+        records += group
+        chunks.append(lines)
+    path.write_text("".join(line + "\n" for lines in chunks for line in lines),
+                    encoding="utf-8")
+    return records, chunks
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_escape_free_chunks_are_written_verbatim(tmp_path, monkeypatch, seed):
+    """The reader reports a chunk escape-free exactly when its lines hold no
+    backslash, and the id and text encoder given that report writes each
+    chunk's lines as json.dumps(..., ensure_ascii=False) does, whichever way
+    its records were written."""
+    monkeypatch.setattr(jsonl, "_CHUNK", 3)
+    rng = random.Random(seed)
+    path = tmp_path / "d.jsonl"
+    records, chunk_lines = _escape_test_file(path, rng, 60)
+    chunks = list(jsonl.read_chunks(path))
+    assert [chunk for chunk, *_ in chunks] == [records[k:k + 3] for k in range(0, 180, 3)]
+    reports = [escape_free for *_, escape_free in chunks]
+    assert reports == ["\\" not in "".join(lines) for lines in chunk_lines]
+    assert 10 < sum(reports) < 50, reports
+    tails = ["", ', "stage1": "not_rweet"', ', "rule_label": "rweet", "rule_bits": [1]']
+    for chunk, columns, escape_free in chunks:
+        rows = [(r["id"], r["text"], rng.choice(tails)) for r in chunk]
+        expected = [json.dumps({"id": i, "text": t}, ensure_ascii=False)[:-1] + tail + "}\n"
+                    for i, t, tail in rows]
+        got = jsonl.encode_id_text_lines(columns["id"], columns["text"],
+                                         [tail for *_, tail in rows], escape_free)
+        assert list(got) == expected, chunk
 
 
 @pytest.mark.parametrize("record", [

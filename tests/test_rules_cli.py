@@ -1,10 +1,15 @@
 """`rules classify` run as a separate process, `python -m rweets.cli`, on
 2,000 synth tweets and on hand-written lines around them: every output row
 holds the bits `re` gives its text, and every output line is the
-`json.dumps` of its input record with the two rule fields set."""
+`json.dumps` of its input record with the two rule fields set. CRLF input
+classifies as its LF original, a missing input exits 2 and an empty one
+writes an empty output; `synth` writes `json.dumps` lines. The chunk kinds
+of the reader are checked in process."""
 
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,17 +18,36 @@ from pathlib import Path
 import pytest
 
 import rweets
+from rweets import cli, jsonl
+from rweets.corpus import CATEGORICAL, synth_corpus
 from rweets.rules import PATTERN_SOURCES
+from test_jsonl import ESCAPED, KEPT
 
 SRC = str(Path(rweets.__file__).resolve().parents[1])
 
 
-def rweets_cli(*args, cwd) -> str:
-    """Run `python -m rweets.cli` with `args` in `cwd`; return its stdout."""
+def rweets_run(*args, cwd) -> subprocess.CompletedProcess:
+    """Run `python -m rweets.cli` with `args` in `cwd`, whatever its exit code."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, "-m", "rweets.cli", *args], cwd=cwd, env=env,
-                          check=True, capture_output=True, text=True).stdout
+                          capture_output=True, text=True)
+
+
+def rweets_cli(*args, cwd) -> str:
+    """Run `python -m rweets.cli` with `args` in `cwd`; return its stdout."""
+    proc = rweets_run(*args, cwd=cwd)
+    proc.check_returncode()
+    return proc.stdout
+
+
+def crlf_copy(source, target) -> None:
+    """Write `source`'s lines to `target` with CRLF line ends, and a blank and
+    a whitespace-only line after every seventh."""
+    lines = source.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    target.write_bytes(b"".join(line + b"\r\n" + (b"\r\n  \r\n" if n % 7 == 0 else b"")
+                                for n, line in enumerate(lines, 1)))
 
 
 def re_bits(text):
@@ -148,3 +172,84 @@ def test_rules_mixed_chunks_are_json_dumps(work):
                 record = {"id": key, "text": text}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     assert_json_dumps_lines(source, classify(work, "rules_mixed"), 3100)
+
+
+def test_crlf_lines_classify_as_the_lf_original(work):
+    """CRLF line ends with blank and whitespace-only lines mixed in read as
+    the LF original does."""
+    crlf_copy(work / "in.jsonl", work / "crlf.jsonl")
+    assert classify(work, "crlf") == classify(work, "in")
+
+
+def test_missing_input_exits_2_and_makes_no_directory(work):
+    proc = rweets_run("rules", "classify", "--input", "missing.jsonl",
+                      "--output", "new/sub/out.jsonl", cwd=work)
+    assert proc.returncode == 2, proc.stderr
+    assert not (work / "new").exists()
+
+
+def test_zero_byte_input_writes_a_zero_byte_output(work):
+    (work / "empty.jsonl").write_bytes(b"")
+    assert classify(work, "empty") == [] and (work / "empty_out.jsonl").read_bytes() == b""
+
+
+def test_synth_lines_are_json_dumps_of_its_records(work):
+    """synth writes 3,000 records as three chunks of lines; each line is the
+    json.dumps of its record, in the order synth_corpus makes them."""
+    rweets_cli("--seed", "4", "synth", "--size", "3000", "--domain", "categorical",
+               "--out", "synth.jsonl", cwd=work)
+    lines = (work / "synth.jsonl").read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == "" and len(lines) == 3000, len(lines)
+    records = [{"id": t.id, "text": t.text, "label": t.label}
+               for t in synth_corpus(4, 3000, CATEGORICAL)]
+    for record, line in zip(records, lines, strict=True):
+        assert line == json.dumps(record, ensure_ascii=False), line
+
+
+def mixed_kind_lines(rng, texts, n_groups, layouts):
+    """Groups of four lines (one reader chunk each, with `_CHUNK` 4), each of
+    one kind: {"id", "text"} records of plain strings written raw, with no
+    backslash; the same written with ensure_ascii; records whose strings
+    hold characters JSON escapes; and three such records with one of
+    `layouts` (each a function of id and text, taken in turn) among them. A
+    group of the last two kinds is written one way or the other. Every text
+    begins with one of `texts`."""
+    lines, layouts = [], itertools.cycle(layouts)
+    for g in range(n_groups):
+        kind = rng.choice(("raw", "ascii", "escaped", "layouts"))
+        pieces = KEPT + (" ", "?") + (ESCAPED if kind == "escaped" else ())
+        ascii_ = kind == "ascii" or (kind != "raw" and rng.random() < 0.5)
+        odd = rng.randrange(4) if kind == "layouts" else None
+        for k in range(4):
+            i = f"g{g}.{k}" + "".join(rng.choices(pieces, k=rng.randrange(3)))
+            text = rng.choice(texts) + "".join(rng.choices(pieces, k=rng.randrange(4)))
+            record = next(layouts)(i, text) if k == odd else {"id": i, "text": text}
+            lines.append(json.dumps(record, ensure_ascii=ascii_) + "\n")
+    return lines
+
+
+# records that are not exactly {"id": str, "text": str}, in that order
+LAYOUTS = (lambda i, t: {"text": t, "id": i}, lambda i, t: {"id": i, "text": t, "n": [1, None]},
+           lambda i, t: {"id": 7, "text": t}, lambda i, t: {"text": t},
+           lambda i, t: {"rule_bits": i, "id": i, "text": t}, lambda i, t: {"id": None, "text": t})
+
+
+def test_rules_chunks_of_every_kind_are_json_dumps(work, tmp_path, monkeypatch):
+    """Chunks written raw with no backslash, with ensure_ascii, with strings
+    JSON escapes and with mixed record layouts interleave; every output
+    line is the json.dumps of its input record with the rule fields set."""
+    monkeypatch.setattr(jsonl, "_CHUNK", 4)
+    with open(work / "in.jsonl", encoding="utf-8") as fh:
+        texts = [json.loads(line)["text"] for line in fh][:300]
+    lines = mixed_kind_lines(random.Random(5), texts, 150, LAYOUTS)
+    source, out = tmp_path / "kinds.jsonl", tmp_path / "kinds_out.jsonl"
+    source.write_text("".join(lines), encoding="utf-8")
+    # chunks of plain and mixed layouts, each escape-free and not
+    kinds = {(all(tuple(r) == ("id", "text") and type(r["id"]) is str for r in chunk), escape_free)
+             for chunk, _, escape_free in jsonl.read_chunks(source, ("text",))}
+    assert len(kinds) == 4
+    assert cli.main(["rules", "classify", "--input", str(source), "--output", str(out)]) == 0
+    with open(out, "rb") as fh:
+        written = fh.read().decode("utf-8").split("\n")  # U+2028 ends no line
+    assert written.pop() == ""
+    assert_json_dumps_lines(source, written, 600)
