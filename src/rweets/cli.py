@@ -307,11 +307,13 @@ def _rule_lines(chunks):
     {"id": str, "text": str}, in that order (tested once per chunk), is
     encoded by one `encode_id_text_lines` call; in any other chunk those
     records are, and every other by `encode_line`."""
-    from .rules import rule_bits
+    from .rules import _NO_BITS, rule_bits
     for chunk, columns, escape_free in chunks:
         texts = columns["text"]
         distinct = list(dict.fromkeys(texts))
-        by_text = dict(zip(distinct, map(_Memo(_rule_fields).__getitem__, rule_bits(distinct))))
+        rows, fields = rule_bits(distinct), _Memo(_rule_fields)
+        zero = fields[_NO_BITS]  # most texts' row: looking it up would hash its 18 ints
+        by_text = dict(zip(distinct, [zero if bits is _NO_BITS else fields[bits] for bits in rows]))
         # two keys, "id" first, and ids all strs (the reader checked "text")
         if set(map(len, chunk)) <= {2} and set(map(next, map(iter, chunk))) <= {"id"} and set(
                 map(type, ids := [record["id"] for record in chunk])) <= {str}:
@@ -410,10 +412,12 @@ def cmd_series(args) -> int:
         input_path = args.input
     else:
         raise UsageError("series needs --input (or --resubstitution)")
-    # input labels, if any, are ignored: the series only needs id and text
-    texts, escape_free = _texts_by_id(input_path)
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
-    ids, stage1, stage2 = run_series(texts, staged, cache)
+    texts, escape_free = None, False  # a full hit under the file's bytes decodes no JSON
+    if not (series := cache and run_series(Path(input_path), staged, cache)):
+        cache = cache and FeatureCache(args.cache_dir)  # uncount the probe's stage-1 hit
+        texts, escape_free = _texts_by_id(input_path)  # input labels, if any, are ignored
+    ids, stage1, stage2 = series or run_series(texts, staged, cache)
     save_series_output(texts, ids, stage1, stage2, args.output, escape_free)
     print(f"{len(ids)} tweets classified; {stage1.count('rweet')} rweets categorized")
     if cache is not None and args.verbose:

@@ -159,8 +159,8 @@ def encode_id_text_lines(ids, texts, tails, escape_free=False):
 
 
 def write_lines(path, lines) -> int:
-    """Write an iterable of lines, each ending in "\n", as UTF-8, one chunk
-    of lines at a time, replacing `path` atomically; returns the number of
+    """Write an iterable of lines (strs, or UTF-8 bytes), each ending in "\n",
+    one chunk at a time, replacing `path` atomically; returns the number of
     lines. A source that fails leaves no file; the first chunk is taken and
     encoded before `path` is opened, so one that fails in it leaves no new
     directory either."""
@@ -178,6 +178,8 @@ def write_lines(path, lines) -> int:
 def _next_chunk(lines) -> tuple[int, bytes]:
     """The number of lines in the next chunk of `lines`, and their UTF-8 bytes."""
     chunk = list(itertools.islice(lines, _CHUNK))
+    if chunk and type(chunk[0]) is bytes:
+        return len(chunk), b"".join(chunk)
     return len(chunk), "".join(chunk).encode("utf-8")
 
 

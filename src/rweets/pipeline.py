@@ -3,10 +3,10 @@ then categorize them by relief type, reusing cached feature matrices.
 
 Training and inference are deliberately separated: train_staged fits the
 identifier on a binary dataset and the categorizer on a categorical dataset;
-run_series applies both to any {id: text} input and returns its labels as
-columns. The categorizer is trained on gold rweets but sees stage-1 PREDICTED
-rweets at inference, an intentional train/serve skew inherited from the
-staged design.
+run_series applies both to any {id: text} input (or, if cached, a file of
+its canonical JSONL) and returns its labels as columns. The categorizer is
+trained on gold rweets but sees stage-1 PREDICTED rweets at inference, an
+intentional train/serve skew inherited from the staged design.
 """
 
 import struct
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import _Memo, artifact
 from .corpus import BINARY, CATEGORICAL, RWEET, Dataset
-from .digest import combine_digests, digest_bytes, digest_records
+from .digest import combine_digests, digest_bytes, digest_lines
 from .errors import FormatError, StaleCacheError, ValidationError
 from .features import (
     FeatureConfig,
@@ -82,11 +82,14 @@ class FeatureCache:
                      config: FeatureConfig, ids, rows=None) -> FeatureMatrix:
         """The features of the rows `ids` at positions `rows`, or, when `rows`
         is None, at the positions the entry stores, which must rise strictly
-        inside `ids`. A damaged entry is a FormatError naming the file."""
+        inside `ids`. A damaged entry is a FormatError naming the file. With
+        `builder` None, a miss returns None and counts nothing."""
         path = self.path_for(slot)
         try:
             header, arrays = artifact.load(path, _ENTRY, key)
         except (FileNotFoundError, StaleCacheError):  # an empty slot, or another input's entry
+            if builder is None:
+                return None
             self.misses += 1
             fm = builder()
             self.built += 1
@@ -158,24 +161,37 @@ def train_staged(
     return staged, (report1, report2)
 
 
+def input_digest(texts: dict[str, str]) -> str:
+    """`digest_bytes` of {id: text}'s canonical JSONL: each pair's line, in
+    order, `json.dumps({"id": id, "text": text}, ensure_ascii=False) + "\n"`.
+    An empty id, which no file the reader takes holds, marks the digest."""
+    fields = "".join([*texts, *texts.values()]).encode()
+    plain = len(fields.translate(None, bytes(range(32)) + b'"\\')) == len(fields)  # no escapes
+    digest = digest_lines(encode_id_text_lines(texts, texts.values(), [""] * len(texts), plain))
+    return combine_digests(digest, "empty id") if "" in texts else digest
+
+
 def run_series(
-    texts: dict[str, str],
+    texts: dict[str, str] | Path,
     staged: StagedClassifier,
     cache: FeatureCache | None = None,
-) -> tuple[list[str], list[str], list[str | None]]:
+) -> tuple[list, list[str], list[str | None]] | None:
     """Predict stage-1 labels for every cleaned tweet of `texts` (id -> text,
     in input order), then stage-2 labels for the predicted rweets.
 
     Returns the columns (ids, stage1, stage2): three lists in the cleaned
     corpus's order, where stage2[i] is the category of a row that stage 1
-    calls a rweet and None for every other row.
+    calls a rweet and None for every other row. With a cache, `texts` may
+    be a file's path: if its bytes key every entry the call needs, they are
+    a checked input's canonical JSONL and each id is its row's line (bytes,
+    no "\n"); else the call builds nothing and returns None.
 
     A stage's cache slot is the stage, the feature config its classifier is
     fed (`input_config`), its vocabulary, the pipeline config and the entry
-    layout; its key adds the input as given, not as cleaned: stage 1's every
-    (id, text) in order, stage 2's the stage-1 key and the positions of its
-    rows among stage 1's. Cleaning runs at most once per call and only when
-    a stage has to be built, so a full hit cleans, evaluates and vectorizes
+    layout; its key adds the input as given, not as cleaned: stage 1's
+    `input_digest`, stage 2's the stage-1 key and the positions of its rows
+    among stage 1's. Cleaning runs at most once per call and only when a
+    stage has to be built, so a full hit cleans, evaluates and vectorizes
     nothing. The pipeline digest covers the pipeline config and the lexicon
     but not the cleaning code, as the feature digest covers the feature
     config but not the featurization code.
@@ -214,19 +230,24 @@ def run_series(
                 all_counts, all_rules = counts, rules
         return featurize_tokens(counts, row_ids, config, vocab=vocab, rule_block=rules)
 
-    def featurize(slot, key, ids, rows, vocab: Vocabulary, config: FeatureConfig) -> FeatureMatrix:
+    def featurize(slot, key, ids, rows, vocab: Vocabulary, config: FeatureConfig):
         if cache is None:
             return build(rows, vocab, config)
-        return cache.get_or_build(slot, key, lambda: build(rows, vocab, config), vocab, config,
-                                  ids, rows)
+        builder = None if encoded else lambda: build(rows, vocab, config)
+        return cache.get_or_build(slot, key, builder, vocab, config, ids, rows)
 
     def slot(stage, vocab: Vocabulary, config: FeatureConfig) -> str:
         return combine_digests(stage, config.digest, vocab.digest, pipeline_digest, _LAYOUT)
 
     pipeline_digest = staged.pipeline_config.digest
     slot1 = slot("stage1", staged.identifier_vocab, config1)
-    key1 = None if cache is None else combine_digests(slot1, digest_records(texts.items()))
-    fm1 = featurize(slot1, key1, list(texts), None, staged.identifier_vocab, config1)
+    if (encoded := isinstance(texts, Path)) and not cache.path_for(slot1).exists():
+        return None  # an empty slot: the file need not be read
+    texts = texts.read_bytes() if encoded else texts
+    key1 = cache and combine_digests(slot1, digest_bytes(texts) if encoded else input_digest(texts))
+    ids = texts.split(b"\n")[:-1] if encoded else list(texts)
+    if (fm1 := featurize(slot1, key1, ids, None, staged.identifier_vocab, config1)) is None:
+        return None
     stage1 = staged.identifier.predict(fm1.matrix)
 
     keep = [i for i, label in enumerate(stage1) if label == RWEET]
@@ -235,7 +256,9 @@ def run_series(
         slot2 = slot("stage2", staged.categorizer_vocab, config2)
         key2 = None if cache is None else combine_digests(
             slot2, key1, digest_bytes(struct.pack(f"<{len(keep)}q", *keep)))
-        fm2 = featurize(slot2, key2, fm1.row_ids, keep, staged.categorizer_vocab, config2)
+        if (fm2 := featurize(slot2, key2, fm1.row_ids, keep, staged.categorizer_vocab,
+                             config2)) is None:
+            return None
         categories = staged.categorizer.predict(fm2.matrix)
         if len(categories) != len(keep):
             raise ValidationError(f"categorizer gave {len(categories)} labels for {len(keep)} rows")
@@ -256,6 +279,9 @@ def save_series_output(texts, ids, stage1, stage2, path, escape_free=False) -> N
     as the line `json.dumps(record, ensure_ascii=False)` of its record through
     `write_lines`: `encode_id_text_lines` encodes the id and text, given
     `escape_free`, and the tail of each distinct (stage1, stage2) pair once."""
+    if texts is None:  # ids are input lines, each copied up to its closing brace
+        end = _Memo(lambda pair: f"{_stage_tail(pair)}}}\n".encode())
+        return write_lines(path, (line[:-1] + end[a, b] for line, a, b in zip(ids, stage1, stage2)))
     tails = map(_Memo(_stage_tail).__getitem__, zip(stage1, stage2, strict=True))
     write_lines(path, encode_id_text_lines(ids, map(texts.__getitem__, ids), tails, escape_free))
 

@@ -212,3 +212,150 @@ def test_series_chunks_of_every_kind_are_json_dumps(work, tmp_path, monkeypatch)
         expected = {"id": row["id"], "text": texts[row["id"]], **stages}
         assert line == json.dumps(expected, ensure_ascii=False), line
     assert {row["stage1"] for row in rows} == {"rweet", "not_rweet"}
+
+
+def test_nb_and_logreg_models_share_a_cache_dir(work):
+    # an NB model trained on the same data has the same vocabularies but is
+    # fed raw counts: after the logreg model fills a shared cache, the NB
+    # output must still equal its no-cache output, and each stage of each
+    # model has its own file
+    rweets_cli("train", "--binary", "d1.jsonl", "--categories", "d2.jsonl", "--combo", "10",
+               "--clf", "nb", "--out", "nb", cwd=work)
+    nb = ("series", "--model", "nb", "--input", "in.jsonl")
+    rweets_cli(*nb, "--output", "nb_none.jsonl", cwd=work)
+    rweets_cli("--cache-dir", "shared", "series", "--model", "model", "--input", "in.jsonl",
+               "--output", "shared_logreg.jsonl", cwd=work)
+    rweets_cli("--cache-dir", "shared", *nb, "--output", "shared_nb.jsonl", cwd=work)
+    assert (work / "shared_nb.jsonl").read_bytes() == (work / "nb_none.jsonl").read_bytes()
+    assert len(list((work / "shared").iterdir())) == 4
+
+
+@pytest.fixture()
+def canonical(work, tmp_path):
+    """The records of in.jsonl (without their labels) and of ODD_LINES, in
+    tmp_path/canonical.jsonl as canonical JSONL: each the `json.dumps` line,
+    ensure_ascii off, of {"id": id, "text": text}; returns the records."""
+    with open(work / "in.jsonl", encoding="utf-8") as fh:
+        records = [{"id": r["id"], "text": r["text"]} for r in map(json.loads, fh)]
+    records += [json.loads(line) for line in ODD_LINES]
+    (tmp_path / "canonical.jsonl").write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    return records
+
+
+def run_series_cli(work, tmp_path, name, *flags, capsys) -> tuple[int, str, str]:
+    """cli.main's series on `name`.jsonl in tmp_path with the model of
+    `work`: its exit code, stdout and stderr."""
+    capsys.readouterr()
+    code = cli.main([*flags, "series", "--model", str(work / "model"),
+                     "--input", str(tmp_path / f"{name}.jsonl"),
+                     "--output", str(tmp_path / f"{name}.out")])
+    return (code, *capsys.readouterr())
+
+
+def cache_flags(tmp_path):
+    return "--cache-dir", str(tmp_path / "cache"), "--verbose"
+
+
+def test_a_warm_call_on_canonical_bytes_decodes_no_json(work, tmp_path, canonical, capsys,
+                                                        monkeypatch):
+    """Strings that JSON escapes, written by json.dumps: the warm call hits
+    both stages under the file's bytes, never reads it as JSON lines, and
+    writes the bytes of a call with no cache."""
+    assert run_series_cli(work, tmp_path, "canonical", capsys=capsys)[0] == 0
+    none = (tmp_path / "canonical.out").read_bytes()
+    code, out, _ = run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                                  capsys=capsys)
+    assert code == 0 and "cache: 0 hits, 2 misses, 2 built" in out.splitlines()
+    assert (tmp_path / "canonical.out").read_bytes() == none
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the input was decoded")
+
+    monkeypatch.setattr(jsonl, "read_chunks", refused)
+    monkeypatch.setattr(cli, "read_chunks", refused)
+    (tmp_path / "canonical.out").unlink()
+    code, out, _ = run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                                  capsys=capsys)
+    assert code == 0 and "cache: 2 hits, 0 misses, 0 built" in out.splitlines()
+    assert (tmp_path / "canonical.out").read_bytes() == none
+    odd = [line for line in none.decode("utf-8").split("\n") if line.startswith('{"id": "odd-')]
+    assert len(odd) == 6 and any("\\" in line for line in odd)
+
+
+# the records of a canonical file in other layouts, each one change away
+OTHER_LAYOUTS = {
+    "crlf": lambda records: "".join(json.dumps(r, ensure_ascii=False) + "\r\n" for r in records),
+    "blank lines": lambda records: "\n \t\n".join(json.dumps(r, ensure_ascii=False)
+                                                   for r in records) + "\n\n",
+    "label": lambda records: "".join(json.dumps({**r, "label": "rweet"}, ensure_ascii=False) + "\n"
+                                     for r in records),
+    "ensure_ascii": lambda records: "".join(json.dumps(r) + "\n" for r in records),
+    "text first": lambda records: "".join(json.dumps({"text": r["text"], "id": r["id"]},
+                                                     ensure_ascii=False) + "\n" for r in records),
+    "no final newline": lambda records: "\n".join(json.dumps(r, ensure_ascii=False)
+                                                  for r in records),
+}
+
+
+def test_other_layouts_of_the_records_hit_through_the_decoding_read(work, tmp_path, canonical,
+                                                                   capsys):
+    assert run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                          capsys=capsys)[0] == 0
+    expected = (tmp_path / "canonical.out").read_bytes()
+    for name, layout in OTHER_LAYOUTS.items():
+        (tmp_path / "other.jsonl").write_text(layout(canonical), encoding="utf-8")
+        assert (tmp_path / "other.jsonl").read_bytes() != (tmp_path / "canonical.jsonl").read_bytes()
+        code, out, _ = run_series_cli(work, tmp_path, "other", *cache_flags(tmp_path),
+                                      capsys=capsys)
+        assert code == 0 and "cache: 2 hits, 0 misses, 0 built" in out.splitlines(), name
+        assert (tmp_path / "other.out").read_bytes() == expected, name
+
+
+def test_a_stage_2_miss_after_a_stage_1_hit_under_the_bytes(work, tmp_path, canonical, capsys):
+    assert run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                          capsys=capsys)[0] == 0
+    expected = (tmp_path / "canonical.out").read_bytes()
+    stage2 = [path for path in (tmp_path / "cache").iterdir()
+              if "positions" not in artifact.load(path, "cache")[1]]
+    assert len(stage2) == 1
+    stage2[0].unlink()
+    code, out, _ = run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                                  capsys=capsys)
+    assert code == 0 and "cache: 1 hits, 1 misses, 1 built" in out.splitlines()
+    assert (tmp_path / "canonical.out").read_bytes() == expected
+    assert stage2[0].exists()
+    code, out, _ = run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                                  capsys=capsys)
+    assert code == 0 and "cache: 2 hits, 0 misses, 0 built" in out.splitlines()
+
+
+def test_positions_past_the_lines_of_canonical_bytes_exit_3(work, tmp_path, canonical, capsys):
+    assert run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                          capsys=capsys)[0] == 0
+    (stage1,) = [path for path in (tmp_path / "cache").iterdir()
+                 if "positions" in artifact.load(path, "cache")[1]]
+    header, arrays = artifact.load(stage1, "cache")
+    positions = arrays["positions"].astype("<i8")
+    positions[-1] = len(canonical)  # one past the last line
+    artifact.save(stage1, "cache", header["digest"], header["meta"],
+                  **{**arrays, "positions": artifact.narrow(positions)})
+    code, _, err = run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                                  capsys=capsys)
+    assert code == 3
+    assert f"{stage1.name}: damaged cache entry (positions do not rise strictly inside the " \
+           f"{len(canonical)} rows)" in err
+
+
+def test_an_input_with_an_empty_id_never_hits_under_file_bytes(work, tmp_path, capsys):
+    # a library call may key an input that holds an empty id; the canonical
+    # file of that input is refused by the reader, cache or not
+    from rweets.pipeline import FeatureCache, load_staged, run_series
+    texts = {"": "we need water and food at the shelter please help",
+             "b": "volunteers needed at the camp tonight, please help"}
+    run_series(texts, load_staged(work / "model"), FeatureCache(tmp_path / "cache"))
+    (tmp_path / "empty.jsonl").write_text(
+        "".join(json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n"
+                for i, t in texts.items()), encoding="utf-8")
+    code, _, err = run_series_cli(work, tmp_path, "empty", *cache_flags(tmp_path), capsys=capsys)
+    assert code == 3 and "empty.jsonl: line 1: 'id' must be a nonempty string" in err

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import compress
 
@@ -24,6 +26,7 @@ from rweets.pipeline import (
     STAGED_FILE,
     FeatureCache,
     featurize_corpus,
+    input_digest,
     load_staged,
     run_series,
     save_series_output,
@@ -52,9 +55,30 @@ def stage_slot(staged, stage):
 
 
 def stage1_key(staged, dataset):
-    """The stage-1 cache key: the stage-1 slot and the raw input."""
+    """The stage-1 cache key: the stage-1 slot and the digest of the raw
+    input as canonical JSONL, each (id, text) the `json.dumps` line of
+    {"id": id, "text": text} with ensure_ascii off, in order."""
+    lines = "".join(json.dumps({"id": tw.id, "text": tw.text}, ensure_ascii=False) + "\n"
+                    for tw in dataset)
     return combine_digests(stage_slot(staged, "stage1"),
-                           digest_records((tw.id, tw.text) for tw in dataset))
+                           hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16])
+
+
+def test_input_digest_is_the_digest_of_the_json_dumps_lines():
+    # plain strings, which the encoder copies, and strings JSON escapes or
+    # keeps: quotes, backslashes, control characters, DEL, U+2028 and
+    # non-BMP characters; an empty id marks the digest
+    plain = {"a": "we need water", "b": "help at the shelter", "c": ""}
+    odd = {**plain, 'q"uote': "back\\slash", "ctrl\x01": "tab\there\x7f\u2028", "\U0001f6a8": "\x00"}
+    for texts in (plain, odd, {}):
+        lines = "".join(json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n"
+                        for i, t in texts.items())
+        assert input_digest(texts) == hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16]
+    with_empty = {**plain, "": "no id"}
+    lines = "".join(json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n"
+                    for i, t in with_empty.items())
+    assert input_digest(with_empty) == combine_digests(
+        hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16], "empty id")
 
 
 def matrix_key(staged, dataset, layout):
