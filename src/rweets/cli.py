@@ -397,7 +397,8 @@ def _texts_by_id(path) -> tuple[dict, bool]:
 
 
 def cmd_series(args) -> int:
-    from .pipeline import FeatureCache, load_staged, run_series, save_series_output
+    from .pipeline import (FeatureCache, _series_from_bytes, load_staged, run_series,
+                           save_series_output)
     if args.model:
         staged = load_staged(args.model)
     elif args.binary and args.categories:
@@ -413,13 +414,13 @@ def cmd_series(args) -> int:
     else:
         raise UsageError("series needs --input (or --resubstitution)")
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
-    texts, escape_free = None, False  # a full hit under the file's bytes decodes no JSON
-    if not (series := cache and run_series(Path(input_path), staged, cache)):
-        cache = cache and FeatureCache(args.cache_dir)  # uncount the probe's stage-1 hit
+    # a full hit under the file's bytes decodes no JSON
+    if cache is None or (stage1 := _series_from_bytes(input_path, staged, cache,
+                                                      args.output)) is None:
         texts, escape_free = _texts_by_id(input_path)  # input labels, if any, are ignored
-    ids, stage1, stage2 = series or run_series(texts, staged, cache)
-    save_series_output(texts, ids, stage1, stage2, args.output, escape_free)
-    print(f"{len(ids)} tweets classified; {stage1.count('rweet')} rweets categorized")
+        ids, stage1, stage2 = run_series(texts, staged, cache, escape_free)
+        save_series_output(texts, ids, stage1, stage2, args.output, escape_free)
+    print(f"{len(stage1)} tweets classified; {stage1.count('rweet')} rweets categorized")
     if cache is not None and args.verbose:
         print(f"cache: {cache.hits} hits, {cache.misses} misses, {cache.built} built")
     return 0

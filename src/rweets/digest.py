@@ -1,8 +1,9 @@
 """Content digests and atomic file writes for cached artifacts.
 
 Every persisted artifact carries a 16-hex-char digest of the configuration
-that produced it, so downstream stages can detect stale inputs; an input is
-keyed by its JSONL lines (`digest_lines`) or its fields (`digest_records`).
+that produced it, so downstream stages can detect stale inputs. The series
+cache keys an input by its canonical JSONL (`pipeline.input_digest`), and a
+`featurize` matrix its raw texts by their fields (`digest_records`).
 """
 
 import hashlib
@@ -32,14 +33,6 @@ def digest_json(obj) -> str:
 
 def combine_digests(*digests: str) -> str:
     return digest_text("|".join(digests))
-
-
-def digest_lines(lines) -> str:
-    """`digest_bytes` of the UTF-8 of strs joined, hashed 2,048 at a time."""
-    h, lines = hashlib.sha256(), iter(lines)
-    while batch := list(islice(lines, _FIELDS_PER_UPDATE)):
-        h.update("".join(batch).encode())
-    return h.hexdigest()[:DIGEST_LEN]
 
 
 def digest_records(records) -> str:

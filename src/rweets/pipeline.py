@@ -3,19 +3,22 @@ then categorize them by relief type, reusing cached feature matrices.
 
 Training and inference are deliberately separated: train_staged fits the
 identifier on a binary dataset and the categorizer on a categorical dataset;
-run_series applies both to any {id: text} input (or, if cached, a file of
-its canonical JSONL) and returns its labels as columns. The categorizer is
-trained on gold rweets but sees stage-1 PREDICTED rweets at inference, an
-intentional train/serve skew inherited from the staged design.
+run_series applies both to any {id: text} input and returns its labels as
+columns. The categorizer is trained on gold rweets but sees stage-1 PREDICTED
+rweets at inference, an intentional train/serve skew inherited from the
+staged design.
 """
 
+import hashlib
 import struct
 from dataclasses import dataclass
+from itertools import islice
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import _Memo, artifact
 from .corpus import BINARY, CATEGORICAL, RWEET, Dataset
-from .digest import combine_digests, digest_bytes, digest_lines
+from .digest import DIGEST_LEN, combine_digests, digest_bytes
 from .errors import FormatError, StaleCacheError, ValidationError
 from .features import (
     FeatureConfig,
@@ -36,6 +39,7 @@ from .rules import rule_block_for_ids
 
 _ENTRY = "cache"  # the artifact kind of a FeatureCache entry, and its files' suffix
 _LAYOUT = f"{_ENTRY} {artifact.KIND_VERSIONS.get(_ENTRY, artifact.VERSION)}"
+_ESCAPED = bytes(range(32)) + b'"\\'  # what JSON escapes in a string, and the quote
 
 
 def featurize_corpus(
@@ -80,26 +84,34 @@ class FeatureCache:
 
     def get_or_build(self, slot: str, key: str, builder, vocab: Vocabulary,
                      config: FeatureConfig, ids, rows=None) -> FeatureMatrix:
-        """The features of the rows `ids` at positions `rows`, or, when `rows`
-        is None, at the positions the entry stores, which must rise strictly
-        inside `ids`. A damaged entry is a FormatError naming the file. With
-        `builder` None, a miss returns None and counts nothing."""
-        path = self.path_for(slot)
+        """`_matrix` of the entry in `slot` filed under `key`, or else the
+        features `builder` gives, then filed there."""
+        if (entry := self._entry(slot, key)) is not None:
+            self.hits += 1
+            return self._matrix(slot, entry, vocab, config, ids, rows)
+        self.misses += 1
+        fm = builder()
+        self.built += 1
+        meta, arrays = _matrix_fields(fm.matrix)
+        if rows is None:
+            index = {row_id: i for i, row_id in enumerate(ids)}
+            arrays["positions"] = artifact.narrow([index[row_id] for row_id in fm.row_ids])
+        artifact.save(self.path_for(slot), _ENTRY, key, meta, **arrays)
+        return fm
+
+    def _entry(self, slot: str, key: str) -> tuple[dict, dict] | None:
+        """(header, arrays) of `slot`'s entry if filed under `key`; counts nothing."""
         try:
-            header, arrays = artifact.load(path, _ENTRY, key)
+            return artifact.load(self.path_for(slot), _ENTRY, key)
         except (FileNotFoundError, StaleCacheError):  # an empty slot, or another input's entry
-            if builder is None:
-                return None
-            self.misses += 1
-            fm = builder()
-            self.built += 1
-            meta, arrays = _matrix_fields(fm.matrix)
-            if rows is None:
-                index = {row_id: i for i, row_id in enumerate(ids)}
-                arrays["positions"] = artifact.narrow([index[row_id] for row_id in fm.row_ids])
-            artifact.save(path, _ENTRY, key, meta, **arrays)
-            return fm
-        self.hits += 1
+            return None
+
+    def _matrix(self, slot: str, entry, vocab: Vocabulary, config: FeatureConfig, ids, rows=None):
+        """The features of `slot`'s loaded entry for the rows `ids` at
+        positions `rows`, or, when `rows` is None, at the positions the entry
+        stores, which must rise strictly inside `ids`. A damaged entry is a
+        FormatError naming the file."""
+        header, arrays = entry
         try:
             if rows is None:
                 rows = artifact.field(arrays, "positions", artifact.INTEGERS)
@@ -110,7 +122,7 @@ class FeatureCache:
             return FeatureMatrix(_matrix_from(header["meta"], arrays), vocab, config,
                                  tuple(map(ids.__getitem__, rows)))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise FormatError(f"{path.name}: damaged cache entry ({exc})") from None
+            raise FormatError(f"{self.path_for(slot).name}: damaged cache entry ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -161,48 +173,81 @@ def train_staged(
     return staged, (report1, report2)
 
 
-def input_digest(texts: dict[str, str]) -> str:
+def input_digest(texts: dict[str, str], escape_free: bool = False) -> str:
     """`digest_bytes` of {id: text}'s canonical JSONL: each pair's line, in
-    order, `json.dumps({"id": id, "text": text}, ensure_ascii=False) + "\n"`.
-    An empty id, which no file the reader takes holds, marks the digest."""
-    fields = "".join([*texts, *texts.values()]).encode()
-    plain = len(fields.translate(None, bytes(range(32)) + b'"\\')) == len(fields)  # no escapes
-    digest = digest_lines(encode_id_text_lines(texts, texts.values(), [""] * len(texts), plain))
+    order, `json.dumps({"id": id, "text": text}, ensure_ascii=False) + "\\n"`,
+    hashed 1,024 lines at a time. A batch's strings are copied if their lines
+    hold no control character, `"` or `\\` beyond their own, as the reader's
+    `escape_free` vouches, and else quoted. An empty id, which no file the
+    reader takes holds, marks the digest."""
+    h, rows = hashlib.sha256(), iter(texts.items())
+    while batch := list(islice(rows, 1024)):
+        data = "".join([f'{{"id": "{i}", "text": "{t}"}}\n' for i, t in batch]).encode()
+        if not escape_free and len(data) - len(data.translate(None, _ESCAPED)) != 9 * len(batch):
+            data = "".join([f'{{"id": {encode_basestring(i)}, "text": {encode_basestring(t)}}}\n'
+                            for i, t in batch]).encode()
+        h.update(data)
+    digest = h.hexdigest()[:DIGEST_LEN]
     return combine_digests(digest, "empty id") if "" in texts else digest
 
 
+def _stages(staged: StagedClassifier) -> list[tuple]:
+    """Each stage's vocabulary, fed feature config and cache slot (see `run_series`)."""
+    stages = []
+    for stage, clf, vocab in (("stage1", staged.identifier, staged.identifier_vocab),
+                              ("stage2", staged.categorizer, staged.categorizer_vocab)):
+        config = input_config(clf, staged.feature_config)
+        stages.append((vocab, config, combine_digests(stage, config.digest, vocab.digest,
+                                                      staged.pipeline_config.digest, _LAYOUT)))
+    return stages
+
+
+def _categorize(staged: StagedClassifier, stage1, slot2, key1, features) -> list | None:
+    """The stage-2 column of `stage1`, given `features(key2, rows)` (or None)."""
+    keep = [i for i, label in enumerate(stage1) if label == RWEET]
+    stage2: list[str | None] = [None] * len(stage1)
+    if keep:
+        key2 = key1 and combine_digests(slot2, key1, digest_bytes(struct.pack(f"<{len(keep)}q",
+                                                                             *keep)))
+        if (fm2 := features(key2, keep)) is None:
+            return None
+        categories = staged.categorizer.predict(fm2.matrix)
+        if len(categories) != len(keep):
+            raise ValidationError(f"categorizer gave {len(categories)} labels for {len(keep)} rows")
+        for i, category in zip(keep, categories):
+            stage2[i] = category
+    return stage2
+
+
 def run_series(
-    texts: dict[str, str] | Path,
+    texts: dict[str, str],
     staged: StagedClassifier,
     cache: FeatureCache | None = None,
-) -> tuple[list, list[str], list[str | None]] | None:
+    escape_free: bool = False,
+) -> tuple[list[str], list[str], list[str | None]]:
     """Predict stage-1 labels for every cleaned tweet of `texts` (id -> text,
     in input order), then stage-2 labels for the predicted rweets.
 
     Returns the columns (ids, stage1, stage2): three lists in the cleaned
     corpus's order, where stage2[i] is the category of a row that stage 1
-    calls a rweet and None for every other row. With a cache, `texts` may
-    be a file's path: if its bytes key every entry the call needs, they are
-    a checked input's canonical JSONL and each id is its row's line (bytes,
-    no "\n"); else the call builds nothing and returns None.
+    calls a rweet and None for every other row.
 
     A stage's cache slot is the stage, the feature config its classifier is
     fed (`input_config`), its vocabulary, the pipeline config and the entry
     layout; its key adds the input as given, not as cleaned: stage 1's
-    `input_digest`, stage 2's the stage-1 key and the positions of its rows
-    among stage 1's. Cleaning runs at most once per call and only when a
-    stage has to be built, so a full hit cleans, evaluates and vectorizes
-    nothing. The pipeline digest covers the pipeline config and the lexicon
-    but not the cleaning code, as the feature digest covers the feature
-    config but not the featurization code.
+    `input_digest` (given `escape_free`), stage 2's the stage-1 key and the
+    positions of its rows among stage 1's. Cleaning runs at most once per
+    call and only when a stage has to be built, so a full hit cleans,
+    evaluates and vectorizes nothing. The pipeline digest covers the
+    pipeline config and the lexicon but not the cleaning code, as the
+    feature digest covers the feature config but not the featurization code.
 
     N-grams are counted and the 18 rules run at most once per cleaned tweet
     per call: building stage 1 counts and evaluates every cleaned row, and
     building stage 2 takes its rows' counts and bits from those; when stage 1
     is a cache hit, stage 2 counts and evaluates only its own rows.
     """
-    config1 = input_config(staged.identifier, staged.feature_config)
-    config2 = input_config(staged.categorizer, staged.feature_config)
+    (vocab1, config1, slot1), (vocab2, config2, slot2) = _stages(staged)
     fm1 = None  # stage 1's features, once built or loaded
     cleaned = None  # the cleaned corpus, once a builder needs it
     all_counts = all_rules = None  # the n-gram counts and rule block of every cleaned row
@@ -230,41 +275,55 @@ def run_series(
                 all_counts, all_rules = counts, rules
         return featurize_tokens(counts, row_ids, config, vocab=vocab, rule_block=rules)
 
-    def featurize(slot, key, ids, rows, vocab: Vocabulary, config: FeatureConfig):
+    def featurize(slot, key, ids, rows, vocab: Vocabulary, config: FeatureConfig) -> FeatureMatrix:
         if cache is None:
             return build(rows, vocab, config)
-        builder = None if encoded else lambda: build(rows, vocab, config)
-        return cache.get_or_build(slot, key, builder, vocab, config, ids, rows)
+        return cache.get_or_build(slot, key, lambda: build(rows, vocab, config), vocab, config,
+                                  ids, rows)
 
-    def slot(stage, vocab: Vocabulary, config: FeatureConfig) -> str:
-        return combine_digests(stage, config.digest, vocab.digest, pipeline_digest, _LAYOUT)
+    key1 = None if cache is None else combine_digests(slot1, input_digest(texts, escape_free))
+    fm1 = featurize(slot1, key1, list(texts), None, vocab1, config1)
+    stage1 = staged.identifier.predict(fm1.matrix)
+    stage2 = _categorize(staged, stage1, slot2, key1, lambda key2, rows: featurize(
+        slot2, key2, fm1.row_ids, rows, vocab2, config2))
+    return list(fm1.row_ids), stage1, stage2
 
-    pipeline_digest = staged.pipeline_config.digest
-    slot1 = slot("stage1", staged.identifier_vocab, config1)
-    if (encoded := isinstance(texts, Path)) and not cache.path_for(slot1).exists():
-        return None  # an empty slot: the file need not be read
-    texts = texts.read_bytes() if encoded else texts
-    key1 = cache and combine_digests(slot1, digest_bytes(texts) if encoded else input_digest(texts))
-    ids = texts.split(b"\n")[:-1] if encoded else list(texts)
-    if (fm1 := featurize(slot1, key1, ids, None, staged.identifier_vocab, config1)) is None:
+
+def _series_from_bytes(path, staged: StagedClassifier, cache: FeatureCache, output):
+    """`series` of the file at `path`, decoding no JSON, if every entry it
+    needs is filed under its bytes as canonical JSONL (`input_digest`), which
+    proves it passed the reader: writes each output line as its input line
+    plus the stage fields, counts the hits and returns the stage-1 column.
+    Else returns None; it hashes the file only if the stage-1 slot is filled
+    and the first line looks canonical, and splits it only on a hit."""
+    (vocab1, config1, slot1), (vocab2, config2, slot2) = _stages(staged)
+    if not cache.path_for(slot1).exists():
         return None
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first.startswith(b'{"id": "') or first[-3:] != b'"}\n' or first.count(b'": ') != 2:
+            return None
+        h = hashlib.sha256(first)
+        while block := fh.read(1 << 16):  # small blocks: a miss holds no copy of the file
+            h.update(block)
+        key1 = combine_digests(slot1, h.hexdigest()[:DIGEST_LEN])
+        if (entry := cache._entry(slot1, key1)) is None:
+            return None
+        fh.seek(0)
+        fm1 = cache._matrix(slot1, entry, vocab1, config1, fh.read().split(b"\n")[:-1])
     stage1 = staged.identifier.predict(fm1.matrix)
 
-    keep = [i for i, label in enumerate(stage1) if label == RWEET]
-    stage2: list[str | None] = [None] * len(stage1)
-    if keep:
-        slot2 = slot("stage2", staged.categorizer_vocab, config2)
-        key2 = None if cache is None else combine_digests(
-            slot2, key1, digest_bytes(struct.pack(f"<{len(keep)}q", *keep)))
-        if (fm2 := featurize(slot2, key2, fm1.row_ids, keep, staged.categorizer_vocab,
-                             config2)) is None:
-            return None
-        categories = staged.categorizer.predict(fm2.matrix)
-        if len(categories) != len(keep):
-            raise ValidationError(f"categorizer gave {len(categories)} labels for {len(keep)} rows")
-        for i, category in zip(keep, categories):
-            stage2[i] = category
-    return list(fm1.row_ids), stage1, stage2
+    def features2(key2, rows) -> FeatureMatrix | None:
+        entry2 = cache._entry(slot2, key2)
+        return entry2 and cache._matrix(slot2, entry2, vocab2, config2, fm1.row_ids, rows)
+
+    if (stage2 := _categorize(staged, stage1, slot2, key1, features2)) is None:
+        return None
+    end = _Memo(lambda stages: f"{_stage_tail(stages)}}}\n".encode())
+    write_lines(output, (line[:-1] + end[pair] for line, pair in zip(fm1.row_ids,
+                                                                     zip(stage1, stage2))))
+    cache.hits += 1 + (RWEET in stage1)
+    return stage1
 
 
 def _stage_tail(stages: tuple) -> str:
@@ -279,9 +338,6 @@ def save_series_output(texts, ids, stage1, stage2, path, escape_free=False) -> N
     as the line `json.dumps(record, ensure_ascii=False)` of its record through
     `write_lines`: `encode_id_text_lines` encodes the id and text, given
     `escape_free`, and the tail of each distinct (stage1, stage2) pair once."""
-    if texts is None:  # ids are input lines, each copied up to its closing brace
-        end = _Memo(lambda pair: f"{_stage_tail(pair)}}}\n".encode())
-        return write_lines(path, (line[:-1] + end[a, b] for line, a, b in zip(ids, stage1, stage2)))
     tails = map(_Memo(_stage_tail).__getitem__, zip(stage1, stage2, strict=True))
     write_lines(path, encode_id_text_lines(ids, map(texts.__getitem__, ids), tails, escape_free))
 

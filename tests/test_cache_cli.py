@@ -330,6 +330,48 @@ def test_a_stage_2_miss_after_a_stage_1_hit_under_the_bytes(work, tmp_path, cano
     assert code == 0 and "cache: 2 hits, 0 misses, 0 built" in out.splitlines()
 
 
+def test_a_labelled_input_is_not_hashed_as_bytes(work, tmp_path, canonical, capsys,
+                                                monkeypatch):
+    """A first line that is not {"id", "text"} as json.dumps writes it skips
+    the bytes probe before the file is hashed; the call hits through the
+    decoding read."""
+    from rweets import pipeline
+    assert run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                          capsys=capsys)[0] == 0
+    expected = (tmp_path / "canonical.out").read_bytes()
+    (tmp_path / "label.jsonl").write_text(OTHER_LAYOUTS["label"](canonical), encoding="utf-8")
+
+    sha256 = pipeline.hashlib.sha256
+
+    def refused(data=b""):
+        assert not data.startswith(b'{"id": '), "the file was hashed"
+        return sha256(data)
+
+    monkeypatch.setattr(pipeline.hashlib, "sha256", refused)
+    code, out, _ = run_series_cli(work, tmp_path, "label", *cache_flags(tmp_path), capsys=capsys)
+    assert code == 0 and "cache: 2 hits, 0 misses, 0 built" in out.splitlines()
+    assert (tmp_path / "label.out").read_bytes() == expected
+
+
+def test_a_miss_under_the_bytes_writes_and_counts_nothing(work, tmp_path, canonical, capsys):
+    """A canonical input one line short of the one the slot holds: the probe
+    returns None with no output written and nothing counted, and the call
+    then misses, builds and writes through the decoding read."""
+    from rweets.pipeline import FeatureCache, _series_from_bytes, load_staged
+    assert run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
+                          capsys=capsys)[0] == 0
+    shorter = (tmp_path / "canonical.jsonl").read_bytes().split(b"\n")[1:]
+    (tmp_path / "shorter.jsonl").write_bytes(b"\n".join(shorter))
+    cache = FeatureCache(tmp_path / "cache")
+    assert _series_from_bytes(tmp_path / "shorter.jsonl", load_staged(work / "model"), cache,
+                              tmp_path / "shorter.out") is None
+    assert (cache.hits, cache.misses, cache.built) == (0, 0, 0)
+    assert not (tmp_path / "shorter.out").exists()
+    code, out, _ = run_series_cli(work, tmp_path, "shorter", *cache_flags(tmp_path),
+                                  capsys=capsys)
+    assert code == 0 and "cache: 0 hits, 2 misses, 2 built" in out.splitlines()
+
+
 def test_positions_past_the_lines_of_canonical_bytes_exit_3(work, tmp_path, canonical, capsys):
     assert run_series_cli(work, tmp_path, "canonical", *cache_flags(tmp_path),
                           capsys=capsys)[0] == 0

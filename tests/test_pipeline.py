@@ -67,13 +67,18 @@ def stage1_key(staged, dataset):
 def test_input_digest_is_the_digest_of_the_json_dumps_lines():
     # plain strings, which the encoder copies, and strings JSON escapes or
     # keeps: quotes, backslashes, control characters, DEL, U+2028 and
-    # non-BMP characters; an empty id marks the digest
+    # non-BMP characters, alone and in some of several 1,024-line batches;
+    # an empty id marks the digest
     plain = {"a": "we need water", "b": "help at the shelter", "c": ""}
     odd = {**plain, 'q"uote': "back\\slash", "ctrl\x01": "tab\there\x7f\u2028", "\U0001f6a8": "\x00"}
-    for texts in (plain, odd, {}):
+    many = {f"t{n}": f"need water {n}" for n in range(3000)}
+    many.update({"t1500": 'a "quote"', "t2999": "a\nline"})
+    for texts in (plain, odd, {}, many):
         lines = "".join(json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n"
                         for i, t in texts.items())
         assert input_digest(texts) == hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16]
+    # strings the reader found escape-free are copied unchecked, to the same digest
+    assert input_digest(plain, escape_free=True) == input_digest(plain)
     with_empty = {**plain, "": "no id"}
     lines = "".join(json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n"
                     for i, t in with_empty.items())
