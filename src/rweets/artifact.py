@@ -1,5 +1,5 @@
-"""One binary container for every persisted artifact, of four kinds:
-`clean` (a cleaned corpus), `matrix` (a feature matrix with its vocabulary),
+"""One binary container for every persisted artifact, of three kinds:
+`matrix` (a feature matrix with its vocabulary, which no command writes),
 `staged` (both classifiers of a staged model with their vocabularies and
 configurations) and `cache` (a series cache entry, `pipeline.FeatureCache`).
 
@@ -15,16 +15,18 @@ Equal content gives equal bytes (one stream, no zip timestamps). Nothing is
 pickled or evaluated: only uint8, uint16, uint32, int64 and float64 arrays
 are written or read, each taken by `np.frombuffer` at its declared dtype and
 shape, and `field` checks that an array has the type its reader expects.
-Readers raise `FormatError` for a bad magic, version or kind (an earlier
-text-format file is named by its version; `clean` and `matrix` files
-are at version 2 and other kinds at 1), an undeclared dtype, a truncated
-file, trailing bytes, or string offsets that disagree with their text, and
-`StaleCacheError` for an unexpected digest.
+Readers raise `FormatError` for a bad magic, version or kind (`matrix` files
+are at version 2 and other kinds at 1), a header length past the end of the
+file (as in a file of an earlier text format), an undeclared dtype, a
+truncated file, trailing bytes, or string offsets that disagree with their
+text, and `StaleCacheError` for an unexpected digest. The header is checked
+before any array is read, so a stale file costs one small read.
 """
 
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +37,11 @@ from .errors import FormatError, StaleCacheError
 MAGIC = "RWEETS-ARTIFACT"
 VERSION = 1
 # kinds whose layout changed since VERSION; each reads only its own version:
-# clean 2 has a token table and codes, matrix 2 narrow integers and coded values
-KIND_VERSIONS = {"clean": 2, "matrix": 2}
+# matrix 2 has narrow integers and coded values
+KIND_VERSIONS = {"matrix": 2}
 _STRINGS = "utf-8"
 INTEGERS = ("|u1", "<u2", "<u4", "<i8")  # narrowest first
 _DTYPES = (*INTEGERS, "<f8")
-_TEXT_ERA = (b"SPMA", b"VOCA", b"MODE", b"CLEA")  # SPMAT, VOCAB, MODEL, CLEAN
 
 
 def save(path, kind: str, digest: str, meta: dict, **arrays) -> None:
@@ -71,18 +72,18 @@ def load(path, kind: str, expected_digest: str | None = None) -> tuple[dict, dic
     """(header, arrays) of an artifact of the given kind; string lists come
     back as tuples. With `expected_digest`, any other digest is stale."""
     name = Path(path).name
-    stream = io.BytesIO(Path(path).read_bytes())
-    header = _read_header(stream, name)
-    if header["kind"] != kind:
-        raise FormatError(f"{name}: holds a {header['kind']!r} artifact, expected {kind!r}")
-    version = KIND_VERSIONS.get(kind, VERSION)
-    if header.get("version") != version:
-        raise FormatError(f"{name}: {kind} artifact version {header.get('version')!r} is not "
-                          f"readable; this version reads {version}; rebuild the file")
-    if expected_digest is not None and header["digest"] != expected_digest:
-        raise StaleCacheError(
-            f"{name}: {kind} was built under digest {header['digest']}, expected {expected_digest}"
-        )
+    with open(path, "rb") as fh:
+        header = _read_header(fh, name)
+        if header["kind"] != kind:
+            raise FormatError(f"{name}: holds a {header['kind']!r} artifact, expected {kind!r}")
+        version = KIND_VERSIONS.get(kind, VERSION)
+        if header.get("version") != version:
+            raise FormatError(f"{name}: {kind} artifact version {header.get('version')!r} is not "
+                              f"readable; this version reads {version}; rebuild the file")
+        if expected_digest is not None and header["digest"] != expected_digest:
+            raise StaleCacheError(f"{name}: {kind} was built under digest {header['digest']}, "
+                                  f"expected {expected_digest}")
+        stream = io.BytesIO(fh.read())
     arrays = {}
     try:
         for field, dtype, shape in header["arrays"]:
@@ -101,15 +102,12 @@ def load(path, kind: str, expected_digest: str | None = None) -> tuple[dict, dic
 
 
 def _read_header(fh, name: str) -> dict:
+    """The header of the open artifact `fh`, read up to its end and no further."""
     prefix = fh.read(4)
-    if prefix in _TEXT_ERA:
-        version = " ".join((prefix + fh.readline(80)).decode("latin-1").split()[:2])
-        raise FormatError(f"{name}: {version} is a text-era format that is no longer read; "
-                          "rebuild the file")
     size = int.from_bytes(prefix, "little")
-    raw = fh.read(size)
-    if len(prefix) < 4 or len(raw) < size:
+    if len(prefix) < 4 or 4 + size > os.fstat(fh.fileno()).st_size:
         raise FormatError(f"{name}: header length {size} runs past the end of the file")
+    raw = fh.read(size)
     try:
         header = json.loads(raw)
         ok = header["magic"] == MAGIC and {"kind", "digest", "meta", "arrays"} <= header.keys()

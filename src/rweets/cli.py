@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Subcommands: preprocess, featurize, rules, train, evaluate, series, synth.
+Subcommands: rules, train, evaluate, series, synth.
 Exit codes are a stable contract: 0 success, 1 usage, 2 I/O, 3 validation,
 4 stale cache. A flat key=value config file can preset any long flag;
 explicit flags win.
@@ -10,7 +10,6 @@ import argparse
 import functools
 import itertools
 import sys
-from pathlib import Path
 
 from . import _Memo, __version__, _lazy_names
 from .corpus import (
@@ -23,8 +22,8 @@ from .corpus import (
     save_dataset,
     synth_corpus,
 )
-from .digest import atomic_write_text, combine_digests, digest_records
-from .errors import FormatError, RweetsError, StaleCacheError, ValidationError
+from .digest import atomic_write_text
+from .errors import RweetsError, StaleCacheError, ValidationError
 from .jsonl import encode_id_text_lines, encode_line, read_chunks, text_lines, write_lines
 
 # The modules that need numpy, and rules, are imported by the commands that
@@ -182,19 +181,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--verbose", action="store_true", default=None)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("preprocess", help="clean a dataset and persist the corpus")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--domain", default=None, choices=sorted(DOMAINS))
-    _add_pipeline_flags(p)
-
-    p = sub.add_parser("featurize", help="build and persist a feature matrix")
-    p.add_argument("--clean", required=True, help="clean-corpus file from preprocess")
-    p.add_argument("--out", required=True, help="matrix output path")
-    p.add_argument("--raw", default=None, help="original dataset (needed for rule features)")
-    _add_feature_flags(p)
-    _add_pipeline_flags(p)
-
     p = sub.add_parser("rules", help="rule-based rweet classification")
     p.add_argument("action", nargs="?", default="classify", choices=("classify",))
     p.add_argument("--input", required=True)
@@ -238,59 +224,6 @@ def build_parser() -> _Parser:
 
 
 # --- commands ----------------------------------------------------------------
-
-
-def cmd_preprocess(args) -> int:
-    from .preprocess import run_pipeline, save_clean
-    config = _pipeline_config(args)
-    dataset = load_dataset(args.input, _domain(args))
-    corpus, report = run_pipeline(dataset, config)
-    save_clean(corpus, args.output)
-    print(f"cleaned {report.input_count} -> {report.output_count} tweets")
-    for stage, count in report.removed_by_stage.items():
-        print(f"  removed at {stage}: {count}")
-    for stage, delta in report.token_deltas.items():
-        print(f"  token delta at {stage}: {delta:+d}")
-    if args.verbose:
-        print(f"  pipeline digest: {config.digest}")
-    return 0
-
-
-def cmd_featurize(args) -> int:
-    from .features import load_matrix, save_matrix
-    from .pipeline import featurize_corpus
-    from .preprocess import load_clean
-    pipeline_config = _pipeline_config(args)
-    feature_config = _feature_config(args)
-    corpus = load_clean(args.clean, pipeline_config)
-    # the artifact digest covers the feature config AND the cleaned input
-    # (which itself folds in the pipeline digest, lexicon included), so any
-    # upstream change invalidates this matrix
-    key = [feature_config.digest, corpus.content_digest()]
-    raw = None
-    if feature_config.append_rules:
-        if args.raw is None:
-            raise UsageError("rule features need --raw pointing at the original dataset")
-        raw, _ = _texts_by_id(args.raw)
-        # the rule columns come from the raw texts of the corpus rows; an id
-        # missing from --raw fails the build, so no artifact has such a key
-        key.append(digest_records((i, raw[i]) for i in corpus.ids if i in raw))
-    artifact_digest = combine_digests(*key)
-    out = Path(args.out)
-    try:
-        load_matrix(out, feature_config, digest=artifact_digest)
-    except (FormatError, StaleCacheError, FileNotFoundError):
-        pass  # missing, stale or damaged product: rebuild below
-    else:
-        print(f"cache hit: {out} is current for digest {artifact_digest}")
-        return 0
-    fm = featurize_corpus(corpus, feature_config, raw)
-    save_matrix(fm, out, digest=artifact_digest)
-    print(
-        f"wrote {fm.matrix.rows}x{fm.matrix.cols} matrix ({fm.matrix.nnz} nonzeros) to {out}"
-    )
-    print("note: vocabulary built on the full corpus (cache precompute, not a CV fit)")
-    return 0
 
 
 def _rule_fields(bits) -> tuple[dict, str]:
@@ -436,8 +369,6 @@ def cmd_synth(args) -> int:
 
 
 _COMMANDS = {
-    "preprocess": cmd_preprocess,
-    "featurize": cmd_featurize,
     "rules": cmd_rules,
     "train": cmd_train,
     "evaluate": cmd_evaluate,

@@ -2,20 +2,17 @@
 
 Every persisted artifact carries a 16-hex-char digest of the configuration
 that produced it, so downstream stages can detect stale inputs. The series
-cache keys an input by its canonical JSONL (`pipeline.input_digest`), and a
-`featurize` matrix its raw texts by their fields (`digest_records`).
+cache, the one store, keys an input by its canonical JSONL
+(`pipeline.input_digest`).
 """
 
 import hashlib
 import json
 import os
-import struct
 from contextlib import contextmanager
-from itertools import chain, islice
 from pathlib import Path
 
 DIGEST_LEN = 16
-_FIELDS_PER_UPDATE = 2048  # fields hashed per update: memory stays flat
 
 
 def digest_bytes(data: bytes) -> str:
@@ -33,19 +30,6 @@ def digest_json(obj) -> str:
 
 def combine_digests(*digests: str) -> str:
     return digest_text("|".join(digests))
-
-
-def digest_records(records) -> str:
-    """Digest of a sequence of string tuples, streamed in batches of 2,048
-    fields: a batch's field count and each field's length in characters (8
-    bytes each, little-endian), then its fields' UTF-8 bytes. UTF-8 delimits
-    characters, so equal-width tuple sequences share a digest only if equal."""
-    h = hashlib.sha256()
-    fields = chain.from_iterable(records)
-    while batch := list(islice(fields, _FIELDS_PER_UPDATE)):
-        h.update(struct.pack(f"<{len(batch) + 1}Q", len(batch), *map(len, batch)))
-        h.update("".join(batch).encode())
-    return h.hexdigest()[:DIGEST_LEN]
 
 
 @contextmanager

@@ -347,9 +347,6 @@ def save_series_output(texts, ids, stage1, stage2, path, escape_free=False) -> N
 
 _STAGES = {"identifier": BINARY, "categorizer": CATEGORICAL}  # stage -> its label domain
 STAGED_FILE = "staged.model"
-# the model and vocabulary files of the layout train wrote before one file held
-# the staged model (a JSON manifest was the fifth)
-_FIVE_FILE_LAYOUT = tuple(f"{stage}.{kind}" for stage in _STAGES for kind in ("model", "vocab"))
 
 
 def save_staged(staged: StagedClassifier, directory) -> None:
@@ -372,20 +369,11 @@ def save_staged(staged: StagedClassifier, directory) -> None:
 
 def load_staged(directory) -> StagedClassifier:
     """Read the staged classifier `save_staged` wrote into `directory`. A
-    damaged file, a vocabulary that disagrees with its digest, a stage whose
-    classes are not its domain's labels or a directory in the five-file
-    layout is a FormatError; configurations whose digests
-    (the pipeline's covers the lexicon) differ from the header's are stale."""
+    damaged file, a vocabulary that disagrees with its digest or a stage
+    whose classes are not its domain's labels is a FormatError;
+    configurations whose digests (the pipeline's covers the lexicon) differ
+    from the header's are stale."""
     path = Path(directory) / STAGED_FILE
-    for old in (Path(directory) / name for name in _FIVE_FILE_LAYOUT):
-        if old.exists() and not path.exists():
-            try:
-                artifact.load(old, "staged")
-            except FormatError as exc:
-                raise FormatError(
-                    f"{directory}: holds the five-file staged layout (a .model and a .vocab file "
-                    f"per stage and a JSON manifest), which is no longer read; re-run train "
-                    f"({exc})") from None
     header, arrays = artifact.load(path, "staged")
     try:
         meta = header["meta"]

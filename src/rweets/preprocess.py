@@ -21,18 +21,14 @@ the per-op reference in `tests/oracles.py`.
 """
 
 import re
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, compress, islice, repeat, tee
 from operator import ge, not_
-from pathlib import Path
 
-import numpy as np
-
-from . import _Memo, artifact, lexicon
-from .digest import combine_digests, digest_json, digest_records
-from .errors import FormatError, ValidationError
+from . import _Memo, lexicon
+from .digest import digest_json
+from .errors import ValidationError
 
 PLACEHOLDERS = lexicon.PLACEHOLDERS
 
@@ -95,7 +91,6 @@ class CleanCorpus:
     ids: tuple[str, ...]
     tokens: tuple[tuple[str, ...], ...]
     labels: tuple[str | None, ...]
-    config_digest: str
 
     def __post_init__(self):
         if not len(self.ids) == len(self.tokens) == len(self.labels):
@@ -107,21 +102,12 @@ class CleanCorpus:
     def token_lists(self) -> list[tuple[str, ...]]:
         return list(self.tokens)
 
-    def content_digest(self) -> str:
-        """Digest of the config and every row: its id, label ("" for none),
-        token count and tokens, each field length-prefixed by
-        `digest_records`; the count tells where a row's tokens end."""
-        rows = zip(self.ids, self.labels, self.tokens)
-        fields = ((i, label or "", str(len(tokens)), *tokens) for i, label, tokens in rows)
-        return combine_digests(self.config_digest, digest_records(fields))
-
 
 @dataclass
 class PreprocessReport:
     input_count: int
     output_count: int
     removed_by_stage: dict[str, int] = field(default_factory=dict)
-    token_deltas: dict[str, int] = field(default_factory=dict)
 
 
 # --- per-tweet operations ---------------------------------------------------
@@ -281,10 +267,6 @@ def _validated_strip(word: str, stem: str) -> str:
 _CHUNK = 1024  # rows cleaned as one batch: memory holds one chunk's intermediates
 _SEP = "\x00"  # joins a chunk's tag-route texts; no tag pattern matches it
 
-# Ops that report no token delta: the first two never change the word count,
-# and dedupe drops whole tweets once the per-tweet ops are done.
-_UNREPORTED_OPS = ("is_english", "tokenize", "dedupe")
-
 
 def _compile(config: PipelineConfig):
     """Config's order as a chunk cleaner and a function from the input count to (corpus, report)."""
@@ -300,28 +282,18 @@ def _compile(config: PipelineConfig):
         "lemmatize": lambda w: lemmatize([w]),
     }.items()}
     removed = dict.fromkeys(("is_english", "drop_if_short", "dedupe"), 0)
-    totals, runs = Counter(), []
     survivors = {}  # token string -> the first (id, tokens, label) row holding it
 
     def run(*ops):
-        # entering words are counted; each op's changes to them summed at the end
-        changes_of, seen = {}, Counter()
-        runs.append((ops, changes_of, seen))
-
         def expand(word):
-            words, changes = [word], []
+            words = [word]
             for op in ops:
-                after = [t for w in words for t in word_memos[op][w]]
-                changes.append(len(after) - len(words))
-                words = after
-            if any(changes):  # a word no op changed adds nothing to the totals
-                changes_of[word] = changes
+                words = [t for w in words for t in word_memos[op][w]]
             return words
 
         tokens = _Memo(expand).__getitem__
 
         def step(rows):
-            seen.update(chain.from_iterable(rows))
             return list(map(list, map(chain.from_iterable, map(map, repeat(tokens), rows))))
 
         return step
@@ -337,12 +309,10 @@ def _compile(config: PipelineConfig):
                         map(needed, map(len, counted))))
 
     def tag(texts):
-        # ASCII case mapping changes letters only; each space a tag match removes
-        # joins two words (its only whitespace is single spaces inside it)
+        # ASCII case mapping changes letters only
         joined = _SEP.join(texts)
         whole = joined.count(_SEP) == len(texts) - 1  # no text holds the separator
         tagged = [generalize_tags(lowercase(text)) for text in ([joined] if whole else texts)]
-        totals["generalize_tags"] += sum(t.count(" ") for t in tagged) - joined.count(" ")
         # each row's words as their first string objects: fresh ones die with the row
         rows = map(str.split, tagged[0].split(_SEP) if whole else tagged)
         return list(map(list, map(map, repeat(canon), rows)))
@@ -361,9 +331,7 @@ def _compile(config: PipelineConfig):
     def clean(chunk):
         ids, texts, labels = zip(*chunk)
         if not all(map(str.isascii, texts)):
-            totals["strip_non_ascii"] -= sum(map(len, map(str.split, texts)))
             texts = list(map(strip_non_ascii, texts))
-            totals["strip_non_ascii"] += sum(map(len, map(str.split, texts)))
         ids, labels, texts = keep("is_english", english(texts), ids, labels, texts)
         if punct_first:
             rows = first(list(map(str.split, texts)))
@@ -384,17 +352,8 @@ def _compile(config: PipelineConfig):
         removed["dedupe"] += len(rows) - (len(survivors) - before)
 
     def finish(count):
-        for ops, changes_of, seen in runs:
-            for word, changes in changes_of.items():
-                totals.update({op: seen[word] * change for op, change in zip(ops, changes)})
-        deltas, reached = {}, count  # an op reports a delta once some tweet came through it
-        for op in config.ops:
-            reached -= removed.get(op, 0)
-            if reached and op not in _UNREPORTED_OPS:
-                deltas[op] = totals[op]
-        columns = list(zip(*survivors.values())) or [()] * 3
-        corpus = CleanCorpus(*columns, config.digest)
-        return corpus, PreprocessReport(count, len(corpus), removed, deltas)
+        corpus = CleanCorpus(*(list(zip(*survivors.values())) or [()] * 3))
+        return corpus, PreprocessReport(count, len(corpus), removed)
 
     return clean, finish
 
@@ -412,41 +371,3 @@ def run_pipeline(rows, config: PipelineConfig | None = None):
         clean(chunk)
     return finish(len(rows))
 
-
-# --- persistence ------------------------------------------------------------
-
-
-def save_clean(corpus: CleanCorpus, path) -> None:
-    """One artifact: ids, each distinct token once in first-appearance order,
-    one code into that table per token with every tweet's codes end to end,
-    the offset where each tweet's codes start, and labels ("" for none)."""
-    table: dict[str, int] = {}
-    codes = [table.setdefault(token, len(table)) for tokens in corpus.tokens for token in tokens]
-    artifact.save(
-        path,
-        "clean",
-        corpus.config_digest,
-        {},
-        ids=corpus.ids,
-        tokens=tuple(table),
-        codes=np.array(codes, dtype=np.int64),
-        token_offsets=np.cumsum([0, *map(len, corpus.tokens)], dtype=np.int64),
-        labels=[label or "" for label in corpus.labels],
-    )
-
-
-def load_clean(path, config: PipelineConfig | None = None) -> CleanCorpus:
-    """Load a cleaned corpus; if a config is given, reject files produced
-    under a different pipeline digest."""
-    header, arrays = artifact.load(path, "clean", config.digest if config else None)
-    try:
-        ids, labels, table = (artifact.field(arrays, k) for k in ("ids", "labels", "tokens"))
-        codes, offsets = (artifact.field(arrays, k, ("<i8",)) for k in ("codes", "token_offsets"))
-        if len(codes) and not 0 <= codes.min() <= codes.max() < len(table):
-            raise FormatError("token code outside the token table")
-        words = tuple(table[c] for c in codes.tolist())
-        tokens = artifact.split_at(words, offsets)
-        labels = tuple(label or None for label in labels)
-        return CleanCorpus(ids, tokens, labels, header["digest"])
-    except (KeyError, FormatError, ValidationError) as exc:
-        raise FormatError(f"{Path(path).name}: inconsistent clean corpus ({exc})") from None

@@ -535,10 +535,6 @@ def _remove_punctuation(text: str) -> str:
     return " ".join(cleaned.split())
 
 
-def _word_count(state) -> int:
-    return len(state) if isinstance(state, list) else len(state.split())
-
-
 _TEXT_FNS = {
     "strip_non_ascii": strip_non_ascii,
     "lowercase": _lowercase,
@@ -576,13 +572,12 @@ def dedupe(rows: list[tuple]) -> list[tuple]:
 
 
 def reference_clean(dataset, config: PipelineConfig | None = None):
-    """`run_pipeline` as a per-op dispatch loop that counts words before and
-    after every op; returns (CleanCorpus, PreprocessReport)."""
+    """`run_pipeline` as a per-op dispatch loop over each tweet; returns
+    (CleanCorpus, PreprocessReport)."""
     config = config or PipelineConfig()
 
     filter_stages = ("is_english", "drop_if_short", "dedupe")
     removed: dict[str, int] = {op: 0 for op in config.ops if op in filter_stages}
-    deltas: dict[str, int] = {}
     survivors: list[tuple] = []  # (id, tokens, label) rows
 
     for tweet in dataset:
@@ -591,7 +586,6 @@ def reference_clean(dataset, config: PipelineConfig | None = None):
         for op in config.ops:
             if op == "dedupe":
                 continue
-            before = _word_count(state)
             if op == "is_english":
                 if not _is_english(state, config.english_threshold):
                     removed[op] += 1
@@ -610,7 +604,6 @@ def reference_clean(dataset, config: PipelineConfig | None = None):
                 state = kept
             else:
                 state = _apply(op, state)
-            deltas[op] = deltas.get(op, 0) + (_word_count(state) - before)
         if dropped:
             continue
         tokens = tuple(state) if isinstance(state, list) else tuple(state.split())
@@ -628,13 +621,11 @@ def reference_clean(dataset, config: PipelineConfig | None = None):
         tuple(row[0] for row in survivors),
         tuple(row[1] for row in survivors),
         tuple(row[2] for row in survivors),
-        config.digest,
     )
     report = PreprocessReport(
         input_count=len(dataset),
         output_count=len(corpus),
         removed_by_stage=removed,
-        token_deltas=deltas,
     )
     return corpus, report
 
@@ -780,9 +771,9 @@ def dataset_stats(dataset) -> ClassDistribution:
 
 
 def length_prefixed_digest(records) -> str:
-    """`digest_records` as it was before its batched stream, which keyed
-    series cache entries and `featurize --out` matrices: each field's UTF-8
-    byte length (8 bytes, little-endian), then its bytes."""
+    """The record digest that keyed series cache entries, before they had
+    slots and in their slots until a batched stream replaced it: each
+    field's UTF-8 byte length (8 bytes, little-endian), then its bytes."""
     h = hashlib.sha256()
     fields = itertools.chain.from_iterable(records)
     while data := list(map(str.encode, itertools.islice(fields, 2048))):

@@ -114,6 +114,27 @@ class TestRejection:
         with pytest.raises(FormatError, match="'test'"):
             artifact.load(tmp_path / "a", "model")
 
+    def test_a_stale_file_is_read_no_further_than_its_header(self, tmp_path, monkeypatch):
+        # arrays that would not parse are never read: the digest is checked first
+        small(tmp_path / "a")
+        data = (tmp_path / "a").read_bytes()
+        header_end = 4 + int.from_bytes(data[:4], "little")
+        (tmp_path / "a").write_bytes(data[:header_end] + b"\xff" * 7)
+        read = []
+
+        def counted_open(*args):
+            fh = open(*args)
+            fh_read = fh.read
+            fh.read = lambda *n: read.append(fh_read(*n)) or read[-1]
+            return fh
+
+        monkeypatch.setattr(artifact, "open", counted_open, raising=False)
+        with pytest.raises(StaleCacheError, match="built under digest d{16}, expected e{16}"):
+            artifact.load(tmp_path / "a", "test", "e" * 16)
+        assert b"".join(read) == data[:header_end]
+        with pytest.raises(FormatError, match="truncated"):
+            artifact.load(tmp_path / "a", "test", "d" * 16)
+
     def test_digest_mismatch_is_stale(self, tmp_path):
         small(tmp_path / "a")
         with pytest.raises(StaleCacheError):
@@ -172,7 +193,9 @@ class TestTextEraFiles:
     def test_text_matrix(self, tmp_path):
         path = tmp_path / "m.spmat"
         path.write_text("SPMAT v1 1 1 1 0123456789abcdef\n0 0 1.0\n")
-        with pytest.raises(FormatError, match="SPMAT v1"):
+        # its first four bytes, read as the header length, run past its end
+        size = int.from_bytes(b"SPMA", "little")
+        with pytest.raises(FormatError, match=f"m.spmat: header length {size} runs past"):
             load_matrix(path, FeatureConfig())
 
     @pytest.fixture()
@@ -185,37 +208,40 @@ class TestTextEraFiles:
                     "--combo", "10", "--out", str(tmp_path / "staged")]) == 0
         return tmp_path
 
-    @pytest.mark.parametrize("name,text,version", [
-        # a directory of the text era: one file of the five-file layout
-        ("identifier.model", "MODEL v2 logreg 2 3\nclasses\tnot_rweet\trweet\n", "MODEL v2"),
-        ("identifier.model", "MODEL v1 logreg 2 3\nclasses\tnot_rweet\trweet\n", "MODEL v1"),
-        ("categorizer.vocab", "VOCAB v1 1 4 1 1\n0\tfood\t2\n", "VOCAB v1"),
-        # the staged file, damaged
-        pytest.param(STAGED_FILE, lambda data: data[:-5], "truncated", id="truncated"),
-        pytest.param(STAGED_FILE, lambda data: with_header(data, drop_categorizer_key),
-                     "damaged staged model ('model')", id="meta-without-a-stage-key"),
-        pytest.param(STAGED_FILE, edit_a_term, "vocabulary disagrees with its digest",
-                     id="vocab-term-edited"),
+    # a directory of the text era holds files of the five-file layout and no
+    # staged.model: the model is missing
+    @pytest.mark.parametrize("name,text", [
+        pytest.param("identifier.model", "MODEL v2 logreg 2 3\nclasses\tnot_rweet\trweet\n",
+                     id="model-v2"),
+        pytest.param("identifier.model", "MODEL v1 logreg 2 3\nclasses\tnot_rweet\trweet\n",
+                     id="model-v1"),
+        pytest.param("categorizer.vocab", "VOCAB v1 1 4 1 1\n0\tfood\t2\n", id="vocab-v1"),
     ])
-    def test_series_model_exit_3(self, staged, capsys, name, text, version):
+    def test_text_era_model_directory_exit_2(self, staged, capsys, name, text):
+        (staged / "staged" / STAGED_FILE).unlink()
+        (staged / "staged" / name).write_text(text)
+        capsys.readouterr()
+        assert run(["series", "--model", str(staged / "staged"),
+                    "--input", str(staged / "d1.jsonl"),
+                    "--output", str(staged / "o.jsonl")]) == 2
+        assert f"No such file or directory: '{staged / 'staged' / STAGED_FILE}'" in (
+            capsys.readouterr().err)
+
+    # the staged file, damaged
+    @pytest.mark.parametrize("text,version", [
+        pytest.param(lambda data: data[:-5], "truncated", id="truncated"),
+        pytest.param(lambda data: with_header(data, drop_categorizer_key),
+                     "damaged staged model ('model')", id="meta-without-a-stage-key"),
+        pytest.param(edit_a_term, "vocabulary disagrees with its digest", id="vocab-term-edited"),
+    ])
+    def test_series_model_exit_3(self, staged, capsys, text, version):
         path = staged / "staged" / STAGED_FILE
-        if callable(text):
-            path.write_bytes(text(path.read_bytes()))
-        else:
-            path.unlink()
-            (staged / "staged" / name).write_text(text)
+        path.write_bytes(text(path.read_bytes()))
         capsys.readouterr()
         assert run(["series", "--model", str(staged / "staged"),
                     "--input", str(staged / "d1.jsonl"),
                     "--output", str(staged / "o.jsonl")]) == 3
         assert version in capsys.readouterr().err
-
-    def test_featurize_clean_exit_3(self, tmp_path, capsys):
-        clean = tmp_path / "d.clean"
-        clean.write_text('CLEAN v1 0123456789abcdef 1\n{"id": "a", "tokens": ["x", "y"]}\n')
-        assert run(["featurize", "--clean", str(clean), "--out", str(tmp_path / "m"),
-                    "--combo", "1"]) == 3
-        assert "CLEAN v1" in capsys.readouterr().err
 
 
 def test_cold_series_caches_are_byte_identical(tmp_path):
@@ -233,88 +259,3 @@ def test_cold_series_caches_are_byte_identical(tmp_path):
     assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-def batched_stream(records) -> bytes:
-    """The bytes `digest_records` hashes, built field by field: per batch of
-    2,048 fields, the field count, each field's length in characters
-    (8 bytes each, little-endian), then each field's UTF-8 bytes."""
-    fields = [field for record in records for field in record]
-    stream = b""
-    for start in range(0, len(fields), 2048):
-        batch = fields[start:start + 2048]
-        stream += len(batch).to_bytes(8, "little")
-        for field in batch:
-            stream += len(field).to_bytes(8, "little")
-        for field in batch:
-            stream += field.encode("utf-8")
-    return stream
-
-
-class TestDigestRecords:
-    def test_length_prefixed_utf8_stream(self):
-        import hashlib
-
-        from rweets.digest import digest_records
-
-        records = [("t1", "café"), ("", "\U0001f6a8 help\n")]
-        stream = batched_stream(records)
-        assert stream[:8] == (4).to_bytes(8, "little")
-        assert digest_records(iter(records)) == hashlib.sha256(stream).hexdigest()[:16]
-        assert digest_records([]) == hashlib.sha256(b"").hexdigest()[:16]
-        # moving a boundary or a separator-like character changes the digest
-        variants = [[("ab", "c")], [("a", "bc")], [("a\x1fb", "c")], [("a", "b\x1ec")]]
-        assert len({digest_records(v) for v in variants}) == len(variants)
-
-    def test_character_and_byte_lengths_differ(self):
-        import hashlib
-
-        from rweets.digest import digest_records
-
-        # each field's length is counted in characters, not bytes: "é" is 2
-        # bytes, "需" 3 and a non-BMP character 4 (2 UTF-16 units), and moving
-        # one across a field boundary changes the digest
-        records = [("é", "需"), ("\U0001f6a8", "x\U00010348y")]
-        stream = batched_stream(records)
-        lengths = [int.from_bytes(stream[i:i + 8], "little") for i in range(8, 40, 8)]
-        assert lengths == [1, 1, 1, 3]
-        assert digest_records(records) == hashlib.sha256(stream).hexdigest()[:16]
-        variants = [[("é需", "")], [("é", "需")], [("", "é需")], [("\U0001f6a8", "")],
-                    [("\U0001f6a8a", "")], [("\U0001f6a8", "a")], [("a", "\U0001f6a8")]]
-        assert len({digest_records(v) for v in variants}) == len(variants)
-
-    @pytest.mark.parametrize("n", [2047, 2048, 2049, 4096, 4097])
-    def test_fields_split_across_the_batch_boundary(self, n):
-        import hashlib
-
-        from rweets.digest import digest_records
-
-        # single fields around a batch of 2,048, and pairs whose last pair
-        # straddles it; moving the boundary field's text to its neighbour
-        # changes the digest
-        rng = random.Random(n)
-        fields = ["".join(rng.choices(["a", "é", "需", "\U0001f6a8"], k=rng.randint(0, 3)))
-                  for _ in range(n)]
-        for width in (1, 2):
-            records = [tuple(fields[i:i + width]) for i in range(0, n - n % width, width)]
-            expected = hashlib.sha256(batched_stream(records)).hexdigest()[:16]
-            assert digest_records(iter(records)) == digest_records(records) == expected
-        if n > 2048 and fields[2047]:
-            moved = fields[:2047] + ["", fields[2047] + fields[2048]] + fields[2049:]
-            assert digest_records((f,) for f in moved) != digest_records((f,) for f in fields)
-
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_fuzz_against_the_byte_stream(self, width):
-        import hashlib
-
-        from rweets.digest import digest_records
-
-        # empty, one- to four-byte UTF-8 and non-BMP fields; the record counts
-        # put the 2,048-field update boundaries inside and between records
-        rng = random.Random(width)
-        alphabet = ["", "a", "\x00", "\n", "é", "ß", "需", "\u2028", "\U0001f6a8", "\U00010348"]
-        for n in (0, 1, 682, 683, 1024, 1025, 2048, 3001):
-            records = [tuple("".join(rng.choices(alphabet, k=rng.randint(0, 6)))
-                             for _ in range(width)) for _ in range(n)]
-            expected = hashlib.sha256(batched_stream(records)).hexdigest()[:16]
-            assert digest_records(iter(records)) == digest_records(records) == expected, n

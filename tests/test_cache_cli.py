@@ -1,8 +1,7 @@
-"""The featurize matrix cache and the series feature cache, run as separate
-processes, `python -m rweets.cli`, in a temporary directory: a clean file
-rewritten to the same content is a hit, a version-1 matrix is rebuilt and
-then a hit, rows that a separator-joined digest would read alike build
-their own matrices, and a series call with a cold and then a warm cache
+"""The staged model and the series feature cache, run as separate
+processes, `python -m rweets.cli`, in a temporary directory: a trained model
+is one file, written to the same bytes by every run and by a config file
+that presets its flags, and a series call with a cold and then a warm cache
 writes the bytes of a call with none, building nothing when warm. Series
 inputs holding strings JSON escapes, CRLF line ends or a malformed line are
 written as `json.dumps` lines, read as their LF original, or refused (exit
@@ -10,13 +9,11 @@ written as `json.dumps` lines, read as their LF original, or refused (exit
 
 import json
 import random
-from pathlib import Path
 
 import pytest
 
-from oracles import save_version_1_matrix
 from rweets import artifact, cli, jsonl
-from rweets.features import FeatureConfig, load_matrix
+from rweets.pipeline import STAGED_FILE
 from test_rules_cli import crlf_copy, mixed_kind_lines, rweets_cli, rweets_run
 
 
@@ -35,66 +32,25 @@ def work(tmp_path_factory):
     return directory
 
 
-FEATURIZE = ("featurize", "--clean", "d1.clean", "--raw", "d1.jsonl", "--ngrams", "1,2")
+def test_a_model_is_one_file_and_training_twice_writes_the_same_bytes(work):
+    rweets_cli("train", "--binary", "d1.jsonl", "--categories", "d2.jsonl", "--combo", "10",
+               "--out", "model2", cwd=work)
+    assert [p.name for p in (work / "model").iterdir()] == [STAGED_FILE]
+    model = (work / "model" / STAGED_FILE).read_bytes()
+    assert (work / "model2" / STAGED_FILE).read_bytes() == model
 
 
-def rules_matrix(work, name) -> Path:
-    """Build d1.clean, then the --rules matrix of FEATURIZE into `name`."""
-    rweets_cli("preprocess", "--input", "d1.jsonl", "--output", "d1.clean", cwd=work)
-    rweets_cli(*FEATURIZE, "--rules", "--out", name, cwd=work)
-    return work / name
-
-
-def test_clean_file_rewritten_to_the_same_content_is_a_matrix_hit(work):
-    # preprocess writes the same bytes twice, and a clean file rewritten by
-    # a third run reads back to the same content digest, which keys
-    # featurize: the matrix built before is a cache hit
-    rules_matrix(work, "hit.matrix")
-    rweets_cli("preprocess", "--input", "d1.jsonl", "--output", "d1.again.clean", cwd=work)
-    assert (work / "d1.clean").read_bytes() == (work / "d1.again.clean").read_bytes()
-    rweets_cli("preprocess", "--input", "d1.jsonl", "--output", "d1.clean", cwd=work)
-    log = rweets_cli(*FEATURIZE, "--rules", "--out", "hit.matrix", cwd=work)
-    assert log.startswith("cache hit")
-
-
-def test_version_1_matrix_is_rebuilt_to_the_same_bytes_then_a_hit(work):
-    # rules=true in a config file presets the matrix --rules builds; the
-    # same matrix rewritten in the version-1 layout (int64 indptr and
-    # indices, float64 data) is rebuilt to those bytes, then a hit
-    (work / "rules.cfg").write_text("rules=true\n", encoding="utf-8")
-    rweets_cli("preprocess", "--input", "d1.jsonl", "--output", "d1.clean", cwd=work)
-    rweets_cli("--config", "rules.cfg", *FEATURIZE, "--out", "preset.matrix", cwd=work)
-    path = rules_matrix(work, "flag.matrix")
-    preset = (work / "preset.matrix").read_bytes()
-    assert path.read_bytes() == preset
-    digest = artifact.load(path, "matrix")[0]["digest"]
-    fm = load_matrix(path, FeatureConfig(ngram_range=(1, 2), append_rules=True), digest)
-    save_version_1_matrix(fm, path, digest)
-    assert path.read_bytes() != preset
-    log = rweets_cli(*FEATURIZE, "--rules", "--out", "flag.matrix", cwd=work)
-    assert log.startswith("wrote ")
-    assert path.read_bytes() == preset
-    log = rweets_cli(*FEATURIZE, "--rules", "--out", "flag.matrix", cwd=work)
-    assert log.startswith("cache hit")
-
-
-def test_rows_that_a_joined_digest_reads_alike_build_twice(work):
-    # the content digest length-prefixes each field: one row whose id holds
-    # "\x1f" and "\x1e", then the two rows that a separator-joined digest
-    # read it as, featurized into one --out, must build twice
-    (work / "join1.jsonl").write_text(
-        '{"id": "a\\u001fneed food\\u001f\\u001eb", "text": "help shelter"}\n', encoding="utf-8")
-    (work / "join2.jsonl").write_text(
-        '{"id": "a", "text": "need food"}\n{"id": "b", "text": "help shelter"}\n',
-        encoding="utf-8")
-    logs = []
-    for n in (1, 2):
-        rweets_cli("preprocess", "--input", f"join{n}.jsonl", "--output", f"join{n}.clean",
-                   cwd=work)
-        logs.append(rweets_cli("featurize", "--clean", f"join{n}.clean", "--combo", "1",
-                               "--out", "join.matrix", cwd=work))
-    assert logs[0].startswith("wrote 1x")
-    assert logs[1].startswith("wrote 2x")
+def test_a_config_file_presets_the_model_of_the_flags_and_prints_each_fit(work):
+    (work / "train.cfg").write_text("combo=10\nclf=logreg\nmax_epochs=500\nverbose=true\n",
+                                    encoding="utf-8")
+    proc = rweets_run("--config", "train.cfg", "train", "--binary", "d1.jsonl",
+                      "--categories", "d2.jsonl", "--out", "model3", cwd=work)
+    assert proc.returncode == 0
+    model = (work / "model" / STAGED_FILE).read_bytes()
+    assert (work / "model3" / STAGED_FILE).read_bytes() == model
+    lines = proc.stderr.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["identifier", "categorizer"]
+    assert all(" iterations, loss " in line for line in lines)
 
 
 def test_series_with_a_cold_and_a_warm_cache_writes_the_bytes_of_none(work):

@@ -137,210 +137,28 @@ class TestStartup:
 
 
 class TestPreprocess:
-    def test_writes_clean_file_and_report(self, workspace, capsys):
-        out = workspace / "d1.clean"
-        code = run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(out)])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "removed at" in stdout
-        assert out.exists()
+    """The input of the cleaning stage, as the commands that clean read it."""
 
     def test_missing_input_exit_2(self, tmp_path):
-        assert run(["preprocess", "--input", str(tmp_path / "no.jsonl"),
-                    "--output", str(tmp_path / "o")]) == 2
+        assert run(["evaluate", "--input", str(tmp_path / "no.jsonl"), "--combo", "1"]) == 2
 
-    def test_validation_error_exit_3(self, tmp_path):
+    def test_validation_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "1", "text": "x", "label": "bogus"}\n')
-        assert run(["preprocess", "--input", str(bad), "--output", str(tmp_path / "o")]) == 3
-
-    def test_rerun_identical_bytes(self, workspace):
-        a, b = workspace / "a.clean", workspace / "b.clean"
-        for out in (a, b):
-            assert run(["preprocess", "--input", str(workspace / "d1.jsonl"),
-                        "--output", str(out)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert run(["evaluate", "--input", str(bad), "--combo", "1"]) == 3
+        assert "bad.jsonl: line 1: " in capsys.readouterr().err
 
 
 class TestFeaturize:
-    def test_combo_10_and_cache_hit(self, workspace, capsys):
-        clean = workspace / "d1.clean"
-        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
-        matrix = workspace / "d1.m10"
-        args = ["featurize", "--clean", str(clean), "--out", str(matrix),
-                "--combo", "10", "--raw", str(workspace / "d1.jsonl")]
-        assert run(args) == 0
-        capsys.readouterr()
-        assert run(args) == 0
-        assert "cache hit" in capsys.readouterr().out
+    """The feature flags, as the commands that featurize read them."""
 
-    def test_clean_file_with_unequal_columns_exits_3(self, tmp_path, capsys):
-        import numpy as np
-
-        from rweets.preprocess import PipelineConfig, load_clean
-
-        clean = tmp_path / "odd.clean"
-        artifact.save(clean, "clean", PipelineConfig().digest, {}, ids=("a", "b", "c"),
-                      tokens=("need", "food"), codes=np.array([0, 1, 0], dtype=np.int64),
-                      token_offsets=np.array([0, 2, 3], dtype=np.int64), labels=("", "", ""))
-        with pytest.raises(FormatError, match="odd.clean: .*differ in number"):
-            load_clean(clean)
-        capsys.readouterr()
-        assert run(["featurize", "--clean", str(clean), "--out", str(tmp_path / "m"),
-                    "--combo", "1"]) == 3
-        assert "odd.clean" in capsys.readouterr().err
-
-    def test_clean_file_with_int_ids_exits_3(self, tmp_path, capsys):
-        import numpy as np
-
-        from rweets.preprocess import PipelineConfig
-
-        clean = tmp_path / "int-ids.clean"
-        artifact.save(clean, "clean", PipelineConfig().digest, {},
-                      ids=np.array([7], dtype=np.int64), tokens=("need", "food"),
-                      codes=np.array([0, 1], dtype=np.int64),
-                      token_offsets=np.array([0, 2], dtype=np.int64), labels=("",))
-        capsys.readouterr()
-        assert run(["featurize", "--clean", str(clean), "--out", str(tmp_path / "m"),
-                    "--combo", "1"]) == 3
-        assert "int-ids.clean" in capsys.readouterr().err
-
-    def test_rows_that_join_alike_get_their_own_matrix(self, tmp_path, capsys):
-        # one row whose id holds the row and field separators of a joined
-        # digest, then the two rows it reads as: the second file is a miss
-        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
-        one.write_text(json.dumps({"id": "a\x1fneed food\x1f\x1eb", "text": "help shelter"}) + "\n")
-        two.write_text("".join(json.dumps({"id": i, "text": t}) + "\n"
-                               for i, t in (("a", "need food"), ("b", "help shelter"))))
-        matrix = tmp_path / "m"
-        for source, rows in ((one, 1), (two, 2)):
-            clean = source.with_suffix(".clean")
-            run(["preprocess", "--input", str(source), "--output", str(clean)])
-            capsys.readouterr()
-            assert run(["featurize", "--clean", str(clean), "--out", str(matrix),
-                        "--combo", "1"]) == 0
-            assert f"wrote {rows}x" in capsys.readouterr().out
-
-    def test_matrix_cut_after_its_header_is_rebuilt(self, workspace, capsys):
-        clean = workspace / "d1.clean"
-        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
-        matrix = workspace / "m1"
-        args = ["featurize", "--clean", str(clean), "--out", str(matrix), "--combo", "1"]
-        assert run(args) == 0
-        built = matrix.read_bytes()
-        header_end = 4 + int.from_bytes(built[:4], "little")
-        matrix.write_bytes(built[: header_end + 8])
-        capsys.readouterr()
-        assert run(args) == 0
-        out = capsys.readouterr().out
-        assert "cache hit" not in out and "wrote" in out
-        assert matrix.read_bytes() == built
-
-    def test_version_1_matrix_is_rebuilt_then_a_hit(self, workspace, capsys):
-        from rweets.features import combo, load_matrix
-
-        clean = workspace / "d1.clean"
-        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
-        matrix = workspace / "m10"
-        args = ["featurize", "--clean", str(clean), "--out", str(matrix), "--combo", "10",
-                "--raw", str(workspace / "d1.jsonl")]
-        assert run(args) == 0
-        built = matrix.read_bytes()
-        digest = artifact.load(matrix, "matrix")[0]["digest"]
-        save_version_1_matrix(load_matrix(matrix, combo(10), digest), matrix, digest)
-        capsys.readouterr()
-        assert run(args) == 0
-        assert capsys.readouterr().out.startswith("wrote ")
-        assert matrix.read_bytes() == built
-        assert run(args) == 0
-        assert capsys.readouterr().out.startswith("cache hit: ")
-
-    def test_matrix_under_the_length_prefixed_key_is_rebuilt(self, workspace, capsys):
-        # a matrix keyed by the record digest's earlier stream (each field's
-        # byte length, then its bytes) is a miss, rebuilt once, then a hit
-        from oracles import length_prefixed_digest
-        from rweets.digest import combine_digests
-        from rweets.features import combo, load_matrix, save_matrix
-        from rweets.preprocess import PipelineConfig, load_clean
-
-        clean = workspace / "d1.clean"
-        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
-        matrix = workspace / "m10"
-        args = ["featurize", "--clean", str(clean), "--out", str(matrix), "--combo", "10",
-                "--raw", str(workspace / "d1.jsonl")]
-        assert run(args) == 0
-        built = matrix.read_bytes()
-        corpus = load_clean(clean, PipelineConfig())
-        lines = (workspace / "d1.jsonl").read_text(encoding="utf-8").splitlines()
-        raw = {r["id"]: r["text"] for r in map(json.loads, lines)}
-        rows = ((i, label or "", str(len(tokens)), *tokens)
-                for i, label, tokens in zip(corpus.ids, corpus.labels, corpus.tokens))
-        old_key = combine_digests(
-            combo(10).digest, combine_digests(corpus.config_digest, length_prefixed_digest(rows)),
-            length_prefixed_digest((i, raw[i]) for i in corpus.ids))
-        new_key = artifact.load(matrix, "matrix")[0]["digest"]
-        assert old_key != new_key
-        save_matrix(load_matrix(matrix, combo(10), new_key), matrix, digest=old_key)
-        capsys.readouterr()
-        assert run(args) == 0
-        assert capsys.readouterr().out.startswith("wrote ")
-        assert matrix.read_bytes() == built
-        assert run(args) == 0
-        assert capsys.readouterr().out.startswith("cache hit: ")
-
-    def test_combo_out_of_range_exit_1(self, workspace):
-        clean = workspace / "d1.clean"
-        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
-        assert run(["featurize", "--clean", str(clean), "--out", str(workspace / "x"),
-                    "--combo", "25"]) == 1
-
-    def test_stale_clean_cache_exit_4(self, workspace):
-        clean = workspace / "d1.clean"
-        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean),
-             "--threshold", "0.3"])
-        # featurize under the default pipeline flags: digests disagree
-        assert run(["featurize", "--clean", str(clean), "--out", str(workspace / "x"),
-                    "--combo", "1"]) == 4
-
-    def test_rules_without_raw_exit_1(self, workspace):
-        clean = workspace / "d1.clean"
-        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
-        assert run(["featurize", "--clean", str(clean), "--out", str(workspace / "x"),
-                    "--combo", "7"]) == 1
-
-    def test_changed_input_invalidates_matrix(self, workspace, capsys):
-        clean = workspace / "d1.clean"
-        matrix = workspace / "m1"
-        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
-        assert run(["featurize", "--clean", str(clean), "--out", str(matrix), "--combo", "1"]) == 0
-        # same configs, different input content: must rebuild, not cache-hit
-        run(["--seed", "8", "synth", "--size", "100", "--out", str(workspace / "d8.jsonl")])
-        run(["preprocess", "--input", str(workspace / "d8.jsonl"), "--output", str(clean)])
-        capsys.readouterr()
-        assert run(["featurize", "--clean", str(clean), "--out", str(matrix), "--combo", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "cache hit" not in out and "wrote" in out
-
-    def test_rules_key_covers_the_raw_text(self, workspace, capsys):
-        from rweets.preprocess import PipelineConfig, load_clean
-
-        clean = workspace / "d1.clean"
-        run(["preprocess", "--input", str(workspace / "d1.jsonl"), "--output", str(clean)])
-        kept = load_clean(clean, PipelineConfig()).ids[0]
-        records = [json.loads(l) for l in (workspace / "d1.jsonl").read_text().splitlines()]
-        for r in records:
-            if r["id"] == kept:
-                r["text"] += "?"  # a rule feature; cleaning drops it
-        asked = workspace / "asked.jsonl"
-        asked.write_text("".join(json.dumps(r) + "\n" for r in records))
-        args = ["featurize", "--clean", str(clean), "--out", str(workspace / "m7"), "--combo", "7"]
-        assert run(args + ["--raw", str(workspace / "d1.jsonl")]) == 0
-        capsys.readouterr()
-        assert run(args + ["--raw", str(asked)]) == 0
-        out = capsys.readouterr().out
-        assert "cache hit" not in out and "wrote" in out
-        assert run(args + ["--raw", str(asked)]) == 0
-        assert "cache hit" in capsys.readouterr().out
+    def test_combo_out_of_range_exit_1(self, workspace, capsys):
+        for combo in ("0", "25"):
+            assert run(["train", "--binary", str(workspace / "d1.jsonl"),
+                        "--categories", str(workspace / "d2.jsonl"), "--combo", combo,
+                        "--out", str(workspace / "m")]) == 1
+            assert f"--combo must be in 1..24, got {combo}" in capsys.readouterr().err
+        assert not (workspace / "m").exists()
 
 
 class TestRules:
@@ -854,7 +672,9 @@ class TestTrain:
         assert self.series(workspace, tmp_path) == 3
         assert "artifact version 0" in capsys.readouterr().err
 
-    def test_five_file_directory_exit_3(self, workspace, tmp_path, capsys):
+    def test_five_file_directory_exit_2(self, workspace, tmp_path, capsys):
+        # the layout train wrote before one file held the staged model: a
+        # .model and a .vocab file per stage and a JSON manifest
         staged = workspace / "staged"
         for stage in ("identifier", "categorizer"):
             artifact.save(staged / f"{stage}.model", "model", "", {"model": "logreg"},
@@ -862,9 +682,9 @@ class TestTrain:
             artifact.save(staged / f"{stage}.vocab", "vocab", "0" * 16, {"n_docs": 1},
                           terms=("food",))
         (staged / "staged.json").write_text("{broken")
-        assert self.series(workspace, tmp_path) == 3
-        err = capsys.readouterr().err
-        assert "five-file staged layout" in err and "re-run train" in err
+        assert self.series(workspace, tmp_path) == 2
+        assert f"i/o error: [Errno 2] No such file or directory: '{staged / STAGED_FILE}'" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("change", [
         lambda header: header["meta"]["feature_config"].update(min_df=2),
@@ -1018,21 +838,25 @@ class TestUsage:
             assert f"old.cfg: line 2: unknown key {key!r}" in err, line
             assert not out.exists()
 
-    def test_config_file_order(self, tmp_path, capsys):
-        data, config = tmp_path / "d.jsonl", tmp_path / "run.cfg"
-        assert run(["--seed", "3", "synth", "--size", "200", "--out", str(data)]) == 0
-        clean = ["preprocess", "--input", str(data), "--output"]
+    def test_config_file_order(self, workspace, capsys):
+        # the pipeline config is in the staged model's bytes
+        config = workspace / "run.cfg"
+        train = ["train", "--binary", str(workspace / "d1.jsonl"),
+                 "--categories", str(workspace / "d2.jsonl"), "--combo", "1", "--out"]
         config.write_text("order=punct-first\nthreshold=0.6\n")
-        assert run(["--config", str(config), *clean, str(tmp_path / "cfg")]) == 0
-        assert run([*clean, str(tmp_path / "flags"), "--order", "punct-first",
+        assert run(["--config", str(config), *train, str(workspace / "cfg")]) == 0
+        assert run([*train, str(workspace / "flags"), "--order", "punct-first",
                     "--threshold", "0.6"]) == 0
-        assert (tmp_path / "cfg").read_bytes() == (tmp_path / "flags").read_bytes()
+        assert run([*train, str(workspace / "default")]) == 0
+        models = {name: (workspace / name / STAGED_FILE).read_bytes()
+                  for name in ("cfg", "flags", "default")}
+        assert models["cfg"] == models["flags"] != models["default"]
         config.write_text("order=alphabetical\n")
         capsys.readouterr()
-        assert run(["--config", str(config), *clean, str(tmp_path / "bad")]) == 1
+        assert run(["--config", str(config), *train, str(workspace / "bad")]) == 1
         assert ("run.cfg: line 1: order must be one of 'default', 'punct-first', "
                 "got 'alphabetical'") in capsys.readouterr().err
-        assert not (tmp_path / "bad").exists()
+        assert not (workspace / "bad").exists()
 
     # each value outside its flag's choices is a usage error naming the file,
     # the line and the key, whichever subcommand the key belongs to
@@ -1047,36 +871,38 @@ class TestUsage:
         assert not out.exists()
 
     def test_config_switches(self, workspace, capsys):
-        clean, raw = workspace / "d1.clean", str(workspace / "d1.jsonl")
-        assert run(["preprocess", "--input", raw, "--output", str(clean)]) == 0
+        # rules=true in a config file trains the model --rules trains, and
+        # verbose=true prints each stage's fit
         config = workspace / "run.cfg"
-        featurize = ["featurize", "--clean", str(clean), "--raw", raw, "--ngrams", "1,2", "--out"]
+        train = ["train", "--binary", str(workspace / "d1.jsonl"),
+                 "--categories", str(workspace / "d2.jsonl"), "--ngrams", "1,2", "--out"]
         config.write_text("rules=true\nverbose=false\n")
-        assert run(["--config", str(config), *featurize, str(workspace / "cfg")]) == 0
-        assert run([*featurize, str(workspace / "flag"), "--rules"]) == 0
-        assert (workspace / "cfg").read_bytes() == (workspace / "flag").read_bytes()
+        assert run(["--config", str(config), *train, str(workspace / "cfg")]) == 0
+        assert run([*train, str(workspace / "flag"), "--rules"]) == 0
+        assert run([*train, str(workspace / "plain")]) == 0
+        models = {name: (workspace / name / STAGED_FILE).read_bytes()
+                  for name in ("cfg", "flag", "plain")}
+        assert models["cfg"] == models["flag"] != models["plain"]
         config.write_text("verbose=true\n")
         capsys.readouterr()
-        assert run(["--config", str(config), "preprocess", "--input", raw,
-                    "--output", str(clean)]) == 0
-        assert "pipeline digest: " in capsys.readouterr().out
+        assert run(["--config", str(config), *train, str(workspace / "verbose")]) == 0
+        err = capsys.readouterr().err
+        assert [line.split(":")[0] for line in err.splitlines()] == ["identifier", "categorizer"]
         config.write_text("# a switch reads true or false\nrules=yes\n")
-        assert run(["--config", str(config), *featurize, str(workspace / "bad")]) == 3
+        assert run(["--config", str(config), *train, str(workspace / "bad")]) == 3
         assert "run.cfg: line 2: bad value for rules" in capsys.readouterr().err
         assert not (workspace / "bad").exists()
 
     def test_combo_with_feature_flags(self, workspace, capsys):
-        clean, raw = workspace / "d1.clean", str(workspace / "d1.jsonl")
-        assert run(["preprocess", "--input", raw, "--output", str(clean)]) == 0
         config = workspace / "run.cfg"
         config.write_text("combo=1\n")
-        featurize = ["featurize", "--clean", str(clean), "--raw", raw,
-                     "--out", str(workspace / "m")]
+        train = ["train", "--binary", str(workspace / "d1.jsonl"),
+                 "--categories", str(workspace / "d2.jsonl"), "--out", str(workspace / "m")]
         for preset, flags, named in (
                 (True, ["--vectorizer", "tf-idf", "--ngrams", "1,2", "--rules"], "--vectorizer"),
                 (False, ["--combo", "10", "--rules"], "--rules")):
             capsys.readouterr()
-            assert run([*(["--config", str(config)] if preset else []), *featurize, *flags]) == 1
+            assert run([*(["--config", str(config)] if preset else []), *train, *flags]) == 1
             assert f"--combo and {named} cannot be given together" in capsys.readouterr().err
             assert not (workspace / "m").exists()
 

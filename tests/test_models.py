@@ -425,7 +425,7 @@ class TestCrossValidate:
     def test_unlabeled_corpus_rejected(self):
         from rweets.preprocess import CleanCorpus
 
-        corpus = CleanCorpus(("a", "b"), (("need", "food"), ("dry", "day")), (None, None), "x")
+        corpus = CleanCorpus(("a", "b"), (("need", "food"), ("dry", "day")), (None, None))
         with pytest.raises(ValidationError):
             cross_validate(
                 lambda: LogisticRegression(), corpus, BINARY, FeatureConfig(), 2, 0

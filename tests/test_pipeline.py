@@ -19,7 +19,7 @@ from rweets.corpus import (
     synth_corpus,
 )
 from rweets.errors import FormatError, RweetsError, StaleCacheError, ValidationError
-from rweets.digest import combine_digests, digest_bytes, digest_records, digest_text
+from rweets.digest import combine_digests, digest_bytes, digest_text
 from rweets.features import FeatureConfig, _matrix_fields, combo, save_matrix
 from rweets.models import CLASSIFIERS, MultinomialNaiveBayes, input_config
 from rweets.pipeline import (
@@ -94,7 +94,7 @@ def matrix_key(staged, dataset, layout):
         input_config(staged.identifier, staged.feature_config).digest,
         staged.identifier_vocab.digest,
         staged.pipeline_config.digest,
-        digest_records((tw.id, tw.text) for tw in dataset),
+        length_prefixed_digest((tw.id, tw.text) for tw in dataset),
         "stage1",
         *layout,
     )
@@ -127,7 +127,7 @@ def recording_cache(directory):
 def rows_where(corpus, mask):
     """The corpus of `corpus`'s rows whose `mask` entry is true, in order."""
     columns = (tuple(compress(c, mask)) for c in (corpus.ids, corpus.tokens, corpus.labels))
-    return CleanCorpus(*columns, corpus.config_digest)
+    return CleanCorpus(*columns)
 
 
 class TestTrainStaged:
@@ -501,7 +501,7 @@ class TestRunSeries:
         def drops_first_row(*args):  # cleaning that no longer matches the cache
             corpus, report = clean(*args)
             rest = corpus.ids[1:], corpus.tokens[1:], corpus.labels[1:]
-            return CleanCorpus(*rest, corpus.config_digest), report
+            return CleanCorpus(*rest), report
 
         monkeypatch.setattr(pipeline, "run_pipeline", drops_first_row)
         with pytest.raises(StaleCacheError, match="rows differ"):
